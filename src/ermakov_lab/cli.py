@@ -236,6 +236,8 @@ def run_pde(cfg: dict) -> int:
     try:
         params, drive, packet, dt, steps = _pde_setup(cfg)
         final, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
+    except ConfigurationError:
+        raise
     except ErmakovLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -259,6 +261,8 @@ def run_compare(cfg: dict) -> int:
         state = build_ermakov_init(cfg, params)
         traj = integrate("measurement", state, params, drive=drive,
                          t_end=steps * dt, dt=dt, stride=stride)
+    except ConfigurationError:
+        raise
     except ErmakovLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -341,17 +345,16 @@ def run_verify(cfg: dict) -> int:
 _MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare, "verify": run_verify}
 
 
+def _run_mode(cfg: dict) -> int:
+    mode = cfg["mode"]
+    if mode not in _MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}")
+    return _MODES[mode](cfg)
+
+
 def run(config_path) -> int:
     try:
-        cfg = load_config(config_path)
-        mode = cfg["mode"]
-        if mode not in _MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}")
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _MODES[mode](cfg)
+        return _run_mode(load_config(config_path))
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -386,10 +389,13 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
         leaf = parameter.split(".")[-1]
         cfg.setdefault("output", {})["directory"] = str(
             Path(base_out) / f"{leaf}_{v:g}")
-        _validate_keys(cfg)
         env_saved = os.environ.pop("ERMAKOV_LAB_OUT", None)
         try:
-            code = _MODES[cfg["mode"]](cfg)
+            _validate_keys(cfg)
+            code = _run_mode(cfg)
+        except ConfigurationError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
         finally:
             if env_saved is not None:
                 os.environ["ERMAKOV_LAB_OUT"] = env_saved

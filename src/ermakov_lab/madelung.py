@@ -6,7 +6,9 @@ plus a non-Hermitian sink -(i hbar / 4 tau) [(x - xbar)^2 / delta^2 - 1],
 where xbar and delta^2 are the instantaneous mean and variance of |psi|^2.
 Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
-half-step kinetic.
+half-step kinetic.  Between record points the closing half-step of one step
+and the opening half-step of the next are applied as one full kinetic factor,
+so a step costs one FFT pair there and two at a record point.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ class Grid:
     x_min: float
     x_max: float
     n: int
-    periodic: bool = True
 
     def __post_init__(self):
         if self.x_max <= self.x_min:
@@ -58,10 +59,6 @@ class Grid:
     @cached_property
     def k(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-    def same_as(self, other: "Grid") -> bool:
-        return (self.n == other.n and self.x_min == other.x_min
-                and self.x_max == other.x_max)
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
@@ -135,20 +132,23 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
 
 
 def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
-    rho = np.abs(psi) ** 2
-    norm = float(np.sum(rho) * dx)
+    """Norm, mean, squared offsets (x - xbar)^2, variance and density of psi."""
+    re, im = psi.real, psi.imag
+    rho = re * re + im * im
+    norm = float(rho.sum()) * dx
     if norm <= 0:
         raise DegenerateStateError("wavefunction has zero norm")
-    xbar = float(np.sum(x * rho) * dx) / norm
-    u = x - xbar
-    var = float(np.sum(u * u * rho) * dx) / norm
-    m4 = float(np.sum(u ** 4 * rho) * dx) / norm
-    return norm, xbar, var, m4
+    xbar = float(x @ rho) * dx / norm
+    u2 = x - xbar
+    u2 *= u2
+    var = float(u2 @ rho) * dx / norm
+    return norm, xbar, u2, var, rho
 
 
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     """Quadrature moments of rho plus the quantum-force slope k_t."""
-    norm, xbar, var, m4 = _moments(w.psi, w.grid.x, w.grid.dx)
+    norm, xbar, u2, var, rho = _moments(w.psi, w.grid.x, w.grid.dx)
+    m4 = float((u2 * u2) @ rho) * w.grid.dx / norm
     delta = math.sqrt(var)
     return Observables(t=w.t, norm=norm, xbar=xbar, delta=delta,
                        excess_kurtosis=m4 / var ** 2 - 3.0,
@@ -158,11 +158,11 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
 def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
     """Right-hand side d(psi)/dt of the measurement wave equation at w.t."""
     g = w.grid
-    _, xbar, var, _ = _moments(w.psi, g.x, g.dx)
+    _, _, u2, var, _ = _moments(w.psi, g.x, g.dx)
     kin = -(p.hbar ** 2 / (2.0 * p.m)) * np.fft.ifft(-g.k ** 2 * np.fft.fft(w.psi))
     pot = (0.5 * p.m * p.omega ** 2 * g.x ** 2
            + p.lam * g.x * d.value(w.t, None, p)) * w.psi
-    sink = 0.25 * p.inv_tau * ((g.x - xbar) ** 2 / var - 1.0) * w.psi
+    sink = 0.25 * p.inv_tau * (u2 / var - 1.0) * w.psi
     return (kin + pot) / (1j * p.hbar) - sink
 
 
@@ -172,11 +172,21 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     """Strang-split evolution; returns the final packet and recorded observables.
 
     The mean and variance entering the measurement multiplier are recomputed
-    from the current psi before each potential application.  The sink factor
-    uses the exactly integrated width path of the pure-sink substep
-    (variance decaying at rate 1/tau), which makes the substep norm-exact on
-    a Gaussian; it agrees with exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to
-    O(dt^2).  No renormalization is performed; norm drift is a diagnostic.
+    from the current psi, after the step's opening kinetic half-step, before
+    each potential application.  The sink factor uses the exactly integrated
+    width path of the pure-sink substep (variance decaying at rate 1/tau),
+    which makes the substep norm-exact on a Gaussian; it agrees with
+    exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization
+    is performed; norm drift is a diagnostic.
+
+    A step's closing kinetic half-step is applied on its own only at a record
+    point; elsewhere it is fused with the next step's opening half into one
+    full kinetic factor.  At record_stride=1 a step costs two FFT pairs, at
+    stride s > 1 it costs 1 + 1/s pairs on average; the result differs from
+    unfused stepping by rounding only.  Non-finite amplitudes are detected
+    through the norm each step computes (a sum of |psi|^2 >= 0, finite
+    exactly when every entry is) and raise EvolutionAborted, before the norm
+    window of a record point raises DivergenceError.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -187,16 +197,22 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                       stacklevel=2)
     x = g.x
     kin_half = np.exp(-1j * p.hbar * g.k ** 2 / (2.0 * p.m) * 0.5 * dt)
+    kin_full = kin_half * kin_half
+    harmonic_phase = -(dt / p.hbar) * 0.5 * p.m * p.omega ** 2 * x * x
+    drive_phase = -(dt / p.hbar) * p.lam * x
     # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
     sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
     sink_const = 0.25 * dt * p.inv_tau
-    psi = w.psi.astype(complex).copy()
+    psi = w.psi.astype(complex)
     t = w.t
     obs = [observables(WavePacket(g, psi, t), p)]
     prev_delta = obs[0].delta
+    kin = kin_half
     for i in range(steps):
-        psi = np.fft.ifft(kin_half * np.fft.fft(psi))
-        norm, xbar, var, _ = _moments(psi, x, g.dx)
+        psi = np.fft.ifft(kin * np.fft.fft(psi))
+        norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+        if not math.isfinite(norm):
+            raise EvolutionAborted(f"non-finite amplitudes at t={t}")
         delta = math.sqrt(var)
         if d.kind == "conserving":
             # alphadot estimated by a backward difference of delta(t)
@@ -207,18 +223,17 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             x_drive = d.value(t + 0.5 * dt, est, p)
         else:
             x_drive = d.value(t + 0.5 * dt, None, p)
-        u = x - xbar
-        phase = -(dt / p.hbar) * (0.5 * p.m * p.omega ** 2 * x * x
-                                  + p.lam * x * x_drive)
-        amp = -sink_gain * u * u / (2.0 * var) + sink_const
-        psi *= np.exp(amp + 1j * phase)
-        psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+        amp = (-sink_gain / (2.0 * var)) * u2 + sink_const
+        psi *= np.exp(amp + 1j * (harmonic_phase + drive_phase * x_drive))
         t = w.t + (i + 1) * dt
         prev_delta = delta
-        if not np.all(np.isfinite(psi)):
-            raise EvolutionAborted(f"non-finite amplitudes at t={t}")
+        kin = kin_full
         if (i + 1) % record_stride == 0 or i == steps - 1:
+            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+            kin = kin_half
             o = observables(WavePacket(g, psi, t), p)
+            if not math.isfinite(o.norm):
+                raise EvolutionAborted(f"non-finite amplitudes at t={t}")
             if not (0.5 <= o.norm <= 2.0):
                 raise DivergenceError(f"norm {o.norm} outside [0.5, 2] at t={t}")
             obs.append(o)
@@ -234,8 +249,7 @@ def madelung_decompose(w: WavePacket, p: PhysParams,
     Bohm potential, evaluated only where rho >= rho_floor * max(rho).
     """
     g = w.grid
-    rho = np.abs(w.psi) ** 2
-    _, xbar, _, _ = _moments(w.psi, g.x, g.dx)
+    _, xbar, _, _, rho = _moments(w.psi, g.x, g.dx)
     i0 = int(np.argmin(np.abs(g.x - xbar)))
     theta = np.angle(w.psi)
     S = np.empty_like(theta)

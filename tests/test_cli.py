@@ -57,6 +57,29 @@ class TestConfigValidation:
         p.write_text("{not json")
         assert main(["run", str(p)]) == 1
 
+    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    def test_conserving_drive_without_coupling(self, tmp_path, capsys, mode):
+        cfg = {"mode": mode, "params": {"tau": 2.0, "lambda": 0.0},
+               "drive": {"kind": "conserving"},
+               "init": {"delta0": 1.0, "xbar0": 1.0},
+               "numerics": {"dt": 0.015, "t_end": 0.1,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(tmp_path / "out")}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: conserving drive requires lambda != 0"]
+
+    @pytest.mark.parametrize("param, values, needle", [
+        ("params.bogus", "1", "bogus"),
+        ("params.tau", "-1", "tau must be positive"),
+    ])
+    def test_sweep_rejects_bad_values(self, tmp_path, capsys, param, values, needle):
+        path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
+        assert main(["sweep", path, "--param", param, "--values", values]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert needle in err[0]
+
 
 class TestOdeMode:
     def test_conserving_drive_invariant_column(self, tmp_path):

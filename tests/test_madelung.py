@@ -25,6 +25,7 @@ from ermakov_lab import (
 from ermakov_lab.errors import (
     ConfigurationError,
     DivergenceError,
+    EvolutionAborted,
     GridMismatchError,
     InsufficientSupportError,
 )
@@ -324,3 +325,40 @@ class TestEvolve:
         dt = g.dx ** 2 / np.pi
         _, obs = evolve(w, p, DriveSpec.conserving(), dt, 200)
         assert all(math.isfinite(o.xbar) for o in obs)
+
+    def test_nonfinite_amplitude_aborts_between_record_points(self):
+        p = PhysParams(tau=2.0)
+        g = make_grid(1 - 16, 1 + 16, 512)
+        w = gaussian_packet(g, 1.0, 1.0, p=p)
+        w.psi[g.n // 2] = np.nan
+        # caught at the first step, not at the first record point (step 10)
+        with pytest.raises(EvolutionAborted, match=r"at t=0\.0$"):
+            evolve(w, p, DriveSpec.zero(), g.dx ** 2 / np.pi, 25, record_stride=10)
+
+    def test_record_stride_changes_rounding_only(self):
+        p = PhysParams(tau=2.0, lam=1.0)
+        g = make_grid(1 - 16, 1 + 16, 512)
+        w = gaussian_packet(g, 1.0, 1.0, p=p)
+        dt = g.dx ** 2 / np.pi
+        d = DriveSpec.sinusoid(0.3, 0.6)
+        w1, obs1 = evolve(w, p, d, dt, 50, record_stride=1)
+        w7, obs7 = evolve(w, p, d, dt, 50, record_stride=7)
+        assert np.max(np.abs(w1.psi - w7.psi)) <= 1e-12
+        by_t = {round(o.t / dt): o for o in obs1}
+        assert [round(o.t / dt) for o in obs7] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        for o in obs7:
+            ref = by_t[round(o.t / dt)]
+            for f in ("norm", "xbar", "delta", "excess_kurtosis", "k_t"):
+                assert abs(getattr(o, f) - getattr(ref, f)) <= 1e-12
+
+    def test_split_run_matches_single_run(self):
+        p = PhysParams(tau=2.0, lam=1.0)
+        g = make_grid(1 - 16, 1 + 16, 512)
+        w = gaussian_packet(g, 1.0, 1.0, p=p)
+        dt = g.dx ** 2 / np.pi
+        d = DriveSpec.sinusoid(0.3, 0.6)
+        full, _ = evolve(w, p, d, dt, 50, record_stride=10)
+        half, _ = evolve(w, p, d, dt, 30, record_stride=10)
+        rest, _ = evolve(half, p, d, dt, 20, record_stride=10)
+        assert rest.t == pytest.approx(full.t, abs=1e-12)
+        assert np.max(np.abs(rest.psi - full.psi)) <= 1e-12
