@@ -3,7 +3,7 @@
 Subcommands:
   run <config.json>                      execute the mode named in the config
   sweep <config.json> --param P --values CSV   fan out over one numeric field
-  verify <config.json>                   run the verification report
+  verify <config.json>                   run the ten acceptance criteria
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
@@ -22,28 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .criteria import CRITERIA
 from .errors import (
     ConfigurationError,
     ErmakovLabError,
     TrajectoryAborted,
 )
 from .params import DriveSpec, OmegaSpec, PhysParams
-from .ermakov import (
-    ClassicalState,
-    ErmakovState,
-    alpha_from_delta,
-    delta_from_alpha,
-    integrate,
-)
+from .ermakov import ClassicalState, ErmakovState, alpha_from_delta, integrate
 from .madelung import evolve, gaussian_packet, make_grid
-from .identities import (
-    AnsatzSlice,
-    check_coefficient_expansion,
-    check_decomposition_integrals,
-    check_integrating_factor,
-    check_k0_gaussian,
-    check_velocity_ansatz,
-)
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -150,10 +137,9 @@ def build_ermakov_init(cfg: dict, params: PhysParams) -> ErmakovState:
 
 
 def _out_dir(cfg: dict) -> Path:
-    base = os.environ.get("ERMAKOV_LAB_OUT") or cfg.get("output", {}).get("directory", "out")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; writers create it when they first write."""
+    return Path(os.environ.get("ERMAKOV_LAB_OUT")
+                or cfg.get("output", {}).get("directory", "out"))
 
 
 def _fmt(v: float) -> str:
@@ -161,6 +147,7 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(path: Path, columns: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write(",".join(columns) + "\n")
@@ -174,10 +161,9 @@ def run_ode(cfg: dict) -> int:
     dt = float(num.get("dt", 1e-3))
     t_end = float(num.get("t_end", 10.0))
     stride = int(cfg.get("output", {}).get("stride", 1))
-    out = _out_dir(cfg)
-    system = cfg.get("system", "measurement")
+    classical = cfg.get("system", "measurement") == "classical"
     try:
-        if system == "classical":
+        if classical:
             init = _init_block(cfg)
             state = ClassicalState(t=0.0, q=float(init.get("q0", 1.0)),
                                    qdot=float(init.get("qdot0", 0.0)),
@@ -186,26 +172,21 @@ def run_ode(cfg: dict) -> int:
             traj = integrate("classical", state, params,
                              omega_spec=build_omega_spec(cfg, params),
                              t_end=t_end, dt=dt, stride=stride)
-            cols = ["t", "q", "qdot", "alpha", "alphadot", "delta",
-                    "I", "dIdt_analytic", "dIdt_numeric", "X"]
         else:
-            drive = build_drive(cfg)
-            state = build_ermakov_init(cfg, params)
-            traj = integrate("measurement", state, params, drive=drive,
-                             t_end=t_end, dt=dt, stride=stride)
-            cols = ["t", "alpha", "alphadot", "xbar", "xbardot", "delta",
-                    "I", "dIdt_analytic", "dIdt_numeric", "X"]
+            traj = integrate("measurement", build_ermakov_init(cfg, params), params,
+                             drive=build_drive(cfg), t_end=t_end, dt=dt, stride=stride)
     except TrajectoryAborted as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    dnum = traj.dIdt_numeric()
-    if system == "classical":
-        rows = zip(traj.t, traj.x, traj.xdot, traj.alpha, traj.alphadot,
-                   traj.delta, traj.invariant, traj.dIdt_analytic, dnum, traj.drive)
+    width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
+    if classical:
+        coords = {"q": traj.x, "qdot": traj.xdot, **width}
     else:
-        rows = zip(traj.t, traj.alpha, traj.alphadot, traj.x, traj.xdot,
-                   traj.delta, traj.invariant, traj.dIdt_analytic, dnum, traj.drive)
-    write_csv(out / "trajectory.csv", cols, rows)
+        coords = {**width, "xbar": traj.x, "xbardot": traj.xdot}
+    cols = {"t": traj.t, **coords, "delta": traj.delta, "I": traj.invariant,
+            "dIdt_analytic": traj.dIdt_analytic, "dIdt_numeric": traj.dIdt_numeric(),
+            "X": traj.drive}
+    write_csv(_out_dir(cfg) / "trajectory.csv", list(cols), zip(*cols.values()))
     return 0
 
 
@@ -280,54 +261,17 @@ def run_compare(cfg: dict) -> int:
     return 0
 
 
-def _check(name, value, tol):
-    return {"name": name, "value": float(value), "tolerance": float(tol),
-            "pass": bool(value <= tol)}
-
-
 def run_verify(cfg: dict) -> int:
+    """Run every row of the acceptance criteria; exit 3 if any fails.
+
+    The criteria run at their own pinned parameters; the config's params are
+    only validated, and the config is echoed into report.json.
+    """
+    build_params(cfg)
     t0 = time.perf_counter()
-    params = build_params(cfg)
-    out = _out_dir(cfg)
-    tau = params.tau if math.isfinite(params.tau) else 2.0
-    checks = []
-
-    rep = check_k0_gaussian(1.0, PhysParams(tau=tau))
-    checks.append(_check(rep.name, rep.max_abs_residual, rep.tolerance))
-    a = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=tau)
-    for rep in check_integrating_factor(a):
-        checks.append(_check(rep.name, rep.max_abs_residual, rep.tolerance))
-    for rep in check_decomposition_integrals(a):
-        checks.append(_check(rep.name, rep.max_abs_residual, rep.tolerance))
-    rep = check_velocity_ansatz(a)
-    checks.append(_check(rep.name, rep.max_abs_residual, rep.tolerance))
-    for variant, rep in check_coefficient_expansion(
-            1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0)).items():
-        expected = 0.0 if variant == "consistent" else 3.0 / 64.0
-        checks.append(_check(rep.name, abs(rep.max_abs_residual - expected),
-                             rep.tolerance))
-
-    # conserving drive keeps the invariant flat
-    p_cons = params if params.lam != 0 else PhysParams(
-        m=params.m, hbar=params.hbar, omega=params.omega, lam=1.0,
-        tau=tau, coeff_variant=params.coeff_variant)
-    init = ErmakovState(t=0.0, alpha=1.0, alphadot=0.0, xbar=1.0, xbardot=0.0)
-    traj = integrate("measurement", init, p_cons, drive=DriveSpec.conserving(),
-                     t_end=10.0, dt=1e-3)
-    inv = traj.invariant
-    drift = (inv.max() - inv.min()) / inv[0]
-    checks.append(_check("conserving_drive_invariant_drift", drift, 1e-6))
-
-    # analytic invariant rate vs centered finite difference
-    p_rate = PhysParams(m=params.m, hbar=params.hbar, omega=params.omega,
-                        lam=1.0, tau=tau, coeff_variant=params.coeff_variant)
-    traj = integrate("measurement", init, p_rate,
-                     drive=DriveSpec.sinusoid(1.0, 0.7), t_end=10.0, dt=1e-3)
-    fd = np.gradient(traj.invariant, traj.t)[1:-1]
-    err = np.max(np.abs(fd - traj.dIdt_analytic[1:-1]))
-    scale = np.max(np.abs(traj.dIdt_analytic))
-    checks.append(_check("invariant_rate_consistency", err / scale, 1e-4))
-
+    checks = [{"name": name, "value": value, "tolerance": bound, "pass": passed}
+              for criterion in CRITERIA
+              for name, value, bound, passed in criterion()]
     report = {
         "version": __version__,
         "scenario": cfg,
@@ -335,7 +279,9 @@ def run_verify(cfg: dict) -> int:
         "all_pass": all(c["pass"] for c in checks),
         "wall_time_s": time.perf_counter() - t0,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    path = _out_dir(cfg) / "report.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2) + "\n")
     for c in checks:
         tag = "PASS" if c["pass"] else "FAIL"
         print(f"{tag} {c['name']}: {c['value']:.3e} (tol {c['tolerance']:.1e})")
@@ -350,14 +296,6 @@ def _run_mode(cfg: dict) -> int:
     if mode not in _MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     return _MODES[mode](cfg)
-
-
-def run(config_path) -> int:
-    try:
-        return _run_mode(load_config(config_path))
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
@@ -416,12 +354,10 @@ def main(argv=None) -> int:
                          help="dotted config path, e.g. params.tau")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
-    p_verify = sub.add_parser("verify", help="run the verification report")
+    p_verify = sub.add_parser("verify", help="run the ten acceptance criteria")
     p_verify.add_argument("config")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return run(args.config)
     if args.command == "sweep":
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -430,14 +366,14 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         return sweep(args.config, args.param, values)
-    # verify: force verify mode on the loaded config
     try:
         cfg = load_config(args.config)
+        if args.command == "verify":
+            cfg["mode"] = "verify"
+        return _run_mode(cfg)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    cfg["mode"] = "verify"
-    return run_verify(cfg)
 
 
 if __name__ == "__main__":

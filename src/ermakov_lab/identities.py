@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import ConfigurationError, DomainError
 from .params import (
@@ -82,6 +81,30 @@ class IdentityReport:
         return self.max_abs_residual <= self.tolerance
 
 
+def _simpson(f: np.ndarray, h: float) -> float:
+    """Composite Simpson rule on uniform samples f with step h.
+
+    With an odd number of intervals the last one takes the three-point
+    quadratic h/12 (5 f_N + 8 f_{N-1} - f_{N-2}).
+    """
+    if len(f) % 2 == 0:
+        return _simpson(f[:-1], h) + h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] - f[-3])
+    return h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
+
+
+def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of uniform samples f with step h, starting at 0.
+
+    Each interval integrates the quadratic through three neighbouring
+    samples: forward h/12 (5 f_i + 8 f_{i+1} - f_{i+2}) on even intervals,
+    backward h/12 (5 f_{i+1} + 8 f_i - f_{i-1}) on odd ones and on the last.
+    """
+    parts = np.empty(len(f) - 1)
+    parts[1:] = h / 12.0 * (5.0 * f[2:] + 8.0 * f[1:-1] - f[:-2])
+    parts[0:-1:2] = h / 12.0 * (5.0 * f[:-2:2] + 8.0 * f[1:-1:2] - f[2::2])
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def _chebyshev(center: float, half_width: float, n: int = 33) -> np.ndarray:
     return center + half_width * np.cos(np.pi * np.arange(n) / (n - 1))
 
@@ -136,7 +159,7 @@ def check_integrating_factor(a: AnsatzSlice,
                              tol_ratio: float = 1e-10) -> tuple[IdentityReport, IdentityReport]:
     """(i) du/dx = p u pointwise; (ii) u / [(pi delta^2)^{1/2} rho] constant.
 
-    The factor for (ii) is rebuilt from cumulative trapezoid quadrature of p
+    The factor for (ii) is rebuilt from cumulative Simpson quadrature of p
     (exact for the linear p up to roundoff); the constant itself is gauge.
     """
     xs = _chebyshev(a.xbar, 4.0 * a.delta)
@@ -144,8 +167,9 @@ def check_integrating_factor(a: AnsatzSlice,
     res_def = float(np.max(np.abs(_d1(a.u_factor, xs, h) - a.p(xs) * a.u_factor(xs))))
     r1 = IdentityReport("integrating_factor_defining", res_def, tol_defining, len(xs))
 
-    grid = np.linspace(a.xbar - 4.0 * a.delta, a.xbar + 4.0 * a.delta, 4001)
-    anti = cumulative_simpson(a.p(grid), x=grid, initial=0.0)
+    grid, step = np.linspace(a.xbar - 4.0 * a.delta, a.xbar + 4.0 * a.delta, 4001,
+                             retstep=True)
+    anti = _cumulative_simpson(a.p(grid), step)
     u_num = np.exp(anti)
     ratio = u_num / ((np.pi * a.delta ** 2) ** 0.5 * a.rho(grid))
     res_ratio = float((ratio.max() - ratio.min()) / ratio.mean())
@@ -188,10 +212,11 @@ def check_decomposition_integrals(a: AnsatzSlice,
     res2 = float(np.max(np.abs(_d1(anti2, xs, h) - integrand2(xs))))
     r2 = IdentityReport("integral_I2_antiderivative", res2, tol_pointwise, len(xs))
 
-    grid = np.linspace(a.xbar - 8.0 * a.delta, a.xbar + 8.0 * a.delta, 8001)
+    grid, step = np.linspace(a.xbar - 8.0 * a.delta, a.xbar + 8.0 * a.delta, 8001,
+                             retstep=True)
     u = grid - a.xbar
     integrand3 = (-u * u / (2.0 * a.tau * d ** 2) + 1.0 / (2.0 * a.tau)) * w * a.rho(grid)
-    res3 = float(abs(simpson(integrand3, x=grid)))
+    res3 = float(abs(_simpson(integrand3, step)))
     r3 = IdentityReport("integral_I3_zero", res3, tol_defizero, len(grid))
     return r1, r2, r3
 
@@ -209,7 +234,8 @@ def check_velocity_ansatz(a: AnsatzSlice, c_gauge: float = 0.0,
     (passes when the ratio exceeds e^10, stored as a negative margin).
     """
     d = a.delta
-    grid = np.linspace(a.xbar - 10.0 * d, a.xbar + 10.0 * d, 40001)
+    grid, step = np.linspace(a.xbar - 10.0 * d, a.xbar + 10.0 * d, 40001,
+                             retstep=True)
     u_fac = a.u_factor(grid)
     if c_gauge == 0.0:
         uu = grid - a.xbar
@@ -217,11 +243,11 @@ def check_velocity_ansatz(a: AnsatzSlice, c_gauge: float = 0.0,
         # closed form without the sink term
         r12 = (a.deltadot / d - a.deltadot / d ** 3 * uu * uu
                - uu / d ** 2 * a.xbardot)
-        anti12 = cumulative_simpson(r12 * u_fac, x=grid, initial=0.0)
+        anti12 = _cumulative_simpson(r12 * u_fac, step)
         v12 = anti12 / u_fac
         # full r: the sink piece integrates to (x - xbar)/(2 tau) pointwise,
         # even though its definite integral vanishes
-        anti_full = cumulative_simpson(a.r(grid) * u_fac, x=grid, initial=0.0)
+        anti_full = _cumulative_simpson(a.r(grid) * u_fac, step)
         v_full = anti_full / u_fac
         window = np.abs(uu) <= 4.0 * d
         res12 = np.max(np.abs(v12[window]

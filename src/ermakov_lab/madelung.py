@@ -142,6 +142,8 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
     u2 = x - xbar
     u2 *= u2
     var = float(u2 @ rho) * dx / norm
+    if var <= 0:
+        raise DegenerateStateError("wavefunction has zero variance")
     return norm, xbar, u2, var, rho
 
 

@@ -1,190 +1,17 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion of `ermakov_lab.criteria.CRITERIA`,
+each printing a pass/fail line per row.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.
 """
-import math
-
-import numpy as np
 import pytest
 
-from ermakov_lab import (
-    ClassicalState,
-    DriveSpec,
-    ErmakovState,
-    OmegaSpec,
-    PhysParams,
-    alpha_from_delta,
-    check_coefficient_expansion,
-    check_decomposition_integrals,
-    check_integrating_factor,
-    evolve,
-    gaussian_packet,
-    integrate,
-    madelung_decompose,
-    make_grid,
-    quantum_force_linearity,
-)
-
-P_TAU2 = PhysParams(tau=2.0)
+from ermakov_lab.criteria import CRITERIA
 
 
-def report(name, value, bound, ok):
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:.3e})")
-
-
-@pytest.fixture(scope="module")
-def closure_run():
-    """Shared PDE/ODE data for criteria 4-6: hbar=m=omega=1, tau=2,
-    delta0=1, xbar0=1, over t in [0, 4 pi].
-
-    The PDE step is tied to the grid through the kinetic bound
-    dt = m dx^2 / (pi hbar), so halving dx refines time and space together.
-    """
-    T = 4 * np.pi
-    runs = {}
-    for n in (128, 256):
-        g = make_grid(1 - 16, 1 + 16, n)
-        dt = P_TAU2.m * g.dx ** 2 / (np.pi * P_TAU2.hbar)
-        w = gaussian_packet(g, 1.0, 1.0, p=P_TAU2)
-        _, obs = evolve(w, P_TAU2, DriveSpec.zero(), dt,
-                        int(round(T / dt)), record_stride=4)
-        ts = np.array([o.t for o in obs])
-        init = ErmakovState(0, alpha_from_delta(1.0, P_TAU2), 0.0, 1.0, 0.0)
-        tr = integrate("measurement", init, P_TAU2, drive=DriveSpec.zero(),
-                       t_end=T + 10 * dt, dt=1e-4)
-        err_x = np.max(np.abs(np.array([o.xbar for o in obs])
-                              - np.interp(ts, tr.t, tr.x)))
-        err_d = np.max(np.abs(np.array([o.delta for o in obs])
-                              - np.interp(ts, tr.t, tr.delta)))
-        runs[n] = {"obs": obs, "err": max(err_x, err_d)}
-    return runs
-
-
-def test_criterion_1_classical_lewis_drift():
-    w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
-    traj = integrate("classical", ClassicalState(0, 1, 0, 1, 0),
-                     PhysParams(tau=math.inf), omega_spec=w,
-                     t_end=50.0, dt=1e-3)
-    inv = traj.invariant
-    drift = (inv.max() - inv.min()) / inv[0]
-    ok = drift <= 1e-6
-    report("criterion 1 (classical invariant drift)", drift, 1e-6, ok)
-    assert ok
-
-
-def test_criterion_2_invariant_rate_consistency():
-    p = PhysParams(tau=2.0, lam=1.0)
-    traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
-                     drive=DriveSpec.sinusoid(1.0, 0.7), t_end=20.0, dt=1e-3)
-    fd = np.gradient(traj.invariant, traj.t)[1:-1]
-    scale = np.max(np.abs(traj.dIdt_analytic))
-    err = np.max(np.abs(fd - traj.dIdt_analytic[1:-1])) / scale
-    ok = err <= 1e-4
-    report("criterion 2 (analytic vs FD invariant rate)", err, 1e-4, ok)
-    assert ok
-
-
-def test_criterion_3_conserving_drive():
-    p = PhysParams(tau=2.0, lam=1.0)
-    traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
-                     drive=DriveSpec.conserving(), t_end=20.0, dt=1e-3)
-    inv = traj.invariant
-    drift = (inv.max() - inv.min()) / inv[0]
-    ok = drift <= 1e-6
-    report("criterion 3 (conserving drive, invariant range)", drift, 1e-6, ok)
-    assert ok
-
-
-def test_criterion_4_pde_ode_closure(closure_run):
-    err = closure_run[128]["err"]
-    ratio = err / closure_run[256]["err"]
-    ok = err <= 1e-3 and ratio >= 4.0
-    report("criterion 4a (PDE vs ODE closure error)", err, 1e-3, err <= 1e-3)
-    report("criterion 4b (refinement gain, >= 4)", ratio, 4.0, ratio >= 4.0)
-    assert ok
-
-
-def test_criterion_5_gaussian_closure(closure_run):
-    kurt = max(abs(o.excess_kurtosis) for o in closure_run[128]["obs"])
-    ok = kurt <= 1e-3
-    report("criterion 5 (excess kurtosis)", kurt, 1e-3, ok)
-    assert ok
-
-
-def test_criterion_6_norm_neutrality(closure_run):
-    drift = max(abs(o.norm - 1.0) for o in closure_run[128]["obs"])
-    ok = drift <= 1e-6
-    report("criterion 6 (norm drift)", drift, 1e-6, ok)
-    assert ok
-
-
-def test_criterion_7_quantum_force_linearity():
-    p = PhysParams(tau=math.inf)
-    g = make_grid(-16, 16, 1024)
-    w = gaussian_packet(g, 0.0, 1.0, p=p)
-    rep = quantum_force_linearity(madelung_decompose(w, p), p)
-    ok = abs(rep.k_est - 0.25) <= 1e-4 and rep.max_rel_dev <= 1e-4
-    report("criterion 7a (fitted slope - 0.25)", abs(rep.k_est - 0.25), 1e-4,
-           abs(rep.k_est - 0.25) <= 1e-4)
-    report("criterion 7b (max relative deviation)", rep.max_rel_dev, 1e-4,
-           rep.max_rel_dev <= 1e-4)
-    assert ok
-
-
-def test_criterion_8_identity_suite():
-    from ermakov_lab import AnsatzSlice
-
-    a = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1.0)
-    r1, r2, r3 = check_decomposition_integrals(a)
-    rf, rr = check_integrating_factor(a)
-    rows = [
-        ("criterion 8a (I3 definite integral)", r3.max_abs_residual, 1e-10),
-        ("criterion 8b (I1 antiderivative)", r1.max_abs_residual, 1e-8),
-        ("criterion 8c (I2 antiderivative)", r2.max_abs_residual, 1e-8),
-        ("criterion 8d (integrating-factor ratio)", rr.max_abs_residual, 1e-10),
-    ]
-    ok = True
-    for name, val, tol in rows:
-        good = val <= tol
-        report(name, val, tol, good)
-        ok = ok and good
-    assert ok
-
-
-def test_criterion_9_coefficient_adjudication():
-    reps2 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
-    reps1 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))
-    c2 = reps2["consistent"].max_abs_residual
-    p2 = abs(reps2["paper_literal"].max_abs_residual - 0.046875)
-    c1 = reps1["consistent"].max_abs_residual
-    p1 = reps1["paper_literal"].max_abs_residual
-    rows = [
-        ("criterion 9a (consistent variant, tau=2)", c2, 1e-10),
-        ("criterion 9b (|paper literal - 3/64|, tau=2)", p2, 1e-10),
-        ("criterion 9c (consistent variant, tau=1)", c1, 1e-10),
-        ("criterion 9d (paper literal, tau=1)", p1, 1e-10),
-    ]
-    ok = True
-    for name, val, tol in rows:
-        good = val <= tol
-        report(name, val, tol, good)
-        ok = ok and good
-    assert ok
-
-
-def test_criterion_10_rk4_order():
-    w = OmegaSpec.sinusoidal(5.0, 0.1, 1.0)
-    p = PhysParams(tau=math.inf, omega=5.0)
-    init = ClassicalState(0, 1, 0, 5 ** -0.5, 0)
-
-    def endpoint(dt):
-        tr = integrate("classical", init, p, omega_spec=w, t_end=50.0, dt=dt)
-        return np.array([tr.x[-1], tr.xdot[-1], tr.alpha[-1], tr.alphadot[-1]])
-
-    d1 = np.linalg.norm(endpoint(1e-3) - endpoint(5e-4))
-    d2 = np.linalg.norm(endpoint(5e-4) - endpoint(2.5e-4))
-    ratio = d1 / d2
-    ok = 12.0 <= ratio <= 20.0
-    report("criterion 10 (RK4 halving ratio)", ratio, 20.0, ok)
-    assert ok
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.__name__)
+def test_criterion(criterion):
+    rows = criterion()
+    for name, value, bound, passed in rows:
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {value:.3e} (bound {bound:.3e})")
+    assert all(passed for *_, passed in rows)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ermakov_lab import cli
 from ermakov_lab.cli import main
+from ermakov_lab.criteria import CRITERIA
 
 
 def write_config(path, cfg):
@@ -32,6 +37,14 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     return header, data
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, ermakov_lab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestConfigValidation:
@@ -68,6 +81,17 @@ class TestConfigValidation:
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: conserving drive requires lambda != 0"]
+
+    @pytest.mark.parametrize("command, mode", [("run", "pde"), ("verify", "verify")])
+    def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode):
+        out = tmp_path / "out"
+        cfg = {"mode": mode, "params": {"tau": -1.0},
+               "init": {"delta0": 1.0, "xbar0": 1.0},
+               "output": {"directory": str(out)}}
+        assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: tau must be positive")
+        assert not out.exists()
 
     @pytest.mark.parametrize("param, values, needle", [
         ("params.bogus", "1", "bogus"),
@@ -166,16 +190,43 @@ class TestCompareMode:
         assert np.max(np.abs(diff)) < 1e-3
 
 
+def fake_criterion(name, value, bound):
+    def criterion():
+        return [(name, value, bound, value <= bound)]
+    return criterion
+
+
 class TestVerifyMode:
-    def test_report_all_pass(self, tmp_path):
+    def verify(self, tmp_path, monkeypatch, criteria):
+        monkeypatch.setattr(cli, "CRITERIA", criteria)
         out = tmp_path / "out"
-        cfg = {"mode": "verify", "params": {"tau": 2.0},
+        cfg = {"mode": "ode", "params": {"tau": 2.0},
                "output": {"directory": str(out)}}
-        assert main(["verify", write_config(tmp_path / "c.json", cfg)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["all_pass"]
+        code = main(["verify", write_config(tmp_path / "c.json", cfg)])
+        return code, json.loads((out / "report.json").read_text())
+
+    def test_report_all_pass(self, tmp_path, monkeypatch):
+        code, report = self.verify(tmp_path, monkeypatch,
+                                   (fake_criterion("good", 1.0, 2.0),))
+        assert code == 0 and report["all_pass"]
+        assert report["scenario"]["mode"] == "verify"
         assert report["scenario"]["params"]["tau"] == 2.0
-        assert all(c["pass"] for c in report["checks"])
+        assert report["checks"] == [
+            {"name": "good", "value": 1.0, "tolerance": 2.0, "pass": True}]
+
+    def test_failing_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        code, report = self.verify(tmp_path, monkeypatch,
+                                   (fake_criterion("good", 1.0, 2.0),
+                                    fake_criterion("bad", 3.0, 2.0)))
+        assert code == 3 and not report["all_pass"]
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == \
+            [("good", True), ("bad", False)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "FAIL"]
+
+    def test_registry_holds_the_ten_criteria(self):
+        assert [c.__name__ for c in CRITERIA] == \
+            [f"criterion_{i}" for i in range(1, 11)]
 
 
 class TestSweep:

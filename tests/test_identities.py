@@ -10,9 +10,21 @@ from ermakov_lab import (
     check_k0_gaussian,
     check_velocity_ansatz,
 )
+from ermakov_lab.criteria import LITERAL_SLOPE_TAU2
 from ermakov_lab.errors import ConfigurationError, DomainError
+from ermakov_lab.identities import _cumulative_simpson, _simpson
 
 SLICE = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1.0)
+
+
+@pytest.mark.parametrize("n", [101, 100])
+def test_simpson_helpers_match_scipy(n):
+    from scipy.integrate import cumulative_simpson, simpson
+    x, h = np.linspace(-1.0, 2.0, n, retstep=True)
+    f = np.exp(-x * x) * np.cos(3.0 * x)
+    assert abs(_simpson(f, h) - simpson(f, x=x)) <= 1e-12
+    assert np.max(np.abs(_cumulative_simpson(f, h)
+                         - cumulative_simpson(f, x=x, initial=0.0))) <= 1e-12
 
 
 class TestK0Gaussian:
@@ -117,7 +129,7 @@ class TestCoefficientExpansion:
         reps = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
         assert reps["consistent"].max_abs_residual <= 1e-10
         assert reps["paper_literal"].max_abs_residual == \
-            pytest.approx(0.046875, abs=1e-10)
+            pytest.approx(LITERAL_SLOPE_TAU2, abs=1e-10)
 
     def test_tau_one_coincides(self):
         reps = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))

@@ -9,6 +9,7 @@ from ermakov_lab import (
     MadelungFields,
     Observables,
     PhysParams,
+    WavePacket,
     alpha_from_delta,
     continuity_residual,
     delta_from_alpha,
@@ -24,6 +25,7 @@ from ermakov_lab import (
 )
 from ermakov_lab.errors import (
     ConfigurationError,
+    DegenerateStateError,
     DivergenceError,
     EvolutionAborted,
     GridMismatchError,
@@ -31,6 +33,14 @@ from ermakov_lab.errors import (
 )
 
 P_FREE = PhysParams(tau=math.inf)
+
+
+def point_packet():
+    """A 64-point packet nonzero at a single grid point: zero variance."""
+    g = make_grid(-16, 16, 64)
+    psi = np.zeros(g.n, dtype=complex)
+    psi[32] = 1.0
+    return WavePacket(g, psi)
 
 
 def ansatz_fields(grid, xbar, delta, deltadot, xbardot, tau, with_sink_term=True):
@@ -101,6 +111,10 @@ class TestObservables:
         assert o.delta == pytest.approx(1.0, abs=1e-6)
         assert o.excess_kurtosis == pytest.approx(0.0, abs=1e-6)
         assert o.k_t == pytest.approx(0.25)
+
+    def test_zero_variance_is_degenerate(self):
+        with pytest.raises(DegenerateStateError):
+            observables(point_packet(), P_FREE)
 
 
 class TestMadelungDecompose:
@@ -251,6 +265,10 @@ class TestEulerResidual:
 
 
 class TestEvolve:
+    def test_zero_variance_is_degenerate(self):
+        with pytest.raises(DegenerateStateError):
+            evolve(point_packet(), PhysParams(tau=2.0), DriveSpec.zero(), 1e-4, 5)
+
     def test_coherent_state_tracks_ode(self):
         # lambda = 0, 1/tau = 0, delta0^4 = hbar^2/(4 m^2 omega^2): rigid motion
         d0 = 2 ** -0.5
