@@ -83,19 +83,24 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _num(block: dict, key: str, default, where: str, kind=float):
+    """block[key] (default if absent) as a number, else a config error naming it."""
+    val = block.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}.{key} must be a number, got {val!r}") from None
+
+
 def build_params(cfg: dict) -> PhysParams:
     p = cfg.get("params", {})
-    tau = p["tau"]
-    if isinstance(tau, str):
-        if tau.lower() in ("inf", "infinite", "infinity"):
-            tau = math.inf
-        else:
-            raise ConfigurationError(f"params.tau: unrecognized value {tau!r}")
-    return PhysParams(m=float(p.get("m", 1.0)),
-                      hbar=float(p.get("hbar", 1.0)),
-                      omega=float(p.get("omega", 1.0)),
-                      lam=float(p.get("lambda", 0.0)),
-                      tau=float(tau),
+    if isinstance(p["tau"], str) and p["tau"].lower() in ("inf", "infinite", "infinity"):
+        p = {**p, "tau": math.inf}
+    return PhysParams(m=_num(p, "m", 1.0, "params"),
+                      hbar=_num(p, "hbar", 1.0, "params"),
+                      omega=_num(p, "omega", 1.0, "params"),
+                      lam=_num(p, "lambda", 0.0, "params"),
+                      tau=_num(p, "tau", None, "params"),
                       coeff_variant=p.get("coeff_variant", "consistent"))
 
 
@@ -103,37 +108,75 @@ def build_drive(cfg: dict) -> DriveSpec:
     d = cfg.get("drive", {"kind": "zero"})
     kind = d.get("kind", "zero")
     if kind == "tabulated":
-        return DriveSpec.tabulated(d.get("table", []))
-    return DriveSpec(kind=kind, x0=float(d.get("x0", 0.0)),
-                     freq=float(d.get("freq", 0.0)),
-                     phase=float(d.get("phase", 0.0)))
+        try:
+            return DriveSpec.tabulated(d.get("table", []))
+        except (TypeError, ValueError):
+            raise ConfigurationError("drive.table must be a list of [t, X] pairs") from None
+    return DriveSpec(kind=kind, x0=_num(d, "x0", 0.0, "drive"),
+                     freq=_num(d, "freq", 0.0, "drive"),
+                     phase=_num(d, "phase", 0.0, "drive"))
 
 
 def build_omega_spec(cfg: dict, params: PhysParams) -> OmegaSpec:
     w = cfg.get("omega_spec")
     if w is None:
         return OmegaSpec.constant(params.omega)
-    return OmegaSpec(omega0=float(w.get("omega0", params.omega)),
-                     eps=float(w.get("eps", 0.0)),
-                     omega_m=float(w.get("omega_m", 0.0)))
+    return OmegaSpec(omega0=_num(w, "omega0", params.omega, "omega_spec"),
+                     eps=_num(w, "eps", 0.0, "omega_spec"),
+                     omega_m=_num(w, "omega_m", 0.0, "omega_spec"))
 
 
 def _init_block(cfg: dict) -> dict:
     return cfg.get("init", {})
 
 
+def _init_width(init: dict, key: str) -> float:
+    """The initial width init.<key> (default 1), which must be positive."""
+    width = _num(init, key, 1.0, "init")
+    if not width > 0:
+        raise ConfigurationError(f"init.{key} must be positive")
+    return width
+
+
 def build_ermakov_init(cfg: dict, params: PhysParams) -> ErmakovState:
     init = _init_block(cfg)
     if "delta0" in init:
-        alpha0 = alpha_from_delta(float(init["delta0"]), params)
+        alpha0 = alpha_from_delta(_init_width(init, "delta0"), params)
         scale = (params.hbar ** 2 / (4.0 * params.m ** 2)) ** 0.25
-        alphadot0 = float(init.get("width_rate0", 0.0)) / scale
+        alphadot0 = _num(init, "width_rate0", 0.0, "init") / scale
     else:
-        alpha0 = float(init.get("alpha0", 1.0))
-        alphadot0 = float(init.get("alphadot0", 0.0))
+        alpha0 = _init_width(init, "alpha0")
+        alphadot0 = _num(init, "alphadot0", 0.0, "init")
     return ErmakovState(t=0.0, alpha=alpha0, alphadot=alphadot0,
-                        xbar=float(init.get("xbar0", 1.0)),
-                        xbardot=float(init.get("xbardot0", 0.0)))
+                        xbar=_num(init, "xbar0", 1.0, "init"),
+                        xbardot=_num(init, "xbardot0", 0.0, "init"))
+
+
+def _steps(cfg: dict) -> tuple[float, float, int]:
+    """numerics.dt, numerics.t_end and the whole number of steps between them.
+
+    A t_end that is not within 1e-9 (relative) of a whole number of steps is
+    a config error, so no run stops short of it.
+    """
+    num = cfg.get("numerics", {})
+    dt = _num(num, "dt", 1e-3, "numerics")
+    t_end = _num(num, "t_end", 10.0, "numerics")
+    if not (dt > 0 and t_end > 0 and math.isfinite(t_end / dt)):
+        raise ConfigurationError("numerics.dt and numerics.t_end must be positive "
+                                 "and their ratio finite")
+    n = t_end / dt
+    steps = round(n)
+    if abs(n - steps) > 1e-9 * n:
+        raise ConfigurationError(f"numerics.t_end / numerics.dt = {n:.10g} "
+                                 "is not a whole number of steps")
+    return dt, t_end, steps
+
+
+def _stride(cfg: dict) -> int:
+    stride = _num(cfg.get("output", {}), "stride", 1, "output", int)
+    if stride < 1:
+        raise ConfigurationError("output.stride must be >= 1")
+    return stride
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -157,18 +200,16 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
 
 def run_ode(cfg: dict) -> int:
     params = build_params(cfg)
-    num = cfg.get("numerics", {})
-    dt = float(num.get("dt", 1e-3))
-    t_end = float(num.get("t_end", 10.0))
-    stride = int(cfg.get("output", {}).get("stride", 1))
+    dt, t_end, _ = _steps(cfg)
+    stride = _stride(cfg)
     classical = cfg.get("system", "measurement") == "classical"
     try:
         if classical:
             init = _init_block(cfg)
-            state = ClassicalState(t=0.0, q=float(init.get("q0", 1.0)),
-                                   qdot=float(init.get("qdot0", 0.0)),
-                                   alpha=float(init.get("alpha0", 1.0)),
-                                   alphadot=float(init.get("alphadot0", 0.0)))
+            state = ClassicalState(t=0.0, q=_num(init, "q0", 1.0, "init"),
+                                   qdot=_num(init, "qdot0", 0.0, "init"),
+                                   alpha=_init_width(init, "alpha0"),
+                                   alphadot=_num(init, "alphadot0", 0.0, "init"))
             traj = integrate("classical", state, params,
                              omega_spec=build_omega_spec(cfg, params),
                              t_end=t_end, dt=dt, stride=stride)
@@ -194,25 +235,22 @@ def _pde_setup(cfg: dict):
     params = build_params(cfg)
     drive = build_drive(cfg)
     init = _init_block(cfg)
-    delta0 = float(init.get("delta0", 1.0))
-    xbar0 = float(init.get("xbar0", 1.0))
-    num = cfg.get("numerics", {})
-    gcfg = num.get("grid", {})
-    grid = make_grid(float(gcfg.get("x_min", xbar0 - 16 * delta0)),
-                     float(gcfg.get("x_max", xbar0 + 16 * delta0)),
-                     int(gcfg.get("n", 1024)))
+    delta0 = _init_width(init, "delta0")
+    xbar0 = _num(init, "xbar0", 1.0, "init")
+    gcfg = cfg.get("numerics", {}).get("grid", {})
+    grid = make_grid(_num(gcfg, "x_min", xbar0 - 16 * delta0, "numerics.grid"),
+                     _num(gcfg, "x_max", xbar0 + 16 * delta0, "numerics.grid"),
+                     _num(gcfg, "n", 1024, "numerics.grid", int))
     packet = gaussian_packet(grid, xbar0, delta0,
-                             xbardot0=float(init.get("xbardot0", 0.0)),
-                             width_rate0=float(init.get("width_rate0", 0.0)),
+                             xbardot0=_num(init, "xbardot0", 0.0, "init"),
+                             width_rate0=_num(init, "width_rate0", 0.0, "init"),
                              p=params)
-    dt = float(num.get("dt", 1e-3))
-    t_end = float(num.get("t_end", 10.0))
-    steps = int(round(t_end / dt))
+    dt, _, steps = _steps(cfg)
     return params, drive, packet, dt, steps
 
 
 def run_pde(cfg: dict) -> int:
-    stride = int(cfg.get("output", {}).get("stride", 1))
+    stride = _stride(cfg)
     out = _out_dir(cfg)
     try:
         params, drive, packet, dt, steps = _pde_setup(cfg)
@@ -234,7 +272,7 @@ def run_pde(cfg: dict) -> int:
 
 
 def run_compare(cfg: dict) -> int:
-    stride = int(cfg.get("output", {}).get("stride", 1))
+    stride = _stride(cfg)
     out = _out_dir(cfg)
     try:
         params, drive, packet, dt, steps = _pde_setup(cfg)

@@ -71,7 +71,7 @@ def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float
     if s.alpha < ALPHA_MIN:
         raise WidthCollapseError(f"alpha={s.alpha} below collapse floor {ALPHA_MIN}")
     w2 = p.omega * p.omega
-    x_drive = d.value(s.t, s, p)
+    x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
     addot = 1.0 / s.alpha ** 3 - p.inv_tau * s.alphadot - (w2 + p.c_tau) * s.alpha
     xddot = -w2 * s.xbar - (p.lam / p.m) * x_drive
     return addot, xddot
@@ -85,10 +85,8 @@ def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> flo
 
 
 def els_invariant(s: ErmakovState) -> float:
-    """Invariant of the reduced measurement system, built from (alpha, xbar)."""
-    if s.alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return 0.5 * ((s.alphadot * s.xbar - s.xbardot * s.alpha) ** 2 + (s.xbar / s.alpha) ** 2)
+    """Invariant of the reduced measurement system: the Lewis form in (xbar, alpha)."""
+    return lewis_invariant(s.xbar, s.xbardot, s.alpha, s.alphadot)
 
 
 def els_invariant_rate(s: ErmakovState, p: PhysParams, d: DriveSpec) -> float:
@@ -100,20 +98,19 @@ def els_invariant_rate(s: ErmakovState, p: PhysParams, d: DriveSpec) -> float:
     """
     if s.alpha <= 0:
         raise DomainError("alpha must be positive")
-    x_drive = d.value(s.t, s, p)
+    r = s.alphadot / s.alpha
+    x_drive = d.value(s.t, p, r, s.xbar)
     w = (s.xbardot * s.alpha - s.xbar * s.alphadot) / s.alpha ** 2
     a3 = s.alpha ** 3
-    coeff = s.alphadot / s.alpha * p.inv_tau + p.c_tau
+    coeff = r * p.inv_tau + p.c_tau
     return coeff * a3 * s.xbar * w - (p.lam * x_drive / p.m) * a3 * w
 
 
 def conserving_drive(s: ErmakovState, p: PhysParams) -> float:
     """Drive X that makes the analytic invariant rate vanish identically."""
-    if p.lam == 0:
-        raise ConfigurationError("conserving drive requires lambda != 0")
     if s.alpha <= 0:
         raise DomainError("alpha must be positive")
-    return (p.m / p.lam) * (s.alphadot / s.alpha * p.inv_tau + p.c_tau) * s.xbar
+    return DriveSpec.conserving().value(s.t, p, s.alphadot / s.alpha, s.xbar)
 
 
 def delta_from_alpha(alpha: float, p: PhysParams) -> float:
@@ -158,14 +155,6 @@ class Trajectory:
         """Centered finite difference of the invariant (one-sided at the ends)."""
         return np.gradient(self.invariant, self.t)
 
-    def final_state(self):
-        i = len(self.t) - 1
-        if self.kind == "classical":
-            return ClassicalState(self.t[i], self.x[i], self.xdot[i],
-                                  self.alpha[i], self.alphadot[i])
-        return ErmakovState(self.t[i], self.alpha[i], self.alphadot[i],
-                            self.x[i], self.xdot[i])
-
 
 def _package(kind, params, dt, rows):
     cols = np.array(rows, dtype=float).T
@@ -187,9 +176,10 @@ def integrate(kind: str,
 
     kind is "classical" (init: ClassicalState, requires omega_spec) or
     "measurement" (init: ErmakovState, requires drive).  Records every
-    `stride` steps, always including the initial and final states.  A
-    width collapse or non-finite value raises TrajectoryAborted carrying
-    the records accumulated so far.
+    `stride` steps, always including the initial and final states; when
+    (t_end - t0)/dt is not within 1e-9 of a whole number, the last step is
+    shortened to end at t_end.  A width collapse or non-finite value raises
+    TrajectoryAborted carrying the records accumulated so far.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -227,29 +217,34 @@ def integrate(kind: str,
             s = ErmakovState(t, y[0], y[1], y[2], y[3])
             inv = els_invariant(s)
             rate = els_invariant_rate(s, params, drive)
-            x_t = drive.value(t, s, params)
+            x_t = drive.value(t, params, s.alphadot / s.alpha, s.xbar)
             return (t, y[0], y[1], y[2], y[3],
                     delta_from_alpha(y[0], params), inv, rate, x_t)
     else:
         raise ConfigurationError(f"unknown system kind {kind!r}")
 
-    n_steps = int(round((t_end - init.t) / dt))
+    n = (t_end - init.t) / dt
+    ragged = abs(n - round(n)) > 1e-9 * n
+    n_steps = math.floor(n) + 1 if ragged else round(n)
     t = init.t
     rows = [record(t, y)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    h = dt
     for i in range(n_steps):
         try:
+            t_next = init.t + (i + 1) * dt
+            if ragged and i == n_steps - 1:
+                h, t_next = t_end - t, t_end
+            half, sixth = 0.5 * h, h / 6.0
             k1 = deriv(t, y)
             y2 = tuple(a + half * b for a, b in zip(y, k1))
             k2 = deriv(t + half, y2)
             y3 = tuple(a + half * b for a, b in zip(y, k2))
             k3 = deriv(t + half, y3)
-            y4 = tuple(a + dt * b for a, b in zip(y, k3))
-            k4 = deriv(t + dt, y4)
+            y4 = tuple(a + h * b for a, b in zip(y, k3))
+            k4 = deriv(t + h, y4)
             y = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
                       for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-            t = init.t + (i + 1) * dt
+            t = t_next
             if not all(math.isfinite(v) for v in y):
                 raise InvalidStateError(f"non-finite state at t={t}")
             if (i + 1) % stride == 0 or i == n_steps - 1:

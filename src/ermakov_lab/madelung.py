@@ -8,7 +8,8 @@ Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
 half-step kinetic.  Between record points the closing half-step of one step
 and the opening half-step of the next are applied as one full kinetic factor,
-so a step costs one FFT pair there and two at a record point.
+so a step costs one FFT pair there and two at a record point.  X(t) is
+DriveSpec.value, given the packet's deltadot/delta and mean for the conserving kind.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .errors import (
     InsufficientSupportError,
 )
 from .params import DriveSpec, PhysParams
-from .ermakov import ErmakovState, alpha_from_delta
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8
@@ -95,12 +95,6 @@ class MadelungFields:
     valid_mask: np.ndarray
 
 
-def _d1_periodic(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central first derivative with periodic wrap."""
-    return (np.roll(f, 2) - 8 * np.roll(f, 1)
-            + 8 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dx)
-
-
 def _d2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central second derivative with periodic wrap."""
     return (-np.roll(f, 2) + 16 * np.roll(f, 1) - 30 * f
@@ -158,12 +152,12 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
 
 
 def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
-    """Right-hand side d(psi)/dt of the measurement wave equation at w.t."""
+    """Right-hand side d(psi)/dt at w.t; a conserving drive raises ConfigurationError."""
     g = w.grid
     _, _, u2, var, _ = _moments(w.psi, g.x, g.dx)
     kin = -(p.hbar ** 2 / (2.0 * p.m)) * np.fft.ifft(-g.k ** 2 * np.fft.fft(w.psi))
     pot = (0.5 * p.m * p.omega ** 2 * g.x ** 2
-           + p.lam * g.x * d.value(w.t, None, p)) * w.psi
+           + p.lam * g.x * d.value(w.t)) * w.psi
     sink = 0.25 * p.inv_tau * (u2 / var - 1.0) * w.psi
     return (kin + pot) / (1j * p.hbar) - sink
 
@@ -216,15 +210,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         if not math.isfinite(norm):
             raise EvolutionAborted(f"non-finite amplitudes at t={t}")
         delta = math.sqrt(var)
-        if d.kind == "conserving":
-            # alphadot estimated by a backward difference of delta(t)
-            ddot = (delta - prev_delta) / dt if i > 0 else 0.0
-            scale = (p.hbar ** 2 / (4.0 * p.m ** 2)) ** 0.25
-            est = ErmakovState(t + 0.5 * dt, alpha_from_delta(delta, p),
-                               ddot / scale, xbar, 0.0)
-            x_drive = d.value(t + 0.5 * dt, est, p)
-        else:
-            x_drive = d.value(t + 0.5 * dt, None, p)
+        # deltadot/delta from a backward difference of delta(t), 0 on the first step
+        rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+        x_drive = d.value(t + 0.5 * dt, p, rate, xbar)
         amp = (-sink_gain / (2.0 * var)) * u2 + sink_const
         psi *= np.exp(amp + 1j * (harmonic_phase + drive_phase * x_drive))
         t = w.t + (i + 1) * dt
@@ -322,12 +310,13 @@ def euler_residual(fields: MadelungFields, dv_dt: np.ndarray,
     """Residual of the closed Euler equation; returns (r, max|r| on mask).
 
     r = dv_dt + v dv/dx + omega^2 x + (lambda/m) X - k_t (x - xbar), with the
-    quantum-force closure slope k_t = hbar^2 / (4 m^2 delta^4).
+    quantum-force closure slope k_t = hbar^2 / (4 m^2 delta^4).  A conserving
+    drive raises ConfigurationError: X is evaluated at obs.t alone.
     """
     g = fields.grid
     if np.shape(dv_dt) != (g.n,):
         raise GridMismatchError("dv_dt does not match the field grid")
-    x_drive = d.value(obs.t, None, p)
+    x_drive = d.value(obs.t)
     dvdx = np.gradient(fields.v_qu, g.dx)
     r = (dv_dt + fields.v_qu * dvdx + p.omega ** 2 * g.x
          + (p.lam / p.m) * x_drive - obs.k_t * (g.x - obs.xbar))

@@ -2,11 +2,13 @@
 
 All quantities default to the nondimensional convention hbar = m = 1; every
 constant remains an explicit field so dimensional runs stay possible.
+DriveSpec holds every drive formula, the conserving feedback included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,9 +99,10 @@ class OmegaSpec:
 class DriveSpec:
     """The classical drive X(t) coupled to the oscillator through lambda*x*X(t).
 
-    Kinds: zero, constant, sinusoid X0*cos(Omega t + phase), conserving
-    (state-dependent, keeps the reduced invariant constant), and tabulated
-    (linear interpolation between strictly increasing sample times).
+    Kinds: zero, constant, sinusoid X0*cos(Omega t + phase), tabulated
+    (linear interpolation between strictly increasing sample times), and the
+    conserving feedback X = (m/lambda)(r/tau + C_tau) xbar that keeps the
+    reduced invariant constant, with r = alphadot/alpha = deltadot/delta.
     """
 
     kind: str = "zero"
@@ -114,11 +117,16 @@ class DriveSpec:
         if self.kind not in self._KINDS:
             raise ConfigurationError(f"unknown drive kind {self.kind!r}")
         if self.kind == "tabulated":
-            ts = [p[0] for p in self.table]
+            ts = self._samples[0]
             if len(ts) < 2:
                 raise ConfigurationError("tabulated drive needs at least two samples")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if np.any(ts[1:] <= ts[:-1]):
                 raise ConfigurationError("tabulated drive times must be strictly increasing")
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:  # built once per drive
+        return (np.array([p[0] for p in self.table], dtype=float),
+                np.array([p[1] for p in self.table], dtype=float))
 
     @classmethod
     def zero(cls) -> "DriveSpec":
@@ -140,8 +148,9 @@ class DriveSpec:
     def tabulated(cls, points) -> "DriveSpec":
         return cls(kind="tabulated", table=tuple((float(t), float(x)) for t, x in points))
 
-    def value(self, t: float, state=None, params: PhysParams | None = None) -> float:
-        """Evaluate X(t); the conserving kind needs the current reduced state."""
+    def value(self, t: float, params: PhysParams | None = None,
+              log_width_rate: float | None = None, xbar: float | None = None) -> float:
+        """X(t); the conserving kind also needs params, r = log_width_rate and xbar."""
         if self.kind == "zero":
             return 0.0
         if self.kind == "constant":
@@ -149,12 +158,11 @@ class DriveSpec:
         if self.kind == "sinusoid":
             return self.x0 * math.cos(self.freq * t + self.phase)
         if self.kind == "tabulated":
-            ts = [p[0] for p in self.table]
-            xs = [p[1] for p in self.table]
-            return float(np.interp(t, ts, xs))
+            return float(np.interp(t, *self._samples))
         # conserving
-        if state is None or params is None:
-            raise ConfigurationError("conserving drive requires the current state and params")
-        from .ermakov import conserving_drive
-
-        return conserving_drive(state, params)
+        if params is None or log_width_rate is None or xbar is None:
+            raise ConfigurationError("conserving drive needs params, log_width_rate and xbar")
+        if params.lam == 0:
+            raise ConfigurationError("conserving drive requires lambda != 0")
+        return (params.m / params.lam) * (log_width_rate * params.inv_tau
+                                          + params.c_tau) * xbar

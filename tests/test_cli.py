@@ -75,22 +75,44 @@ class TestConfigValidation:
         cfg = {"mode": mode, "params": {"tau": 2.0, "lambda": 0.0},
                "drive": {"kind": "conserving"},
                "init": {"delta0": 1.0, "xbar0": 1.0},
-               "numerics": {"dt": 0.015, "t_end": 0.1,
+               "numerics": {"dt": 0.0125, "t_end": 0.1,
                             "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
                "output": {"directory": str(tmp_path / "out")}}
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: conserving drive requires lambda != 0"]
 
-    @pytest.mark.parametrize("command, mode", [("run", "pde"), ("verify", "verify")])
-    def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode):
+    @pytest.mark.parametrize("command, mode, fields, message", [
+        pytest.param("run", "pde", {"params.tau": -1.0}, "tau must be positive",
+                     id="run-pde"),
+        pytest.param("verify", "verify", {"params.tau": -1.0}, "tau must be positive",
+                     id="verify-verify"),
+        pytest.param("run", "ode", {"init.delta0": -1.0}, "init.delta0 must be positive",
+                     id="run-ode-delta0"),
+        pytest.param("run", "pde", {"numerics.dt": "x"}, "numerics.dt must be a number",
+                     id="run-pde-dt"),
+        pytest.param("run", "ode", {"numerics.dt": 0.3, "numerics.t_end": 1.0},
+                     "numerics.t_end / numerics.dt", id="run-ode-ragged-t_end"),
+        pytest.param("run", "pde", {"numerics.dt": 0.0}, "numerics.dt and numerics.t_end",
+                     id="run-pde-dt0"),
+        pytest.param("run", "pde", {"output.stride": 0}, "output.stride must be >= 1",
+                     id="run-pde-stride0"),
+        pytest.param("run", "ode", {"init.alpha0": 0.0},
+                     "init.alpha0 must be positive", id="run-ode-alpha0"),
+        pytest.param("run", "ode", {"drive.kind": "tabulated", "drive.table": [1, 2]},
+                     "drive.table must be a list", id="run-ode-table"),
+    ])
+    def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
+                                              fields, message):
         out = tmp_path / "out"
-        cfg = {"mode": mode, "params": {"tau": -1.0},
-               "init": {"delta0": 1.0, "xbar0": 1.0},
+        cfg = {"mode": mode, "params": {"tau": 2.0}, "init": {"xbar0": 1.0},
                "output": {"directory": str(out)}}
+        for dotted, value in fields.items():
+            section, key = dotted.split(".")
+            cfg.setdefault(section, {})[key] = value
         assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: tau must be positive")
+        assert len(err) == 1 and err[0].startswith("config error: " + message)
         assert not out.exists()
 
     @pytest.mark.parametrize("param, values, needle", [
@@ -149,7 +171,7 @@ class TestPdeMode:
             "mode": "pde",
             "params": {"tau": 2.0},
             "init": {"delta0": 1.0, "xbar0": 1.0},
-            "numerics": {"dt": 0.015, "t_end": 1.0,
+            "numerics": {"dt": 0.0125, "t_end": 1.0,
                          "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
             "output": {"directory": str(outdir), "snapshots": True},
         }
@@ -180,7 +202,7 @@ class TestCompareMode:
             "mode": "compare",
             "params": {"tau": 2.0},
             "init": {"delta0": 1.0, "xbar0": 1.0},
-            "numerics": {"dt": 0.015, "t_end": 2.0,
+            "numerics": {"dt": 0.0125, "t_end": 2.0,
                          "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
             "output": {"directory": str(out), "stride": 5},
         }

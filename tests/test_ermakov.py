@@ -232,6 +232,23 @@ class TestIntegrate:
         assert np.all(dts > 0)
         assert np.allclose(dts, dts[0])
 
+    def test_ends_at_t_end_with_a_short_last_step(self):
+        p = PhysParams(tau=2.0, lam=1.0)
+        args = dict(drive=DriveSpec.sinusoid(1.0, 0.7), t_end=1.0)
+        tr = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, dt=0.3, **args)
+        assert tr.t[-1] == 1.0
+        assert np.allclose(np.diff(tr.t), [0.3, 0.3, 0.3, 0.1])
+        fine = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, dt=1e-3, **args)
+        end = [tr.alpha[-1], tr.alphadot[-1], tr.x[-1], tr.xdot[-1]]
+        ref = [fine.alpha[-1], fine.alphadot[-1], fine.x[-1], fine.xdot[-1]]
+        assert np.max(np.abs(np.subtract(end, ref))) < 1e-3
+
+    def test_whole_step_count_keeps_uniform_steps(self):
+        # 0.7 / 0.1 = 6.999999999999999 rounds to 7 steps of exactly dt
+        tr = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0),
+                       drive=DriveSpec.zero(), t_end=0.7, dt=0.1)
+        assert list(tr.t) == [i * 0.1 for i in range(8)]
+
     def test_width_collapse_aborts_with_partial(self):
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, alpha=2e-8, alphadot=-1.0, xbar=0, xbardot=0)

@@ -1,0 +1,57 @@
+"""The package's internal import graph, read from the source with `ast`.
+
+No module is imported here: the graph is built from every `import` and
+`from ... import` statement in src/ermakov_lab, including those inside
+function bodies.
+"""
+import ast
+import graphlib
+from pathlib import Path
+
+PACKAGE = "ermakov_lab"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+MODULES = {p.stem for p in SRC.glob("*.py")}
+
+
+def _targets(node):
+    """Package modules named by one import statement."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names]
+        return {n[1] if len(n) > 1 else "__init__" for n in names if n[0] == PACKAGE}
+    if node.level == 0 and (node.module or "").split(".")[0] != PACKAGE:
+        return set()
+    path = (node.module or "").split(".")
+    if node.level == 0:
+        path = path[1:]
+    if path and path[0]:
+        return {path[0]}
+    # `from . import name`: a submodule when one has that name, else __init__
+    return {a.name if a.name in MODULES else "__init__" for a in node.names}
+
+
+def import_graph():
+    graph = {}
+    for mod in MODULES:
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        graph[mod] = set().union(*(
+            _targets(n) for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))))
+    return graph
+
+
+def test_graph_sees_the_known_edges():
+    graph = import_graph()
+    assert {"params", "errors"} <= graph["ermakov"]
+    assert "madelung" in graph["cli"]
+
+
+def test_import_graph_is_acyclic():
+    order = list(graphlib.TopologicalSorter(import_graph()).static_order())
+    assert set(order) >= MODULES
+
+
+def test_params_and_madelung_do_not_import_ermakov():
+    graph = import_graph()
+    assert "ermakov" not in graph["params"]
+    assert "ermakov" not in graph["madelung"]
+    assert graph["madelung"] <= {"params", "errors"}

@@ -264,6 +264,26 @@ class TestEulerResidual:
         assert mx <= 1e-6
 
 
+class TestConservingDriveOutsideEvolve:
+    """Only evolve supplies the width rate the conserving feedback needs."""
+
+    P = PhysParams(tau=2.0, lam=1.0)
+
+    def packet(self):
+        return gaussian_packet(make_grid(-15, 17, 128), 1.0, 1.0, p=self.P)
+
+    def test_time_derivative_refuses_it(self):
+        with pytest.raises(ConfigurationError):
+            time_derivative(self.packet(), self.P, DriveSpec.conserving())
+
+    def test_euler_residual_refuses_it(self):
+        w = self.packet()
+        fields = madelung_decompose(w, self.P)
+        with pytest.raises(ConfigurationError):
+            euler_residual(fields, np.zeros(w.grid.n), self.P, DriveSpec.conserving(),
+                           observables(w, self.P))
+
+
 class TestEvolve:
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(DegenerateStateError):

@@ -70,3 +70,19 @@ class TestDriveSpec:
     def test_conserving_needs_state(self):
         with pytest.raises(ConfigurationError):
             DriveSpec.conserving().value(0.0)
+
+    def test_conserving_feedback(self):
+        p = PhysParams(m=1.5, lam=0.5, tau=2.0)
+        x = DriveSpec.conserving().value(0.0, p, log_width_rate=0.3, xbar=2.0)
+        assert x == pytest.approx((1.5 / 0.5) * (0.3 / 2.0 + 1.0 / 16.0) * 2.0)
+
+    @pytest.mark.parametrize("missing", ["params", "log_width_rate", "xbar"])
+    def test_conserving_needs_every_input(self, missing):
+        kwargs = dict(params=PhysParams(lam=1.0, tau=2.0), log_width_rate=0.3, xbar=2.0)
+        kwargs[missing] = None
+        with pytest.raises(ConfigurationError):
+            DriveSpec.conserving().value(0.0, **kwargs)
+
+    def test_conserving_requires_coupling(self):
+        with pytest.raises(ConfigurationError, match=r"requires lambda != 0"):
+            DriveSpec.conserving().value(0.0, PhysParams(tau=2.0), 0.3, 2.0)
