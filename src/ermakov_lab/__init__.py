@@ -10,11 +10,9 @@ from .params import (
 )
 from .ermakov import (
     ALPHA_MIN,
-    ClassicalState,
     ErmakovState,
     Trajectory,
     alpha_from_delta,
-    classical_rhs,
     conserving_drive,
     delta_from_alpha,
     els_invariant,

@@ -23,13 +23,9 @@ import numpy as np
 
 from . import __version__
 from .criteria import CRITERIA
-from .errors import (
-    ConfigurationError,
-    ErmakovLabError,
-    TrajectoryAborted,
-)
+from .errors import ConfigurationError, ErmakovLabError
 from .params import DriveSpec, OmegaSpec, PhysParams
-from .ermakov import ClassicalState, ErmakovState, alpha_from_delta, integrate
+from .ermakov import ErmakovState, alpha_from_delta, integrate
 from .madelung import evolve, gaussian_packet, make_grid
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
@@ -117,17 +113,14 @@ def build_drive(cfg: dict) -> DriveSpec:
                      phase=_num(d, "phase", 0.0, "drive"))
 
 
-def build_omega_spec(cfg: dict, params: PhysParams) -> OmegaSpec:
+def build_omega_spec(cfg: dict, params: PhysParams) -> OmegaSpec | None:
+    """The config's omega^2(t) schedule; None (constant params.omega) when absent."""
     w = cfg.get("omega_spec")
     if w is None:
-        return OmegaSpec.constant(params.omega)
+        return None
     return OmegaSpec(omega0=_num(w, "omega0", params.omega, "omega_spec"),
                      eps=_num(w, "eps", 0.0, "omega_spec"),
                      omega_m=_num(w, "omega_m", 0.0, "omega_spec"))
-
-
-def _init_block(cfg: dict) -> dict:
-    return cfg.get("init", {})
 
 
 def _init_width(init: dict, key: str) -> float:
@@ -138,8 +131,10 @@ def _init_width(init: dict, key: str) -> float:
     return width
 
 
-def build_ermakov_init(cfg: dict, params: PhysParams) -> ErmakovState:
-    init = _init_block(cfg)
+def build_ermakov_init(cfg: dict, params: PhysParams,
+                       centroid: str = "xbar") -> ErmakovState:
+    """The initial state; its centroid is init.<centroid>0 and init.<centroid>dot0."""
+    init = cfg.get("init", {})
     if "delta0" in init:
         alpha0 = alpha_from_delta(_init_width(init, "delta0"), params)
         scale = (params.hbar ** 2 / (4.0 * params.m ** 2)) ** 0.25
@@ -148,8 +143,28 @@ def build_ermakov_init(cfg: dict, params: PhysParams) -> ErmakovState:
         alpha0 = _init_width(init, "alpha0")
         alphadot0 = _num(init, "alphadot0", 0.0, "init")
     return ErmakovState(t=0.0, alpha=alpha0, alphadot=alphadot0,
-                        xbar=_num(init, "xbar0", 1.0, "init"),
-                        xbardot=_num(init, "xbardot0", 0.0, "init"))
+                        xbar=_num(init, centroid + "0", 1.0, "init"),
+                        xbardot=_num(init, centroid + "dot0", 0.0, "init"))
+
+
+def _system(cfg: dict) -> str:
+    """The config's system, "measurement" (default) or "classical".
+
+    The classical pair is the measurement system at tau = inf, lambda = 0 with
+    a zero drive, so a classical config must say so; it runs only in ode mode.
+    """
+    system = cfg.get("system", "measurement")
+    if system not in ("measurement", "classical"):
+        raise ConfigurationError(
+            f"system must be 'measurement' or 'classical', got {system!r}")
+    if system == "classical":
+        if cfg["mode"] != "ode":
+            raise ConfigurationError("system 'classical' runs only in ode mode")
+        params = build_params(cfg)
+        if params.inv_tau != 0 or params.lam != 0 or build_drive(cfg).kind != "zero":
+            raise ConfigurationError("system 'classical' needs params.tau = \"inf\", "
+                                     "params.lambda absent or 0 and drive absent or zero")
+    return system
 
 
 def _steps(cfg: dict) -> tuple[float, float, int]:
@@ -202,28 +217,14 @@ def run_ode(cfg: dict) -> int:
     params = build_params(cfg)
     dt, t_end, _ = _steps(cfg)
     stride = _stride(cfg)
-    classical = cfg.get("system", "measurement") == "classical"
-    try:
-        if classical:
-            init = _init_block(cfg)
-            state = ClassicalState(t=0.0, q=_num(init, "q0", 1.0, "init"),
-                                   qdot=_num(init, "qdot0", 0.0, "init"),
-                                   alpha=_init_width(init, "alpha0"),
-                                   alphadot=_num(init, "alphadot0", 0.0, "init"))
-            traj = integrate("classical", state, params,
-                             omega_spec=build_omega_spec(cfg, params),
-                             t_end=t_end, dt=dt, stride=stride)
-        else:
-            traj = integrate("measurement", build_ermakov_init(cfg, params), params,
-                             drive=build_drive(cfg), t_end=t_end, dt=dt, stride=stride)
-    except TrajectoryAborted as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    classical = _system(cfg) == "classical"
+    x = "q" if classical else "xbar"
+    traj = integrate(build_ermakov_init(cfg, params, x), params, drive=build_drive(cfg),
+                     omega_spec=build_omega_spec(cfg, params),
+                     t_end=t_end, dt=dt, stride=stride)
     width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
-    if classical:
-        coords = {"q": traj.x, "qdot": traj.xdot, **width}
-    else:
-        coords = {**width, "xbar": traj.x, "xbardot": traj.xdot}
+    centroid = {x: traj.x, x + "dot": traj.xdot}
+    coords = {**centroid, **width} if classical else {**width, **centroid}
     cols = {"t": traj.t, **coords, "delta": traj.delta, "I": traj.invariant,
             "dIdt_analytic": traj.dIdt_analytic, "dIdt_numeric": traj.dIdt_numeric(),
             "X": traj.drive}
@@ -232,9 +233,13 @@ def run_ode(cfg: dict) -> int:
 
 
 def _pde_setup(cfg: dict):
+    """Parameters, drive, initial packet, dt and step count of a pde/compare run."""
+    _system(cfg)
+    if "omega_spec" in cfg:
+        raise ConfigurationError(f"omega_spec is not supported in {cfg['mode']} mode")
     params = build_params(cfg)
     drive = build_drive(cfg)
-    init = _init_block(cfg)
+    init = cfg.get("init", {})
     delta0 = _init_width(init, "delta0")
     xbar0 = _num(init, "xbar0", 1.0, "init")
     gcfg = cfg.get("numerics", {}).get("grid", {})
@@ -252,14 +257,8 @@ def _pde_setup(cfg: dict):
 def run_pde(cfg: dict) -> int:
     stride = _stride(cfg)
     out = _out_dir(cfg)
-    try:
-        params, drive, packet, dt, steps = _pde_setup(cfg)
-        final, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
-    except ConfigurationError:
-        raise
-    except ErmakovLabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    params, drive, packet, dt, steps = _pde_setup(cfg)
+    final, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
     write_csv(out / "observables.csv",
               ["t", "norm", "xbar", "delta", "excess_kurtosis", "k_t"],
               ((o.t, o.norm, o.xbar, o.delta, o.excess_kurtosis, o.k_t) for o in obs))
@@ -274,17 +273,10 @@ def run_pde(cfg: dict) -> int:
 def run_compare(cfg: dict) -> int:
     stride = _stride(cfg)
     out = _out_dir(cfg)
-    try:
-        params, drive, packet, dt, steps = _pde_setup(cfg)
-        _, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
-        state = build_ermakov_init(cfg, params)
-        traj = integrate("measurement", state, params, drive=drive,
-                         t_end=steps * dt, dt=dt, stride=stride)
-    except ConfigurationError:
-        raise
-    except ErmakovLabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    params, drive, packet, dt, steps = _pde_setup(cfg)
+    _, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
+    traj = integrate(build_ermakov_init(cfg, params), params, drive=drive,
+                     t_end=steps * dt, dt=dt, stride=stride)
     n = min(len(obs), len(traj))
     rows = []
     for i in range(n):
@@ -330,10 +322,17 @@ _MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare, "verify": run_
 
 
 def _run_mode(cfg: dict) -> int:
+    """Run the config's mode; a numerical failure is one stderr line and exit 2."""
     mode = cfg["mode"]
     if mode not in _MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    return _MODES[mode](cfg)
+    try:
+        return _MODES[mode](cfg)
+    except ConfigurationError:
+        raise
+    except ErmakovLabError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def _set_by_path(cfg: dict, dotted: str, value: float) -> None:

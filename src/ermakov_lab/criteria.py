@@ -12,7 +12,7 @@ from functools import cache
 
 import numpy as np
 
-from .ermakov import ClassicalState, ErmakovState, alpha_from_delta, integrate
+from .ermakov import ErmakovState, alpha_from_delta, integrate
 from .identities import (
     AnsatzSlice,
     check_coefficient_expansion,
@@ -48,16 +48,15 @@ def _relative_range(values):
 
 def criterion_1():
     w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
-    traj = integrate("classical", ClassicalState(0, 1, 0, 1, 0),
-                     PhysParams(tau=math.inf), omega_spec=w,
-                     t_end=50.0, dt=1e-3)
+    traj = integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=math.inf),
+                     omega_spec=w, t_end=50.0, dt=1e-3)
     return [_row("criterion 1 (classical invariant drift)",
                  _relative_range(traj.invariant), 1e-6)]
 
 
 def criterion_2():
     p = PhysParams(tau=2.0, lam=1.0)
-    traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
+    traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                      drive=DriveSpec.sinusoid(1.0, 0.7), t_end=20.0, dt=1e-3)
     fd = np.gradient(traj.invariant, traj.t)[1:-1]
     scale = np.max(np.abs(traj.dIdt_analytic))
@@ -67,7 +66,7 @@ def criterion_2():
 
 def criterion_3():
     p = PhysParams(tau=2.0, lam=1.0)
-    traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
+    traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                      drive=DriveSpec.conserving(), t_end=20.0, dt=1e-3)
     return [_row("criterion 3 (conserving drive, invariant range)",
                  _relative_range(traj.invariant), 1e-6)]
@@ -87,7 +86,7 @@ def _closure_run():
     grids = {n: make_grid(1 - 16, 1 + 16, n) for n in (128, 256)}
     dts = {n: P_TAU2.m * g.dx ** 2 / (np.pi * P_TAU2.hbar) for n, g in grids.items()}
     init = ErmakovState(0, alpha_from_delta(1.0, P_TAU2), 0.0, 1.0, 0.0)
-    tr = integrate("measurement", init, P_TAU2, drive=DriveSpec.zero(),
+    tr = integrate(init, P_TAU2, drive=DriveSpec.zero(),
                    t_end=T + 10 * dts[128], dt=1e-4)
     runs = {}
     for n, g in grids.items():
@@ -166,10 +165,10 @@ def criterion_9():
 def criterion_10():
     w = OmegaSpec.sinusoidal(5.0, 0.1, 1.0)
     p = PhysParams(tau=math.inf, omega=5.0)
-    init = ClassicalState(0, 1, 0, 5 ** -0.5, 0)
+    init = ErmakovState(0, 5 ** -0.5, 0, 1, 0)
     ends = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        tr = integrate("classical", init, p, omega_spec=w, t_end=50.0, dt=dt)
+        tr = integrate(init, p, omega_spec=w, t_end=50.0, dt=dt)
         ends.append(np.array([tr.x[-1], tr.xdot[-1], tr.alpha[-1], tr.alphadot[-1]]))
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
     return [_row("criterion 10 (RK4 halving ratio)", ratio, 20.0,

@@ -1,16 +1,15 @@
-"""Reduced ODE systems and their invariants.
+"""The reduced width/centroid system and its invariant.
 
-Two systems are integrated with fixed-step RK4:
+One system is integrated with fixed-step RK4:
 
-  * classical: q'' = -omega^2(t) q together with the auxiliary amplitude
-    alpha'' = 1/alpha^3 - omega^2(t) alpha, carrying the Lewis invariant
-    I = [(q' alpha - alpha' q)^2 + (q/alpha)^2] / 2.
+    alpha'' = 1/alpha^3 - alpha'/tau - (omega^2(t) + C_tau) alpha,
+    xbar''  = -omega^2(t) xbar - (lambda/m) X(t),
 
-  * measurement: the reduced width/centroid system
-    alpha'' = 1/alpha^3 - alpha'/tau - (omega^2 + C_tau) alpha,
-    xbar''  = -omega^2 xbar - (lambda/m) X(t),
-    carrying the analogous invariant built from (alpha, xbar) and its
-    analytic rate, which the conserving drive zeroes identically.
+carrying the Lewis invariant I = [(xbar' alpha - alpha' xbar)^2 + (xbar/alpha)^2] / 2
+and its analytic rate, which the conserving drive zeroes identically.  At
+1/tau = 0, lambda = 0 it is the classical Ermakov-Pinney pair
+q'' = -omega^2(t) q, alpha'' = 1/alpha^3 - omega^2(t) alpha with q = xbar,
+and I is constant.
 """
 from __future__ import annotations
 
@@ -33,15 +32,6 @@ ALPHA_MIN = 1e-8
 
 
 @dataclass(frozen=True)
-class ClassicalState:
-    t: float
-    q: float
-    qdot: float
-    alpha: float
-    alphadot: float
-
-
-@dataclass(frozen=True)
 class ErmakovState:
     t: float
     alpha: float
@@ -50,27 +40,15 @@ class ErmakovState:
     xbardot: float
 
 
-def classical_rhs(s: ClassicalState, w: OmegaSpec) -> tuple[float, float]:
-    """Accelerations (q'', alpha'') of the classical baseline system."""
-    vals = (s.t, s.q, s.qdot, s.alpha, s.alphadot)
-    if not all(math.isfinite(v) for v in vals):
-        raise InvalidStateError(f"non-finite classical state {s}")
-    if s.alpha <= 0:
-        raise DomainError("alpha must be positive")
-    w2 = w.omega2(s.t)
-    qddot = -w2 * s.q
-    addot = 1.0 / s.alpha ** 3 - w2 * s.alpha
-    return qddot, addot
-
-
-def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float, float]:
-    """Accelerations (alpha'', xbar'') of the reduced measurement system."""
+def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec,
+                    w: OmegaSpec | None = None) -> tuple[float, float]:
+    """Accelerations (alpha'', xbar''); omega^2(t) comes from w, else p.omega^2."""
     vals = (s.t, s.alpha, s.alphadot, s.xbar, s.xbardot)
     if not all(math.isfinite(v) for v in vals):
         raise InvalidStateError(f"non-finite state {s}")
     if s.alpha < ALPHA_MIN:
         raise WidthCollapseError(f"alpha={s.alpha} below collapse floor {ALPHA_MIN}")
-    w2 = p.omega * p.omega
+    w2 = p.omega * p.omega if w is None else w.omega2(s.t)
     x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
     addot = 1.0 / s.alpha ** 3 - p.inv_tau * s.alphadot - (w2 + p.c_tau) * s.alpha
     xddot = -w2 * s.xbar - (p.lam / p.m) * x_drive
@@ -78,14 +56,14 @@ def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float
 
 
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
-    """Lewis invariant of the classical pair (q, alpha)."""
+    """Lewis invariant of the pair (q, alpha)."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     return 0.5 * ((qdot * alpha - alphadot * q) ** 2 + (q / alpha) ** 2)
 
 
 def els_invariant(s: ErmakovState) -> float:
-    """Invariant of the reduced measurement system: the Lewis form in (xbar, alpha)."""
+    """Invariant of the reduced system: the Lewis form in (xbar, alpha)."""
     return lewis_invariant(s.xbar, s.xbardot, s.alpha, s.alphadot)
 
 
@@ -129,13 +107,8 @@ def alpha_from_delta(delta: float, p: PhysParams) -> float:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled trajectory of either reduced system.
+    """Uniformly sampled trajectory of the reduced system (x/xdot: the centroid)."""
 
-    For kind="classical" the x/xdot columns hold q/qdot; delta and drive
-    are identically the width map of alpha and zero respectively.
-    """
-
-    kind: str
     params: PhysParams
     dt: float
     t: np.ndarray
@@ -156,30 +129,29 @@ class Trajectory:
         return np.gradient(self.invariant, self.t)
 
 
-def _package(kind, params, dt, rows):
+def _package(params, dt, rows):
     cols = np.array(rows, dtype=float).T
-    return Trajectory(kind=kind, params=params, dt=dt,
+    return Trajectory(params=params, dt=dt,
                       t=cols[0], alpha=cols[1], alphadot=cols[2],
                       x=cols[3], xdot=cols[4], delta=cols[5],
                       invariant=cols[6], dIdt_analytic=cols[7], drive=cols[8])
 
 
-def integrate(kind: str,
-              init,
+def integrate(init: ErmakovState,
               params: PhysParams,
               drive: DriveSpec | None = None,
               omega_spec: OmegaSpec | None = None,
               t_end: float = 10.0,
               dt: float = 1e-3,
               stride: int = 1) -> Trajectory:
-    """Integrate one of the reduced systems with fixed-step RK4.
+    """Integrate the reduced system with fixed-step RK4.
 
-    kind is "classical" (init: ClassicalState, requires omega_spec) or
-    "measurement" (init: ErmakovState, requires drive).  Records every
-    `stride` steps, always including the initial and final states; when
-    (t_end - t0)/dt is not within 1e-9 of a whole number, the last step is
-    shortened to end at t_end.  A width collapse or non-finite value raises
-    TrajectoryAborted carrying the records accumulated so far.
+    drive defaults to zero and omega_spec to the constant params.omega; the
+    classical pair is params.tau = inf, params.lam = 0 with a zero drive.
+    Records every `stride` steps, always including the initial and final
+    states; when (t_end - t0)/dt is not within 1e-9 of a whole number, the
+    last step is shortened to end at t_end.  A width collapse or non-finite
+    value raises TrajectoryAborted carrying the records accumulated so far.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -187,41 +159,23 @@ def integrate(kind: str,
         raise ConfigurationError("t_end must exceed the initial time")
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
+    if drive is None:
+        drive = DriveSpec.zero()
+    y = (init.alpha, init.alphadot, init.xbar, init.xbardot)
 
-    classical = kind == "classical"
-    if classical:
-        if omega_spec is None:
-            omega_spec = OmegaSpec.constant(params.omega)
-        y = (init.q, init.qdot, init.alpha, init.alphadot)
+    def deriv(t, y):
+        s = ErmakovState(t, y[0], y[1], y[2], y[3])
+        add, xdd = measurement_rhs(s, params, drive, omega_spec)
+        return (y[1], add, y[3], xdd)
 
-        def deriv(t, y):
-            s = ClassicalState(t, y[0], y[1], y[2], y[3])
-            qdd, add = classical_rhs(s, omega_spec)
-            return (y[1], qdd, y[3], add)
-
-        def record(t, y):
-            inv = lewis_invariant(y[0], y[1], y[2], y[3])
-            dlt = delta_from_alpha(y[2], params)
-            return (t, y[2], y[3], y[0], y[1], dlt, inv, 0.0, 0.0)
-    elif kind == "measurement":
-        if drive is None:
-            drive = DriveSpec.zero()
-        y = (init.alpha, init.alphadot, init.xbar, init.xbardot)
-
-        def deriv(t, y):
-            s = ErmakovState(t, y[0], y[1], y[2], y[3])
-            add, xdd = measurement_rhs(s, params, drive)
-            return (y[1], add, y[3], xdd)
-
-        def record(t, y):
-            s = ErmakovState(t, y[0], y[1], y[2], y[3])
-            inv = els_invariant(s)
-            rate = els_invariant_rate(s, params, drive)
-            x_t = drive.value(t, params, s.alphadot / s.alpha, s.xbar)
-            return (t, y[0], y[1], y[2], y[3],
-                    delta_from_alpha(y[0], params), inv, rate, x_t)
-    else:
-        raise ConfigurationError(f"unknown system kind {kind!r}")
+    def record(t, y):
+        s = ErmakovState(t, y[0], y[1], y[2], y[3])
+        inv = els_invariant(s)
+        # + 0.0 records a vanishing rate as 0, never -0
+        rate = els_invariant_rate(s, params, drive) + 0.0
+        x_t = drive.value(t, params, s.alphadot / s.alpha, s.xbar)
+        return (t, y[0], y[1], y[2], y[3],
+                delta_from_alpha(y[0], params), inv, rate, x_t)
 
     n = (t_end - init.t) / dt
     ragged = abs(n - round(n)) > 1e-9 * n
@@ -250,7 +204,7 @@ def integrate(kind: str,
             if (i + 1) % stride == 0 or i == n_steps - 1:
                 rows.append(record(t, y))
         except (WidthCollapseError, InvalidStateError) as exc:
-            partial = _package(kind, params, dt * stride, rows)
+            partial = _package(params, dt * stride, rows)
             raise TrajectoryAborted(f"integration aborted at t~{t}: {exc}",
                                     partial=partial) from exc
-    return _package(kind, params, dt * stride, rows)
+    return _package(params, dt * stride, rows)

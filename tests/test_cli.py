@@ -101,6 +101,23 @@ class TestConfigValidation:
                      "init.alpha0 must be positive", id="run-ode-alpha0"),
         pytest.param("run", "ode", {"drive.kind": "tabulated", "drive.table": [1, 2]},
                      "drive.table must be a list", id="run-ode-table"),
+        pytest.param("run", "ode", {"system": "clasical"}, "system must be",
+                     id="run-ode-system-typo"),
+        pytest.param("run", "pde", {"system": "classical", "params.tau": "inf"},
+                     "system 'classical' runs only in ode mode", id="run-pde-classical"),
+        pytest.param("run", "ode", {"system": "classical"},
+                     "system 'classical' needs", id="run-ode-classical-tau"),
+        pytest.param("run", "ode", {"system": "classical", "params.tau": "inf",
+                                    "params.lambda": 5.0},
+                     "system 'classical' needs", id="run-ode-classical-lambda"),
+        pytest.param("run", "ode", {"system": "classical", "params.tau": "inf",
+                                    "drive.kind": "constant", "drive.x0": 1.0},
+                     "system 'classical' needs", id="run-ode-classical-drive"),
+        pytest.param("run", "pde", {"omega_spec.eps": 0.1, "omega_spec.omega_m": 1.0},
+                     "omega_spec is not supported in pde mode", id="run-pde-omega_spec"),
+        pytest.param("run", "compare", {"omega_spec.eps": 0.1, "omega_spec.omega_m": 1.0},
+                     "omega_spec is not supported in compare mode",
+                     id="run-compare-omega_spec"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -108,8 +125,7 @@ class TestConfigValidation:
         cfg = {"mode": mode, "params": {"tau": 2.0}, "init": {"xbar0": 1.0},
                "output": {"directory": str(out)}}
         for dotted, value in fields.items():
-            section, key = dotted.split(".")
-            cfg.setdefault(section, {})[key] = value
+            cli._set_by_path(cfg, dotted, value)
         assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: " + message)
@@ -154,6 +170,38 @@ class TestOdeMode:
         cfg["init"] = {"alpha0": 2e-8, "alphadot0": -1.0, "xbar0": 0.0,
                        "xbardot0": 0.0}
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+
+    def test_classical_collapse_exits_2(self, tmp_path, capsys):
+        cfg = base_ode_config(tmp_path / "out", system="classical")
+        cfg["params"] = {"tau": "inf"}
+        cfg["drive"] = {"kind": "zero"}
+        cfg["init"] = {"alpha0": 0.01, "alphadot0": -10.0}
+        cfg["numerics"] = {"dt": 0.01, "t_end": 1.0}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def omega_spec_run(self, tmp_path, name, omega_spec=None):
+        cfg = base_ode_config(tmp_path / name)
+        cfg["drive"] = {"kind": "sinusoid", "x0": 1.0, "freq": 0.7}
+        cfg["output"]["stride"] = 1  # the finite difference needs every step
+        if omega_spec is not None:
+            cfg["omega_spec"] = omega_spec
+        assert main(["run", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        return (tmp_path / name / "trajectory.csv").read_bytes()
+
+    def test_omega_spec_is_honoured(self, tmp_path):
+        plain = self.omega_spec_run(tmp_path, "plain")
+        modulated = self.omega_spec_run(tmp_path, "modulated",
+                                        {"omega0": 1.0, "eps": 0.5, "omega_m": 2.0})
+        assert modulated != plain
+        header, data = read_csv(tmp_path / "modulated" / "trajectory.csv")
+        analytic = data[1:-1, header.index("dIdt_analytic")]
+        fd = data[1:-1, header.index("dIdt_numeric")]
+        assert np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)) < 1e-4
+        # a constant schedule at params.omega is the same run as none at all
+        assert self.omega_spec_run(tmp_path, "constant", {"omega0": 1.0, "eps": 0.0}) \
+            == plain
 
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ermakov_lab import (
-    ClassicalState,
     DriveSpec,
     ErmakovState,
     OmegaSpec,
     PhysParams,
     alpha_from_delta,
-    classical_rhs,
     conserving_drive,
     delta_from_alpha,
     els_invariant,
@@ -32,27 +30,32 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
 
 
+# The classical Ermakov-Pinney pair is the reduced system at 1/tau = 0, lambda = 0.
+P_CLASSICAL = PhysParams(tau=math.inf, lam=0.0)
+ZERO = DriveSpec.zero()
+
+
 class TestClassicalRhs:
     def test_unit_stationary(self):
-        s = ClassicalState(0, q=1, qdot=0, alpha=1, alphadot=0)
-        assert classical_rhs(s, OmegaSpec.constant(1)) == (-1.0, 0.0)
+        s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
+        assert measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec.constant(1)) == (0.0, -1.0)
 
     def test_free_amplitude(self):
-        s = ClassicalState(0, q=0, qdot=1, alpha=2, alphadot=0)
-        qdd, add = classical_rhs(s, OmegaSpec.constant(0))
-        assert qdd == 0.0
+        s = ErmakovState(0, alpha=2, alphadot=0, xbar=0, xbardot=1)
+        add, xdd = measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec.constant(0))
+        assert xdd == 0.0
         assert add == pytest.approx(0.125)
 
     def test_modulated_at_zero(self):
-        s = ClassicalState(0, q=1, qdot=0, alpha=1, alphadot=0)
+        s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
         w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
-        qdd, add = classical_rhs(s, w)
-        assert (qdd, add) == (pytest.approx(-1.0), pytest.approx(0.0))
+        add, xdd = measurement_rhs(s, P_CLASSICAL, ZERO, w)
+        assert (xdd, add) == (pytest.approx(-1.0), pytest.approx(0.0))
 
     def test_nonfinite_rejected(self):
-        s = ClassicalState(0, q=math.nan, qdot=0, alpha=1, alphadot=0)
+        s = ErmakovState(0, alpha=1, alphadot=0, xbar=math.nan, xbardot=0)
         with pytest.raises(InvalidStateError):
-            classical_rhs(s, OmegaSpec.constant(1))
+            measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec.constant(1))
 
 
 class TestLewisInvariant:
@@ -94,14 +97,14 @@ class TestMeasurementRhs:
     @given(alpha=positive, alphadot=finite, xbar=finite, xbardot=finite)
     @settings(max_examples=50, deadline=None)
     def test_limit_matches_classical_everywhere(self, alpha, alphadot, xbar, xbardot):
-        # 1/tau = 0, lambda = 0 reduces exactly to the classical pair
+        # 1/tau = 0, lambda = 0 gives exactly q'' = -w2 q, alpha'' = 1/alpha^3 - w2 alpha
         p = PhysParams(tau=math.inf, lam=0.0, omega=1.3)
         s = ErmakovState(0.7, alpha, alphadot, xbar, xbardot)
-        add, xdd = measurement_rhs(s, p, DriveSpec.zero())
-        c = ClassicalState(0.7, xbar, xbardot, alpha, alphadot)
-        qdd, add_c = classical_rhs(c, OmegaSpec.constant(1.3))
-        assert add == add_c
-        assert xdd == qdd
+        w = OmegaSpec.sinusoidal(1.3, 0.1, 1.0)
+        for spec, w2 in ((None, 1.3 * 1.3), (w, w.omega2(0.7))):
+            add, xdd = measurement_rhs(s, p, ZERO, spec)
+            assert add == 1.0 / alpha ** 3 - w2 * alpha
+            assert xdd == -w2 * xbar
 
 
 class TestElsInvariant:
@@ -128,13 +131,31 @@ class TestInvariantRate:
         s = ErmakovState(0, alpha=1.7, alphadot=0.4, xbar=-2, xbardot=1.1)
         assert els_invariant_rate(s, p, DriveSpec.zero()) == 0.0
 
+    @staticmethod
+    def cancellation_bound(s, p):
+        """1e-12 relative to the measurement term the conserving drive cancels."""
+        r = s.alphadot / s.alpha
+        term = (r * p.inv_tau + p.c_tau) * s.alpha * s.xbar \
+            * (s.xbardot * s.alpha - s.xbar * s.alphadot)
+        return 1e-12 * max(1.0, abs(term))
+
     @given(alpha=positive, alphadot=finite, xbar=finite, xbardot=finite)
+    @example(alpha=9.25, alphadot=9.5, xbar=9.5, xbardot=-1.0)
     @settings(max_examples=50, deadline=None)
     def test_conserving_drive_zeroes_rate(self, alpha, alphadot, xbar, xbardot):
         p = PhysParams(tau=2.0, lam=0.8)
         s = ErmakovState(0, alpha, alphadot, xbar, xbardot)
         rate = els_invariant_rate(s, p, DriveSpec.conserving())
-        assert rate == pytest.approx(0.0, abs=1e-12)
+        assert abs(rate) <= self.cancellation_bound(s, p)
+
+    def test_detuned_drive_exceeds_cancellation_bound(self):
+        # 0.1 % off the conserving drive, at the point with a -5036 cancelling term
+        p = PhysParams(tau=2.0, lam=0.8)
+        s = ErmakovState(0, alpha=9.25, alphadot=9.5, xbar=9.5, xbardot=-1.0)
+        detuned = DriveSpec.constant(1.001 * conserving_drive(s, p))
+        rate = els_invariant_rate(s, p, detuned)
+        assert rate == pytest.approx(5.04, rel=1e-2)
+        assert abs(rate) > self.cancellation_bound(s, p)
 
     def test_regular_at_xbar_zero(self):
         p = PhysParams(tau=1.0, lam=1.0)
@@ -144,7 +165,7 @@ class TestInvariantRate:
     def test_matches_finite_difference_along_trajectory(self):
         p = PhysParams(tau=2.0, lam=1.0)
         init = ErmakovState(0, 1, 0, 1, 0)
-        traj = integrate("measurement", init, p,
+        traj = integrate(init, p,
                          drive=DriveSpec.sinusoid(1.0, 0.7), t_end=5.0, dt=1e-3)
         fd = np.gradient(traj.invariant, traj.t)[1:-1]
         scale = np.max(np.abs(traj.dIdt_analytic))
@@ -190,7 +211,7 @@ class TestIntegrate:
     def test_classical_closed_form(self):
         # omega = 1 from (1, 0, 1, 0): q = cos t, alpha = 1, I = 0.5
         p = PhysParams(tau=math.inf)
-        traj = integrate("classical", ClassicalState(0, 1, 0, 1, 0), p,
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                          omega_spec=OmegaSpec.constant(1.0), t_end=50, dt=1e-3)
         assert np.max(np.abs(traj.invariant - 0.5)) < 5e-7
         assert np.max(np.abs(traj.x - np.cos(traj.t))) < 1e-9
@@ -198,14 +219,14 @@ class TestIntegrate:
     def test_modulated_invariant_drift(self):
         p = PhysParams(tau=math.inf)
         w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
-        traj = integrate("classical", ClassicalState(0, 1, 0, 1, 0), p,
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                          omega_spec=w, t_end=50, dt=1e-3)
         inv = traj.invariant
         assert (inv.max() - inv.min()) / inv[0] < 1e-6
 
     def test_conserving_drive_keeps_invariant(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                          drive=DriveSpec.conserving(), t_end=20, dt=1e-3)
         inv = traj.invariant
         assert (inv.max() - inv.min()) / inv[0] < 1e-6
@@ -216,7 +237,7 @@ class TestIntegrate:
         init = ErmakovState(0, 1, 0, 1, 0)
 
         def endpoint(dt):
-            tr = integrate("measurement", init, p,
+            tr = integrate(init, p,
                            drive=DriveSpec.sinusoid(1.0, 0.7), t_end=20, dt=dt)
             return np.array([tr.alpha[-1], tr.alphadot[-1], tr.x[-1], tr.xdot[-1]])
 
@@ -226,7 +247,7 @@ class TestIntegrate:
 
     def test_records_are_uniform_and_monotone(self):
         p = PhysParams(tau=2.0)
-        traj = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p,
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                          drive=DriveSpec.zero(), t_end=1.0, dt=1e-3, stride=10)
         dts = np.diff(traj.t)
         assert np.all(dts > 0)
@@ -235,17 +256,17 @@ class TestIntegrate:
     def test_ends_at_t_end_with_a_short_last_step(self):
         p = PhysParams(tau=2.0, lam=1.0)
         args = dict(drive=DriveSpec.sinusoid(1.0, 0.7), t_end=1.0)
-        tr = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, dt=0.3, **args)
+        tr = integrate(ErmakovState(0, 1, 0, 1, 0), p, dt=0.3, **args)
         assert tr.t[-1] == 1.0
         assert np.allclose(np.diff(tr.t), [0.3, 0.3, 0.3, 0.1])
-        fine = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, dt=1e-3, **args)
+        fine = integrate(ErmakovState(0, 1, 0, 1, 0), p, dt=1e-3, **args)
         end = [tr.alpha[-1], tr.alphadot[-1], tr.x[-1], tr.xdot[-1]]
         ref = [fine.alpha[-1], fine.alphadot[-1], fine.x[-1], fine.xdot[-1]]
         assert np.max(np.abs(np.subtract(end, ref))) < 1e-3
 
     def test_whole_step_count_keeps_uniform_steps(self):
         # 0.7 / 0.1 = 6.999999999999999 rounds to 7 steps of exactly dt
-        tr = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0),
+        tr = integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0),
                        drive=DriveSpec.zero(), t_end=0.7, dt=0.1)
         assert list(tr.t) == [i * 0.1 for i in range(8)]
 
@@ -253,7 +274,7 @@ class TestIntegrate:
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, alpha=2e-8, alphadot=-1.0, xbar=0, xbardot=0)
         with pytest.raises(TrajectoryAborted) as exc:
-            integrate("measurement", init, p, drive=DriveSpec.zero(),
+            integrate(init, p, drive=DriveSpec.zero(),
                       t_end=1.0, dt=1e-3)
         partial = exc.value.partial
         assert partial is not None and len(partial) >= 1
@@ -262,16 +283,16 @@ class TestIntegrate:
     def test_deterministic(self):
         p = PhysParams(tau=2.0, lam=1.0)
         args = dict(drive=DriveSpec.sinusoid(1.0, 0.7), t_end=2.0, dt=1e-3)
-        t1 = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, **args)
-        t2 = integrate("measurement", ErmakovState(0, 1, 0, 1, 0), p, **args)
+        t1 = integrate(ErmakovState(0, 1, 0, 1, 0), p, **args)
+        t2 = integrate(ErmakovState(0, 1, 0, 1, 0), p, **args)
         assert np.array_equal(t1.invariant, t2.invariant)
 
     def test_rejects_bad_numerics(self):
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, 1, 0, 1, 0)
         with pytest.raises(ConfigurationError):
-            integrate("measurement", init, p, drive=DriveSpec.zero(),
+            integrate(init, p, drive=DriveSpec.zero(),
                       t_end=1.0, dt=-1e-3)
         with pytest.raises(ConfigurationError):
-            integrate("measurement", init, p, drive=DriveSpec.zero(),
+            integrate(init, p, drive=DriveSpec.zero(),
                       t_end=-1.0, dt=1e-3)

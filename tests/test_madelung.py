@@ -224,7 +224,7 @@ class TestContinuityResidual:
 class TestEulerResidual:
     def _state_from_trajectory(self, p):
         init = ErmakovState(0, alpha_from_delta(1.0, p), 0.0, 1.0, 0.0)
-        tr = integrate("measurement", init, p, drive=DriveSpec.zero(),
+        tr = integrate(init, p, drive=DriveSpec.zero(),
                        t_end=3.0, dt=1e-3)
         i = len(tr) // 2
         return tr.t[i], tr.alpha[i], tr.alphadot[i], tr.x[i], tr.xdot[i]
