@@ -31,7 +31,6 @@ from .madelung import (
     evolve,
     gaussian_packet,
     madelung_decompose,
-    make_grid,
     observables,
     quantum_force_linearity,
     time_derivative,

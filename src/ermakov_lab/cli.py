@@ -24,44 +24,99 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA
 from .errors import ConfigurationError, ErmakovLabError
-from .params import DriveSpec, OmegaSpec, PhysParams
-from .ermakov import ErmakovState, alpha_from_delta, integrate
-from .madelung import evolve, gaussian_packet, make_grid
+from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, OmegaSpec, PhysParams
+from .ermakov import ErmakovState, delta_from_alpha, integrate
+from .madelung import Grid, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
-_ALLOWED = {
-    "mode": None,
-    "system": None,
-    "params": {"m", "hbar", "omega", "lambda", "tau", "coeff_variant"},
-    "omega_spec": {"omega0", "eps", "omega_m"},
-    "drive": {"kind", "x0", "freq", "phase", "table"},
-    "init": {"alpha0", "alphadot0", "xbar0", "xbardot0",
-             "delta0", "width_rate0", "q0", "qdot0"},
-    "numerics": {"dt", "t_end", "grid"},
-    "output": {"directory", "stride", "snapshots"},
+
+# Conversions of config values; each docstring says what it accepts.
+def _number(v) -> float:
+    """a number"""
+    if not math.isfinite(v := float(v)):
+        raise ValueError(v)
+    return v
+
+
+def _whole(v) -> int:
+    """a whole number"""
+    if not float(v).is_integer():
+        raise ValueError(v)
+    return int(float(v))
+
+
+def _tau(v) -> float:
+    '''a number or "inf"'''
+    return math.inf if str(v).lower() == "infinite" else float(v)
+
+
+def _text(v) -> str:
+    """a string"""
+    if not isinstance(v, str):
+        raise TypeError(v)
+    return v
+
+
+def _pairs(v) -> tuple:
+    """a list of [t, X] pairs"""
+    return tuple((_number(t), _number(x)) for t, x in v)
+
+
+def _one_of(*choices):
+    def conv(v):
+        return choices[choices.index(v)]  # ValueError for any other value
+    conv.__doc__ = "one of " + ", ".join(map(repr, choices))
+    return conv
+
+
+_REQUIRED = object()
+_RUN = {"mode": ("ode", "pde", "compare")}
+_ODE = {"mode": ("ode",)}
+_PDE = {"mode": ("pde", "compare")}
+
+#: dotted key -> (conversion, default, reader).  A callable default is computed
+#: from the fields above it.  The reader maps fields to the resolved values
+#: under which the key is read (an empty reader: read in every mode); a key
+#: read under a field is read only where that field is read itself.
+_FIELDS = {
+    "mode": (_one_of(*_RUN["mode"], "verify"), _REQUIRED, {}),
+    "system": (_one_of("measurement", "classical"), "measurement", _RUN),
+    "params.m": (_number, 1.0, {}),
+    "params.hbar": (_number, 1.0, {}),
+    "params.omega": (_number, 1.0, {}),
+    "params.lambda": (_number, 0.0, {}),
+    "params.tau": (_tau, _REQUIRED, {}),
+    "params.coeff_variant": (_one_of(*_VARIANTS), COEFF_CONSISTENT, {}),
+    "omega_spec.omega0": (_number, lambda r: r["params.omega"], _ODE),
+    "omega_spec.eps": (_number, 0.0, _ODE),
+    "omega_spec.omega_m": (_number, 0.0, _ODE),
+    "drive.kind": (_one_of(*DriveSpec._KINDS), "zero", _RUN),
+    "drive.x0": (_number, 0.0, {"drive.kind": ("constant", "sinusoid")}),
+    "drive.freq": (_number, 0.0, {"drive.kind": ("sinusoid",)}),
+    "drive.phase": (_number, 0.0, {"drive.kind": ("sinusoid",)}),
+    "drive.table": (_pairs, (), {"drive.kind": ("tabulated",)}),
+    "init.delta0": (_number, 1.0, _RUN),
+    "init.width_rate0": (_number, 0.0, _RUN),
+    "init.alpha0": (_number, 1.0, _ODE),
+    "init.alphadot0": (_number, 0.0, _ODE),
+    "init.xbar0": (_number, 1.0, {"system": ("measurement",)}),
+    "init.xbardot0": (_number, 0.0, {"system": ("measurement",)}),
+    "init.q0": (_number, 1.0, {"system": ("classical",)}),
+    "init.qdot0": (_number, 0.0, {"system": ("classical",)}),
+    "numerics.dt": (_number, 1e-3, _RUN),
+    "numerics.t_end": (_number, 10.0, _RUN),
+    "numerics.grid.x_min": (_number, lambda r: r["init.xbar0"] - 16 * r["init.delta0"], _PDE),
+    "numerics.grid.x_max": (_number, lambda r: r["init.xbar0"] + 16 * r["init.delta0"], _PDE),
+    "numerics.grid.n": (_whole, 1024, _PDE),
+    "output.directory": (_text, "out", {}),
+    "output.stride": (_whole, 1, _RUN),
+    "output.snapshots": (_one_of(False, True), False, {"mode": ("pde",)}),
 }
-_GRID_KEYS = {"x_min", "x_max", "n"}
-
-
-def _validate_keys(cfg: dict) -> None:
-    for key, val in cfg.items():
-        if key not in _ALLOWED:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        sub = _ALLOWED[key]
-        if sub is not None:
-            if not isinstance(val, dict):
-                raise ConfigurationError(f"config section {key!r} must be an object")
-            for k2 in val:
-                if k2 not in sub:
-                    raise ConfigurationError(f"unknown config key {key}.{k2!r}")
-            if key == "numerics" and "grid" in val:
-                for k3 in val["grid"]:
-                    if k3 not in _GRID_KEYS:
-                        raise ConfigurationError(f"unknown config key numerics.grid.{k3!r}")
 
 
 def load_config(path) -> dict:
+    """The config file as a dict; resolve() validates it."""
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -71,111 +126,111 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _validate_keys(cfg)
-    if "mode" not in cfg:
-        raise ConfigurationError("missing required field 'mode'")
-    if "params" not in cfg or "tau" not in cfg["params"]:
-        raise ConfigurationError("missing required field 'params.tau'")
     return cfg
 
 
-def _num(block: dict, key: str, default, where: str, kind=float):
-    """block[key] (default if absent) as a number, else a config error naming it."""
-    val = block.get(key, default)
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where}.{key} must be a number, got {val!r}") from None
+def _given(node: dict, prefix: str = ""):
+    """(dotted key, value) of every field the config sets; unknown keys are errors."""
+    for key, val in node.items():
+        dotted = prefix + key
+        if dotted in _FIELDS:
+            yield dotted, val
+        elif not any(f.startswith(dotted + ".") for f in _FIELDS):
+            raise ConfigurationError(f"unknown config key {dotted!r}")
+        elif not isinstance(val, dict):
+            raise ConfigurationError(f"config section {dotted!r} must be an object")
+        else:
+            yield from _given(val, dotted + ".")
+
+
+def _unread(r: dict, key: str) -> str | None:
+    """The field whose resolved value keeps `key` from being read, or None."""
+    for field, values in _FIELDS[key][2].items():
+        why = field if r[field] not in values else _unread(r, field)
+        if why:
+            return why
+    return None
+
+
+def resolve(cfg: dict) -> dict:
+    """Every field of the config, converted once and defaulted: what a run reads.
+
+    A config error for an unknown key, a bad value, a classical system the run
+    cannot honour, two initial widths and, checked last, a given key that the
+    mode, system or drive kind does not read.  ERMAKOV_LAB_OUT replaces
+    output.directory."""
+    given = dict(_given(cfg))
+    r = {}
+    for key, (conv, default, _) in _FIELDS.items():
+        if key in given:
+            try:
+                r[key] = conv(given[key])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{key} must be {conv.__doc__}, got {given[key]!r}") from None
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"missing required field {key!r}")
+        else:
+            r[key] = default(r) if callable(default) else default
+    r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
+    p = _build(r)[0]
+    _steps(r)
+    if r["output.stride"] < 1:
+        raise ConfigurationError("output.stride must be >= 1")
+    for key in ("init.delta0", "init.alpha0"):
+        if not r[key] > 0:
+            raise ConfigurationError(f"{key} must be positive")
+    if r["system"] == "classical":
+        if r["mode"] != "ode":
+            raise ConfigurationError("system 'classical' runs only in ode mode")
+        if p.inv_tau != 0 or p.lam != 0 or r["drive.kind"] != "zero":
+            raise ConfigurationError("system 'classical' needs params.tau = \"inf\", "
+                                     "params.lambda absent or 0 and drive absent or zero")
+    # the width is init.delta0/width_rate0 or, in ode mode only, init.alpha0/alphadot0
+    delta_pair = given.keys() & {"init.delta0", "init.width_rate0"}
+    if r["mode"] == "ode" and delta_pair and given.keys() & {"init.alpha0", "init.alphadot0"}:
+        raise ConfigurationError("init.alpha0/alphadot0 and init.delta0/width_rate0 both "
+                                 "set the initial width; give one pair")
+    scale = delta_from_alpha(1.0, p)
+    if r["mode"] == "ode" and not delta_pair:
+        r["init.delta0"] = scale * r["init.alpha0"]
+        r["init.width_rate0"] = scale * r["init.alphadot0"]
+    else:
+        r["init.alpha0"] = r["init.delta0"] / scale
+        r["init.alphadot0"] = r["init.width_rate0"] / scale
+    for key in given:
+        why = _unread(r, key)
+        if why == "mode":  # name the outermost section this mode reads nothing of
+            parts = key.split(".")
+            key = next(s for s in (".".join(parts[:i]) for i in range(1, len(parts) + 1))
+                       if all(_unread(r, f) for f in _FIELDS if (f + ".").startswith(s + ".")))
+        if why:
+            where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
+            raise ConfigurationError(f"{key} is not supported {where}")
+    return r
+
+
+def _build(r: dict) -> tuple[PhysParams, DriveSpec, OmegaSpec]:
+    """The parameters, drive and omega^2 schedule of a resolved config."""
+    return (PhysParams(m=r["params.m"], hbar=r["params.hbar"], omega=r["params.omega"],
+                       lam=r["params.lambda"], tau=r["params.tau"],
+                       coeff_variant=r["params.coeff_variant"]),
+            DriveSpec(kind=r["drive.kind"], x0=r["drive.x0"], freq=r["drive.freq"],
+                      phase=r["drive.phase"], table=r["drive.table"]),
+            OmegaSpec(r["omega_spec.omega0"], r["omega_spec.eps"], r["omega_spec.omega_m"]))
 
 
 def build_params(cfg: dict) -> PhysParams:
-    p = cfg.get("params", {})
-    if isinstance(p["tau"], str) and p["tau"].lower() in ("inf", "infinite", "infinity"):
-        p = {**p, "tau": math.inf}
-    return PhysParams(m=_num(p, "m", 1.0, "params"),
-                      hbar=_num(p, "hbar", 1.0, "params"),
-                      omega=_num(p, "omega", 1.0, "params"),
-                      lam=_num(p, "lambda", 0.0, "params"),
-                      tau=_num(p, "tau", None, "params"),
-                      coeff_variant=p.get("coeff_variant", "consistent"))
+    return _build(resolve(cfg))[0]
 
 
 def build_drive(cfg: dict) -> DriveSpec:
-    d = cfg.get("drive", {"kind": "zero"})
-    kind = d.get("kind", "zero")
-    if kind == "tabulated":
-        try:
-            return DriveSpec.tabulated(d.get("table", []))
-        except (TypeError, ValueError):
-            raise ConfigurationError("drive.table must be a list of [t, X] pairs") from None
-    return DriveSpec(kind=kind, x0=_num(d, "x0", 0.0, "drive"),
-                     freq=_num(d, "freq", 0.0, "drive"),
-                     phase=_num(d, "phase", 0.0, "drive"))
+    return _build(resolve(cfg))[1]
 
 
-def build_omega_spec(cfg: dict, params: PhysParams) -> OmegaSpec | None:
-    """The config's omega^2(t) schedule; None (constant params.omega) when absent."""
-    w = cfg.get("omega_spec")
-    if w is None:
-        return None
-    return OmegaSpec(omega0=_num(w, "omega0", params.omega, "omega_spec"),
-                     eps=_num(w, "eps", 0.0, "omega_spec"),
-                     omega_m=_num(w, "omega_m", 0.0, "omega_spec"))
-
-
-def _init_width(init: dict, key: str) -> float:
-    """The initial width init.<key> (default 1), which must be positive."""
-    width = _num(init, key, 1.0, "init")
-    if not width > 0:
-        raise ConfigurationError(f"init.{key} must be positive")
-    return width
-
-
-def build_ermakov_init(cfg: dict, params: PhysParams,
-                       centroid: str = "xbar") -> ErmakovState:
-    """The initial state; its centroid is init.<centroid>0 and init.<centroid>dot0."""
-    init = cfg.get("init", {})
-    if "delta0" in init:
-        alpha0 = alpha_from_delta(_init_width(init, "delta0"), params)
-        scale = (params.hbar ** 2 / (4.0 * params.m ** 2)) ** 0.25
-        alphadot0 = _num(init, "width_rate0", 0.0, "init") / scale
-    else:
-        alpha0 = _init_width(init, "alpha0")
-        alphadot0 = _num(init, "alphadot0", 0.0, "init")
-    return ErmakovState(t=0.0, alpha=alpha0, alphadot=alphadot0,
-                        xbar=_num(init, centroid + "0", 1.0, "init"),
-                        xbardot=_num(init, centroid + "dot0", 0.0, "init"))
-
-
-def _system(cfg: dict) -> str:
-    """The config's system, "measurement" (default) or "classical".
-
-    The classical pair is the measurement system at tau = inf, lambda = 0 with
-    a zero drive, so a classical config must say so; it runs only in ode mode.
-    """
-    system = cfg.get("system", "measurement")
-    if system not in ("measurement", "classical"):
-        raise ConfigurationError(
-            f"system must be 'measurement' or 'classical', got {system!r}")
-    if system == "classical":
-        if cfg["mode"] != "ode":
-            raise ConfigurationError("system 'classical' runs only in ode mode")
-        params = build_params(cfg)
-        if params.inv_tau != 0 or params.lam != 0 or build_drive(cfg).kind != "zero":
-            raise ConfigurationError("system 'classical' needs params.tau = \"inf\", "
-                                     "params.lambda absent or 0 and drive absent or zero")
-    return system
-
-
-def _steps(cfg: dict) -> tuple[float, float, int]:
-    """numerics.dt, numerics.t_end and the whole number of steps between them.
-
-    A t_end that is not within 1e-9 (relative) of a whole number of steps is
-    a config error, so no run stops short of it.
-    """
-    num = cfg.get("numerics", {})
-    dt = _num(num, "dt", 1e-3, "numerics")
-    t_end = _num(num, "t_end", 10.0, "numerics")
+def _steps(r: dict) -> int:
+    """numerics.t_end / numerics.dt, within 1e-9 (relative) of a whole number."""
+    dt, t_end = r["numerics.dt"], r["numerics.t_end"]
     if not (dt > 0 and t_end > 0 and math.isfinite(t_end / dt)):
         raise ConfigurationError("numerics.dt and numerics.t_end must be positive "
                                  "and their ratio finite")
@@ -184,24 +239,7 @@ def _steps(cfg: dict) -> tuple[float, float, int]:
     if abs(n - steps) > 1e-9 * n:
         raise ConfigurationError(f"numerics.t_end / numerics.dt = {n:.10g} "
                                  "is not a whole number of steps")
-    return dt, t_end, steps
-
-
-def _stride(cfg: dict) -> int:
-    stride = _num(cfg.get("output", {}), "stride", 1, "output", int)
-    if stride < 1:
-        raise ConfigurationError("output.stride must be >= 1")
-    return stride
-
-
-def _out_dir(cfg: dict) -> Path:
-    """The output directory; writers create it when they first write."""
-    return Path(os.environ.get("ERMAKOV_LAB_OUT")
-                or cfg.get("output", {}).get("directory", "out"))
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    return steps
 
 
 def write_csv(path: Path, columns: list[str], rows) -> None:
@@ -210,59 +248,50 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
         fh.write(CSV_HEADER + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def run_ode(cfg: dict) -> int:
-    params = build_params(cfg)
-    dt, t_end, _ = _steps(cfg)
-    stride = _stride(cfg)
-    classical = _system(cfg) == "classical"
+def run_ode(r: dict) -> int:
+    params, drive, w = _build(r)
+    classical = r["system"] == "classical"
     x = "q" if classical else "xbar"
-    traj = integrate(build_ermakov_init(cfg, params, x), params, drive=build_drive(cfg),
-                     omega_spec=build_omega_spec(cfg, params),
-                     t_end=t_end, dt=dt, stride=stride)
+    init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
+                        r[f"init.{x}0"], r[f"init.{x}dot0"])
+    # a constant schedule at params.omega is the same run as none at all
+    traj = integrate(init, params, drive=drive,
+                     omega_spec=None if w == OmegaSpec(params.omega) else w,
+                     t_end=r["numerics.t_end"], dt=r["numerics.dt"],
+                     stride=r["output.stride"])
     width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
     centroid = {x: traj.x, x + "dot": traj.xdot}
     coords = {**centroid, **width} if classical else {**width, **centroid}
     cols = {"t": traj.t, **coords, "delta": traj.delta, "I": traj.invariant,
             "dIdt_analytic": traj.dIdt_analytic, "dIdt_numeric": traj.dIdt_numeric(),
             "X": traj.drive}
-    write_csv(_out_dir(cfg) / "trajectory.csv", list(cols), zip(*cols.values()))
+    write_csv(Path(r["output.directory"]) / "trajectory.csv", list(cols),
+              zip(*cols.values()))
     return 0
 
 
-def _pde_setup(cfg: dict):
-    """Parameters, drive, initial packet, dt and step count of a pde/compare run."""
-    _system(cfg)
-    if "omega_spec" in cfg:
-        raise ConfigurationError(f"omega_spec is not supported in {cfg['mode']} mode")
-    params = build_params(cfg)
-    drive = build_drive(cfg)
-    init = cfg.get("init", {})
-    delta0 = _init_width(init, "delta0")
-    xbar0 = _num(init, "xbar0", 1.0, "init")
-    gcfg = cfg.get("numerics", {}).get("grid", {})
-    grid = make_grid(_num(gcfg, "x_min", xbar0 - 16 * delta0, "numerics.grid"),
-                     _num(gcfg, "x_max", xbar0 + 16 * delta0, "numerics.grid"),
-                     _num(gcfg, "n", 1024, "numerics.grid", int))
-    packet = gaussian_packet(grid, xbar0, delta0,
-                             xbardot0=_num(init, "xbardot0", 0.0, "init"),
-                             width_rate0=_num(init, "width_rate0", 0.0, "init"),
-                             p=params)
-    dt, _, steps = _steps(cfg)
-    return params, drive, packet, dt, steps
+def _evolve(r: dict):
+    """The pde side of a pde/compare run: (params, drive, final packet, observables)."""
+    params, drive, _ = _build(r)
+    grid = Grid(r["numerics.grid.x_min"], r["numerics.grid.x_max"], r["numerics.grid.n"])
+    packet = gaussian_packet(grid, r["init.xbar0"], r["init.delta0"],
+                             xbardot0=r["init.xbardot0"],
+                             width_rate0=r["init.width_rate0"], p=params)
+    final, obs = evolve(packet, params, drive, r["numerics.dt"], _steps(r),
+                        record_stride=r["output.stride"])
+    return params, drive, final, obs
 
 
-def run_pde(cfg: dict) -> int:
-    stride = _stride(cfg)
-    out = _out_dir(cfg)
-    params, drive, packet, dt, steps = _pde_setup(cfg)
-    final, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
+def run_pde(r: dict) -> int:
+    out = Path(r["output.directory"])
+    _, _, final, obs = _evolve(r)
     write_csv(out / "observables.csv",
               ["t", "norm", "xbar", "delta", "excess_kurtosis", "k_t"],
               ((o.t, o.norm, o.xbar, o.delta, o.excess_kurtosis, o.k_t) for o in obs))
-    if cfg.get("output", {}).get("snapshots", False):
+    if r["output.snapshots"]:
         write_csv(out / "fields_final.csv",
                   ["x", "re_psi", "im_psi", "rho"],
                   zip(final.grid.x, final.psi.real, final.psi.imag,
@@ -270,46 +299,35 @@ def run_pde(cfg: dict) -> int:
     return 0
 
 
-def run_compare(cfg: dict) -> int:
-    stride = _stride(cfg)
-    out = _out_dir(cfg)
-    params, drive, packet, dt, steps = _pde_setup(cfg)
-    _, obs = evolve(packet, params, drive, dt, steps, record_stride=stride)
-    traj = integrate(build_ermakov_init(cfg, params), params, drive=drive,
-                     t_end=steps * dt, dt=dt, stride=stride)
-    n = min(len(obs), len(traj))
-    rows = []
-    for i in range(n):
-        o = obs[i]
-        rows.append((o.t, o.xbar, traj.x[i], o.xbar - traj.x[i],
-                     o.delta, traj.delta[i], o.delta - traj.delta[i],
-                     o.norm, o.excess_kurtosis))
-    write_csv(out / "compare.csv",
-              ["t", "xbar_pde", "xbar_ode", "xbar_diff",
-               "delta_pde", "delta_ode", "delta_diff",
-               "norm", "excess_kurtosis"], rows)
+def run_compare(r: dict) -> int:
+    params, drive, _, obs = _evolve(r)
+    init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
+                        r["init.xbar0"], r["init.xbardot0"])
+    traj = integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
+                     dt=r["numerics.dt"], stride=r["output.stride"])
+    rows = [(o.t, o.xbar, x, o.xbar - x, o.delta, d, o.delta - d, o.norm, o.excess_kurtosis)
+            for o, x, d in zip(obs, traj.x, traj.delta)]
+    write_csv(Path(r["output.directory"]) / "compare.csv",
+              ["t", "xbar_pde", "xbar_ode", "xbar_diff", "delta_pde", "delta_ode",
+               "delta_diff", "norm", "excess_kurtosis"], rows)
     return 0
 
 
-def run_verify(cfg: dict) -> int:
-    """Run every row of the acceptance criteria; exit 3 if any fails.
-
-    The criteria run at their own pinned parameters; the config's params are
-    only validated, and the config is echoed into report.json.
-    """
-    build_params(cfg)
+def run_verify(r: dict, scenario: dict) -> int:
+    """Run every row of the acceptance criteria, which pin their own parameters;
+    exit 3 if any fails.  The config, only validated, is echoed into report.json."""
     t0 = time.perf_counter()
     checks = [{"name": name, "value": value, "tolerance": bound, "pass": passed}
               for criterion in CRITERIA
               for name, value, bound, passed in criterion()]
     report = {
         "version": __version__,
-        "scenario": cfg,
+        "scenario": scenario,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
         "wall_time_s": time.perf_counter() - t0,
     }
-    path = _out_dir(cfg) / "report.json"
+    path = Path(r["output.directory"]) / "report.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n")
     for c in checks:
@@ -318,16 +336,12 @@ def run_verify(cfg: dict) -> int:
     return 0 if report["all_pass"] else 3
 
 
-_MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare, "verify": run_verify}
-
-
-def _run_mode(cfg: dict) -> int:
-    """Run the config's mode; a numerical failure is one stderr line and exit 2."""
-    mode = cfg["mode"]
-    if mode not in _MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
+def _run_mode(cfg: dict, r: dict) -> int:
+    """Run the resolved config r of cfg; a numerical failure is one stderr line and exit 2."""
     try:
-        return _MODES[mode](cfg)
+        if r["mode"] == "verify":
+            return run_verify(r, cfg)
+        return {"ode": run_ode, "pde": run_pde, "compare": run_compare}[r["mode"]](r)
     except ConfigurationError:
         raise
     except ErmakovLabError as exc:
@@ -346,36 +360,23 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
 
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
-    try:
-        base_cfg = load_config(config_path)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    base_out = os.environ.get("ERMAKOV_LAB_OUT") \
-        or base_cfg.get("output", {}).get("directory", "out")
-    worst = 0
+    """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
+    return the worst exit code.  Every value is resolved before the first run, so a
+    bad value, or two that would write one directory, is a config error that runs nothing."""
+    base_cfg = load_config(config_path)
+    leaf = parameter.split(".")[-1]
+    runs = {}
     for v in values:
         cfg = copy.deepcopy(base_cfg)
-        try:
-            _set_by_path(cfg, parameter, v)
-        except ConfigurationError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        leaf = parameter.split(".")[-1]
-        cfg.setdefault("output", {})["directory"] = str(
-            Path(base_out) / f"{leaf}_{v:g}")
-        env_saved = os.environ.pop("ERMAKOV_LAB_OUT", None)
-        try:
-            _validate_keys(cfg)
-            code = _run_mode(cfg)
-        except ConfigurationError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if env_saved is not None:
-                os.environ["ERMAKOV_LAB_OUT"] = env_saved
-        worst = max(worst, code)
-    return worst
+        _set_by_path(cfg, parameter, v)
+        r = resolve(cfg)
+        name = f"{leaf}_{v:g}"
+        if name in runs:
+            raise ConfigurationError(f"--values {runs[name][2]!r} and {v!r} "
+                                     f"would both write {name}")
+        r["output.directory"] = str(Path(r["output.directory"]) / name)
+        runs[name] = (cfg, r, v)
+    return max((_run_mode(cfg, r) for cfg, r, _ in runs.values()), default=0)
 
 
 def main(argv=None) -> int:
@@ -395,19 +396,18 @@ def main(argv=None) -> int:
     p_verify.add_argument("config")
     args = parser.parse_args(argv)
 
-    if args.command == "sweep":
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            print("config error: --values must be comma-separated numbers",
-                  file=sys.stderr)
-            return 1
-        return sweep(args.config, args.param, values)
     try:
+        if args.command == "sweep":
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigurationError("--values must be comma-separated numbers") from None
+            return sweep(args.config, args.param, values)
         cfg = load_config(args.config)
+        r = resolve(cfg)  # a verify config is validated as the mode it names
         if args.command == "verify":
-            cfg["mode"] = "verify"
-        return _run_mode(cfg)
+            cfg["mode"] = r["mode"] = "verify"
+        return _run_mode(cfg, r)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -22,10 +22,10 @@ from .identities import (
     check_velocity_ansatz,
 )
 from .madelung import (
+    Grid,
     evolve,
     gaussian_packet,
     madelung_decompose,
-    make_grid,
     quantum_force_linearity,
 )
 from .params import DriveSpec, OmegaSpec, PhysParams
@@ -47,7 +47,7 @@ def _relative_range(values):
 
 
 def criterion_1():
-    w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
+    w = OmegaSpec(1.0, 0.1, 1.0)
     traj = integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=math.inf),
                      omega_spec=w, t_end=50.0, dt=1e-3)
     return [_row("criterion 1 (classical invariant drift)",
@@ -83,7 +83,7 @@ def _closure_run():
     horizon T + 10 dt of the coarse grid.
     """
     T = 4 * np.pi
-    grids = {n: make_grid(1 - 16, 1 + 16, n) for n in (128, 256)}
+    grids = {n: Grid(1 - 16, 1 + 16, n) for n in (128, 256)}
     dts = {n: P_TAU2.m * g.dx ** 2 / (np.pi * P_TAU2.hbar) for n, g in grids.items()}
     init = ErmakovState(0, alpha_from_delta(1.0, P_TAU2), 0.0, 1.0, 0.0)
     tr = integrate(init, P_TAU2, drive=DriveSpec.zero(),
@@ -122,7 +122,7 @@ def criterion_6():
 
 def criterion_7():
     p = PhysParams(tau=math.inf)
-    g = make_grid(-16, 16, 1024)
+    g = Grid(-16, 16, 1024)
     w = gaussian_packet(g, 0.0, 1.0, p=p)
     rep = quantum_force_linearity(madelung_decompose(w, p), p)
     return [_row("criterion 7a (fitted slope - 0.25)", abs(rep.k_est - 0.25), 1e-4),
@@ -163,7 +163,7 @@ def criterion_9():
 
 
 def criterion_10():
-    w = OmegaSpec.sinusoidal(5.0, 0.1, 1.0)
+    w = OmegaSpec(5.0, 0.1, 1.0)
     p = PhysParams(tau=math.inf, omega=5.0)
     init = ErmakovState(0, 5 ** -0.5, 0, 1, 0)
     ends = []

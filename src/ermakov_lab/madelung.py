@@ -61,18 +61,11 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
-def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    return Grid(x_min=x_min, x_max=x_max, n=n)
-
-
 @dataclass
 class WavePacket:
     grid: Grid
     psi: np.ndarray
     t: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ _VARIANTS = (COEFF_CONSISTENT, COEFF_PAPER_LITERAL)
 class PhysParams:
     """Physical constants of the measured oscillator.
 
-    m, hbar > 0; tau > 0 (math.inf switches the measurement off);
-    coeff_variant selects 1/(4 tau^2) vs 1/(4 tau^4) in the width equation.
+    m, hbar > 0 and omega >= 0, all finite; lam finite; tau > 0 (math.inf
+    switches the measurement off); coeff_variant selects 1/(4 tau^2) vs
+    1/(4 tau^4) in the width equation.
     """
 
     m: float = 1.0
@@ -40,12 +41,14 @@ class PhysParams:
     coeff_variant: str = COEFF_CONSISTENT
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise ConfigurationError("m must be positive")
-        if not (self.hbar > 0):
-            raise ConfigurationError("hbar must be positive")
-        if not (self.omega >= 0):
-            raise ConfigurationError("omega must be non-negative")
+        if not (0 < self.m < math.inf):
+            raise ConfigurationError("m must be positive and finite")
+        if not (0 < self.hbar < math.inf):
+            raise ConfigurationError("hbar must be positive and finite")
+        if not (0 <= self.omega < math.inf):
+            raise ConfigurationError("omega must be non-negative and finite")
+        if not math.isfinite(self.lam):
+            raise ConfigurationError("lambda must be finite")
         if not (self.tau > 0):
             raise ConfigurationError("tau must be positive (math.inf allowed)")
         if self.coeff_variant not in _VARIANTS:
@@ -80,14 +83,6 @@ class OmegaSpec:
             raise ConfigurationError("omega0 must be non-negative")
         if not (abs(self.eps) < 1):
             raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
-
-    @classmethod
-    def constant(cls, omega0: float) -> "OmegaSpec":
-        return cls(omega0=omega0)
-
-    @classmethod
-    def sinusoidal(cls, omega0: float, eps: float, omega_m: float) -> "OmegaSpec":
-        return cls(omega0=omega0, eps=eps, omega_m=omega_m)
 
     def omega2(self, t: float) -> float:
         if self.eps == 0.0:

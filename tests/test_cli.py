@@ -118,6 +118,38 @@ class TestConfigValidation:
         pytest.param("run", "compare", {"omega_spec.eps": 0.1, "omega_spec.omega_m": 1.0},
                      "omega_spec is not supported in compare mode",
                      id="run-compare-omega_spec"),
+        pytest.param("run", "ode", {"init.q0": 3.0},
+                     "init.q0 is not supported with system = measurement",
+                     id="run-ode-q0"),
+        pytest.param("run", "ode", {"system": "classical", "params.tau": "inf"},
+                     "init.xbar0 is not supported with system = classical",
+                     id="run-ode-classical-xbar0"),
+        pytest.param("run", "compare", {"init.alpha0": 2.0},
+                     "init.alpha0 is not supported in compare mode", id="run-compare-alpha0"),
+        pytest.param("run", "ode", {"init.delta0": 1.0, "init.alpha0": 2.0},
+                     "init.alpha0/alphadot0 and init.delta0/width_rate0",
+                     id="run-ode-two-widths"),
+        pytest.param("run", "ode", {"numerics.grid.n": 128},
+                     "numerics.grid is not supported in ode mode", id="run-ode-grid"),
+        pytest.param("run", "ode", {"output.snapshots": True},
+                     "output.snapshots is not supported in ode mode", id="run-ode-snapshots"),
+        pytest.param("run", "ode", {"params.lambda": 1.0, "drive.kind": "conserving",
+                                    "drive.x0": 1.0},
+                     "drive.x0 is not supported with drive.kind = conserving",
+                     id="run-ode-conserving-x0"),
+        pytest.param("run", "pde", {"numerics.grid.n": 128.9},
+                     "numerics.grid.n must be a whole number", id="run-pde-fractional-n"),
+        pytest.param("run", "ode", {"output.stride": 2.7},
+                     "output.stride must be a whole number", id="run-ode-fractional-stride"),
+        pytest.param("run", "ode", {"params.m": "inf"}, "params.m must be a number",
+                     id="run-ode-infinite-m"),
+        pytest.param("run", "ode", {"params.lambda": "nan"}, "params.lambda must be a number",
+                     id="run-ode-nan-lambda"),
+        pytest.param("run", "ode", {"init.xbar0": "inf"}, "init.xbar0 must be a number",
+                     id="run-ode-infinite-xbar0"),
+        # tau = -1 stops a regressed run before it writes to ./None
+        pytest.param("run", "ode", {"output.directory": None, "params.tau": -1.0},
+                     "output.directory must be a string", id="run-ode-null-directory"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -134,6 +166,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("param, values, needle", [
         ("params.bogus", "1", "bogus"),
         ("params.tau", "-1", "tau must be positive"),
+        ("params.tau", "0.5,0.5000001", "would both write tau_0.5"),
     ])
     def test_sweep_rejects_bad_values(self, tmp_path, capsys, param, values, needle):
         path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
@@ -141,6 +174,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert needle in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestOdeMode:
@@ -258,6 +292,18 @@ class TestCompareMode:
         header, data = read_csv(out / "compare.csv")
         diff = data[:, header.index("xbar_diff")]
         assert np.max(np.abs(diff)) < 1e-3
+
+    def test_default_width_is_shared(self, tmp_path):
+        # no init width: both sides start at the default delta = 1
+        out = tmp_path / "out"
+        cfg = {"mode": "compare", "params": {"tau": 2.0}, "init": {"xbar0": 1.0},
+               "numerics": {"dt": 0.0125, "t_end": 0.1,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(out)}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        header, data = read_csv(out / "compare.csv")
+        assert data[0, header.index("delta_ode")] == pytest.approx(1.0, abs=1e-12)
+        assert abs(data[0, header.index("delta_diff")]) < 1e-12
 
 
 def fake_criterion(name, value, bound):

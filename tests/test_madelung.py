@@ -6,6 +6,7 @@ import pytest
 from ermakov_lab import (
     DriveSpec,
     ErmakovState,
+    Grid,
     MadelungFields,
     Observables,
     PhysParams,
@@ -18,7 +19,6 @@ from ermakov_lab import (
     gaussian_packet,
     integrate,
     madelung_decompose,
-    make_grid,
     observables,
     quantum_force_linearity,
     time_derivative,
@@ -37,7 +37,7 @@ P_FREE = PhysParams(tau=math.inf)
 
 def point_packet():
     """A 64-point packet nonzero at a single grid point: zero variance."""
-    g = make_grid(-16, 16, 64)
+    g = Grid(-16, 16, 64)
     psi = np.zeros(g.n, dtype=complex)
     psi[32] = 1.0
     return WavePacket(g, psi)
@@ -64,36 +64,36 @@ def gaussian_drho_dt(grid, xbar, delta, deltadot, xbardot):
 
 class TestGrid:
     def test_spacing(self):
-        assert make_grid(-16, 16, 1024).dx == pytest.approx(0.03125)
-        assert make_grid(0, 1, 64).dx == pytest.approx(0.015625)
+        assert Grid(-16, 16, 1024).dx == pytest.approx(0.03125)
+        assert Grid(0, 1, 64).dx == pytest.approx(0.015625)
 
     def test_minimum_size(self):
         with pytest.raises(ConfigurationError):
-            make_grid(-16, 16, 32)
+            Grid(-16, 16, 32)
 
     def test_bounds(self):
         with pytest.raises(ConfigurationError):
-            make_grid(1.0, 1.0, 128)
+            Grid(1.0, 1.0, 128)
 
 
 class TestGaussianPacket:
     def test_norm_peak_and_variance(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         rho = np.abs(w.psi) ** 2
-        assert w.norm() == pytest.approx(1.0, abs=1e-10)
+        assert observables(w, P_FREE).norm == pytest.approx(1.0, abs=1e-10)
         assert rho.max() == pytest.approx((2 * np.pi) ** -0.5, rel=1e-10)
         o = observables(w, P_FREE)
         assert o.delta ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_boundary_margin_enforced(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         with pytest.raises(ConfigurationError):
             gaussian_packet(g, 10.0, 1.0, p=P_FREE)
 
     def test_initial_velocity_field(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, xbardot0=0.3, width_rate0=0.2, p=p)
         f = madelung_decompose(w, p)
         sel = f.valid_mask & (np.abs(g.x) < 4)
@@ -104,7 +104,7 @@ class TestGaussianPacket:
 
 class TestObservables:
     def test_fresh_packet(self):
-        g = make_grid(2 - 16, 2 + 16, 1024)
+        g = Grid(2 - 16, 2 + 16, 1024)
         w = gaussian_packet(g, 2.0, 1.0, p=P_FREE)
         o = observables(w, P_FREE)
         assert o.xbar == pytest.approx(2.0, abs=1e-8)
@@ -119,13 +119,13 @@ class TestObservables:
 
 class TestMadelungDecompose:
     def test_real_packet_has_zero_velocity(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         f = madelung_decompose(w, P_FREE)
         assert np.max(np.abs(f.v_qu[f.valid_mask])) <= 1e-8
 
     def test_bohm_potential_at_center(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         f = madelung_decompose(w, P_FREE)
         i0 = int(np.argmin(np.abs(g.x)))
@@ -133,14 +133,14 @@ class TestMadelungDecompose:
         assert f.V_qu[i0] == pytest.approx(0.25, abs=1e-6)
 
     def test_density_matches_profile(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         rho_exact = (2 * np.pi) ** -0.5 * np.exp(-g.x ** 2 / 2)
         assert np.max(np.abs(np.abs(w.psi) ** 2 - rho_exact)) < 1e-12
 
     def test_roundtrip_up_to_global_phase(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, xbardot0=0.5, width_rate0=0.1, p=p)
         f = madelung_decompose(w, p)
         rebuilt = np.sqrt(f.rho) * np.exp(1j * f.S)
@@ -151,20 +151,20 @@ class TestMadelungDecompose:
 
 class TestQuantumForceLinearity:
     def test_unit_gaussian(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         rep = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
         assert rep.k_est == pytest.approx(0.25, abs=1e-4)
         assert rep.max_rel_dev <= 1e-4
 
     def test_slope_scales_as_inverse_fourth_power(self):
-        g = make_grid(-32, 32, 2048)
+        g = Grid(-32, 32, 2048)
         w = gaussian_packet(g, 0.0, 2.0, p=P_FREE)
         rep = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
         assert rep.k_est == pytest.approx(1.0 / 64.0, rel=1e-3)
 
     def test_non_gaussian_breaks_linearity(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         psi = (1.0 / np.cosh(g.x)).astype(complex)
         psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * g.dx)
         from ermakov_lab.madelung import WavePacket
@@ -173,7 +173,7 @@ class TestQuantumForceLinearity:
         assert rep.max_rel_dev > 0.1
 
     def test_insufficient_support(self):
-        g = make_grid(-16, 16, 1024)
+        g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
         f = madelung_decompose(w, P_FREE)
         f.valid_mask[:] = False
@@ -186,7 +186,7 @@ class TestContinuityResidual:
     XB, D, DD, XD, TAU = 0.5, 1.2, 0.3, 0.2, 1.0
 
     def grid(self):
-        return make_grid(self.XB - 16 * self.D, self.XB + 16 * self.D, 2048)
+        return Grid(self.XB - 16 * self.D, self.XB + 16 * self.D, 2048)
 
     def test_consistent_ansatz_closes(self):
         g = self.grid()
@@ -234,7 +234,7 @@ class TestEulerResidual:
         d = delta_from_alpha(al, p)
         scale = (p.hbar ** 2 / (4 * p.m ** 2)) ** 0.25
         ddot = ald * scale
-        g = make_grid(xb - 16 * d - 2, xb + 16 * d + 2, 2048)
+        g = Grid(xb - 16 * d - 2, xb + 16 * d + 2, 2048)
         f = ansatz_fields(g, xb, d, ddot, xbd, p.tau)
         it = p.inv_tau
         slope = ddot / d + 0.5 * it
@@ -270,7 +270,7 @@ class TestConservingDriveOutsideEvolve:
     P = PhysParams(tau=2.0, lam=1.0)
 
     def packet(self):
-        return gaussian_packet(make_grid(-15, 17, 128), 1.0, 1.0, p=self.P)
+        return gaussian_packet(Grid(-15, 17, 128), 1.0, 1.0, p=self.P)
 
     def test_time_derivative_refuses_it(self):
         with pytest.raises(ConfigurationError):
@@ -292,7 +292,7 @@ class TestEvolve:
     def test_coherent_state_tracks_ode(self):
         # lambda = 0, 1/tau = 0, delta0^4 = hbar^2/(4 m^2 omega^2): rigid motion
         d0 = 2 ** -0.5
-        g = make_grid(1 - 16 * d0, 1 + 16 * d0, 1024)
+        g = Grid(1 - 16 * d0, 1 + 16 * d0, 1024)
         w = gaussian_packet(g, 1.0, d0, p=P_FREE)
         dt = 1e-3
         with pytest.warns(UserWarning):
@@ -306,7 +306,7 @@ class TestEvolve:
 
     def test_norm_neutral_sink_long_run(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(1 - 16, 1 + 16, 1024)
+        g = Grid(1 - 16, 1 + 16, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         with pytest.warns(UserWarning):
             _, obs = evolve(w, p, DriveSpec.zero(), 1e-3, 10_000, record_stride=100)
@@ -315,7 +315,7 @@ class TestEvolve:
     def test_single_step_consistency(self):
         # (psi(dt) - psi(0)) / dt approaches the equation right side at O(dt)
         p = PhysParams(tau=2.0)
-        g = make_grid(-15, 17, 1024)
+        g = Grid(-15, 17, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         rhs = time_derivative(w, p, DriveSpec.zero())
         errs = []
@@ -326,7 +326,7 @@ class TestEvolve:
 
     def test_kurtosis_stays_gaussian(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         _, obs = evolve(w, p, DriveSpec.zero(), dt, int(round(4 * np.pi / dt)),
@@ -335,7 +335,7 @@ class TestEvolve:
 
     def test_velocity_slope_tracks_width_rate(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         w1, obs1 = evolve(w, p, DriveSpec.zero(), dt, 200)
@@ -350,7 +350,7 @@ class TestEvolve:
 
     def test_divergence_guard(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         w.psi *= 2.0  # norm 4, outside the trusted window after one step
         with pytest.raises(DivergenceError):
@@ -358,7 +358,7 @@ class TestEvolve:
 
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         _, obs = evolve(w, p, DriveSpec.conserving(), dt, 200)
@@ -366,7 +366,7 @@ class TestEvolve:
 
     def test_nonfinite_amplitude_aborts_between_record_points(self):
         p = PhysParams(tau=2.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         w.psi[g.n // 2] = np.nan
         # caught at the first step, not at the first record point (step 10)
@@ -375,7 +375,7 @@ class TestEvolve:
 
     def test_record_stride_changes_rounding_only(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         d = DriveSpec.sinusoid(0.3, 0.6)
@@ -391,7 +391,7 @@ class TestEvolve:
 
     def test_split_run_matches_single_run(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        g = make_grid(1 - 16, 1 + 16, 512)
+        g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         d = DriveSpec.sinusoid(0.3, 0.6)

@@ -15,6 +15,8 @@ class TestPhysParams:
     @pytest.mark.parametrize("bad", [
         dict(m=0.0), dict(m=-1.0), dict(hbar=0.0), dict(tau=0.0),
         dict(tau=-2.0), dict(omega=-1.0), dict(coeff_variant="typo"),
+        dict(m=math.inf), dict(hbar=math.nan), dict(omega=math.inf),
+        dict(lam=math.nan), dict(lam=math.inf), dict(tau=math.nan),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ConfigurationError):
@@ -36,17 +38,17 @@ class TestPhysParams:
 
 class TestOmegaSpec:
     def test_constant(self):
-        w = OmegaSpec.constant(2.0)
+        w = OmegaSpec(2.0)
         assert w.omega2(17.3) == 4.0
 
     def test_sinusoidal(self):
-        w = OmegaSpec.sinusoidal(1.0, 0.1, 1.0)
+        w = OmegaSpec(1.0, 0.1, 1.0)
         assert w.omega2(0.0) == pytest.approx(1.0)
         assert w.omega2(math.pi / 2) == pytest.approx(1.1)
 
     def test_modulation_depth_bound(self):
         with pytest.raises(ConfigurationError):
-            OmegaSpec.sinusoidal(1.0, 1.0, 1.0)
+            OmegaSpec(1.0, 1.0, 1.0)
 
 
 class TestDriveSpec:
