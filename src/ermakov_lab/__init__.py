@@ -13,9 +13,7 @@ from .ermakov import (
     ErmakovState,
     Trajectory,
     alpha_from_delta,
-    conserving_drive,
     delta_from_alpha,
-    els_invariant,
     els_invariant_rate,
     integrate,
     lewis_invariant,
@@ -37,7 +35,6 @@ from .madelung import (
 )
 from .identities import (
     AnsatzSlice,
-    IdentityReport,
     check_coefficient_expansion,
     check_decomposition_integrals,
     check_integrating_factor,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import CRITERIA
-from .errors import ConfigurationError, ErmakovLabError
+from .errors import ConfigurationError, NumericalFailure
 from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, OmegaSpec, PhysParams
 from .ermakov import ErmakovState, delta_from_alpha, integrate
 from .madelung import Grid, evolve, gaussian_packet
@@ -32,22 +32,25 @@ CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured other
 
 
 # Conversions of config values; each docstring says what it accepts.
+# JSON's true/false are not numbers, although Python's float() reads them as 1/0.
 def _number(v) -> float:
     """a number"""
-    if not math.isfinite(v := float(v)):
+    if isinstance(v, bool) or not math.isfinite(v := float(v)):
         raise ValueError(v)
     return v
 
 
 def _whole(v) -> int:
     """a whole number"""
-    if not float(v).is_integer():
+    if not (v := _number(v)).is_integer():
         raise ValueError(v)
-    return int(float(v))
+    return int(v)
 
 
 def _tau(v) -> float:
     '''a number or "inf"'''
+    if isinstance(v, bool):
+        raise ValueError(v)
     return math.inf if str(v).lower() == "infinite" else float(v)
 
 
@@ -64,8 +67,10 @@ def _pairs(v) -> tuple:
 
 
 def _one_of(*choices):
+    typed = [(type(c), c) for c in choices]  # so 1 is not True, nor 0 False
+
     def conv(v):
-        return choices[choices.index(v)]  # ValueError for any other value
+        return choices[typed.index((type(v), v))]  # ValueError for any other value
     conv.__doc__ = "one of " + ", ".join(map(repr, choices))
     return conv
 
@@ -174,6 +179,8 @@ def resolve(cfg: dict) -> dict:
             r[key] = default(r) if callable(default) else default
     r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
     p = _build(r)[0]
+    if r["drive.kind"] == "conserving" and p.lam == 0:
+        raise ConfigurationError("conserving drive requires lambda != 0")
     _steps(r)
     if r["output.stride"] < 1:
         raise ConfigurationError("output.stride must be >= 1")
@@ -342,9 +349,7 @@ def _run_mode(cfg: dict, r: dict) -> int:
         if r["mode"] == "verify":
             return run_verify(r, cfg)
         return {"ode": run_ode, "pde": run_pde, "compare": run_compare}[r["mode"]](r)
-    except ConfigurationError:
-        raise
-    except ErmakovLabError as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

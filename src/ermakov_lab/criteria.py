@@ -57,7 +57,7 @@ def criterion_1():
 def criterion_2():
     p = PhysParams(tau=2.0, lam=1.0)
     traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                     drive=DriveSpec.sinusoid(1.0, 0.7), t_end=20.0, dt=1e-3)
+                     drive=DriveSpec(kind="sinusoid", x0=1.0, freq=0.7), t_end=20.0, dt=1e-3)
     fd = np.gradient(traj.invariant, traj.t)[1:-1]
     scale = np.max(np.abs(traj.dIdt_analytic))
     err = np.max(np.abs(fd - traj.dIdt_analytic[1:-1])) / scale
@@ -67,7 +67,7 @@ def criterion_2():
 def criterion_3():
     p = PhysParams(tau=2.0, lam=1.0)
     traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                     drive=DriveSpec.conserving(), t_end=20.0, dt=1e-3)
+                     drive=DriveSpec(kind="conserving"), t_end=20.0, dt=1e-3)
     return [_row("criterion 3 (conserving drive, invariant range)",
                  _relative_range(traj.invariant), 1e-6)]
 
@@ -86,12 +86,12 @@ def _closure_run():
     grids = {n: Grid(1 - 16, 1 + 16, n) for n in (128, 256)}
     dts = {n: P_TAU2.m * g.dx ** 2 / (np.pi * P_TAU2.hbar) for n, g in grids.items()}
     init = ErmakovState(0, alpha_from_delta(1.0, P_TAU2), 0.0, 1.0, 0.0)
-    tr = integrate(init, P_TAU2, drive=DriveSpec.zero(),
+    tr = integrate(init, P_TAU2, drive=DriveSpec(),
                    t_end=T + 10 * dts[128], dt=1e-4)
     runs = {}
     for n, g in grids.items():
         w = gaussian_packet(g, 1.0, 1.0, p=P_TAU2)
-        _, obs = evolve(w, P_TAU2, DriveSpec.zero(), dts[n],
+        _, obs = evolve(w, P_TAU2, DriveSpec(), dts[n],
                         int(round(T / dts[n])), record_stride=4)
         ts = np.array([o.t for o in obs])
         err_x = np.max(np.abs(np.array([o.xbar for o in obs])
@@ -134,31 +134,27 @@ def criterion_8():
     r1, r2, r3 = check_decomposition_integrals(a)
     rf, rr = check_integrating_factor(a)
     return [
-        _row("criterion 8a (I3 definite integral)", r3.max_abs_residual, 1e-10),
-        _row("criterion 8b (I1 antiderivative)", r1.max_abs_residual, 1e-8),
-        _row("criterion 8c (I2 antiderivative)", r2.max_abs_residual, 1e-8),
-        _row("criterion 8d (integrating-factor ratio)", rr.max_abs_residual, 1e-10),
+        _row("criterion 8a (I3 definite integral)", r3, 1e-10),
+        _row("criterion 8b (I1 antiderivative)", r1, 1e-8),
+        _row("criterion 8c (I2 antiderivative)", r2, 1e-8),
+        _row("criterion 8d (integrating-factor ratio)", rr, 1e-10),
         _row("criterion 8e (k0 Gaussian quantum-force slope)",
-             check_k0_gaussian(1.0).max_abs_residual, 1e-6),
-        _row("criterion 8f (integrating-factor defining residual)",
-             rf.max_abs_residual, 1e-8),
+             check_k0_gaussian(1.0), 1e-6),
+        _row("criterion 8f (integrating-factor defining residual)", rf, 1e-8),
         _row("criterion 8g (velocity ansatz by quadrature)",
-             check_velocity_ansatz(a).max_abs_residual, 1e-8),
+             check_velocity_ansatz(a), 1e-8),
     ]
 
 
 def criterion_9():
     reps2 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
     reps1 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))
-    literal2 = abs(reps2["paper_literal"].max_abs_residual - LITERAL_SLOPE_TAU2)
+    literal2 = abs(reps2["paper_literal"] - LITERAL_SLOPE_TAU2)
     return [
-        _row("criterion 9a (consistent variant, tau=2)",
-             reps2["consistent"].max_abs_residual, 1e-10),
+        _row("criterion 9a (consistent variant, tau=2)", reps2["consistent"], 1e-10),
         _row("criterion 9b (|paper literal - 3/64|, tau=2)", literal2, 1e-10),
-        _row("criterion 9c (consistent variant, tau=1)",
-             reps1["consistent"].max_abs_residual, 1e-10),
-        _row("criterion 9d (paper literal, tau=1)",
-             reps1["paper_literal"].max_abs_residual, 1e-10),
+        _row("criterion 9c (consistent variant, tau=1)", reps1["consistent"], 1e-10),
+        _row("criterion 9d (paper literal, tau=1)", reps1["paper_literal"], 1e-10),
     ]
 
 

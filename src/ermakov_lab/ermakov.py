@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InvalidStateError,
-    TrajectoryAborted,
-    WidthCollapseError,
-)
+from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, OmegaSpec, PhysParams
 
 #: Width below which the 1/alpha^3 term is considered a collapse.
@@ -45,9 +39,9 @@ def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec,
     """Accelerations (alpha'', xbar''); omega^2(t) comes from w, else p.omega^2."""
     vals = (s.t, s.alpha, s.alphadot, s.xbar, s.xbardot)
     if not all(math.isfinite(v) for v in vals):
-        raise InvalidStateError(f"non-finite state {s}")
+        raise NumericalFailure(f"non-finite state {s}")
     if s.alpha < ALPHA_MIN:
-        raise WidthCollapseError(f"alpha={s.alpha} below collapse floor {ALPHA_MIN}")
+        raise NumericalFailure(f"alpha={s.alpha} below collapse floor {ALPHA_MIN}")
     w2 = p.omega * p.omega if w is None else w.omega2(s.t)
     x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
     addot = 1.0 / s.alpha ** 3 - p.inv_tau * s.alphadot - (w2 + p.c_tau) * s.alpha
@@ -58,13 +52,8 @@ def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec,
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
     """Lewis invariant of the pair (q, alpha)."""
     if alpha <= 0:
-        raise DomainError("alpha must be positive")
+        raise ConfigurationError("alpha must be positive")
     return 0.5 * ((qdot * alpha - alphadot * q) ** 2 + (q / alpha) ** 2)
-
-
-def els_invariant(s: ErmakovState) -> float:
-    """Invariant of the reduced system: the Lewis form in (xbar, alpha)."""
-    return lewis_invariant(s.xbar, s.xbardot, s.alpha, s.alphadot)
 
 
 def els_invariant_rate(s: ErmakovState, p: PhysParams, d: DriveSpec) -> float:
@@ -75,33 +64,30 @@ def els_invariant_rate(s: ErmakovState, p: PhysParams, d: DriveSpec) -> float:
       w = d/dt (xbar/alpha) = (xbar' alpha - xbar alpha') / alpha^2.
     """
     if s.alpha <= 0:
-        raise DomainError("alpha must be positive")
-    r = s.alphadot / s.alpha
-    x_drive = d.value(s.t, p, r, s.xbar)
-    w = (s.xbardot * s.alpha - s.xbar * s.alphadot) / s.alpha ** 2
-    a3 = s.alpha ** 3
-    coeff = r * p.inv_tau + p.c_tau
-    return coeff * a3 * s.xbar * w - (p.lam * x_drive / p.m) * a3 * w
+        raise ConfigurationError("alpha must be positive")
+    x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
+    return _rate(s.alpha, s.alphadot, s.xbar, s.xbardot, p, x_drive)
 
 
-def conserving_drive(s: ErmakovState, p: PhysParams) -> float:
-    """Drive X that makes the analytic invariant rate vanish identically."""
-    if s.alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return DriveSpec.conserving().value(s.t, p, s.alphadot / s.alpha, s.xbar)
+def _rate(alpha, alphadot, xbar, xbardot, p: PhysParams, x_drive: float) -> float:
+    """els_invariant_rate given the drive value X."""
+    w = (xbardot * alpha - xbar * alphadot) / alpha ** 2
+    a3 = alpha ** 3
+    coeff = alphadot / alpha * p.inv_tau + p.c_tau
+    return coeff * a3 * xbar * w - (p.lam * x_drive / p.m) * a3 * w
 
 
 def delta_from_alpha(alpha: float, p: PhysParams) -> float:
     """Physical width delta = (hbar^2 / 4 m^2)^(1/4) alpha."""
     if alpha <= 0:
-        raise DomainError("alpha must be positive")
+        raise ConfigurationError("alpha must be positive")
     return (p.hbar ** 2 / (4.0 * p.m ** 2)) ** 0.25 * alpha
 
 
 def alpha_from_delta(delta: float, p: PhysParams) -> float:
     """Inverse of delta_from_alpha."""
     if delta <= 0:
-        raise DomainError("delta must be positive")
+        raise ConfigurationError("delta must be positive")
     return delta / (p.hbar ** 2 / (4.0 * p.m ** 2)) ** 0.25
 
 
@@ -130,7 +116,7 @@ class Trajectory:
 
 
 def _package(params, dt, rows):
-    cols = np.array(rows, dtype=float).T
+    cols = np.array(rows, dtype=float).reshape(-1, 9).T
     return Trajectory(params=params, dt=dt,
                       t=cols[0], alpha=cols[1], alphadot=cols[2],
                       x=cols[3], xdot=cols[4], delta=cols[5],
@@ -150,8 +136,9 @@ def integrate(init: ErmakovState,
     classical pair is params.tau = inf, params.lam = 0 with a zero drive.
     Records every `stride` steps, always including the initial and final
     states; when (t_end - t0)/dt is not within 1e-9 of a whole number, the
-    last step is shortened to end at t_end.  A width collapse or non-finite
-    value raises TrajectoryAborted carrying the records accumulated so far.
+    last step is shortened to end at t_end.  A width collapse, a non-finite
+    value or an overflow raises NumericalFailure whose `partial` is the
+    Trajectory of the records accumulated so far.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -160,7 +147,7 @@ def integrate(init: ErmakovState,
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     if drive is None:
-        drive = DriveSpec.zero()
+        drive = DriveSpec()
     y = (init.alpha, init.alphadot, init.xbar, init.xbardot)
 
     def deriv(t, y):
@@ -169,22 +156,22 @@ def integrate(init: ErmakovState,
         return (y[1], add, y[3], xdd)
 
     def record(t, y):
-        s = ErmakovState(t, y[0], y[1], y[2], y[3])
-        inv = els_invariant(s)
+        a, ad, x, xd = y
+        inv = lewis_invariant(x, xd, a, ad)
+        x_t = drive.value(t, params, ad / a, x)
         # + 0.0 records a vanishing rate as 0, never -0
-        rate = els_invariant_rate(s, params, drive) + 0.0
-        x_t = drive.value(t, params, s.alphadot / s.alpha, s.xbar)
-        return (t, y[0], y[1], y[2], y[3],
-                delta_from_alpha(y[0], params), inv, rate, x_t)
+        rate = _rate(a, ad, x, xd, params, x_t) + 0.0
+        return (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
 
     n = (t_end - init.t) / dt
     ragged = abs(n - round(n)) > 1e-9 * n
     n_steps = math.floor(n) + 1 if ragged else round(n)
     t = init.t
-    rows = [record(t, y)]
+    rows = []
     h = dt
-    for i in range(n_steps):
-        try:
+    try:
+        rows.append(record(t, y))
+        for i in range(n_steps):
             t_next = init.t + (i + 1) * dt
             if ragged and i == n_steps - 1:
                 h, t_next = t_end - t, t_end
@@ -200,11 +187,12 @@ def integrate(init: ErmakovState,
                       for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
             t = t_next
             if not all(math.isfinite(v) for v in y):
-                raise InvalidStateError(f"non-finite state at t={t}")
+                raise NumericalFailure(f"non-finite state at t={t}")
+            if y[0] < ALPHA_MIN:  # the stages check only their own alpha
+                raise NumericalFailure(f"alpha={y[0]} below collapse floor {ALPHA_MIN}")
             if (i + 1) % stride == 0 or i == n_steps - 1:
                 rows.append(record(t, y))
-        except (WidthCollapseError, InvalidStateError) as exc:
-            partial = _package(params, dt * stride, rows)
-            raise TrajectoryAborted(f"integration aborted at t~{t}: {exc}",
-                                    partial=partial) from exc
+    except (NumericalFailure, OverflowError) as exc:
+        raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
+                               partial=_package(params, dt * stride, rows)) from exc
     return _package(params, dt * stride, rows)

@@ -1,4 +1,4 @@
-"""Exception hierarchy for ermakov_lab."""
+"""The two ways a run can fail, one class each: bad input and failed numerics."""
 
 
 class ErmakovLabError(Exception):
@@ -6,44 +6,13 @@ class ErmakovLabError(Exception):
 
 
 class ConfigurationError(ErmakovLabError):
-    """Invalid or inconsistent user-supplied configuration."""
+    """Invalid input: a config value, a parameter or an argument (exit 1)."""
 
 
-class InvalidStateError(ErmakovLabError):
-    """A dynamical state contains non-finite entries."""
-
-
-class DomainError(ErmakovLabError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class WidthCollapseError(ErmakovLabError):
-    """The reduced width alpha dropped below the collapse floor."""
-
-
-class TrajectoryAborted(ErmakovLabError):
-    """An integration failed mid-run; carries the partial trajectory."""
+class NumericalFailure(ErmakovLabError):
+    """The numerics collapsed, blew up or diverged (exit 2); `partial` holds
+    what was computed before the failure, or None."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class EvolutionAborted(ErmakovLabError):
-    """A PDE evolution produced non-finite amplitudes."""
-
-
-class DivergenceError(ErmakovLabError):
-    """The wavefunction norm left the trusted window."""
-
-
-class DegenerateStateError(ErmakovLabError):
-    """The wavefunction has (numerically) zero norm."""
-
-
-class GridMismatchError(ErmakovLabError):
-    """Arrays defined on incompatible grids were combined."""
-
-
-class InsufficientSupportError(ErmakovLabError):
-    """Too few valid grid points to perform a fit."""

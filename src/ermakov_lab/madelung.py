@@ -20,14 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    DivergenceError,
-    EvolutionAborted,
-    GridMismatchError,
-    InsufficientSupportError,
-)
+from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
 
 #: Relative density floor below which hydrodynamic fields are masked.
@@ -124,13 +117,13 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
     rho = re * re + im * im
     norm = float(rho.sum()) * dx
     if norm <= 0:
-        raise DegenerateStateError("wavefunction has zero norm")
+        raise NumericalFailure("wavefunction has zero norm")
     xbar = float(x @ rho) * dx / norm
     u2 = x - xbar
     u2 *= u2
     var = float(u2 @ rho) * dx / norm
     if var <= 0:
-        raise DegenerateStateError("wavefunction has zero variance")
+        raise NumericalFailure("wavefunction has zero variance")
     return norm, xbar, u2, var, rho
 
 
@@ -174,8 +167,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     stride s > 1 it costs 1 + 1/s pairs on average; the result differs from
     unfused stepping by rounding only.  Non-finite amplitudes are detected
     through the norm each step computes (a sum of |psi|^2 >= 0, finite
-    exactly when every entry is) and raise EvolutionAborted, before the norm
-    window of a record point raises DivergenceError.
+    exactly when every entry is); they, and a norm outside [0.5, 2] at a
+    record point, raise NumericalFailure whose `partial` is the list of
+    observables recorded before the failure.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -201,7 +195,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         psi = np.fft.ifft(kin * np.fft.fft(psi))
         norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
         if not math.isfinite(norm):
-            raise EvolutionAborted(f"non-finite amplitudes at t={t}")
+            raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
         delta = math.sqrt(var)
         # deltadot/delta from a backward difference of delta(t), 0 on the first step
         rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
@@ -216,9 +210,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             kin = kin_half
             o = observables(WavePacket(g, psi, t), p)
             if not math.isfinite(o.norm):
-                raise EvolutionAborted(f"non-finite amplitudes at t={t}")
+                raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
             if not (0.5 <= o.norm <= 2.0):
-                raise DivergenceError(f"norm {o.norm} outside [0.5, 2] at t={t}")
+                raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}",
+                                       partial=obs)
             obs.append(o)
     return WavePacket(grid=g, psi=psi, t=t), obs
 
@@ -266,7 +261,7 @@ def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> LinearityReport
     delta = math.sqrt(float(np.sum((g.x - xbar) ** 2 * f.rho) * g.dx) / norm)
     sel = f.valid_mask & (np.abs(g.x - xbar) <= 4.0 * delta)
     if np.count_nonzero(sel) < 16:
-        raise InsufficientSupportError("fewer than 16 valid points inside 4 delta")
+        raise NumericalFailure("fewer than 16 valid points inside 4 delta")
     # derivative on the contiguous valid block, then restricted to the window
     idx = np.flatnonzero(f.valid_mask)
     Vb = f.V_qu[idx[0]:idx[-1] + 1]
@@ -290,7 +285,7 @@ def continuity_residual(fields: MadelungFields, drho_dt: np.ndarray,
     """
     g = fields.grid
     if np.shape(drho_dt) != (g.n,):
-        raise GridMismatchError("drho_dt does not match the field grid")
+        raise ConfigurationError("drho_dt does not match the field grid")
     flux = np.nan_to_num(fields.rho * fields.v_qu)
     r = (drho_dt + _d1_spectral(flux, g)
          + fields.rho * 0.5 * p.inv_tau * ((g.x - xbar) ** 2 / delta ** 2 - 1.0))
@@ -308,7 +303,7 @@ def euler_residual(fields: MadelungFields, dv_dt: np.ndarray,
     """
     g = fields.grid
     if np.shape(dv_dt) != (g.n,):
-        raise GridMismatchError("dv_dt does not match the field grid")
+        raise ConfigurationError("dv_dt does not match the field grid")
     x_drive = d.value(obs.t)
     dvdx = np.gradient(fields.v_qu, g.dx)
     r = (dv_dt + fields.v_qu * dvdx + p.omega ** 2 * g.x

@@ -123,26 +123,6 @@ class DriveSpec:
         return (np.array([p[0] for p in self.table], dtype=float),
                 np.array([p[1] for p in self.table], dtype=float))
 
-    @classmethod
-    def zero(cls) -> "DriveSpec":
-        return cls(kind="zero")
-
-    @classmethod
-    def constant(cls, x0: float) -> "DriveSpec":
-        return cls(kind="constant", x0=x0)
-
-    @classmethod
-    def sinusoid(cls, x0: float, freq: float, phase: float = 0.0) -> "DriveSpec":
-        return cls(kind="sinusoid", x0=x0, freq=freq, phase=phase)
-
-    @classmethod
-    def conserving(cls) -> "DriveSpec":
-        return cls(kind="conserving")
-
-    @classmethod
-    def tabulated(cls, points) -> "DriveSpec":
-        return cls(kind="tabulated", table=tuple((float(t), float(x)) for t, x in points))
-
     def value(self, t: float, params: PhysParams | None = None,
               log_width_rate: float | None = None, xbar: float | None = None) -> float:
         """X(t); the conserving kind also needs params, r = log_width_rate and xbar."""

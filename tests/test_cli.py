@@ -70,7 +70,7 @@ class TestConfigValidation:
         p.write_text("{not json")
         assert main(["run", str(p)]) == 1
 
-    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
     def test_conserving_drive_without_coupling(self, tmp_path, capsys, mode):
         cfg = {"mode": mode, "params": {"tau": 2.0, "lambda": 0.0},
                "drive": {"kind": "conserving"},
@@ -150,6 +150,15 @@ class TestConfigValidation:
         # tau = -1 stops a regressed run before it writes to ./None
         pytest.param("run", "ode", {"output.directory": None, "params.tau": -1.0},
                      "output.directory must be a string", id="run-ode-null-directory"),
+        pytest.param("run", "ode", {"params.tau": True},
+                     'params.tau must be a number or "inf"', id="run-ode-boolean-tau"),
+        pytest.param("run", "ode", {"params.lambda": True}, "params.lambda must be a number",
+                     id="run-ode-boolean-lambda"),
+        pytest.param("run", "ode", {"output.stride": True},
+                     "output.stride must be a whole number", id="run-ode-boolean-stride"),
+        pytest.param("run", "pde", {"output.snapshots": 1},
+                     "output.snapshots must be one of False, True",
+                     id="run-pde-integer-snapshots"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -167,6 +176,7 @@ class TestConfigValidation:
         ("params.bogus", "1", "bogus"),
         ("params.tau", "-1", "tau must be positive"),
         ("params.tau", "0.5,0.5000001", "would both write tau_0.5"),
+        ("params.lambda", "1,0", "conserving drive requires lambda != 0"),
     ])
     def test_sweep_rejects_bad_values(self, tmp_path, capsys, param, values, needle):
         path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
@@ -214,6 +224,29 @@ class TestOdeMode:
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    @pytest.mark.parametrize("system, init, needle", [
+        # each RK4 stage keeps alpha > 0, the step's result does not
+        pytest.param("classical", {"alpha0": 0.9517489413280635,
+                                   "alphadot0": -14.948306159992022},
+                     "below collapse floor", id="alpha-crosses-zero-within-a-step"),
+        pytest.param("measurement", {"alpha0": 1e200}, "out of range", id="huge-alpha0"),
+        pytest.param("measurement", {"xbardot0": 1e160}, "out of range", id="huge-xbardot0"),
+    ])
+    def test_failure_inside_the_run_exits_2(self, tmp_path, capsys, system, init, needle):
+        cfg = base_ode_config(tmp_path / "out", system=system)
+        cfg["numerics"] = {"dt": 0.1, "t_end": 1.0}
+        cfg["output"]["stride"] = 1  # every step is recorded
+        if system == "classical":
+            cfg["params"] = {"tau": "inf"}
+            cfg["drive"] = {"kind": "zero"}
+            cfg["init"] = init
+        else:
+            cfg["init"].update(init)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert needle in err[0]
 
     def omega_spec_run(self, tmp_path, name, omega_spec=None):
         cfg = base_ode_config(tmp_path / name)

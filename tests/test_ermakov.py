@@ -11,20 +11,13 @@ from ermakov_lab import (
     OmegaSpec,
     PhysParams,
     alpha_from_delta,
-    conserving_drive,
     delta_from_alpha,
-    els_invariant,
     els_invariant_rate,
     integrate,
     lewis_invariant,
     measurement_rhs,
 )
-from ermakov_lab.errors import (
-    ConfigurationError,
-    DomainError,
-    InvalidStateError,
-    TrajectoryAborted,
-)
+from ermakov_lab.errors import ConfigurationError, NumericalFailure
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
@@ -32,7 +25,9 @@ positive = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
 
 # The classical Ermakov-Pinney pair is the reduced system at 1/tau = 0, lambda = 0.
 P_CLASSICAL = PhysParams(tau=math.inf, lam=0.0)
-ZERO = DriveSpec.zero()
+ZERO = DriveSpec()
+CONSERVING = DriveSpec(kind="conserving")
+SINUSOID = DriveSpec(kind="sinusoid", x0=1.0, freq=0.7)
 
 
 class TestClassicalRhs:
@@ -54,7 +49,7 @@ class TestClassicalRhs:
 
     def test_nonfinite_rejected(self):
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=math.nan, xbardot=0)
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(NumericalFailure, match="non-finite state"):
             measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec(1))
 
 
@@ -64,7 +59,7 @@ class TestLewisInvariant:
         assert lewis_invariant(0, 2, 1, 0) == pytest.approx(2.0)
 
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="alpha must be positive"):
             lewis_invariant(1, 0, 0, 0)
 
     def test_constant_along_closed_form(self):
@@ -78,20 +73,20 @@ class TestMeasurementRhs:
     def test_classical_limit(self):
         p = PhysParams(tau=math.inf, lam=0.0, omega=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=0.3, xbardot=0)
-        add, xdd = measurement_rhs(s, p, DriveSpec.zero())
+        add, xdd = measurement_rhs(s, p, ZERO)
         assert add == pytest.approx(0.0)
         assert xdd == pytest.approx(-0.3)
 
     def test_damped_width(self):
         p = PhysParams(tau=1.0, omega=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=0, xbardot=0)
-        add, _ = measurement_rhs(s, p, DriveSpec.zero())
+        add, _ = measurement_rhs(s, p, ZERO)
         assert add == pytest.approx(-0.25)
 
     def test_driven_centroid(self):
         p = PhysParams(tau=math.inf, m=1.0, lam=1.0, omega=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
-        _, xdd = measurement_rhs(s, p, DriveSpec.constant(2.0))
+        _, xdd = measurement_rhs(s, p, DriveSpec(kind="constant", x0=2.0))
         assert xdd == pytest.approx(-3.0)
 
     @given(alpha=positive, alphadot=finite, xbar=finite, xbardot=finite)
@@ -109,27 +104,28 @@ class TestMeasurementRhs:
 
 class TestElsInvariant:
     def test_direct_values(self):
-        assert els_invariant(ErmakovState(0, 1, 0, 1, 0)) == pytest.approx(0.5)
-        assert els_invariant(ErmakovState(0, 2, 0, 0, 0)) == 0.0
-        assert els_invariant(ErmakovState(0, 1, 1, 2, 3)) == pytest.approx(2.5)
+        # lewis_invariant(xbar, xbardot, alpha, alphadot)
+        assert lewis_invariant(1, 0, 1, 0) == pytest.approx(0.5)
+        assert lewis_invariant(0, 0, 2, 0) == 0.0
+        assert lewis_invariant(2, 3, 1, 1) == pytest.approx(2.5)
 
     @given(alpha=positive, alphadot=finite, xbar=finite, xbardot=finite)
     @settings(max_examples=100, deadline=None)
     def test_nonnegative(self, alpha, alphadot, xbar, xbardot):
-        assert els_invariant(ErmakovState(0, alpha, alphadot, xbar, xbardot)) >= 0.0
+        assert lewis_invariant(xbar, xbardot, alpha, alphadot) >= 0.0
 
 
 class TestInvariantRate:
     def test_direct_value(self):
         p = PhysParams(tau=1.0, lam=1.0, m=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=1)
-        rate = els_invariant_rate(s, p, DriveSpec.constant(1.0))
+        rate = els_invariant_rate(s, p, DriveSpec(kind="constant", x0=1.0))
         assert rate == pytest.approx(-0.75)
 
     def test_zero_without_measurement_or_drive(self):
         p = PhysParams(tau=math.inf, lam=0.0)
         s = ErmakovState(0, alpha=1.7, alphadot=0.4, xbar=-2, xbardot=1.1)
-        assert els_invariant_rate(s, p, DriveSpec.zero()) == 0.0
+        assert els_invariant_rate(s, p, ZERO) == 0.0
 
     @staticmethod
     def cancellation_bound(s, p):
@@ -145,14 +141,15 @@ class TestInvariantRate:
     def test_conserving_drive_zeroes_rate(self, alpha, alphadot, xbar, xbardot):
         p = PhysParams(tau=2.0, lam=0.8)
         s = ErmakovState(0, alpha, alphadot, xbar, xbardot)
-        rate = els_invariant_rate(s, p, DriveSpec.conserving())
+        rate = els_invariant_rate(s, p, CONSERVING)
         assert abs(rate) <= self.cancellation_bound(s, p)
 
     def test_detuned_drive_exceeds_cancellation_bound(self):
         # 0.1 % off the conserving drive, at the point with a -5036 cancelling term
         p = PhysParams(tau=2.0, lam=0.8)
         s = ErmakovState(0, alpha=9.25, alphadot=9.5, xbar=9.5, xbardot=-1.0)
-        detuned = DriveSpec.constant(1.001 * conserving_drive(s, p))
+        x_cons = CONSERVING.value(s.t, p, s.alphadot / s.alpha, s.xbar)
+        detuned = DriveSpec(kind="constant", x0=1.001 * x_cons)
         rate = els_invariant_rate(s, p, detuned)
         assert rate == pytest.approx(5.04, rel=1e-2)
         assert abs(rate) > self.cancellation_bound(s, p)
@@ -160,31 +157,32 @@ class TestInvariantRate:
     def test_regular_at_xbar_zero(self):
         p = PhysParams(tau=1.0, lam=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0.5, xbar=0.0, xbardot=1.0)
-        assert math.isfinite(els_invariant_rate(s, p, DriveSpec.constant(1.0)))
+        d = DriveSpec(kind="constant", x0=1.0)
+        assert math.isfinite(els_invariant_rate(s, p, d))
 
     def test_matches_finite_difference_along_trajectory(self):
         p = PhysParams(tau=2.0, lam=1.0)
         init = ErmakovState(0, 1, 0, 1, 0)
         traj = integrate(init, p,
-                         drive=DriveSpec.sinusoid(1.0, 0.7), t_end=5.0, dt=1e-3)
+                         drive=SINUSOID, t_end=5.0, dt=1e-3)
         fd = np.gradient(traj.invariant, traj.t)[1:-1]
         scale = np.max(np.abs(traj.dIdt_analytic))
         assert np.max(np.abs(fd - traj.dIdt_analytic[1:-1])) / scale < 1e-4
 
 
 class TestConservingDrive:
+    # value(t, params, alphadot / alpha, xbar)
     def test_proportional_to_xbar(self):
         p = PhysParams(tau=1.0, lam=2.0)
-        assert conserving_drive(ErmakovState(0, 1, 1, 0, 0.3), p) == 0.0
+        assert CONSERVING.value(0, p, 1.0, 0.0) == 0.0
 
     def test_direct_value(self):
         p = PhysParams(tau=1.0, lam=2.0, m=1.0)
-        x = conserving_drive(ErmakovState(0, alpha=1, alphadot=1, xbar=3, xbardot=0), p)
-        assert x == pytest.approx(1.875)
+        assert CONSERVING.value(0, p, 1.0, 3.0) == pytest.approx(1.875)
 
     def test_requires_coupling(self):
-        with pytest.raises(ConfigurationError):
-            conserving_drive(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=1.0, lam=0.0))
+        with pytest.raises(ConfigurationError, match="requires lambda != 0"):
+            CONSERVING.value(0, PhysParams(tau=1.0, lam=0.0), 0.0, 1.0)
 
 
 class TestWidthMap:
@@ -201,9 +199,9 @@ class TestWidthMap:
             pytest.approx(alpha, abs=1e-14)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="alpha must be positive"):
             delta_from_alpha(-1.0, PhysParams(tau=1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="delta must be positive"):
             alpha_from_delta(0.0, PhysParams(tau=1.0))
 
 
@@ -227,7 +225,7 @@ class TestIntegrate:
     def test_conserving_drive_keeps_invariant(self):
         p = PhysParams(tau=2.0, lam=1.0)
         traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                         drive=DriveSpec.conserving(), t_end=20, dt=1e-3)
+                         drive=CONSERVING, t_end=20, dt=1e-3)
         inv = traj.invariant
         assert (inv.max() - inv.min()) / inv[0] < 1e-6
 
@@ -238,7 +236,7 @@ class TestIntegrate:
 
         def endpoint(dt):
             tr = integrate(init, p,
-                           drive=DriveSpec.sinusoid(1.0, 0.7), t_end=20, dt=dt)
+                           drive=SINUSOID, t_end=20, dt=dt)
             return np.array([tr.alpha[-1], tr.alphadot[-1], tr.x[-1], tr.xdot[-1]])
 
         d1 = np.linalg.norm(endpoint(1e-3) - endpoint(5e-4))
@@ -248,14 +246,14 @@ class TestIntegrate:
     def test_records_are_uniform_and_monotone(self):
         p = PhysParams(tau=2.0)
         traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                         drive=DriveSpec.zero(), t_end=1.0, dt=1e-3, stride=10)
+                         drive=ZERO, t_end=1.0, dt=1e-3, stride=10)
         dts = np.diff(traj.t)
         assert np.all(dts > 0)
         assert np.allclose(dts, dts[0])
 
     def test_ends_at_t_end_with_a_short_last_step(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        args = dict(drive=DriveSpec.sinusoid(1.0, 0.7), t_end=1.0)
+        args = dict(drive=SINUSOID, t_end=1.0)
         tr = integrate(ErmakovState(0, 1, 0, 1, 0), p, dt=0.3, **args)
         assert tr.t[-1] == 1.0
         assert np.allclose(np.diff(tr.t), [0.3, 0.3, 0.3, 0.1])
@@ -267,22 +265,46 @@ class TestIntegrate:
     def test_whole_step_count_keeps_uniform_steps(self):
         # 0.7 / 0.1 = 6.999999999999999 rounds to 7 steps of exactly dt
         tr = integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0),
-                       drive=DriveSpec.zero(), t_end=0.7, dt=0.1)
+                       drive=ZERO, t_end=0.7, dt=0.1)
         assert list(tr.t) == [i * 0.1 for i in range(8)]
 
     def test_width_collapse_aborts_with_partial(self):
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, alpha=2e-8, alphadot=-1.0, xbar=0, xbardot=0)
-        with pytest.raises(TrajectoryAborted) as exc:
-            integrate(init, p, drive=DriveSpec.zero(),
+        with pytest.raises(NumericalFailure, match="below collapse floor") as exc:
+            integrate(init, p, drive=ZERO,
                       t_end=1.0, dt=1e-3)
         partial = exc.value.partial
         assert partial is not None and len(partial) >= 1
         assert partial.alpha[0] == pytest.approx(2e-8)
 
+    def test_alpha_crossing_zero_within_a_step_aborts_with_partial(self):
+        # every stage keeps alpha > 0, the step's result does not
+        init = ErmakovState(0, 0.9517489413280635, -14.948306159992022, 1, 0)
+        with pytest.raises(NumericalFailure, match="below collapse floor") as exc:
+            integrate(init, PhysParams(tau=math.inf), t_end=0.1, dt=0.1)
+        assert list(exc.value.partial.t) == [0.0]
+
+    @pytest.mark.parametrize("init", [ErmakovState(0, 1e200, 0, 1, 0),
+                                      ErmakovState(0, 1, 0, 1, 1e160)])
+    def test_overflow_at_the_first_record_aborts(self, init):
+        p = PhysParams(tau=2.0, lam=1.0)
+        with pytest.raises(NumericalFailure, match="at t~0") as exc:
+            integrate(init, p, drive=CONSERVING, t_end=1.0, dt=1e-3)
+        assert len(exc.value.partial) == 0
+
+    def test_drive_evaluated_once_per_stage_and_row(self, monkeypatch):
+        calls = []
+        value = DriveSpec.value
+        monkeypatch.setattr(DriveSpec, "value",
+                            lambda self, *a: calls.append(a) or value(self, *a))
+        integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0, lam=1.0),
+                  drive=CONSERVING, t_end=1.0, dt=0.1, stride=5)
+        assert len(calls) == 4 * 10 + 3
+
     def test_deterministic(self):
         p = PhysParams(tau=2.0, lam=1.0)
-        args = dict(drive=DriveSpec.sinusoid(1.0, 0.7), t_end=2.0, dt=1e-3)
+        args = dict(drive=SINUSOID, t_end=2.0, dt=1e-3)
         t1 = integrate(ErmakovState(0, 1, 0, 1, 0), p, **args)
         t2 = integrate(ErmakovState(0, 1, 0, 1, 0), p, **args)
         assert np.array_equal(t1.invariant, t2.invariant)
@@ -291,8 +313,8 @@ class TestIntegrate:
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, 1, 0, 1, 0)
         with pytest.raises(ConfigurationError):
-            integrate(init, p, drive=DriveSpec.zero(),
+            integrate(init, p, drive=ZERO,
                       t_end=1.0, dt=-1e-3)
         with pytest.raises(ConfigurationError):
-            integrate(init, p, drive=DriveSpec.zero(),
+            integrate(init, p, drive=ZERO,
                       t_end=-1.0, dt=1e-3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ermakov_lab import (
     check_velocity_ansatz,
 )
 from ermakov_lab.criteria import LITERAL_SLOPE_TAU2
-from ermakov_lab.errors import ConfigurationError, DomainError
+from ermakov_lab.errors import ConfigurationError
 from ermakov_lab.identities import _cumulative_simpson, _simpson
 
 SLICE = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1.0)
@@ -29,14 +31,11 @@ def test_simpson_helpers_match_scipy(n):
 
 class TestK0Gaussian:
     def test_unit_width(self):
-        rep = check_k0_gaussian(1.0)
-        assert rep.passed
-        assert rep.max_abs_residual <= 1e-6
+        assert check_k0_gaussian(1.0) <= 1e-6
 
     def test_width_two(self):
         # slope scales as delta^-4: k(0) = 1/64 at delta = 2
-        rep = check_k0_gaussian(2.0)
-        assert rep.passed
+        assert check_k0_gaussian(2.0) <= 1e-6
 
     def test_slope_value_recovered(self):
         # independent fit of the bracket over the sample window
@@ -63,15 +62,15 @@ class TestK0Gaussian:
         assert d3 == pytest.approx(0.0, abs=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="delta0 must be positive"):
             check_k0_gaussian(-1.0)
 
 
 class TestIntegratingFactor:
     def test_defining_property_and_ratio(self):
         r_def, r_ratio = check_integrating_factor(SLICE)
-        assert r_def.passed and r_def.max_abs_residual <= 1e-8
-        assert r_ratio.passed and r_ratio.max_abs_residual <= 1e-10
+        assert r_def <= 1e-8
+        assert r_ratio <= 1e-10
 
     def test_stationary_at_center(self):
         xs = np.array([SLICE.xbar - 0.5, SLICE.xbar, SLICE.xbar + 0.5])
@@ -82,9 +81,9 @@ class TestIntegratingFactor:
 class TestDecompositionIntegrals:
     def test_all_three(self):
         r1, r2, r3 = check_decomposition_integrals(SLICE)
-        assert r1.passed and r1.max_abs_residual <= 1e-8
-        assert r2.passed and r2.max_abs_residual <= 1e-8
-        assert r3.passed and r3.max_abs_residual <= 1e-10
+        assert r1 <= 1e-8
+        assert r2 <= 1e-8
+        assert r3 <= 1e-10
 
     def test_zero_width_rate_trivializes_first(self):
         a = AnsatzSlice(delta=1.0, deltadot=0.0, xbardot=0.2, tau=1.0)
@@ -110,12 +109,11 @@ class TestDecompositionIntegrals:
 
 class TestVelocityAnsatz:
     def test_quadrature_reconstruction(self):
-        rep = check_velocity_ansatz(SLICE)
-        assert rep.passed and rep.max_abs_residual <= 1e-8
+        assert check_velocity_ansatz(SLICE) <= 1e-8
 
     def test_gauge_term_diverges(self):
-        rep = check_velocity_ansatz(SLICE, c_gauge=1e-6)
-        assert rep.passed  # growth ratio reaches the Gaussian factor e^10
+        # growth ratio reaches the Gaussian factor e^10; grid snapping gets 1 %
+        assert check_velocity_ansatz(SLICE, c_gauge=1e-6) >= 0.99 * math.exp(10.0)
 
     def test_no_measurement_limit(self):
         a = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1e12)
@@ -127,17 +125,15 @@ class TestVelocityAnsatz:
 class TestCoefficientExpansion:
     def test_tau_two_separates_variants(self):
         reps = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
-        assert reps["consistent"].max_abs_residual <= 1e-10
-        assert reps["paper_literal"].max_abs_residual == \
-            pytest.approx(LITERAL_SLOPE_TAU2, abs=1e-10)
+        assert reps["consistent"] <= 1e-10
+        assert reps["paper_literal"] == pytest.approx(LITERAL_SLOPE_TAU2, abs=1e-10)
 
     def test_tau_one_coincides(self):
         reps = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))
-        assert reps["consistent"].max_abs_residual <= 1e-10
-        assert reps["paper_literal"].max_abs_residual <= 1e-10
+        assert reps["consistent"] <= 1e-10
+        assert reps["paper_literal"] <= 1e-10
 
     def test_needs_finite_tau(self):
-        import math
         with pytest.raises(ConfigurationError):
             check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=math.inf))
 

@@ -23,16 +23,10 @@ from ermakov_lab import (
     quantum_force_linearity,
     time_derivative,
 )
-from ermakov_lab.errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    DivergenceError,
-    EvolutionAborted,
-    GridMismatchError,
-    InsufficientSupportError,
-)
+from ermakov_lab.errors import ConfigurationError, NumericalFailure
 
 P_FREE = PhysParams(tau=math.inf)
+ZERO = DriveSpec()
 
 
 def point_packet():
@@ -113,7 +107,7 @@ class TestObservables:
         assert o.k_t == pytest.approx(0.25)
 
     def test_zero_variance_is_degenerate(self):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(NumericalFailure, match="zero variance"):
             observables(point_packet(), P_FREE)
 
 
@@ -178,7 +172,7 @@ class TestQuantumForceLinearity:
         f = madelung_decompose(w, P_FREE)
         f.valid_mask[:] = False
         f.valid_mask[500:508] = True
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(NumericalFailure, match="fewer than 16 valid points"):
             quantum_force_linearity(f, P_FREE)
 
 
@@ -216,7 +210,7 @@ class TestContinuityResidual:
     def test_grid_mismatch(self):
         g = self.grid()
         f = ansatz_fields(g, self.XB, self.D, self.DD, self.XD, self.TAU)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ConfigurationError, match="does not match the field grid"):
             continuity_residual(f, np.zeros(17), PhysParams(tau=self.TAU),
                                 self.XB, self.D)
 
@@ -224,7 +218,7 @@ class TestContinuityResidual:
 class TestEulerResidual:
     def _state_from_trajectory(self, p):
         init = ErmakovState(0, alpha_from_delta(1.0, p), 0.0, 1.0, 0.0)
-        tr = integrate(init, p, drive=DriveSpec.zero(),
+        tr = integrate(init, p, drive=ZERO,
                        t_end=3.0, dt=1e-3)
         i = len(tr) // 2
         return tr.t[i], tr.alpha[i], tr.alphadot[i], tr.x[i], tr.xdot[i]
@@ -245,7 +239,7 @@ class TestEulerResidual:
         k = p.hbar ** 2 / (4 * p.m ** 2 * d ** 4)
         obs = Observables(t=t, norm=1.0, xbar=xb, delta=d,
                           excess_kurtosis=0.0, k_t=k)
-        return euler_residual(f, dv_dt, p, DriveSpec.zero(), obs)
+        return euler_residual(f, dv_dt, p, ZERO, obs)
 
     def test_consistent_variant_closes(self):
         p = PhysParams(tau=2.0)
@@ -274,20 +268,20 @@ class TestConservingDriveOutsideEvolve:
 
     def test_time_derivative_refuses_it(self):
         with pytest.raises(ConfigurationError):
-            time_derivative(self.packet(), self.P, DriveSpec.conserving())
+            time_derivative(self.packet(), self.P, DriveSpec(kind="conserving"))
 
     def test_euler_residual_refuses_it(self):
         w = self.packet()
         fields = madelung_decompose(w, self.P)
         with pytest.raises(ConfigurationError):
-            euler_residual(fields, np.zeros(w.grid.n), self.P, DriveSpec.conserving(),
+            euler_residual(fields, np.zeros(w.grid.n), self.P, DriveSpec(kind="conserving"),
                            observables(w, self.P))
 
 
 class TestEvolve:
     def test_zero_variance_is_degenerate(self):
-        with pytest.raises(DegenerateStateError):
-            evolve(point_packet(), PhysParams(tau=2.0), DriveSpec.zero(), 1e-4, 5)
+        with pytest.raises(NumericalFailure, match="zero variance"):
+            evolve(point_packet(), PhysParams(tau=2.0), ZERO, 1e-4, 5)
 
     def test_coherent_state_tracks_ode(self):
         # lambda = 0, 1/tau = 0, delta0^4 = hbar^2/(4 m^2 omega^2): rigid motion
@@ -296,7 +290,7 @@ class TestEvolve:
         w = gaussian_packet(g, 1.0, d0, p=P_FREE)
         dt = 1e-3
         with pytest.warns(UserWarning):
-            _, obs = evolve(w, P_FREE, DriveSpec.zero(), dt,
+            _, obs = evolve(w, P_FREE, ZERO, dt,
                             int(round(4 * np.pi / dt)), record_stride=20)
         ts = np.array([o.t for o in obs])
         xb = np.array([o.xbar for o in obs])
@@ -309,7 +303,7 @@ class TestEvolve:
         g = Grid(1 - 16, 1 + 16, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         with pytest.warns(UserWarning):
-            _, obs = evolve(w, p, DriveSpec.zero(), 1e-3, 10_000, record_stride=100)
+            _, obs = evolve(w, p, ZERO, 1e-3, 10_000, record_stride=100)
         assert max(abs(o.norm - 1.0) for o in obs) <= 1e-6
 
     def test_single_step_consistency(self):
@@ -317,10 +311,10 @@ class TestEvolve:
         p = PhysParams(tau=2.0)
         g = Grid(-15, 17, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
-        rhs = time_derivative(w, p, DriveSpec.zero())
+        rhs = time_derivative(w, p, ZERO)
         errs = []
         for dt in (1e-4, 5e-5):
-            fin, _ = evolve(w, p, DriveSpec.zero(), dt, 1)
+            fin, _ = evolve(w, p, ZERO, dt, 1)
             errs.append(np.max(np.abs((fin.psi - w.psi) / dt - rhs)))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
 
@@ -329,7 +323,7 @@ class TestEvolve:
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
-        _, obs = evolve(w, p, DriveSpec.zero(), dt, int(round(4 * np.pi / dt)),
+        _, obs = evolve(w, p, ZERO, dt, int(round(4 * np.pi / dt)),
                         record_stride=10)
         assert max(abs(o.excess_kurtosis) for o in obs) <= 1e-3
 
@@ -338,9 +332,9 @@ class TestEvolve:
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
-        w1, obs1 = evolve(w, p, DriveSpec.zero(), dt, 200)
-        w2, _ = evolve(w1, p, DriveSpec.zero(), dt, 1)
-        w3, _ = evolve(w2, p, DriveSpec.zero(), dt, 1)
+        w1, obs1 = evolve(w, p, ZERO, dt, 200)
+        w2, _ = evolve(w1, p, ZERO, dt, 1)
+        w3, _ = evolve(w2, p, ZERO, dt, 1)
         f = madelung_decompose(w2, p)
         o2 = observables(w2, p)
         deltadot = (observables(w3, p).delta - obs1[-1].delta) / (2 * dt)
@@ -353,15 +347,17 @@ class TestEvolve:
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         w.psi *= 2.0  # norm 4, outside the trusted window after one step
-        with pytest.raises(DivergenceError):
-            evolve(w, p, DriveSpec.zero(), g.dx ** 2 / np.pi, 1)
+        with pytest.raises(NumericalFailure, match=r"norm .* outside \[0\.5, 2\]") as exc:
+            evolve(w, p, ZERO, g.dx ** 2 / np.pi, 1)
+        # the t = 0 observables were recorded before the failing step
+        assert [(o.t, o.norm) for o in exc.value.partial] == [(0.0, pytest.approx(4.0))]
 
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
-        _, obs = evolve(w, p, DriveSpec.conserving(), dt, 200)
+        _, obs = evolve(w, p, DriveSpec(kind="conserving"), dt, 200)
         assert all(math.isfinite(o.xbar) for o in obs)
 
     def test_nonfinite_amplitude_aborts_between_record_points(self):
@@ -370,15 +366,16 @@ class TestEvolve:
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         w.psi[g.n // 2] = np.nan
         # caught at the first step, not at the first record point (step 10)
-        with pytest.raises(EvolutionAborted, match=r"at t=0\.0$"):
-            evolve(w, p, DriveSpec.zero(), g.dx ** 2 / np.pi, 25, record_stride=10)
+        with pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=0\.0$") as exc:
+            evolve(w, p, ZERO, g.dx ** 2 / np.pi, 25, record_stride=10)
+        assert [o.t for o in exc.value.partial] == [0.0]
 
     def test_record_stride_changes_rounding_only(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
-        d = DriveSpec.sinusoid(0.3, 0.6)
+        d = DriveSpec(kind="sinusoid", x0=0.3, freq=0.6)
         w1, obs1 = evolve(w, p, d, dt, 50, record_stride=1)
         w7, obs7 = evolve(w, p, d, dt, 50, record_stride=7)
         assert np.max(np.abs(w1.psi - w7.psi)) <= 1e-12
@@ -394,7 +391,7 @@ class TestEvolve:
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
-        d = DriveSpec.sinusoid(0.3, 0.6)
+        d = DriveSpec(kind="sinusoid", x0=0.3, freq=0.6)
         full, _ = evolve(w, p, d, dt, 50, record_stride=10)
         half, _ = evolve(w, p, d, dt, 30, record_stride=10)
         rest, _ = evolve(half, p, d, dt, 20, record_stride=10)

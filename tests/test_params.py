@@ -5,6 +5,8 @@ import pytest
 from ermakov_lab import DriveSpec, OmegaSpec, PhysParams, TAU_INFINITE
 from ermakov_lab.errors import ConfigurationError
 
+CONSERVING = DriveSpec(kind="conserving")
+
 
 class TestPhysParams:
     def test_defaults(self):
@@ -53,29 +55,29 @@ class TestOmegaSpec:
 
 class TestDriveSpec:
     def test_zero_and_constant(self):
-        assert DriveSpec.zero().value(3.0) == 0.0
-        assert DriveSpec.constant(2.5).value(3.0) == 2.5
+        assert DriveSpec().value(3.0) == 0.0
+        assert DriveSpec(kind="constant", x0=2.5).value(3.0) == 2.5
 
     def test_sinusoid(self):
-        d = DriveSpec.sinusoid(2.0, 0.7, phase=0.1)
+        d = DriveSpec(kind="sinusoid", x0=2.0, freq=0.7, phase=0.1)
         assert d.value(1.3) == pytest.approx(2.0 * math.cos(0.7 * 1.3 + 0.1))
 
     def test_tabulated_interpolation(self):
-        d = DriveSpec.tabulated([(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)])
+        d = DriveSpec(kind="tabulated", table=((0.0, 0.0), (1.0, 2.0), (3.0, 2.0)))
         assert d.value(0.5) == pytest.approx(1.0)
         assert d.value(2.0) == pytest.approx(2.0)
 
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(ConfigurationError):
-            DriveSpec.tabulated([(0.0, 0.0), (0.0, 1.0)])
+            DriveSpec(kind="tabulated", table=((0.0, 0.0), (0.0, 1.0)))
 
     def test_conserving_needs_state(self):
         with pytest.raises(ConfigurationError):
-            DriveSpec.conserving().value(0.0)
+            CONSERVING.value(0.0)
 
     def test_conserving_feedback(self):
         p = PhysParams(m=1.5, lam=0.5, tau=2.0)
-        x = DriveSpec.conserving().value(0.0, p, log_width_rate=0.3, xbar=2.0)
+        x = CONSERVING.value(0.0, p, log_width_rate=0.3, xbar=2.0)
         assert x == pytest.approx((1.5 / 0.5) * (0.3 / 2.0 + 1.0 / 16.0) * 2.0)
 
     @pytest.mark.parametrize("missing", ["params", "log_width_rate", "xbar"])
@@ -83,8 +85,8 @@ class TestDriveSpec:
         kwargs = dict(params=PhysParams(lam=1.0, tau=2.0), log_width_rate=0.3, xbar=2.0)
         kwargs[missing] = None
         with pytest.raises(ConfigurationError):
-            DriveSpec.conserving().value(0.0, **kwargs)
+            CONSERVING.value(0.0, **kwargs)
 
     def test_conserving_requires_coupling(self):
         with pytest.raises(ConfigurationError, match=r"requires lambda != 0"):
-            DriveSpec.conserving().value(0.0, PhysParams(tau=2.0), 0.3, 2.0)
+            CONSERVING.value(0.0, PhysParams(tau=2.0), 0.3, 2.0)
