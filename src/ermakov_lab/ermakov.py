@@ -34,19 +34,35 @@ class ErmakovState:
     xbardot: float
 
 
+def _rhs(p: PhysParams, drive, w: OmegaSpec | None):
+    """The accelerations as f(t, alpha, alphadot, xbar, xbardot) -> (alpha'', xbar''),
+    with the constants and the omega^2 source resolved once; drive is the
+    bound X(t, r, xbar) of DriveSpec.bind.
+
+    f checks only alpha < ALPHA_MIN, which keeps alphadot/alpha and 1/alpha^3
+    defined; a non-finite argument propagates to the result.
+    """
+    inv_tau, c_tau, lam_m = p.inv_tau, p.c_tau, p.lam / p.m
+    w2_const = p.omega * p.omega
+    omega2 = None if w is None else w.omega2
+
+    def f(t, alpha, alphadot, xbar, xbardot):
+        if alpha < ALPHA_MIN:
+            raise NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
+        w2 = w2_const if omega2 is None else omega2(t)
+        x_drive = drive(t, alphadot / alpha, xbar)
+        return (1.0 / alpha ** 3 - inv_tau * alphadot - (w2 + c_tau) * alpha,
+                -w2 * xbar - lam_m * x_drive)
+    return f
+
+
 def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec,
                     w: OmegaSpec | None = None) -> tuple[float, float]:
     """Accelerations (alpha'', xbar''); omega^2(t) comes from w, else p.omega^2."""
     vals = (s.t, s.alpha, s.alphadot, s.xbar, s.xbardot)
     if not all(math.isfinite(v) for v in vals):
         raise NumericalFailure(f"non-finite state {s}")
-    if s.alpha < ALPHA_MIN:
-        raise NumericalFailure(f"alpha={s.alpha} below collapse floor {ALPHA_MIN}")
-    w2 = p.omega * p.omega if w is None else w.omega2(s.t)
-    x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
-    addot = 1.0 / s.alpha ** 3 - p.inv_tau * s.alphadot - (w2 + p.c_tau) * s.alpha
-    xddot = -w2 * s.xbar - (p.lam / p.m) * x_drive
-    return addot, xddot
+    return _rhs(p, d.bind(p), w)(*vals)
 
 
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
@@ -136,9 +152,14 @@ def integrate(init: ErmakovState,
     classical pair is params.tau = inf, params.lam = 0 with a zero drive.
     Records every `stride` steps, always including the initial and final
     states; when (t_end - t0)/dt is not within 1e-9 of a whole number, the
-    last step is shortened to end at t_end.  A width collapse, a non-finite
-    value or an overflow raises NumericalFailure whose `partial` is the
-    Trajectory of the records accumulated so far.
+    last step is shortened to end at t_end.
+
+    The drive, omega^2 source and constants are resolved once per call and
+    the step runs on four plain floats.  Each RK4 stage checks only its own
+    alpha against ALPHA_MIN; each step checks its result for a non-finite
+    value and for alpha < ALPHA_MIN.  A width collapse, a non-finite value
+    or an overflow raises NumericalFailure whose `partial` is the Trajectory
+    of the records accumulated so far.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -146,19 +167,12 @@ def integrate(init: ErmakovState,
         raise ConfigurationError("t_end must exceed the initial time")
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
-    if drive is None:
-        drive = DriveSpec()
-    y = (init.alpha, init.alphadot, init.xbar, init.xbardot)
+    drive_at = (DriveSpec() if drive is None else drive).bind(params)
+    f = _rhs(params, drive_at, omega_spec)
 
-    def deriv(t, y):
-        s = ErmakovState(t, y[0], y[1], y[2], y[3])
-        add, xdd = measurement_rhs(s, params, drive, omega_spec)
-        return (y[1], add, y[3], xdd)
-
-    def record(t, y):
-        a, ad, x, xd = y
+    def record(t, a, ad, x, xd):
         inv = lewis_invariant(x, xd, a, ad)
-        x_t = drive.value(t, params, ad / a, x)
+        x_t = drive_at(t, ad / a, x)
         # + 0.0 records a vanishing rate as 0, never -0
         rate = _rate(a, ad, x, xd, params, x_t) + 0.0
         return (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
@@ -167,31 +181,39 @@ def integrate(init: ErmakovState,
     ragged = abs(n - round(n)) > 1e-9 * n
     n_steps = math.floor(n) + 1 if ragged else round(n)
     t = init.t
+    a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
     rows = []
     h = dt
+    isfinite = math.isfinite
     try:
-        rows.append(record(t, y))
+        rows.append(record(t, a, ad, x, xd))
         for i in range(n_steps):
             t_next = init.t + (i + 1) * dt
             if ragged and i == n_steps - 1:
                 h, t_next = t_end - t, t_end
             half, sixth = 0.5 * h, h / 6.0
-            k1 = deriv(t, y)
-            y2 = tuple(a + half * b for a, b in zip(y, k1))
-            k2 = deriv(t + half, y2)
-            y3 = tuple(a + half * b for a, b in zip(y, k2))
-            k3 = deriv(t + half, y3)
-            y4 = tuple(a + h * b for a, b in zip(y, k3))
-            k4 = deriv(t + h, y4)
-            y = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd
+            add1, xdd1 = f(t, a, ad, x, xd)
+            a2, ad2 = a + half * ad, ad + half * add1
+            x2, xd2 = x + half * xd, xd + half * xdd1
+            add2, xdd2 = f(t + half, a2, ad2, x2, xd2)
+            a3, ad3 = a + half * ad2, ad + half * add2
+            x3, xd3 = x + half * xd2, xd + half * xdd2
+            add3, xdd3 = f(t + half, a3, ad3, x3, xd3)
+            a4, ad4 = a + h * ad3, ad + h * add3
+            x4, xd4 = x + h * xd3, xd + h * xdd3
+            add4, xdd4 = f(t + h, a4, ad4, x4, xd4)
+            a, ad, x, xd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
+                            ad + sixth * (add1 + 2 * add2 + 2 * add3 + add4),
+                            x + sixth * (xd + 2 * xd2 + 2 * xd3 + xd4),
+                            xd + sixth * (xdd1 + 2 * xdd2 + 2 * xdd3 + xdd4))
             t = t_next
-            if not all(math.isfinite(v) for v in y):
+            if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
                 raise NumericalFailure(f"non-finite state at t={t}")
-            if y[0] < ALPHA_MIN:  # the stages check only their own alpha
-                raise NumericalFailure(f"alpha={y[0]} below collapse floor {ALPHA_MIN}")
+            if a < ALPHA_MIN:  # the stages check only their own alpha
+                raise NumericalFailure(f"alpha={a} below collapse floor {ALPHA_MIN}")
             if (i + 1) % stride == 0 or i == n_steps - 1:
-                rows.append(record(t, y))
+                rows.append(record(t, a, ad, x, xd))
     except (NumericalFailure, OverflowError) as exc:
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
                                partial=_package(params, dt * stride, rows)) from exc

@@ -9,7 +9,8 @@ periodic grid, full-step position-space potential/measurement multiplier,
 half-step kinetic.  Between record points the closing half-step of one step
 and the opening half-step of the next are applied as one full kinetic factor,
 so a step costs one FFT pair there and two at a record point.  X(t) is
-DriveSpec.value, given the packet's deltadot/delta and mean for the conserving kind.
+DriveSpec.bind's function, given the packet's deltadot/delta and mean (read
+by the conserving kind).
 """
 from __future__ import annotations
 
@@ -97,16 +98,22 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     """Normalized Gaussian with the velocity field of the evolving ansatz.
 
     The phase is chosen so that v_qu(x, 0) = (width_rate0/delta0 + 1/(2 tau))
-    (x - xbar0) + xbardot0.
+    (x - xbar0) + xbardot0.  Its wavenumber (m/hbar) v_qu must stay below the
+    grid's Nyquist limit pi/dx on the packet's support |x - xbar0| <= 8 delta0,
+    or the phase would alias.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
     if xbar0 - 8 * delta0 < grid.x_min or xbar0 + 8 * delta0 > grid.x_max:
         raise ConfigurationError("packet must sit at least 8*delta0 from the boundaries")
+    slope = width_rate0 / delta0 + 0.5 * p.inv_tau
+    k_max = (p.m / p.hbar) * (abs(xbardot0) + abs(slope) * 8 * delta0)
+    if not k_max < np.pi / grid.dx:
+        raise ConfigurationError(f"packet wavenumber up to {k_max:.3g} reaches the grid's "
+                                 f"Nyquist limit pi/dx = {np.pi / grid.dx:.3g}")
     x = grid.x
     u = x - xbar0
     rho = (2.0 * np.pi * delta0 ** 2) ** -0.5 * np.exp(-u * u / (2.0 * delta0 ** 2))
-    slope = width_rate0 / delta0 + 0.5 * p.inv_tau
     S = (p.m / p.hbar) * (0.5 * slope * u * u + xbardot0 * u)
     return WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
 
@@ -169,7 +176,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     through the norm each step computes (a sum of |psi|^2 >= 0, finite
     exactly when every entry is); they, and a norm outside [0.5, 2] at a
     record point, raise NumericalFailure whose `partial` is the list of
-    observables recorded before the failure.
+    observables recorded before the failure; so does a sink factor
+    exp(dt/tau) that overflows, with an empty list.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -184,8 +192,13 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     harmonic_phase = -(dt / p.hbar) * 0.5 * p.m * p.omega ** 2 * x * x
     drive_phase = -(dt / p.hbar) * p.lam * x
     # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
-    sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+    try:
+        sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+    except OverflowError as exc:
+        raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                               f"{dt * p.inv_tau:.3g}", partial=[]) from exc
     sink_const = 0.25 * dt * p.inv_tau
+    drive_at = d.bind(p)
     psi = w.psi.astype(complex)
     t = w.t
     obs = [observables(WavePacket(g, psi, t), p)]
@@ -199,7 +212,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         delta = math.sqrt(var)
         # deltadot/delta from a backward difference of delta(t), 0 on the first step
         rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-        x_drive = d.value(t + 0.5 * dt, p, rate, xbar)
+        x_drive = drive_at(t + 0.5 * dt, rate, xbar)
         amp = (-sink_gain / (2.0 * var)) * u2 + sink_const
         psi *= np.exp(amp + 1j * (harmonic_phase + drive_phase * x_drive))
         t = w.t + (i + 1) * dt

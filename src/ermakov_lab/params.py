@@ -7,10 +7,9 @@ DriveSpec holds every drive formula, the conserving feedback included.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .errors import ConfigurationError
 
@@ -95,9 +94,14 @@ class DriveSpec:
     """The classical drive X(t) coupled to the oscillator through lambda*x*X(t).
 
     Kinds: zero, constant, sinusoid X0*cos(Omega t + phase), tabulated
-    (linear interpolation between strictly increasing sample times), and the
-    conserving feedback X = (m/lambda)(r/tau + C_tau) xbar that keeps the
-    reduced invariant constant, with r = alphadot/alpha = deltadot/delta.
+    (linear interpolation between finite samples at strictly increasing
+    times, held constant outside them, as np.interp), and the conserving
+    feedback X = (m/lambda)(r/tau + C_tau) xbar that keeps the reduced
+    invariant constant, with r = alphadot/alpha = deltadot/delta.
+
+    bind(params) resolves the kind and its constants once and returns the
+    function X(t, r, xbar) that the integrators call per stage or step;
+    value(t, params, r, xbar) is one call of it.
     """
 
     kind: str = "zero"
@@ -112,32 +116,57 @@ class DriveSpec:
         if self.kind not in self._KINDS:
             raise ConfigurationError(f"unknown drive kind {self.kind!r}")
         if self.kind == "tabulated":
-            ts = self._samples[0]
-            if len(ts) < 2:
-                raise ConfigurationError("tabulated drive needs at least two samples")
-            if np.any(ts[1:] <= ts[:-1]):
-                raise ConfigurationError("tabulated drive times must be strictly increasing")
+            self._samples  # built here, so a bad table fails at construction
 
     @cached_property
-    def _samples(self) -> tuple[np.ndarray, np.ndarray]:  # built once per drive
-        return (np.array([p[0] for p in self.table], dtype=float),
-                np.array([p[1] for p in self.table], dtype=float))
+    def _samples(self) -> tuple[list, list, list]:  # built once per drive
+        """Sample times, values and the slope of each interval, as np.interp forms it."""
+        ts = [float(p[0]) for p in self.table]
+        xs = [float(p[1]) for p in self.table]
+        if len(ts) < 2:
+            raise ConfigurationError("tabulated drive needs at least two samples")
+        if not all(map(math.isfinite, ts + xs)):
+            raise ConfigurationError("tabulated drive samples must be finite")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ConfigurationError("tabulated drive times must be strictly increasing")
+        slopes = [(xs[j + 1] - xs[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1)]
+        return ts, xs, slopes
+
+    def bind(self, params: PhysParams | None = None):
+        """X as a function of (t, r, xbar); the conserving kind needs params, lambda != 0."""
+        if self.kind == "zero":
+            return lambda t, r, xbar: 0.0
+        if self.kind == "constant":
+            x0 = self.x0
+            return lambda t, r, xbar: x0
+        if self.kind == "sinusoid":
+            x0, freq, phase, cos = self.x0, self.freq, self.phase, math.cos
+            return lambda t, r, xbar: x0 * cos(freq * t + phase)
+        if self.kind == "tabulated":
+            ts, xs, slopes = self._samples
+            last = len(ts) - 1
+
+            def tabulated(t, r, xbar):
+                j = bisect_right(ts, t) - 1  # ts[j] <= t < ts[j + 1]; last for t >= ts[-1]
+                if j < 0:
+                    return xs[0]
+                if j == last:
+                    return xs[j] if t == t else t  # a NaN time gives NaN, as in np.interp
+                if t == ts[j]:
+                    return xs[j]
+                return slopes[j] * (t - ts[j]) + xs[j]
+            return tabulated
+        # conserving
+        if params is None:
+            raise ConfigurationError("conserving drive needs params, log_width_rate and xbar")
+        if params.lam == 0:
+            raise ConfigurationError("conserving drive requires lambda != 0")
+        gain, inv_tau, c_tau = params.m / params.lam, params.inv_tau, params.c_tau
+        return lambda t, r, xbar: gain * (r * inv_tau + c_tau) * xbar
 
     def value(self, t: float, params: PhysParams | None = None,
               log_width_rate: float | None = None, xbar: float | None = None) -> float:
         """X(t); the conserving kind also needs params, r = log_width_rate and xbar."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.x0
-        if self.kind == "sinusoid":
-            return self.x0 * math.cos(self.freq * t + self.phase)
-        if self.kind == "tabulated":
-            return float(np.interp(t, *self._samples))
-        # conserving
-        if params is None or log_width_rate is None or xbar is None:
+        if self.kind == "conserving" and (log_width_rate is None or xbar is None):
             raise ConfigurationError("conserving drive needs params, log_width_rate and xbar")
-        if params.lam == 0:
-            raise ConfigurationError("conserving drive requires lambda != 0")
-        return (params.m / params.lam) * (log_width_rate * params.inv_tau
-                                          + params.c_tau) * xbar
+        return self.bind(params)(t, log_width_rate, xbar)

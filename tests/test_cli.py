@@ -30,6 +30,10 @@ def base_ode_config(outdir, **extra):
     return cfg
 
 
+GRID_128 = {"numerics.grid.x_min": -15.0, "numerics.grid.x_max": 17.0,
+            "numerics.grid.n": 128}
+
+
 def read_csv(path):
     with open(path) as fh:
         comment = fh.readline()
@@ -159,6 +163,16 @@ class TestConfigValidation:
         pytest.param("run", "pde", {"output.snapshots": 1},
                      "output.snapshots must be one of False, True",
                      id="run-pde-integer-snapshots"),
+        # pi/dx = 12.6 on this grid; tau = 2 adds 8 * 1/(2 tau) = 2 to max |k|
+        pytest.param("run", "compare", {**GRID_128, "init.xbardot0": 30.0},
+                     "packet wavenumber up to 32 reaches the grid's Nyquist limit",
+                     id="run-compare-aliased-velocity"),
+        pytest.param("run", "pde", {**GRID_128, "init.xbardot0": 1e160},
+                     "packet wavenumber up to 1e+160", id="run-pde-huge-velocity"),
+        pytest.param("run", "pde", {**GRID_128, "params.tau": 1e-200},
+                     "packet wavenumber up to 4e+200", id="run-pde-tiny-tau"),
+        pytest.param("run", "pde", {**GRID_128, "init.delta0": 1e200},
+                     "packet must sit at least 8*delta0", id="run-pde-huge-delta0"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -300,6 +314,23 @@ class TestPdeMode:
         norm = data[:, header.index("norm")]
         assert np.max(np.abs(norm - 1.0)) < 1e-6
         assert (out / "fields_final.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    def test_sink_overflow_exits_2(self, tmp_path, capsys, mode):
+        # dt/tau = 1.25e198: exp(dt/tau) overflows; width_rate0 = -delta0/(2 tau)
+        # cancels the 1/(2 tau) phase curvature, so the packet itself is resolved
+        out = tmp_path / "out"
+        cfg = self.pde_config(out)
+        cfg["mode"] = mode
+        cfg["params"]["tau"] = 1e-200
+        cfg["init"]["width_rate0"] = -0.5 * (1.0 / 1e-200)
+        if mode == "compare":
+            del cfg["output"]["snapshots"]
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: sink factor exp(dt/tau) overflows "
+                       "at dt/tau = 1.25e+198"]
+        assert not out.exists()
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"

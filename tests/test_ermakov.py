@@ -295,9 +295,12 @@ class TestIntegrate:
 
     def test_drive_evaluated_once_per_stage_and_row(self, monkeypatch):
         calls = []
-        value = DriveSpec.value
-        monkeypatch.setattr(DriveSpec, "value",
-                            lambda self, *a: calls.append(a) or value(self, *a))
+        bind = DriveSpec.bind
+
+        def counting_bind(self, params=None):
+            drive = bind(self, params)
+            return lambda *a: calls.append(a) or drive(*a)
+        monkeypatch.setattr(DriveSpec, "bind", counting_bind)
         integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0, lam=1.0),
                   drive=CONSERVING, t_end=1.0, dt=0.1, stride=5)
         assert len(calls) == 4 * 10 + 3

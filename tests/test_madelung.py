@@ -85,6 +85,25 @@ class TestGaussianPacket:
         with pytest.raises(ConfigurationError):
             gaussian_packet(g, 10.0, 1.0, p=P_FREE)
 
+    @pytest.mark.parametrize("xbardot0, width_rate0, tau", [
+        (30.0, 0.0, 2.0),      # the centroid velocity alone
+        (0.0, 1.5, 2.0),       # (1.5 + 0.25) * 8 = 14 at the support's edge
+        (0.0, 0.0, 0.03),      # 1/(2 tau) * 8 = 133
+        (-12.0, -0.1, 2.0),    # |xbardot0| + |slope| * 8 = 13.2
+    ])
+    def test_refuses_aliased_phase(self, xbardot0, width_rate0, tau):
+        g = Grid(-15, 17, 128)  # pi/dx = 12.57
+        with pytest.raises(ConfigurationError, match="Nyquist limit"):
+            gaussian_packet(g, 1.0, 1.0, xbardot0=xbardot0, width_rate0=width_rate0,
+                            p=PhysParams(tau=tau))
+
+    def test_accepts_phase_below_nyquist(self):
+        g = Grid(-15, 17, 128)
+        # max |k| = 10 + |0.05 + 0.25| * 8 = 12.4 < 12.57; the curvature may
+        # cancel 1/(2 tau) exactly
+        gaussian_packet(g, 1.0, 1.0, xbardot0=-10.0, width_rate0=0.05, p=PhysParams(tau=2.0))
+        gaussian_packet(g, 1.0, 1.0, xbardot0=12.0, width_rate0=-0.25, p=PhysParams(tau=2.0))
+
     def test_initial_velocity_field(self):
         p = PhysParams(tau=2.0)
         g = Grid(-16, 16, 1024)
@@ -351,6 +370,13 @@ class TestEvolve:
             evolve(w, p, ZERO, g.dx ** 2 / np.pi, 1)
         # the t = 0 observables were recorded before the failing step
         assert [(o.t, o.norm) for o in exc.value.partial] == [(0.0, pytest.approx(4.0))]
+
+    def test_sink_overflow_is_a_numerical_failure(self):
+        g = Grid(1 - 16, 1 + 16, 128)
+        w = gaussian_packet(g, 1.0, 1.0, p=P_FREE)
+        with pytest.raises(NumericalFailure, match="overflows") as exc:
+            evolve(w, PhysParams(tau=1e-200), ZERO, g.dx ** 2 / np.pi, 5)
+        assert exc.value.partial == []
 
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)

@@ -1,11 +1,18 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from ermakov_lab import DriveSpec, OmegaSpec, PhysParams, TAU_INFINITE
 from ermakov_lab.errors import ConfigurationError
 
 CONSERVING = DriveSpec(kind="conserving")
+
+
+def _bench_table(rng):
+    """101 samples 0.04 apart, drawn as the ode_sweep benchmark draws them."""
+    return tuple((round(0.04 * k, 10), round(rng.uniform(-0.5, 0.5), 6)) for k in range(101))
 
 
 class TestPhysParams:
@@ -70,6 +77,31 @@ class TestDriveSpec:
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(ConfigurationError):
             DriveSpec(kind="tabulated", table=((0.0, 0.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize("table", [((0.0, 0.0), (1.0, math.inf)),
+                                       ((0.0, 0.0), (math.nan, 1.0))])
+    def test_tabulated_requires_finite_samples(self, table):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DriveSpec(kind="tabulated", table=table)
+
+    @pytest.mark.parametrize("table", [
+        _bench_table(random.Random(7)),
+        # irregular spacing, equal neighbours and a sign change
+        ((-1.5, 2.0), (-0.2, 2.0), (0.0, -3.25), (1e-9, 0.5), (7.0, 1e3), (7.5, -0.1)),
+    ], ids=["bench-table", "irregular"])
+    def test_tabulated_lookup_is_np_interp_bitwise(self, table):
+        ts = np.array([p[0] for p in table])
+        xs = np.array([p[1] for p in table])
+        rng = np.random.default_rng(20)
+        times = [*ts, *(0.5 * (ts[1:] + ts[:-1])), ts[0] - 1.0, ts[0] - 1e-12,
+                 ts[-1] + 1e-12, ts[-1] + 1.0,
+                 *rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 10_000)]
+        drive = DriveSpec(kind="tabulated", table=table)
+        x_of_t = drive.bind()
+        for t in map(float, times):
+            assert x_of_t(t, None, None) == float(np.interp(t, ts, xs)), t
+        assert drive.value(ts[-1] + 1.0) == xs[-1] and drive.value(ts[0] - 1.0) == xs[0]
+        assert math.isnan(x_of_t(math.nan, None, None))
 
     def test_conserving_needs_state(self):
         with pytest.raises(ConfigurationError):
