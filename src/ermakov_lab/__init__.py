@@ -5,7 +5,6 @@ from .params import (
     COEFF_PAPER_LITERAL,
     TAU_INFINITE,
     DriveSpec,
-    OmegaSpec,
     PhysParams,
 )
 from .ermakov import (

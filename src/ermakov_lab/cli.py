@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
-from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, OmegaSpec, PhysParams
+from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, PhysParams
 from .ermakov import ErmakovState, delta_from_alpha, integrate
 from .madelung import Grid, evolve, gaussian_packet
 
@@ -93,7 +93,6 @@ _FIELDS = {
     "params.lambda": (_number, 0.0, {}),
     "params.tau": (_tau, _REQUIRED, {}),
     "params.coeff_variant": (_one_of(*_VARIANTS), COEFF_CONSISTENT, {}),
-    "omega_spec.omega0": (_number, lambda r: r["params.omega"], _ODE),
     "omega_spec.eps": (_number, 0.0, _ODE),
     "omega_spec.omega_m": (_number, 0.0, _ODE),
     "drive.kind": (_one_of(*DriveSpec._KINDS), "zero", _RUN),
@@ -161,9 +160,9 @@ def resolve(cfg: dict) -> dict:
     """Every field of the config, converted once and defaulted: what a run reads.
 
     A config error for an unknown key, a bad value, a classical system the run
-    cannot honour, two initial widths and, checked last, a given key that the
-    mode, system or drive kind does not read.  ERMAKOV_LAB_OUT replaces
-    output.directory."""
+    cannot honour, two initial widths, a refused pde/compare grid or packet and,
+    checked last, a given key that the mode, system or drive kind does not
+    read.  ERMAKOV_LAB_OUT replaces output.directory."""
     given = dict(_given(cfg))
     r = {}
     for key, (conv, default, _) in _FIELDS.items():
@@ -205,6 +204,8 @@ def resolve(cfg: dict) -> dict:
     else:
         r["init.alpha0"] = r["init.delta0"] / scale
         r["init.alphadot0"] = r["init.width_rate0"] / scale
+    if r["mode"] in _PDE["mode"]:
+        _packet(r, p)
     for key in given:
         why = _unread(r, key)
         if why == "mode":  # name the outermost section this mode reads nothing of
@@ -217,14 +218,14 @@ def resolve(cfg: dict) -> dict:
     return r
 
 
-def _build(r: dict) -> tuple[PhysParams, DriveSpec, OmegaSpec]:
-    """The parameters, drive and omega^2 schedule of a resolved config."""
+def _build(r: dict) -> tuple[PhysParams, DriveSpec]:
+    """The parameters (omega_spec modulating params.omega) and drive of a resolved config."""
     return (PhysParams(m=r["params.m"], hbar=r["params.hbar"], omega=r["params.omega"],
                        lam=r["params.lambda"], tau=r["params.tau"],
-                       coeff_variant=r["params.coeff_variant"]),
+                       coeff_variant=r["params.coeff_variant"],
+                       eps=r["omega_spec.eps"], omega_m=r["omega_spec.omega_m"]),
             DriveSpec(kind=r["drive.kind"], x0=r["drive.x0"], freq=r["drive.freq"],
-                      phase=r["drive.phase"], table=r["drive.table"]),
-            OmegaSpec(r["omega_spec.omega0"], r["omega_spec.eps"], r["omega_spec.omega_m"]))
+                      phase=r["drive.phase"], table=r["drive.table"]))
 
 
 def build_params(cfg: dict) -> PhysParams:
@@ -259,16 +260,13 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
 
 
 def run_ode(r: dict) -> int:
-    params, drive, w = _build(r)
+    params, drive = _build(r)
     classical = r["system"] == "classical"
     x = "q" if classical else "xbar"
     init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
                         r[f"init.{x}0"], r[f"init.{x}dot0"])
-    # a constant schedule at params.omega is the same run as none at all
-    traj = integrate(init, params, drive=drive,
-                     omega_spec=None if w == OmegaSpec(params.omega) else w,
-                     t_end=r["numerics.t_end"], dt=r["numerics.dt"],
-                     stride=r["output.stride"])
+    traj = integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
+                     dt=r["numerics.dt"], stride=r["output.stride"])
     width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
     centroid = {x: traj.x, x + "dot": traj.xdot}
     coords = {**centroid, **width} if classical else {**width, **centroid}
@@ -280,14 +278,18 @@ def run_ode(r: dict) -> int:
     return 0
 
 
+def _packet(r: dict, params: PhysParams):
+    """The initial packet of a pde/compare config on its grid; resolve checks it."""
+    grid = Grid(r["numerics.grid.x_min"], r["numerics.grid.x_max"], r["numerics.grid.n"])
+    return gaussian_packet(grid, r["init.xbar0"], r["init.delta0"],
+                           xbardot0=r["init.xbardot0"],
+                           width_rate0=r["init.width_rate0"], p=params)
+
+
 def _evolve(r: dict):
     """The pde side of a pde/compare run: (params, drive, final packet, observables)."""
-    params, drive, _ = _build(r)
-    grid = Grid(r["numerics.grid.x_min"], r["numerics.grid.x_max"], r["numerics.grid.n"])
-    packet = gaussian_packet(grid, r["init.xbar0"], r["init.delta0"],
-                             xbardot0=r["init.xbardot0"],
-                             width_rate0=r["init.width_rate0"], p=params)
-    final, obs = evolve(packet, params, drive, r["numerics.dt"], _steps(r),
+    params, drive = _build(r)
+    final, obs = evolve(_packet(r, params), params, drive, r["numerics.dt"], _steps(r),
                         record_stride=r["output.stride"])
     return params, drive, final, obs
 

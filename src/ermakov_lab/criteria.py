@@ -28,7 +28,7 @@ from .madelung import (
     madelung_decompose,
     quantum_force_linearity,
 )
-from .params import DriveSpec, OmegaSpec, PhysParams
+from .params import DriveSpec, PhysParams
 
 #: Surviving slope of the paper-literal width coefficient 1/(4 tau^4) at
 #: tau = 2, delta = 1: (1/4)(1/tau^2 - 1/tau^4) = 3/64.
@@ -47,9 +47,8 @@ def _relative_range(values):
 
 
 def criterion_1():
-    w = OmegaSpec(1.0, 0.1, 1.0)
-    traj = integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=math.inf),
-                     omega_spec=w, t_end=50.0, dt=1e-3)
+    p = PhysParams(tau=math.inf, eps=0.1, omega_m=1.0)
+    traj = integrate(ErmakovState(0, 1, 0, 1, 0), p, t_end=50.0, dt=1e-3)
     return [_row("criterion 1 (classical invariant drift)",
                  _relative_range(traj.invariant), 1e-6)]
 
@@ -159,12 +158,11 @@ def criterion_9():
 
 
 def criterion_10():
-    w = OmegaSpec(5.0, 0.1, 1.0)
-    p = PhysParams(tau=math.inf, omega=5.0)
+    p = PhysParams(tau=math.inf, omega=5.0, eps=0.1, omega_m=1.0)
     init = ErmakovState(0, 5 ** -0.5, 0, 1, 0)
     ends = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        tr = integrate(init, p, omega_spec=w, t_end=50.0, dt=dt)
+        tr = integrate(init, p, t_end=50.0, dt=dt)
         ends.append(np.array([tr.x[-1], tr.xdot[-1], tr.alpha[-1], tr.alphadot[-1]]))
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
     return [_row("criterion 10 (RK4 halving ratio)", ratio, 20.0,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
-from .params import DriveSpec, OmegaSpec, PhysParams
+from .params import DriveSpec, PhysParams
 
 #: Width below which the 1/alpha^3 term is considered a collapse.
 ALPHA_MIN = 1e-8
@@ -34,17 +34,17 @@ class ErmakovState:
     xbardot: float
 
 
-def _rhs(p: PhysParams, drive, w: OmegaSpec | None):
+def _rhs(p: PhysParams, drive):
     """The accelerations as f(t, alpha, alphadot, xbar, xbardot) -> (alpha'', xbar''),
-    with the constants and the omega^2 source resolved once; drive is the
-    bound X(t, r, xbar) of DriveSpec.bind.
+    with the constants resolved once and omega^2 read from p.omega2 only when
+    it is modulated; drive is the bound X(t, r, xbar) of DriveSpec.bind.
 
     f checks only alpha < ALPHA_MIN, which keeps alphadot/alpha and 1/alpha^3
     defined; a non-finite argument propagates to the result.
     """
     inv_tau, c_tau, lam_m = p.inv_tau, p.c_tau, p.lam / p.m
-    w2_const = p.omega * p.omega
-    omega2 = None if w is None else w.omega2
+    w2_const = p.omega2(0.0)
+    omega2 = None if p.eps == 0.0 else p.omega2
 
     def f(t, alpha, alphadot, xbar, xbardot):
         if alpha < ALPHA_MIN:
@@ -56,13 +56,12 @@ def _rhs(p: PhysParams, drive, w: OmegaSpec | None):
     return f
 
 
-def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec,
-                    w: OmegaSpec | None = None) -> tuple[float, float]:
-    """Accelerations (alpha'', xbar''); omega^2(t) comes from w, else p.omega^2."""
+def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float, float]:
+    """Accelerations (alpha'', xbar'') with omega^2 = p.omega2(s.t)."""
     vals = (s.t, s.alpha, s.alphadot, s.xbar, s.xbardot)
     if not all(math.isfinite(v) for v in vals):
         raise NumericalFailure(f"non-finite state {s}")
-    return _rhs(p, d.bind(p), w)(*vals)
+    return _rhs(p, d.bind(p))(*vals)
 
 
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
@@ -94,25 +93,23 @@ def _rate(alpha, alphadot, xbar, xbardot, p: PhysParams, x_drive: float) -> floa
 
 
 def delta_from_alpha(alpha: float, p: PhysParams) -> float:
-    """Physical width delta = (hbar^2 / 4 m^2)^(1/4) alpha."""
+    """Physical width delta = sqrt(hbar/2m) alpha."""
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    return (p.hbar ** 2 / (4.0 * p.m ** 2)) ** 0.25 * alpha
+    return math.sqrt(p.hbar_2m) * alpha
 
 
 def alpha_from_delta(delta: float, p: PhysParams) -> float:
     """Inverse of delta_from_alpha."""
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
-    return delta / (p.hbar ** 2 / (4.0 * p.m ** 2)) ** 0.25
+    return delta / math.sqrt(p.hbar_2m)
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled trajectory of the reduced system (x/xdot: the centroid)."""
 
-    params: PhysParams
-    dt: float
     t: np.ndarray
     alpha: np.ndarray
     alphadot: np.ndarray
@@ -131,10 +128,9 @@ class Trajectory:
         return np.gradient(self.invariant, self.t)
 
 
-def _package(params, dt, rows):
+def _package(rows):
     cols = np.array(rows, dtype=float).reshape(-1, 9).T
-    return Trajectory(params=params, dt=dt,
-                      t=cols[0], alpha=cols[1], alphadot=cols[2],
+    return Trajectory(t=cols[0], alpha=cols[1], alphadot=cols[2],
                       x=cols[3], xdot=cols[4], delta=cols[5],
                       invariant=cols[6], dIdt_analytic=cols[7], drive=cols[8])
 
@@ -142,19 +138,19 @@ def _package(params, dt, rows):
 def integrate(init: ErmakovState,
               params: PhysParams,
               drive: DriveSpec | None = None,
-              omega_spec: OmegaSpec | None = None,
               t_end: float = 10.0,
               dt: float = 1e-3,
               stride: int = 1) -> Trajectory:
     """Integrate the reduced system with fixed-step RK4.
 
-    drive defaults to zero and omega_spec to the constant params.omega; the
-    classical pair is params.tau = inf, params.lam = 0 with a zero drive.
+    drive defaults to zero; omega^2(t) is params.omega2, constant unless
+    params.eps != 0.  The classical pair is params.tau = inf, params.lam = 0
+    with a zero drive.
     Records every `stride` steps, always including the initial and final
     states; when (t_end - t0)/dt is not within 1e-9 of a whole number, the
     last step is shortened to end at t_end.
 
-    The drive, omega^2 source and constants are resolved once per call and
+    The drive and the constants are resolved once per call and
     the step runs on four plain floats.  Each RK4 stage checks only its own
     alpha against ALPHA_MIN; each step checks its result for a non-finite
     value and for alpha < ALPHA_MIN.  A width collapse, a non-finite value
@@ -168,7 +164,7 @@ def integrate(init: ErmakovState,
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     drive_at = (DriveSpec() if drive is None else drive).bind(params)
-    f = _rhs(params, drive_at, omega_spec)
+    f = _rhs(params, drive_at)
 
     def record(t, a, ad, x, xd):
         inv = lewis_invariant(x, xd, a, ad)
@@ -216,5 +212,5 @@ def integrate(init: ErmakovState,
                 rows.append(record(t, a, ad, x, xd))
     except (NumericalFailure, OverflowError) as exc:
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
-                               partial=_package(params, dt * stride, rows)) from exc
-    return _package(params, dt * stride, rows)
+                               partial=_package(rows)) from exc
+    return _package(rows)

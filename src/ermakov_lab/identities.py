@@ -9,16 +9,12 @@ certify, they do not prove.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import (
-    COEFF_CONSISTENT,
-    COEFF_PAPER_LITERAL,
-    PhysParams,
-)
+from .params import _VARIANTS, PhysParams
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def check_k0_gaussian(delta0: float, p: PhysParams = PhysParams()) -> float:
     d1 = _d1(a.rho, xs, h)
     d2 = _d2(a.rho, xs, h)
     d3 = _d3(a.rho, xs, h)
-    pref = p.hbar ** 2 / (4.0 * p.m ** 2)
+    pref = p.hbar_2m * p.hbar_2m
     bracket = pref * (d3 / rho - 2.0 * d1 * d2 / rho ** 2 + (d1 / rho) ** 3)
     k0 = pref / delta0 ** 4
     return float(np.max(np.abs(bracket - k0 * (xs - a.xbar))))
@@ -252,16 +248,16 @@ def check_coefficient_expansion(delta: float, deltadot: float,
         raise ConfigurationError("the expansion check needs a finite tau")
     it = p.inv_tau
     w2 = p.omega ** 2
-    k = p.hbar ** 2 / (4.0 * p.m ** 2 * delta ** 4)
+    pref = p.hbar_2m * p.hbar_2m
+    k = pref / delta ** 4
     x_drive = 0.0  # absorbed: the centroid equation cancels lambda X/m exactly
     xbarddot = -w2 * xbar - (p.lam / p.m) * x_drive
     slope_v = deltadot / delta + 0.5 * it
     xs = _chebyshev(xbar, 4.0 * delta)
     out = {}
-    for variant, c in ((COEFF_CONSISTENT, 0.25 * it * it),
-                       (COEFF_PAPER_LITERAL, 0.25 * it ** 4)):
-        deltaddot = (p.hbar ** 2 / (4.0 * p.m ** 2 * delta ** 3)
-                     - it * deltadot - (w2 + c) * delta)
+    for variant in _VARIANTS:
+        c = replace(p, coeff_variant=variant).c_tau
+        deltaddot = pref / delta ** 3 - it * deltadot - (w2 + c) * delta
         dv_dt = ((deltaddot / delta - (deltadot / delta) ** 2) * (xs - xbar)
                  - slope_v * xbardot + xbarddot)
         v = slope_v * (xs - xbar) + xbardot

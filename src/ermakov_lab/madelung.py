@@ -111,6 +111,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     if not k_max < np.pi / grid.dx:
         raise ConfigurationError(f"packet wavenumber up to {k_max:.3g} reaches the grid's "
                                  f"Nyquist limit pi/dx = {np.pi / grid.dx:.3g}")
+    if not 0 < 2.0 * np.pi * delta0 * delta0 < math.inf:
+        raise ConfigurationError(f"delta0 = {delta0:g} is out of range: 2 pi delta0^2 "
+                                 "must be positive and finite")
     x = grid.x
     u = x - xbar0
     rho = (2.0 * np.pi * delta0 ** 2) ** -0.5 * np.exp(-u * u / (2.0 * delta0 ** 2))
@@ -141,7 +144,7 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     delta = math.sqrt(var)
     return Observables(t=w.t, norm=norm, xbar=xbar, delta=delta,
                        excess_kurtosis=m4 / var ** 2 - 3.0,
-                       k_t=p.hbar ** 2 / (4.0 * p.m ** 2 * var * var))
+                       k_t=p.hbar_2m * p.hbar_2m / (var * var))
 
 
 def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
@@ -149,7 +152,7 @@ def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
     g = w.grid
     _, _, u2, var, _ = _moments(w.psi, g.x, g.dx)
     kin = -(p.hbar ** 2 / (2.0 * p.m)) * np.fft.ifft(-g.k ** 2 * np.fft.fft(w.psi))
-    pot = (0.5 * p.m * p.omega ** 2 * g.x ** 2
+    pot = (0.5 * p.m * p.omega2(w.t) * g.x ** 2
            + p.lam * g.x * d.value(w.t)) * w.psi
     sink = 0.25 * p.inv_tau * (u2 / var - 1.0) * w.psi
     return (kin + pot) / (1j * p.hbar) - sink
@@ -160,11 +163,13 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            ) -> tuple[WavePacket, list[Observables]]:
     """Strang-split evolution; returns the final packet and recorded observables.
 
-    The mean and variance entering the measurement multiplier are recomputed
-    from the current psi, after the step's opening kinetic half-step, before
-    each potential application.  The sink factor uses the exactly integrated
-    width path of the pure-sink substep (variance decaying at rate 1/tau),
-    which makes the substep norm-exact on a Gaussian; it agrees with
+    The harmonic potential is constant: a modulated p (p.eps != 0), steps < 1
+    and record_stride < 1 raise ConfigurationError.  The mean and variance
+    entering the measurement multiplier are recomputed from the current psi,
+    after the step's opening kinetic half-step, before each potential
+    application.  The sink factor uses the exactly integrated width path of
+    the pure-sink substep (variance decaying at rate 1/tau), which makes the
+    substep norm-exact on a Gaussian; it agrees with
     exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization
     is performed; norm drift is a diagnostic.
 
@@ -181,6 +186,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
+    if steps < 1 or record_stride < 1:
+        raise ConfigurationError("steps and record_stride must be >= 1")
+    if p.eps != 0.0:
+        raise ConfigurationError("evolve needs a constant omega (eps = 0)")
     g = w.grid
     cfl = p.m * g.dx ** 2 / (np.pi * p.hbar)
     if dt > cfl:
@@ -189,7 +198,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     x = g.x
     kin_half = np.exp(-1j * p.hbar * g.k ** 2 / (2.0 * p.m) * 0.5 * dt)
     kin_full = kin_half * kin_half
-    harmonic_phase = -(dt / p.hbar) * 0.5 * p.m * p.omega ** 2 * x * x
+    harmonic_phase = -(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x
     drive_phase = -(dt / p.hbar) * p.lam * x
     # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
     try:
@@ -310,7 +319,7 @@ def euler_residual(fields: MadelungFields, dv_dt: np.ndarray,
                    ) -> tuple[np.ndarray, float]:
     """Residual of the closed Euler equation; returns (r, max|r| on mask).
 
-    r = dv_dt + v dv/dx + omega^2 x + (lambda/m) X - k_t (x - xbar), with the
+    r = dv_dt + v dv/dx + omega^2(t) x + (lambda/m) X - k_t (x - xbar), with the
     quantum-force closure slope k_t = hbar^2 / (4 m^2 delta^4).  A conserving
     drive raises ConfigurationError: X is evaluated at obs.t alone.
     """
@@ -319,6 +328,6 @@ def euler_residual(fields: MadelungFields, dv_dt: np.ndarray,
         raise ConfigurationError("dv_dt does not match the field grid")
     x_drive = d.value(obs.t)
     dvdx = np.gradient(fields.v_qu, g.dx)
-    r = (dv_dt + fields.v_qu * dvdx + p.omega ** 2 * g.x
+    r = (dv_dt + fields.v_qu * dvdx + p.omega2(obs.t) * g.x
          + (p.lam / p.m) * x_drive - obs.k_t * (g.x - obs.xbar))
     return r, float(np.max(np.abs(r[fields.valid_mask])))

@@ -1,4 +1,4 @@
-"""Physical parameters, frequency schedules, and classical drives.
+"""Physical parameters and classical drives.
 
 All quantities default to the nondimensional convention hbar = m = 1; every
 constant remains an explicit field so dimensional runs stay possible.
@@ -25,11 +25,13 @@ _VARIANTS = (COEFF_CONSISTENT, COEFF_PAPER_LITERAL)
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Physical constants of the measured oscillator.
+    """Physical constants of the measured oscillator, and the one home of the
+    coefficients the solvers read: omega2(t), hbar_2m and c_tau.
 
     m, hbar > 0 and omega >= 0, all finite; lam finite; tau > 0 (math.inf
     switches the measurement off); coeff_variant selects 1/(4 tau^2) vs
-    1/(4 tau^4) in the width equation.
+    1/(4 tau^4) in the width equation; |eps| < 1 and omega_m modulate the
+    frequency, omega2(t) = omega^2 (1 + eps sin(omega_m t)).
     """
 
     m: float = 1.0
@@ -38,6 +40,8 @@ class PhysParams:
     lam: float = 0.0
     tau: float = TAU_INFINITE
     coeff_variant: str = COEFF_CONSISTENT
+    eps: float = 0.0
+    omega_m: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.m < math.inf):
@@ -54,6 +58,19 @@ class PhysParams:
             raise ConfigurationError(
                 f"coeff_variant must be one of {_VARIANTS}, got {self.coeff_variant!r}"
             )
+        if not (abs(self.eps) < 1):
+            raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
+
+    def omega2(self, t: float) -> float:
+        """The squared frequency omega^2 (1 + eps sin(omega_m t)) at time t."""
+        if self.eps == 0.0:
+            return self.omega * self.omega
+        return self.omega * self.omega * (1.0 + self.eps * math.sin(self.omega_m * t))
+
+    @property
+    def hbar_2m(self) -> float:
+        """hbar/(2m): the physical width is sqrt(hbar/2m) alpha."""
+        return self.hbar / (2.0 * self.m)
 
     @property
     def inv_tau(self) -> float:
@@ -67,26 +84,6 @@ class PhysParams:
         if self.coeff_variant == COEFF_CONSISTENT:
             return 0.25 * it * it
         return 0.25 * it ** 4
-
-
-@dataclass(frozen=True)
-class OmegaSpec:
-    """Time-dependent frequency omega^2(t) = omega0^2 (1 + eps sin(omega_m t))."""
-
-    omega0: float = 1.0
-    eps: float = 0.0
-    omega_m: float = 0.0
-
-    def __post_init__(self):
-        if not (self.omega0 >= 0):
-            raise ConfigurationError("omega0 must be non-negative")
-        if not (abs(self.eps) < 1):
-            raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
-
-    def omega2(self, t: float) -> float:
-        if self.eps == 0.0:
-            return self.omega0 * self.omega0
-        return self.omega0 * self.omega0 * (1.0 + self.eps * math.sin(self.omega_m * t))
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,18 @@ class TestConfigValidation:
                      "packet wavenumber up to 4e+200", id="run-pde-tiny-tau"),
         pytest.param("run", "pde", {**GRID_128, "init.delta0": 1e200},
                      "packet must sit at least 8*delta0", id="run-pde-huge-delta0"),
+        # the default grid xbar0 -+ 16 delta0 holds the packet, which tau = inf leaves
+        # at rest, but its density (2 pi delta0^2)^(-1/2) is not representable
+        pytest.param("run", "pde", {"numerics.grid.n": 128, "params.tau": "inf",
+                                    "init.delta0": 1e200, "numerics.dt": 0.0125,
+                                    "numerics.t_end": 0.1},
+                     "delta0 = 1e+200 is out of range", id="run-pde-huge-delta0-no-sink"),
+        # m/hbar = 1e200 puts the 1/(2 tau) phase curvature beyond any grid
+        pytest.param("run", "pde", {"params.m": 1e200},
+                     "packet wavenumber up to 2e+200", id="run-pde-huge-m"),
+        # omega is params.omega; omega_spec only modulates it
+        pytest.param("run", "ode", {"omega_spec.omega0": 3.0},
+                     "unknown config key 'omega_spec.omega0'", id="run-ode-omega0"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -200,6 +212,40 @@ class TestConfigValidation:
         assert needle in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("param, values, needle", [
+        ("numerics.grid.n", "128,32", "grid needs at least 64 points"),
+        ("init.xbardot0", "0,100", "Nyquist limit"),
+        ("numerics.grid.x_max", "17,5", "packet must sit at least 8*delta0"),
+    ])
+    def test_sweep_refuses_bad_grid_or_packet_before_running(self, tmp_path, capsys,
+                                                             param, values, needle):
+        cfg = {"mode": "pde", "params": {"tau": 2.0}, "init": {"xbar0": 1.0},
+               "numerics": {"dt": 0.0125, "t_end": 0.1,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(tmp_path / "out")}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", path, "--param", param, "--values", values]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert needle in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
+    def test_huge_mass_runs(self, tmp_path, capsys, mode):
+        # hbar/2m = 5e-201: the width scale sqrt(hbar/2m) and k_t = (hbar/2m)^2 / delta^4
+        # are computed without forming m^2
+        out = tmp_path / "out"
+        cfg = {"mode": mode, "params": {"tau": "inf", "m": 1e200},
+               "numerics": {"dt": 0.0125, "t_end": 0.1},
+               "output": {"directory": str(out)}}
+        if mode != "ode":
+            cfg["numerics"]["grid"] = {"n": 128}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        csv = {"ode": "trajectory.csv", "pde": "observables.csv", "compare": "compare.csv"}
+        header, data = read_csv(out / csv[mode])
+        assert np.all(np.isfinite(data))
+
 
 class TestOdeMode:
     def test_conserving_drive_invariant_column(self, tmp_path):
@@ -213,7 +259,7 @@ class TestOdeMode:
     def test_classical_system(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_ode_config(out, system="classical",
-                              omega_spec={"omega0": 1.0, "eps": 0.1, "omega_m": 1.0})
+                              omega_spec={"eps": 0.1, "omega_m": 1.0})
         cfg["params"] = {"tau": "inf"}
         cfg["drive"] = {"kind": "zero"}
         cfg["init"] = {"q0": 1.0, "qdot0": 0.0, "alpha0": 1.0, "alphadot0": 0.0}
@@ -274,15 +320,26 @@ class TestOdeMode:
     def test_omega_spec_is_honoured(self, tmp_path):
         plain = self.omega_spec_run(tmp_path, "plain")
         modulated = self.omega_spec_run(tmp_path, "modulated",
-                                        {"omega0": 1.0, "eps": 0.5, "omega_m": 2.0})
+                                        {"eps": 0.5, "omega_m": 2.0})
         assert modulated != plain
         header, data = read_csv(tmp_path / "modulated" / "trajectory.csv")
         analytic = data[1:-1, header.index("dIdt_analytic")]
         fd = data[1:-1, header.index("dIdt_numeric")]
         assert np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)) < 1e-4
         # a constant schedule at params.omega is the same run as none at all
-        assert self.omega_spec_run(tmp_path, "constant", {"omega0": 1.0, "eps": 0.0}) \
+        assert self.omega_spec_run(tmp_path, "constant", {"eps": 0.0}) \
             == plain
+
+    def test_omega_spec_modulates_params_omega(self, tmp_path):
+        spec = {"eps": 0.5, "omega_m": 2.0}
+        runs = []
+        for omega in (1.0, 3.0):
+            cfg = base_ode_config(tmp_path / f"w{omega:g}", params={"tau": 2.0, "omega": omega},
+                                  drive={"kind": "zero"}, omega_spec=spec)
+            assert main(["run", write_config(tmp_path / f"w{omega:g}.json", cfg)]) == 0
+            header, data = read_csv(tmp_path / f"w{omega:g}" / "trajectory.csv")
+            runs.append(data[:, header.index("xbar")])
+        assert not np.array_equal(runs[0], runs[1])
 
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

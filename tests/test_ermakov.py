@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ermakov_lab import (
     DriveSpec,
     ErmakovState,
-    OmegaSpec,
     PhysParams,
     alpha_from_delta,
     delta_from_alpha,
@@ -33,24 +32,24 @@ SINUSOID = DriveSpec(kind="sinusoid", x0=1.0, freq=0.7)
 class TestClassicalRhs:
     def test_unit_stationary(self):
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
-        assert measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec(1)) == (0.0, -1.0)
+        assert measurement_rhs(s, P_CLASSICAL, ZERO) == (0.0, -1.0)
 
     def test_free_amplitude(self):
         s = ErmakovState(0, alpha=2, alphadot=0, xbar=0, xbardot=1)
-        add, xdd = measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec(0))
+        add, xdd = measurement_rhs(s, PhysParams(tau=math.inf, omega=0.0), ZERO)
         assert xdd == 0.0
         assert add == pytest.approx(0.125)
 
     def test_modulated_at_zero(self):
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
-        w = OmegaSpec(1.0, 0.1, 1.0)
-        add, xdd = measurement_rhs(s, P_CLASSICAL, ZERO, w)
+        p = PhysParams(tau=math.inf, eps=0.1, omega_m=1.0)
+        add, xdd = measurement_rhs(s, p, ZERO)
         assert (xdd, add) == (pytest.approx(-1.0), pytest.approx(0.0))
 
     def test_nonfinite_rejected(self):
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=math.nan, xbardot=0)
         with pytest.raises(NumericalFailure, match="non-finite state"):
-            measurement_rhs(s, P_CLASSICAL, ZERO, OmegaSpec(1))
+            measurement_rhs(s, P_CLASSICAL, ZERO)
 
 
 class TestLewisInvariant:
@@ -95,9 +94,9 @@ class TestMeasurementRhs:
         # 1/tau = 0, lambda = 0 gives exactly q'' = -w2 q, alpha'' = 1/alpha^3 - w2 alpha
         p = PhysParams(tau=math.inf, lam=0.0, omega=1.3)
         s = ErmakovState(0.7, alpha, alphadot, xbar, xbardot)
-        w = OmegaSpec(1.3, 0.1, 1.0)
-        for spec, w2 in ((None, 1.3 * 1.3), (w, w.omega2(0.7))):
-            add, xdd = measurement_rhs(s, p, ZERO, spec)
+        modulated = PhysParams(tau=math.inf, lam=0.0, omega=1.3, eps=0.1, omega_m=1.0)
+        for q, w2 in ((p, 1.3 * 1.3), (modulated, modulated.omega2(0.7))):
+            add, xdd = measurement_rhs(s, q, ZERO)
             assert add == 1.0 / alpha ** 3 - w2 * alpha
             assert xdd == -w2 * xbar
 
@@ -209,16 +208,13 @@ class TestIntegrate:
     def test_classical_closed_form(self):
         # omega = 1 from (1, 0, 1, 0): q = cos t, alpha = 1, I = 0.5
         p = PhysParams(tau=math.inf)
-        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                         omega_spec=OmegaSpec(1.0), t_end=50, dt=1e-3)
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p, t_end=50, dt=1e-3)
         assert np.max(np.abs(traj.invariant - 0.5)) < 5e-7
         assert np.max(np.abs(traj.x - np.cos(traj.t))) < 1e-9
 
     def test_modulated_invariant_drift(self):
-        p = PhysParams(tau=math.inf)
-        w = OmegaSpec(1.0, 0.1, 1.0)
-        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
-                         omega_spec=w, t_end=50, dt=1e-3)
+        p = PhysParams(tau=math.inf, eps=0.1, omega_m=1.0)
+        traj = integrate(ErmakovState(0, 1, 0, 1, 0), p, t_end=50, dt=1e-3)
         inv = traj.invariant
         assert (inv.max() - inv.min()) / inv[0] < 1e-6
 

@@ -378,6 +378,18 @@ class TestEvolve:
             evolve(w, PhysParams(tau=1e-200), ZERO, g.dx ** 2 / np.pi, 5)
         assert exc.value.partial == []
 
+    @pytest.mark.parametrize("steps, record_stride", [(5, 0), (-3, 1), (0, 1)])
+    def test_refuses_bad_step_counts(self, steps, record_stride):
+        w = gaussian_packet(Grid(1 - 16, 1 + 16, 128), 1.0, 1.0, p=P_FREE)
+        with pytest.raises(ConfigurationError, match="steps and record_stride must be >= 1"):
+            evolve(w, P_FREE, ZERO, 1e-3, steps, record_stride=record_stride)
+
+    def test_refuses_modulated_omega(self):
+        w = gaussian_packet(Grid(1 - 16, 1 + 16, 128), 1.0, 1.0, p=P_FREE)
+        p = PhysParams(tau=math.inf, eps=0.1, omega_m=1.0)
+        with pytest.raises(ConfigurationError, match="constant omega"):
+            evolve(w, p, ZERO, 1e-3, 5)
+
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)

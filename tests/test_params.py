@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from ermakov_lab import DriveSpec, OmegaSpec, PhysParams, TAU_INFINITE
+from ermakov_lab import DriveSpec, PhysParams, TAU_INFINITE
 from ermakov_lab.errors import ConfigurationError
 
 CONSERVING = DriveSpec(kind="conserving")
@@ -46,18 +46,20 @@ class TestPhysParams:
 
 
 class TestOmegaSpec:
+    """The omega_spec modulation, PhysParams' eps and omega_m."""
+
     def test_constant(self):
-        w = OmegaSpec(2.0)
-        assert w.omega2(17.3) == 4.0
+        p = PhysParams(omega=2.0)
+        assert p.omega2(17.3) == 4.0
 
     def test_sinusoidal(self):
-        w = OmegaSpec(1.0, 0.1, 1.0)
-        assert w.omega2(0.0) == pytest.approx(1.0)
-        assert w.omega2(math.pi / 2) == pytest.approx(1.1)
+        p = PhysParams(omega=1.0, eps=0.1, omega_m=1.0)
+        assert p.omega2(0.0) == pytest.approx(1.0)
+        assert p.omega2(math.pi / 2) == pytest.approx(1.1)
 
     def test_modulation_depth_bound(self):
         with pytest.raises(ConfigurationError):
-            OmegaSpec(1.0, 1.0, 1.0)
+            PhysParams(omega=1.0, eps=1.0, omega_m=1.0)
 
 
 class TestDriveSpec:
