@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner.
 
 Subcommands:
-  run <config.json>                      execute the mode named in the config
+  run <config.json>                      execute the mode (ode, pde or compare) it names
   sweep <config.json> --param P --values CSV   fan out over one numeric field
-  verify <config.json>                   run the ten acceptance criteria
+  verify <config.json>                   run the ten acceptance criteria; the config
+                                         is one run accepts, echoed into report.json
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
@@ -25,7 +26,7 @@ from . import __version__
 from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, PhysParams
-from .ermakov import ErmakovState, delta_from_alpha, integrate
+from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
 from .madelung import Grid, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
@@ -76,7 +77,6 @@ def _one_of(*choices):
 
 
 _REQUIRED = object()
-_RUN = {"mode": ("ode", "pde", "compare")}
 _ODE = {"mode": ("ode",)}
 _PDE = {"mode": ("pde", "compare")}
 
@@ -85,8 +85,8 @@ _PDE = {"mode": ("pde", "compare")}
 #: under which the key is read (an empty reader: read in every mode); a key
 #: read under a field is read only where that field is read itself.
 _FIELDS = {
-    "mode": (_one_of(*_RUN["mode"], "verify"), _REQUIRED, {}),
-    "system": (_one_of("measurement", "classical"), "measurement", _RUN),
+    "mode": (_one_of("ode", "pde", "compare"), _REQUIRED, {}),
+    "system": (_one_of("measurement", "classical"), "measurement", {}),
     "params.m": (_number, 1.0, {}),
     "params.hbar": (_number, 1.0, {}),
     "params.omega": (_number, 1.0, {}),
@@ -95,26 +95,26 @@ _FIELDS = {
     "params.coeff_variant": (_one_of(*_VARIANTS), COEFF_CONSISTENT, {}),
     "omega_spec.eps": (_number, 0.0, _ODE),
     "omega_spec.omega_m": (_number, 0.0, _ODE),
-    "drive.kind": (_one_of(*DriveSpec._KINDS), "zero", _RUN),
+    "drive.kind": (_one_of(*DriveSpec._KINDS), "zero", {}),
     "drive.x0": (_number, 0.0, {"drive.kind": ("constant", "sinusoid")}),
     "drive.freq": (_number, 0.0, {"drive.kind": ("sinusoid",)}),
     "drive.phase": (_number, 0.0, {"drive.kind": ("sinusoid",)}),
     "drive.table": (_pairs, (), {"drive.kind": ("tabulated",)}),
-    "init.delta0": (_number, 1.0, _RUN),
-    "init.width_rate0": (_number, 0.0, _RUN),
+    "init.delta0": (_number, 1.0, {}),
+    "init.width_rate0": (_number, 0.0, {}),
     "init.alpha0": (_number, 1.0, _ODE),
     "init.alphadot0": (_number, 0.0, _ODE),
     "init.xbar0": (_number, 1.0, {"system": ("measurement",)}),
     "init.xbardot0": (_number, 0.0, {"system": ("measurement",)}),
     "init.q0": (_number, 1.0, {"system": ("classical",)}),
     "init.qdot0": (_number, 0.0, {"system": ("classical",)}),
-    "numerics.dt": (_number, 1e-3, _RUN),
-    "numerics.t_end": (_number, 10.0, _RUN),
+    "numerics.dt": (_number, 1e-3, {}),
+    "numerics.t_end": (_number, 10.0, {}),
     "numerics.grid.x_min": (_number, lambda r: r["init.xbar0"] - 16 * r["init.delta0"], _PDE),
     "numerics.grid.x_max": (_number, lambda r: r["init.xbar0"] + 16 * r["init.delta0"], _PDE),
     "numerics.grid.n": (_whole, 1024, _PDE),
     "output.directory": (_text, "out", {}),
-    "output.stride": (_whole, 1, _RUN),
+    "output.stride": (_whole, 1, {}),
     "output.snapshots": (_one_of(False, True), False, {"mode": ("pde",)}),
 }
 
@@ -177,9 +177,8 @@ def resolve(cfg: dict) -> dict:
         else:
             r[key] = default(r) if callable(default) else default
     r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
-    p = _build(r)[0]
-    if r["drive.kind"] == "conserving" and p.lam == 0:
-        raise ConfigurationError("conserving drive requires lambda != 0")
+    p, d = _build(r)
+    d.bind(p)  # a conserving drive refuses lambda = 0
     _steps(r)
     if r["output.stride"] < 1:
         raise ConfigurationError("output.stride must be >= 1")
@@ -242,12 +241,7 @@ def _steps(r: dict) -> int:
     if not (dt > 0 and t_end > 0 and math.isfinite(t_end / dt)):
         raise ConfigurationError("numerics.dt and numerics.t_end must be positive "
                                  "and their ratio finite")
-    n = t_end / dt
-    steps = round(n)
-    if abs(n - steps) > 1e-9 * n:
-        raise ConfigurationError(f"numerics.t_end / numerics.dt = {n:.10g} "
-                                 "is not a whole number of steps")
-    return steps
+    return _whole_steps(t_end, dt, "numerics.t_end / numerics.dt")
 
 
 def write_csv(path: Path, columns: list[str], rows) -> None:
@@ -324,7 +318,7 @@ def run_compare(r: dict) -> int:
 
 def run_verify(r: dict, scenario: dict) -> int:
     """Run every row of the acceptance criteria, which pin their own parameters;
-    exit 3 if any fails.  The config, only validated, is echoed into report.json."""
+    exit 3 if any fails.  The config, only validated, is echoed as given into report.json."""
     t0 = time.perf_counter()
     checks = [{"name": name, "value": value, "tolerance": bound, "pass": passed}
               for criterion in CRITERIA
@@ -345,12 +339,13 @@ def run_verify(r: dict, scenario: dict) -> int:
     return 0 if report["all_pass"] else 3
 
 
-def _run_mode(cfg: dict, r: dict) -> int:
-    """Run the resolved config r of cfg; a numerical failure is one stderr line and exit 2."""
+_MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare}
+
+
+def _run_mode(run, *args) -> int:
+    """run(*args); a numerical failure is one stderr line and exit 2."""
     try:
-        if r["mode"] == "verify":
-            return run_verify(r, cfg)
-        return {"ode": run_ode, "pde": run_pde, "compare": run_compare}[r["mode"]](r)
+        return run(*args)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -368,8 +363,10 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
     """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
-    return the worst exit code.  Every value is resolved before the first run, so a
-    bad value, or two that would write one directory, is a config error that runs nothing."""
+    return the worst exit code.  Every value is resolved before the first run, so no value,
+    a bad one, or two that would write one directory, is a config error that runs nothing."""
+    if not values:
+        raise ConfigurationError("--values lists no value")
     base_cfg = load_config(config_path)
     leaf = parameter.split(".")[-1]
     runs = {}
@@ -379,11 +376,11 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
         r = resolve(cfg)
         name = f"{leaf}_{v:g}"
         if name in runs:
-            raise ConfigurationError(f"--values {runs[name][2]!r} and {v!r} "
+            raise ConfigurationError(f"--values {runs[name][1]!r} and {v!r} "
                                      f"would both write {name}")
         r["output.directory"] = str(Path(r["output.directory"]) / name)
-        runs[name] = (cfg, r, v)
-    return max((_run_mode(cfg, r) for cfg, r, _ in runs.values()), default=0)
+        runs[name] = (r, v)
+    return max(_run_mode(_MODES[r["mode"]], r) for r, _ in runs.values())
 
 
 def main(argv=None) -> int:
@@ -411,10 +408,10 @@ def main(argv=None) -> int:
                 raise ConfigurationError("--values must be comma-separated numbers") from None
             return sweep(args.config, args.param, values)
         cfg = load_config(args.config)
-        r = resolve(cfg)  # a verify config is validated as the mode it names
+        r = resolve(cfg)
         if args.command == "verify":
-            cfg["mode"] = r["mode"] = "verify"
-        return _run_mode(cfg, r)
+            return _run_mode(run_verify, r, cfg)
+        return _run_mode(_MODES[r["mode"]], r)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

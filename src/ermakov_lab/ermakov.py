@@ -128,6 +128,15 @@ class Trajectory:
         return np.gradient(self.invariant, self.t)
 
 
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """span / dt, or the ConfigurationError `<name> = <ratio> is not a whole number of
+    steps` unless that ratio is finite and within 1e-9 (relative) of a whole number."""
+    n = span / dt
+    if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n):
+        raise ConfigurationError(f"{name} = {n:.10g} is not a whole number of steps")
+    return round(n)
+
+
 def _package(rows):
     cols = np.array(rows, dtype=float).reshape(-1, 9).T
     return Trajectory(t=cols[0], alpha=cols[1], alphadot=cols[2],
@@ -146,9 +155,10 @@ def integrate(init: ErmakovState,
     drive defaults to zero; omega^2(t) is params.omega2, constant unless
     params.eps != 0.  The classical pair is params.tau = inf, params.lam = 0
     with a zero drive.
-    Records every `stride` steps, always including the initial and final
-    states; when (t_end - t0)/dt is not within 1e-9 of a whole number, the
-    last step is shortened to end at t_end.
+    Runs whole steps of dt only: (t_end - t0)/dt not within 1e-9 (relative)
+    of a whole number is a ConfigurationError, as the CLI refuses such a
+    numerics.t_end.  Records every `stride` steps, always including the
+    initial and final states.
 
     The drive and the constants are resolved once per call and
     the step runs on four plain floats.  Each RK4 stage checks only its own
@@ -163,6 +173,7 @@ def integrate(init: ErmakovState,
         raise ConfigurationError("t_end must exceed the initial time")
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
+    n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
     drive_at = (DriveSpec() if drive is None else drive).bind(params)
     f = _rhs(params, drive_at)
 
@@ -173,21 +184,14 @@ def integrate(init: ErmakovState,
         rate = _rate(a, ad, x, xd, params, x_t) + 0.0
         return (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
 
-    n = (t_end - init.t) / dt
-    ragged = abs(n - round(n)) > 1e-9 * n
-    n_steps = math.floor(n) + 1 if ragged else round(n)
     t = init.t
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
     rows = []
-    h = dt
+    half, sixth = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
     try:
         rows.append(record(t, a, ad, x, xd))
         for i in range(n_steps):
-            t_next = init.t + (i + 1) * dt
-            if ragged and i == n_steps - 1:
-                h, t_next = t_end - t, t_end
-            half, sixth = 0.5 * h, h / 6.0
             # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd
             add1, xdd1 = f(t, a, ad, x, xd)
             a2, ad2 = a + half * ad, ad + half * add1
@@ -196,14 +200,14 @@ def integrate(init: ErmakovState,
             a3, ad3 = a + half * ad2, ad + half * add2
             x3, xd3 = x + half * xd2, xd + half * xdd2
             add3, xdd3 = f(t + half, a3, ad3, x3, xd3)
-            a4, ad4 = a + h * ad3, ad + h * add3
-            x4, xd4 = x + h * xd3, xd + h * xdd3
-            add4, xdd4 = f(t + h, a4, ad4, x4, xd4)
+            a4, ad4 = a + dt * ad3, ad + dt * add3
+            x4, xd4 = x + dt * xd3, xd + dt * xdd3
+            add4, xdd4 = f(t + dt, a4, ad4, x4, xd4)
             a, ad, x, xd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
                             ad + sixth * (add1 + 2 * add2 + 2 * add3 + add4),
                             x + sixth * (xd + 2 * xd2 + 2 * xd3 + xd4),
                             xd + sixth * (xdd1 + 2 * xdd2 + 2 * xdd3 + xdd4))
-            t = t_next
+            t = init.t + (i + 1) * dt
             if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
                 raise NumericalFailure(f"non-finite state at t={t}")
             if a < ALPHA_MIN:  # the stages check only their own alpha

@@ -65,23 +65,15 @@ class AnsatzSlice:
         return slope * u + self.xbardot
 
 
-def _simpson(f: np.ndarray, h: float) -> float:
-    """Composite Simpson rule on uniform samples f with step h.
-
-    With an odd number of intervals the last one takes the three-point
-    quadratic h/12 (5 f_N + 8 f_{N-1} - f_{N-2}).
-    """
-    if len(f) % 2 == 0:
-        return _simpson(f[:-1], h) + h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] - f[-3])
-    return h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
-
-
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     """Running integral of uniform samples f with step h, starting at 0.
 
     Each interval integrates the quadratic through three neighbouring
     samples: forward h/12 (5 f_i + 8 f_{i+1} - f_{i+2}) on even intervals,
     backward h/12 (5 f_{i+1} + 8 f_i - f_{i-1}) on odd ones and on the last.
+    A forward/backward pair sums to Simpson's panel h/3 (f_i + 4 f_{i+1} + f_{i+2}),
+    so the last entry is the composite Simpson integral, its odd last interval
+    (for an even number of samples) taking the backward quadratic.
     """
     parts = np.empty(len(f) - 1)
     parts[1:] = h / 12.0 * (5.0 * f[2:] + 8.0 * f[1:-1] - f[:-2])
@@ -189,7 +181,7 @@ def check_decomposition_integrals(a: AnsatzSlice) -> tuple[float, float, float]:
                              retstep=True)
     u = grid - a.xbar
     integrand3 = (-u * u / (2.0 * a.tau * d ** 2) + 1.0 / (2.0 * a.tau)) * w * a.rho(grid)
-    res3 = float(abs(_simpson(integrand3, step)))
+    res3 = float(abs(_cumulative_simpson(integrand3, step)[-1]))
     return res1, res2, res3
 
 
@@ -242,7 +234,9 @@ def check_coefficient_expansion(delta: float, deltadot: float,
     from the closed-form velocity field, substituting the width acceleration
     from the reduced width equation under each coefficient variant and the
     centroid acceleration from the centroid equation, then returns the
-    magnitude of the surviving (x - xbar) slope per variant.
+    magnitude of the surviving (x - xbar) slope per variant.  The drive X
+    drops out: the centroid acceleration -omega^2 xbar - (lambda/m) X enters
+    d(v)/dt and cancels the balance's (lambda/m) X exactly, so neither is formed.
     """
     if p.inv_tau == 0.0:
         raise ConfigurationError("the expansion check needs a finite tau")
@@ -250,8 +244,7 @@ def check_coefficient_expansion(delta: float, deltadot: float,
     w2 = p.omega ** 2
     pref = p.hbar_2m * p.hbar_2m
     k = pref / delta ** 4
-    x_drive = 0.0  # absorbed: the centroid equation cancels lambda X/m exactly
-    xbarddot = -w2 * xbar - (p.lam / p.m) * x_drive
+    xbarddot = -w2 * xbar
     slope_v = deltadot / delta + 0.5 * it
     xs = _chebyshev(xbar, 4.0 * delta)
     out = {}
@@ -261,8 +254,7 @@ def check_coefficient_expansion(delta: float, deltadot: float,
         dv_dt = ((deltaddot / delta - (deltadot / delta) ** 2) * (xs - xbar)
                  - slope_v * xbardot + xbarddot)
         v = slope_v * (xs - xbar) + xbardot
-        lhs = (dv_dt + v * slope_v + w2 * xs + (p.lam / p.m) * x_drive
-               - k * (xs - xbar))
+        lhs = dv_dt + v * slope_v + w2 * xs - k * (xs - xbar)
         slope, intercept = np.polyfit(xs - xbar, lhs, 1)
         out[variant] = float(max(abs(slope), abs(intercept) / (4.0 * delta)))
     return out

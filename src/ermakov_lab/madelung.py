@@ -100,7 +100,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     The phase is chosen so that v_qu(x, 0) = (width_rate0/delta0 + 1/(2 tau))
     (x - xbar0) + xbardot0.  Its wavenumber (m/hbar) v_qu must stay below the
     grid's Nyquist limit pi/dx on the packet's support |x - xbar0| <= 8 delta0,
-    or the phase would alias.
+    or the phase would alias.  The grid's span (x_max - x_min)^4 must be
+    finite, which keeps the fourth moment of `observables` finite, and
+    delta0 >= dx, below which the samples miss the packet's width and norm.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -114,6 +116,11 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     if not 0 < 2.0 * np.pi * delta0 * delta0 < math.inf:
         raise ConfigurationError(f"delta0 = {delta0:g} is out of range: 2 pi delta0^2 "
                                  "must be positive and finite")
+    span = grid.x_max - grid.x_min
+    if not math.isfinite(span * span * span * span):
+        raise ConfigurationError(f"grid span x_max - x_min = {span:g} is out of range")
+    if delta0 < grid.dx:
+        raise ConfigurationError(f"delta0 = {delta0:g} is below the grid spacing {grid.dx:g}")
     x = grid.x
     u = x - xbar0
     rho = (2.0 * np.pi * delta0 ** 2) ** -0.5 * np.exp(-u * u / (2.0 * delta0 ** 2))
@@ -240,13 +247,12 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     return WavePacket(grid=g, psi=psi, t=t), obs
 
 
-def madelung_decompose(w: WavePacket, p: PhysParams,
-                       rho_floor: float = RHO_FLOOR) -> MadelungFields:
+def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:
     """Polar decomposition psi = sqrt(rho) e^{iS} and hydrodynamic fields.
 
     S is unwrapped cumulatively outward from the grid point nearest the
     density mean; v_qu = (hbar/m) dS/dx by central differences; V_qu is the
-    Bohm potential, evaluated only where rho >= rho_floor * max(rho).
+    Bohm potential, evaluated only where rho >= RHO_FLOOR * max(rho).
     """
     g = w.grid
     _, xbar, _, _, rho = _moments(w.psi, g.x, g.dx)
@@ -257,7 +263,7 @@ def madelung_decompose(w: WavePacket, p: PhysParams,
     S[:i0 + 1] = np.unwrap(theta[i0::-1])[::-1]
     v_qu = (p.hbar / p.m) * np.gradient(S, g.dx)
     sq = np.sqrt(rho)
-    mask = rho >= rho_floor * rho.max()
+    mask = rho >= RHO_FLOOR * rho.max()
     V_qu = np.full_like(rho, np.nan)
     curv = _d2_periodic(sq, g.dx)
     V_qu[mask] = -(p.hbar ** 2 / (2.0 * p.m)) * curv[mask] / sq[mask]
@@ -265,14 +271,9 @@ def madelung_decompose(w: WavePacket, p: PhysParams,
                           valid_mask=mask)
 
 
-@dataclass(frozen=True)
-class LinearityReport:
-    k_est: float
-    max_rel_dev: float
-
-
-def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> LinearityReport:
-    """Least-squares slope of the quantum force F = -(1/m) dV_qu/dx vs (x - xbar).
+def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> tuple[float, float]:
+    """(k_est, max_rel_dev): the least-squares slope of the quantum force
+    F = -(1/m) dV_qu/dx against (x - xbar), and the largest deviation from it.
 
     The fit and the deviation maximum are restricted to |x - xbar| <= 4 delta
     inside the valid mask; deviations are relative to max|F| on that window.
@@ -294,7 +295,7 @@ def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> LinearityReport
     Fw = F[sel]
     k_est = float(np.sum(Fw * s) / np.sum(s * s))
     dev = np.max(np.abs(Fw - k_est * s)) / np.max(np.abs(Fw))
-    return LinearityReport(k_est=k_est, max_rel_dev=float(dev))
+    return k_est, float(dev)
 
 
 def continuity_residual(fields: MadelungFields, drho_dt: np.ndarray,

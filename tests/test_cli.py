@@ -89,8 +89,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, mode, fields, message", [
         pytest.param("run", "pde", {"params.tau": -1.0}, "tau must be positive",
                      id="run-pde"),
-        pytest.param("verify", "verify", {"params.tau": -1.0}, "tau must be positive",
-                     id="verify-verify"),
+        pytest.param("verify", "ode", {"params.tau": -1.0}, "tau must be positive",
+                     id="verify-ode"),
+        # verify is a subcommand, not a mode
+        pytest.param("run", "verify", {}, "mode must be one of 'ode', 'pde', 'compare'",
+                     id="run-verify-mode"),
+        pytest.param("verify", "verify", {}, "mode must be one of 'ode', 'pde', 'compare'",
+                     id="verify-verify-mode"),
         pytest.param("run", "ode", {"init.delta0": -1.0}, "init.delta0 must be positive",
                      id="run-ode-delta0"),
         pytest.param("run", "pde", {"numerics.dt": "x"}, "numerics.dt must be a number",
@@ -179,6 +184,27 @@ class TestConfigValidation:
                                     "init.delta0": 1e200, "numerics.dt": 0.0125,
                                     "numerics.t_end": 0.1},
                      "delta0 = 1e+200 is out of range", id="run-pde-huge-delta0-no-sink"),
+        # span^4 of the default grid xbar0 -+ 16 delta0 overflows: at 1e150 the
+        # variance's square did, and at 1e76 the fourth moment was inf
+        pytest.param("run", "pde", {"numerics.grid.n": 128, "params.tau": "inf",
+                                    "init.delta0": 1e150, "numerics.dt": 0.0125,
+                                    "numerics.t_end": 0.1},
+                     "grid span x_max - x_min = 3.2e+151 is out of range",
+                     id="run-pde-huge-delta0-span"),
+        pytest.param("run", "pde", {"numerics.grid.n": 128, "params.tau": "inf",
+                                    "init.delta0": 1e76, "numerics.dt": 0.0125,
+                                    "numerics.t_end": 0.1},
+                     "grid span x_max - x_min = 3.2e+77 is out of range",
+                     id="run-pde-inf-kurtosis"),
+        # dx = 0.25: 1e-3 had zero sampled variance, 0.1 a norm of 1.085
+        pytest.param("run", "pde", {**GRID_128, "params.tau": "inf", "init.delta0": 1e-3,
+                                    "numerics.dt": 0.0125, "numerics.t_end": 0.1},
+                     "delta0 = 0.001 is below the grid spacing 0.25",
+                     id="run-pde-narrow-delta0"),
+        pytest.param("run", "pde", {**GRID_128, "params.tau": "inf", "init.delta0": 0.1,
+                                    "numerics.dt": 0.0125, "numerics.t_end": 0.1},
+                     "delta0 = 0.1 is below the grid spacing 0.25",
+                     id="run-pde-under-resolved-delta0"),
         # m/hbar = 1e200 puts the 1/(2 tau) phase curvature beyond any grid
         pytest.param("run", "pde", {"params.m": 1e200},
                      "packet wavenumber up to 2e+200", id="run-pde-huge-m"),
@@ -203,6 +229,7 @@ class TestConfigValidation:
         ("params.tau", "-1", "tau must be positive"),
         ("params.tau", "0.5,0.5000001", "would both write tau_0.5"),
         ("params.lambda", "1,0", "conserving drive requires lambda != 0"),
+        ("params.tau", " , ", "--values lists no value"),
     ])
     def test_sweep_rejects_bad_values(self, tmp_path, capsys, param, values, needle):
         path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
@@ -446,7 +473,7 @@ class TestVerifyMode:
         code, report = self.verify(tmp_path, monkeypatch,
                                    (fake_criterion("good", 1.0, 2.0),))
         assert code == 0 and report["all_pass"]
-        assert report["scenario"]["mode"] == "verify"
+        assert report["scenario"]["mode"] == "ode"
         assert report["scenario"]["params"]["tau"] == 2.0
         assert report["checks"] == [
             {"name": "good", "value": 1.0, "tolerance": 2.0, "pass": True}]
@@ -482,3 +509,13 @@ class TestSweep:
                      "--values", "2,1,0.5"]) == 0
         for d in dirs:
             assert (out / d / "trajectory.csv").read_bytes() == first[d]
+
+    def test_refuses_verify_mode(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = {"mode": "verify", "params": {"tau": 2.0}, "output": {"directory": str(out)}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: mode must be one of 'ode', 'pde', 'compare', "
+                       "got 'verify'"]
+        assert not out.exists()

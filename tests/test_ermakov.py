@@ -247,16 +247,17 @@ class TestIntegrate:
         assert np.all(dts > 0)
         assert np.allclose(dts, dts[0])
 
-    def test_ends_at_t_end_with_a_short_last_step(self):
+    @pytest.mark.parametrize("t0, t_end, dt, ratio", [
+        (0.0, 1.0, 0.3, "3.333333333"),
+        (0.5, 1.0, 0.3, "1.666666667"),
+        (0.0, 1.0, 3.0, "0.3333333333"),  # less than one step
+        (0.0, math.inf, 0.1, "inf"),
+    ])
+    def test_refuses_a_span_of_no_whole_number_of_steps(self, t0, t_end, dt, ratio):
         p = PhysParams(tau=2.0, lam=1.0)
-        args = dict(drive=SINUSOID, t_end=1.0)
-        tr = integrate(ErmakovState(0, 1, 0, 1, 0), p, dt=0.3, **args)
-        assert tr.t[-1] == 1.0
-        assert np.allclose(np.diff(tr.t), [0.3, 0.3, 0.3, 0.1])
-        fine = integrate(ErmakovState(0, 1, 0, 1, 0), p, dt=1e-3, **args)
-        end = [tr.alpha[-1], tr.alphadot[-1], tr.x[-1], tr.xdot[-1]]
-        ref = [fine.alpha[-1], fine.alphadot[-1], fine.x[-1], fine.xdot[-1]]
-        assert np.max(np.abs(np.subtract(end, ref))) < 1e-3
+        with pytest.raises(ConfigurationError, match=rf"\(t_end - t0\) / dt = {ratio} "
+                                                     "is not a whole number of steps"):
+            integrate(ErmakovState(t0, 1, 0, 1, 0), p, drive=SINUSOID, t_end=t_end, dt=dt)
 
     def test_whole_step_count_keeps_uniform_steps(self):
         # 0.7 / 0.1 = 6.999999999999999 rounds to 7 steps of exactly dt

@@ -104,6 +104,33 @@ class TestGaussianPacket:
         gaussian_packet(g, 1.0, 1.0, xbardot0=-10.0, width_rate0=0.05, p=PhysParams(tau=2.0))
         gaussian_packet(g, 1.0, 1.0, xbardot0=12.0, width_rate0=-0.25, p=PhysParams(tau=2.0))
 
+    @pytest.mark.parametrize("grid, delta0, message", [
+        # span^4 = (32 * 1e150)^4 and (32 * 1e76)^4 overflow, the moments with them
+        (Grid(1 - 16e150, 1 + 16e150, 128), 1e150, "grid span"),
+        (Grid(1 - 16e76, 1 + 16e76, 128), 1e76, "grid span"),
+        # dx = 0.25: the samples miss the width and the norm
+        (Grid(-15, 17, 128), 1e-3, "below the grid spacing 0.25"),
+        (Grid(-15, 17, 128), 0.1, "below the grid spacing 0.25"),
+    ])
+    def test_refuses_unrepresentable_packet(self, grid, delta0, message):
+        with pytest.raises(ConfigurationError, match=message):
+            gaussian_packet(grid, 1.0, delta0, p=P_FREE)
+
+    def test_width_floor_is_one_grid_spacing(self):
+        g = Grid(-15, 17, 128)
+        with pytest.raises(ConfigurationError, match="below the grid spacing"):
+            gaussian_packet(g, 1.0, g.dx * (1 - 1e-12), p=P_FREE)
+        o = observables(gaussian_packet(g, 1.0, g.dx, p=P_FREE), P_FREE)
+        assert o.norm == pytest.approx(1.0, abs=1e-8)
+
+    def test_finite_span_keeps_the_moments_finite(self):
+        # span 1e77: span^4 = 1e308 is finite, and so are the moments; 2e77 overflows
+        g = Grid(1 - 0.5e77, 1 + 0.5e77, 128)
+        o = observables(gaussian_packet(g, 1.0, 1e77 / 32, p=P_FREE), P_FREE)
+        assert math.isfinite(o.excess_kurtosis) and math.isfinite(o.k_t)
+        with pytest.raises(ConfigurationError, match=r"grid span x_max - x_min = 2e\+77"):
+            gaussian_packet(Grid(1 - 1e77, 1 + 1e77, 128), 1.0, 2e77 / 32, p=P_FREE)
+
     def test_initial_velocity_field(self):
         p = PhysParams(tau=2.0)
         g = Grid(-16, 16, 1024)
@@ -166,15 +193,15 @@ class TestQuantumForceLinearity:
     def test_unit_gaussian(self):
         g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
-        rep = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
-        assert rep.k_est == pytest.approx(0.25, abs=1e-4)
-        assert rep.max_rel_dev <= 1e-4
+        k_est, max_rel_dev = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
+        assert k_est == pytest.approx(0.25, abs=1e-4)
+        assert max_rel_dev <= 1e-4
 
     def test_slope_scales_as_inverse_fourth_power(self):
         g = Grid(-32, 32, 2048)
         w = gaussian_packet(g, 0.0, 2.0, p=P_FREE)
-        rep = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
-        assert rep.k_est == pytest.approx(1.0 / 64.0, rel=1e-3)
+        k_est, _ = quantum_force_linearity(madelung_decompose(w, P_FREE), P_FREE)
+        assert k_est == pytest.approx(1.0 / 64.0, rel=1e-3)
 
     def test_non_gaussian_breaks_linearity(self):
         g = Grid(-16, 16, 1024)
@@ -182,8 +209,8 @@ class TestQuantumForceLinearity:
         psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * g.dx)
         from ermakov_lab.madelung import WavePacket
         f = madelung_decompose(WavePacket(g, psi, 0.0), P_FREE)
-        rep = quantum_force_linearity(f, P_FREE)
-        assert rep.max_rel_dev > 0.1
+        _, max_rel_dev = quantum_force_linearity(f, P_FREE)
+        assert max_rel_dev > 0.1
 
     def test_insufficient_support(self):
         g = Grid(-16, 16, 1024)
