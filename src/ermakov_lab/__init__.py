@@ -23,8 +23,6 @@ from .madelung import (
     MadelungFields,
     Observables,
     WavePacket,
-    continuity_residual,
-    euler_residual,
     evolve,
     gaussian_packet,
     madelung_decompose,

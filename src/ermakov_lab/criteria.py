@@ -129,6 +129,7 @@ def criterion_7():
 
 
 def criterion_8():
+    """The sourced continuity balance divided by rho: the velocity ODE v' + p v = r."""
     a = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1.0)
     r1, r2, r3 = check_decomposition_integrals(a)
     rf, rr = check_integrating_factor(a)
@@ -146,6 +147,7 @@ def criterion_8():
 
 
 def criterion_9():
+    """The Euler balance with the closure slope k_t, under each width coefficient variant."""
     reps2 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
     reps1 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))
     literal2 = abs(reps2["paper_literal"] - LITERAL_SLOPE_TAU2)

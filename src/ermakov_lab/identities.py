@@ -185,44 +185,33 @@ def check_decomposition_integrals(a: AnsatzSlice) -> tuple[float, float, float]:
     return res1, res2, res3
 
 
-def check_velocity_ansatz(a: AnsatzSlice, c_gauge: float = 0.0) -> float:
+def check_velocity_ansatz(a: AnsatzSlice) -> float:
     """Quadrature reconstruction of the velocity field from the first-order ODE.
 
-    v = [int r u dx + c_gauge] / u is accumulated from far in the left tail.
-    Quadrature of the width/centroid pieces alone reproduces the closed form
-    without the sink term; quadrature of the full inhomogeneity reproduces
-    the sink-corrected form; the larger of the two residuals is returned.
-    With c_gauge != 0 the gauge term explodes like 1/rho, and the growth
-    ratio of |c_gauge / u| between 6 delta and 4 delta is returned instead
-    (e^10 for the exact Gaussian, up to grid snapping).
+    v = [int r u dx] / u is accumulated from far in the left tail.  Quadrature
+    of the width/centroid pieces alone reproduces the closed form without the
+    sink term; quadrature of the full inhomogeneity reproduces the
+    sink-corrected form; the larger of the two residuals is returned.
     """
     d = a.delta
     grid, step = np.linspace(a.xbar - 10.0 * d, a.xbar + 10.0 * d, 40001,
                              retstep=True)
     u_fac = a.u_factor(grid)
-    if c_gauge == 0.0:
-        uu = grid - a.xbar
-        # width/centroid pieces of r only: quadrature reproduces the
-        # closed form without the sink term
-        r12 = (a.deltadot / d - a.deltadot / d ** 3 * uu * uu
-               - uu / d ** 2 * a.xbardot)
-        anti12 = _cumulative_simpson(r12 * u_fac, step)
-        v12 = anti12 / u_fac
-        # full r: the sink piece integrates to (x - xbar)/(2 tau) pointwise,
-        # even though its definite integral vanishes
-        anti_full = _cumulative_simpson(a.r(grid) * u_fac, step)
-        v_full = anti_full / u_fac
-        window = np.abs(uu) <= 4.0 * d
-        res12 = np.max(np.abs(v12[window]
-                              - a.velocity(grid, with_sink_term=False)[window]))
-        res_full = np.max(np.abs(v_full[window]
-                                 - a.velocity(grid, with_sink_term=True)[window]))
-        return float(max(res12, res_full))
-    # pure gauge term magnitude at 6 delta vs 4 delta
-    i4 = int(np.argmin(np.abs(grid - (a.xbar + 4.0 * d))))
-    i6 = int(np.argmin(np.abs(grid - (a.xbar + 6.0 * d))))
-    gauge = np.abs(c_gauge / u_fac)
-    return float(gauge[i6] / gauge[i4])
+    uu = grid - a.xbar
+    # width/centroid pieces of r only: quadrature reproduces the
+    # closed form without the sink term
+    r12 = (a.deltadot / d - a.deltadot / d ** 3 * uu * uu
+           - uu / d ** 2 * a.xbardot)
+    v12 = _cumulative_simpson(r12 * u_fac, step) / u_fac
+    # full r: the sink piece integrates to (x - xbar)/(2 tau) pointwise,
+    # even though its definite integral vanishes
+    v_full = _cumulative_simpson(a.r(grid) * u_fac, step) / u_fac
+    window = np.abs(uu) <= 4.0 * d
+    res12 = np.max(np.abs(v12[window]
+                          - a.velocity(grid, with_sink_term=False)[window]))
+    res_full = np.max(np.abs(v_full[window]
+                             - a.velocity(grid, with_sink_term=True)[window]))
+    return float(max(res12, res_full))
 
 
 def check_coefficient_expansion(delta: float, deltadot: float,

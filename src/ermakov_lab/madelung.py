@@ -48,7 +48,10 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        try:
+            return self.x_min + self.dx * np.arange(self.n)
+        except ValueError as exc:  # numpy refuses the size before allocating
+            raise ConfigurationError(f"grid of {self.n} points is too large: {exc}") from None
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -88,10 +91,6 @@ def _d2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
             + 16 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dx * dx)
 
 
-def _d1_spectral(f: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.real(np.fft.ifft(1j * grid.k * np.fft.fft(f)))
-
-
 def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
                     xbardot0: float = 0.0, width_rate0: float = 0.0,
                     p: PhysParams = PhysParams()) -> WavePacket:
@@ -101,8 +100,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     (x - xbar0) + xbardot0.  Its wavenumber (m/hbar) v_qu must stay below the
     grid's Nyquist limit pi/dx on the packet's support |x - xbar0| <= 8 delta0,
     or the phase would alias.  The grid's span (x_max - x_min)^4 must be
-    finite, which keeps the fourth moment of `observables` finite, and
-    delta0 >= dx, below which the samples miss the packet's width and norm.
+    finite, which keeps the fourth moment of `observables` finite, so must
+    (hbar/2m)^2, the numerator of its k_t, and delta0 >= dx, below which the
+    samples miss the packet's width and norm.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -121,6 +121,8 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
         raise ConfigurationError(f"grid span x_max - x_min = {span:g} is out of range")
     if delta0 < grid.dx:
         raise ConfigurationError(f"delta0 = {delta0:g} is below the grid spacing {grid.dx:g}")
+    if not math.isfinite(p.hbar_2m * p.hbar_2m):
+        raise ConfigurationError(f"(hbar/2m)^2 = ({p.hbar_2m:g})^2 is out of range")
     x = grid.x
     u = x - xbar0
     rho = (2.0 * np.pi * delta0 ** 2) ** -0.5 * np.exp(-u * u / (2.0 * delta0 ** 2))
@@ -296,39 +298,3 @@ def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> tuple[float, fl
     k_est = float(np.sum(Fw * s) / np.sum(s * s))
     dev = np.max(np.abs(Fw - k_est * s)) / np.max(np.abs(Fw))
     return k_est, float(dev)
-
-
-def continuity_residual(fields: MadelungFields, drho_dt: np.ndarray,
-                        p: PhysParams, xbar: float, delta: float
-                        ) -> tuple[np.ndarray, float]:
-    """Residual of the sourced continuity equation; returns (r, max|r| on mask).
-
-    r = drho_dt + d(rho v_qu)/dx + (rho / 2 tau) [(x - xbar)^2/delta^2 - 1].
-    The flux derivative is spectral (the flux decays to zero at the edges).
-    """
-    g = fields.grid
-    if np.shape(drho_dt) != (g.n,):
-        raise ConfigurationError("drho_dt does not match the field grid")
-    flux = np.nan_to_num(fields.rho * fields.v_qu)
-    r = (drho_dt + _d1_spectral(flux, g)
-         + fields.rho * 0.5 * p.inv_tau * ((g.x - xbar) ** 2 / delta ** 2 - 1.0))
-    return r, float(np.max(np.abs(r[fields.valid_mask])))
-
-
-def euler_residual(fields: MadelungFields, dv_dt: np.ndarray,
-                   p: PhysParams, d: DriveSpec, obs: Observables
-                   ) -> tuple[np.ndarray, float]:
-    """Residual of the closed Euler equation; returns (r, max|r| on mask).
-
-    r = dv_dt + v dv/dx + omega^2(t) x + (lambda/m) X - k_t (x - xbar), with the
-    quantum-force closure slope k_t = hbar^2 / (4 m^2 delta^4).  A conserving
-    drive raises ConfigurationError: X is evaluated at obs.t alone.
-    """
-    g = fields.grid
-    if np.shape(dv_dt) != (g.n,):
-        raise ConfigurationError("dv_dt does not match the field grid")
-    x_drive = d.value(obs.t)
-    dvdx = np.gradient(fields.v_qu, g.dx)
-    r = (dv_dt + fields.v_qu * dvdx + p.omega2(obs.t) * g.x
-         + (p.lam / p.m) * x_drive - obs.k_t * (g.x - obs.xbar))
-    return r, float(np.max(np.abs(r[fields.valid_mask])))

@@ -208,6 +208,15 @@ class TestConfigValidation:
         # m/hbar = 1e200 puts the 1/(2 tau) phase curvature beyond any grid
         pytest.param("run", "pde", {"params.m": 1e200},
                      "packet wavenumber up to 2e+200", id="run-pde-huge-m"),
+        # hbar/2m = 5e299: every row's k_t = (hbar/2m)^2 / delta^4 would be inf
+        pytest.param("run", "pde", {"numerics.grid.n": 128, "params.tau": "inf",
+                                    "params.m": 1e-300, "numerics.dt": 0.0125,
+                                    "numerics.t_end": 0.05},
+                     "(hbar/2m)^2 = (5e+299)^2 is out of range", id="run-pde-tiny-m"),
+        # numpy refuses this size before allocating anything
+        pytest.param("run", "pde", {"numerics.grid.n": 1e20},
+                     "grid of 100000000000000000000 points is too large",
+                     id="run-pde-huge-n"),
         # omega is params.omega; omega_spec only modulates it
         pytest.param("run", "ode", {"omega_spec.omega0": 3.0},
                      "unknown config key 'omega_spec.omega0'", id="run-ode-omega0"),
