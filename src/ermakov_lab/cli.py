@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,10 +282,17 @@ def _packet(r: dict, params: PhysParams):
 
 
 def _evolve(r: dict):
-    """The pde side of a pde/compare run: (params, drive, final packet, observables)."""
+    """The pde side of a pde/compare run: (params, drive, final packet, observables).
+    A warning evolve raises, such as dt above the kinetic bound, is one stderr line."""
     params, drive = _build(r)
-    final, obs = evolve(_packet(r, params), params, drive, r["numerics.dt"], _steps(r),
-                        record_stride=r["output.stride"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            final, obs = evolve(_packet(r, params), params, drive, r["numerics.dt"],
+                                _steps(r), record_stride=r["output.stride"])
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     return params, drive, final, obs
 
 

@@ -6,11 +6,11 @@ plus a non-Hermitian sink -(i hbar / 4 tau) [(x - xbar)^2 / delta^2 - 1],
 where xbar and delta^2 are the instantaneous mean and variance of |psi|^2.
 Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
-half-step kinetic.  Between record points the closing half-step of one step
-and the opening half-step of the next are applied as one full kinetic factor,
-so a step costs one FFT pair there and two at a record point.  X(t) is
-DriveSpec.bind's function, given the packet's deltadot/delta and mean (read
-by the conserving kind).
+half-step kinetic.  The closing half-step of one step and the opening
+half-step of the next share one forward FFT and are applied as one full
+kinetic factor, so a step costs one FFT pair, plus one inverse FFT for the
+closed state at a record point.  X(t) is DriveSpec.bind's function, given
+the packet's deltadot/delta and mean (read by the conserving kind).
 """
 from __future__ import annotations
 
@@ -182,10 +182,14 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization
     is performed; norm drift is a diagnostic.
 
-    A step's closing kinetic half-step is applied on its own only at a record
-    point; elsewhere it is fused with the next step's opening half into one
-    full kinetic factor.  At record_stride=1 a step costs two FFT pairs, at
-    stride s > 1 it costs 1 + 1/s pairs on average; the result differs from
+    The multiplier is applied as three factors: the real sink factor
+    exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call, and
+    exp(i c x) with c = -(dt/hbar) lambda X, the outer product of its values
+    on the 32-point block starts and on the 32 offsets within a block.  The
+    step then takes one forward FFT: a record point closes the step from it
+    with the kinetic half-step, and the next step opens from it with the full
+    kinetic factor (the closing and opening halves fused).  A step costs one
+    FFT pair, plus one inverse FFT at a record point; the result differs from
     unfused stepping by rounding only.  Non-finite amplitudes are detected
     through the norm each step computes (a sum of |psi|^2 >= 0, finite
     exactly when every entry is); they, and a norm outside [0.5, 2] at a
@@ -207,8 +211,11 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     x = g.x
     kin_half = np.exp(-1j * p.hbar * g.k ** 2 / (2.0 * p.m) * 0.5 * dt)
     kin_full = kin_half * kin_half
-    harmonic_phase = -(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x
-    drive_phase = -(dt / p.hbar) * p.lam * x
+    cis_harmonic = np.exp(1j * (-(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x))
+    # x = x_blocks[j] + x_offsets[l] at index 32 j + l; the last block may be ragged
+    x_blocks = g.x_min + 32 * g.dx * np.arange(-(-g.n // 32))
+    x_offsets = g.dx * np.arange(32)
+    drive_coef = -(dt / p.hbar) * p.lam
     # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
     try:
         sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
@@ -217,28 +224,28 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                                f"{dt * p.inv_tau:.3g}", partial=[]) from exc
     sink_const = 0.25 * dt * p.inv_tau
     drive_at = d.bind(p)
-    psi = w.psi.astype(complex)
     t = w.t
-    obs = [observables(WavePacket(g, psi, t), p)]
+    obs = [observables(w, p)]
     prev_delta = obs[0].delta
-    kin = kin_half
+    psi = np.fft.ifft(kin_half * np.fft.fft(w.psi))
     for i in range(steps):
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
         norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
         if not math.isfinite(norm):
             raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
         delta = math.sqrt(var)
         # deltadot/delta from a backward difference of delta(t), 0 on the first step
         rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-        x_drive = drive_at(t + 0.5 * dt, rate, xbar)
-        amp = (-sink_gain / (2.0 * var)) * u2 + sink_const
-        psi *= np.exp(amp + 1j * (harmonic_phase + drive_phase * x_drive))
+        c = drive_coef * drive_at(t + 0.5 * dt, rate, xbar)
+        u2 *= -sink_gain / (2.0 * var)
+        u2 += sink_const
+        psi *= np.exp(u2, out=u2)
+        psi *= cis_harmonic
+        psi *= np.outer(np.exp(1j * c * x_blocks), np.exp(1j * c * x_offsets)).ravel()[:g.n]
+        f = np.fft.fft(psi)
         t = w.t + (i + 1) * dt
         prev_delta = delta
-        kin = kin_full
         if (i + 1) % record_stride == 0 or i == steps - 1:
-            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
-            kin = kin_half
+            psi = np.fft.ifft(kin_half * f)
             o = observables(WavePacket(g, psi, t), p)
             if not math.isfinite(o.norm):
                 raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
@@ -246,6 +253,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}",
                                        partial=obs)
             obs.append(o)
+        if i < steps - 1:
+            f *= kin_full
+            psi = np.fft.ifft(f)
     return WavePacket(grid=g, psi=psi, t=t), obs
 
 

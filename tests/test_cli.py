@@ -425,6 +425,19 @@ class TestPdeMode:
                        "at dt/tau = 1.25e+198"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    def test_dt_above_kinetic_bound_is_one_warning_line(self, tmp_path, capsys, mode):
+        # dx = 0.25: the bound m dx^2 / (pi hbar) is 0.0199
+        out = tmp_path / "out"
+        cfg = self.pde_config(out)
+        cfg["mode"] = mode
+        cfg["numerics"].update(dt=0.05, t_end=0.1)
+        if mode == "compare":
+            del cfg["output"]["snapshots"]
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: dt=0.05 exceeds the recommended kinetic bound 0.0199"]
+
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("ERMAKOV_LAB_OUT", str(override))

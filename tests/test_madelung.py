@@ -346,3 +346,66 @@ class TestEvolve:
         rest, _ = evolve(half, p, d, dt, 20, record_stride=10)
         assert rest.t == pytest.approx(full.t, abs=1e-12)
         assert np.max(np.abs(rest.psi - full.psi)) <= 1e-12
+
+
+def reference_evolve(w, p, d, dt, steps, record_stride):
+    """Unfused Strang steps: a kinetic half-step on each side of the direct
+    complex multiplier exp(amp + i phase).  X is d.value(t), so not for the
+    conserving kind."""
+    g, x = w.grid, w.grid.x
+    kin_half = np.exp(-1j * p.hbar * g.k ** 2 / (2.0 * p.m) * 0.5 * dt)
+    sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+    psi = w.psi.astype(complex)
+    obs = [observables(w, p)]
+    for i in range(steps):
+        t = w.t + i * dt
+        psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+        rho = np.abs(psi) ** 2
+        xbar = np.sum(x * rho) / np.sum(rho)
+        var = np.sum((x - xbar) ** 2 * rho) / np.sum(rho)
+        amp = -sink_gain / (2.0 * var) * (x - xbar) ** 2 + 0.25 * dt * p.inv_tau
+        phase = -(dt / p.hbar) * (0.5 * p.m * p.omega2(t) * x * x
+                                  + p.lam * x * d.value(t + 0.5 * dt))
+        psi = np.fft.ifft(kin_half * np.fft.fft(psi * np.exp(amp + 1j * phase)))
+        if (i + 1) % record_stride == 0 or i == steps - 1:
+            obs.append(observables(WavePacket(g, psi, w.t + (i + 1) * dt), p))
+    return psi, obs
+
+
+class TestEvolveStep:
+    P = PhysParams(tau=2.0, lam=1.0)
+    D = DriveSpec(kind="sinusoid", x0=0.3, freq=0.6)
+
+    # n = 100 leaves a ragged last 32-point block of the drive factor
+    @pytest.mark.parametrize("n", [100, 512])
+    @pytest.mark.parametrize("record_stride", [1, 7])
+    def test_matches_unfused_reference(self, n, record_stride):
+        g = Grid(1 - 16, 1 + 16, n)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        dt = g.dx ** 2 / np.pi
+        fin, obs = evolve(w, self.P, self.D, dt, 50, record_stride=record_stride)
+        psi, ref = reference_evolve(w, self.P, self.D, dt, 50, record_stride)
+        assert np.max(np.abs(fin.psi - psi)) <= 1e-12
+        assert len(obs) == len(ref)
+        for o, r in zip(obs, ref):
+            for f in ("t", "norm", "xbar", "delta", "excess_kurtosis", "k_t"):
+                assert abs(getattr(o, f) - getattr(r, f)) <= 1e-12
+
+    def test_one_forward_fft_per_step_boundary(self, monkeypatch):
+        # one FFT pair opens step 1; each step then takes one forward FFT, one
+        # inverse FFT to open the next step and one for its record point
+        w = gaussian_packet(Grid(1 - 16, 1 + 16, 256), 1.0, 1.0, p=self.P)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(a):
+                calls.append(name)
+                return fn(a)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        steps = 6
+        evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=1)
+        assert len(calls) == 3 * steps + 1
+        assert calls.count("fft") == steps + 1
