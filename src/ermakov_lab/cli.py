@@ -34,10 +34,11 @@ CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured other
 
 
 # Conversions of config values; each docstring says what it accepts.
-# JSON's true/false are not numbers, although Python's float() reads them as 1/0.
+# Only JSON numbers are numbers: not strings, although Python's float() reads
+# "2" and "inf", nor true/false, although it reads them as 1/0.
 def _number(v) -> float:
     """a number"""
-    if isinstance(v, bool) or not math.isfinite(v := float(v)):
+    if type(v) not in (int, float) or not math.isfinite(v := float(v)):
         raise ValueError(v)
     return v
 
@@ -51,9 +52,8 @@ def _whole(v) -> int:
 
 def _tau(v) -> float:
     '''a number or "inf"'''
-    if isinstance(v, bool):
-        raise ValueError(v)
-    return math.inf if str(v).lower() == "infinite" else float(v)
+    # a float inf is what `sweep --values inf` sets
+    return math.inf if v == "inf" or v == math.inf else _number(v)
 
 
 def _text(v) -> str:
@@ -127,7 +127,7 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -170,7 +170,7 @@ def resolve(cfg: dict) -> dict:
         if key in given:
             try:
                 r[key] = conv(given[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
                 raise ConfigurationError(
                     f"{key} must be {conv.__doc__}, got {given[key]!r}") from None
         elif default is _REQUIRED:

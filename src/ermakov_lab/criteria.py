@@ -57,7 +57,7 @@ def criterion_2():
     p = PhysParams(tau=2.0, lam=1.0)
     traj = integrate(ErmakovState(0, 1, 0, 1, 0), p,
                      drive=DriveSpec(kind="sinusoid", x0=1.0, freq=0.7), t_end=20.0, dt=1e-3)
-    fd = np.gradient(traj.invariant, traj.t)[1:-1]
+    fd = traj.dIdt_numeric()[1:-1]
     scale = np.max(np.abs(traj.dIdt_analytic))
     err = np.max(np.abs(fd - traj.dIdt_analytic[1:-1])) / scale
     return [_row("criterion 2 (analytic vs FD invariant rate)", err, 1e-4)]

@@ -51,7 +51,8 @@ def _rhs(p: PhysParams, drive):
             raise NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
         w2 = w2_const if omega2 is None else omega2(t)
         x_drive = drive(t, alphadot / alpha, xbar)
-        return (1.0 / alpha ** 3 - inv_tau * alphadot - (w2 + c_tau) * alpha,
+        r = 1.0 / alpha  # (1/alpha)^3 underflows to 0 where alpha^3 would overflow
+        return (r * r * r - inv_tau * alphadot - (w2 + c_tau) * alpha,
                 -w2 * xbar - lam_m * x_drive)
     return f
 
@@ -68,28 +69,22 @@ def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> flo
     """Lewis invariant of the pair (q, alpha)."""
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    return 0.5 * ((qdot * alpha - alphadot * q) ** 2 + (q / alpha) ** 2)
+    u, v = qdot * alpha - alphadot * q, q / alpha
+    return 0.5 * (u * u + v * v)
 
 
-def els_invariant_rate(s: ErmakovState, p: PhysParams, d: DriveSpec) -> float:
-    """Analytic dI/dt along the measurement flow.
+def els_invariant_rate(alpha: float, alphadot: float, xbar: float, xbardot: float,
+                       p: PhysParams, x_drive: float) -> float:
+    """Analytic dI/dt along the measurement flow, given the drive value X.
 
-    Evaluated in the xbar-cancelled form so xbar = 0 is regular:
-      dI/dt = [alpha'/(alpha tau) + C_tau] alpha^3 xbar w - (lambda X/m) alpha^3 w,
-      w = d/dt (xbar/alpha) = (xbar' alpha - xbar alpha') / alpha^2.
+    Evaluated in the cancelled form, regular at xbar = 0 and free of powers
+    of alpha:
+      dI/dt = [((alpha'/alpha)/tau + C_tau) xbar - lambda X/m] alpha (xbar' alpha - xbar alpha').
     """
-    if s.alpha <= 0:
+    if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    x_drive = d.value(s.t, p, s.alphadot / s.alpha, s.xbar)
-    return _rate(s.alpha, s.alphadot, s.xbar, s.xbardot, p, x_drive)
-
-
-def _rate(alpha, alphadot, xbar, xbardot, p: PhysParams, x_drive: float) -> float:
-    """els_invariant_rate given the drive value X."""
-    w = (xbardot * alpha - xbar * alphadot) / alpha ** 2
-    a3 = alpha ** 3
-    coeff = alphadot / alpha * p.inv_tau + p.c_tau
-    return coeff * a3 * xbar * w - (p.lam * x_drive / p.m) * a3 * w
+    gap = (alphadot / alpha * p.inv_tau + p.c_tau) * xbar - p.lam * x_drive / p.m
+    return gap * alpha * (xbardot * alpha - xbar * alphadot)
 
 
 def delta_from_alpha(alpha: float, p: PhysParams) -> float:
@@ -124,8 +119,15 @@ class Trajectory:
         return len(self.t)
 
     def dIdt_numeric(self) -> np.ndarray:
-        """Centered finite difference of the invariant (one-sided at the ends)."""
-        return np.gradient(self.invariant, self.t)
+        """Centered finite difference of the invariant (one-sided at the ends),
+        taken in times scaled to the span so the spacing products of a tiny dt
+        do not underflow.  A non-finite difference raises NumericalFailure."""
+        span = self.t[-1] - self.t[0]
+        with np.errstate(over="ignore"):
+            rate = np.gradient(self.invariant, self.t / span) / span
+        if not np.all(np.isfinite(rate)):
+            raise NumericalFailure("non-finite value in the finite-difference dI/dt")
+        return rate
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
@@ -163,9 +165,10 @@ def integrate(init: ErmakovState,
     The drive and the constants are resolved once per call and
     the step runs on four plain floats.  Each RK4 stage checks only its own
     alpha against ALPHA_MIN; each step checks its result for a non-finite
-    value and for alpha < ALPHA_MIN.  A width collapse, a non-finite value
-    or an overflow raises NumericalFailure whose `partial` is the Trajectory
-    of the records accumulated so far.
+    value and for alpha < ALPHA_MIN; each recorded row is checked for a
+    non-finite value.  These are the only failure signals: a width collapse
+    or a non-finite value raises NumericalFailure whose `partial` is the
+    Trajectory of the rows recorded before it.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -177,18 +180,22 @@ def integrate(init: ErmakovState,
     drive_at = (DriveSpec() if drive is None else drive).bind(params)
     f = _rhs(params, drive_at)
 
+    isfinite = math.isfinite
+
     def record(t, a, ad, x, xd):
         inv = lewis_invariant(x, xd, a, ad)
         x_t = drive_at(t, ad / a, x)
         # + 0.0 records a vanishing rate as 0, never -0
-        rate = _rate(a, ad, x, xd, params, x_t) + 0.0
-        return (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
+        rate = els_invariant_rate(a, ad, x, xd, params, x_t) + 0.0
+        row = (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
+        if not all(map(isfinite, row)):
+            raise NumericalFailure(f"non-finite value in the row recorded at t={t}")
+        return row
 
     t = init.t
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
     rows = []
     half, sixth = 0.5 * dt, dt / 6.0
-    isfinite = math.isfinite
     try:
         rows.append(record(t, a, ad, x, xd))
         for i in range(n_steps):
@@ -214,7 +221,7 @@ def integrate(init: ErmakovState,
                 raise NumericalFailure(f"alpha={a} below collapse floor {ALPHA_MIN}")
             if (i + 1) % stride == 0 or i == n_steps - 1:
                 rows.append(record(t, a, ad, x, xd))
-    except (NumericalFailure, OverflowError) as exc:
+    except NumericalFailure as exc:
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
                                partial=_package(rows)) from exc
     return _package(rows)

@@ -9,12 +9,14 @@ certify, they do not prove.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ermakov import ErmakovState, measurement_rhs
 from .errors import ConfigurationError
-from .params import _VARIANTS, PhysParams
+from .params import _VARIANTS, DriveSpec, PhysParams
 
 
 @dataclass(frozen=True)
@@ -220,26 +222,28 @@ def check_coefficient_expansion(delta: float, deltadot: float,
     """Which damping coefficient closes the linear-in-(x - xbar) balance.
 
     Assembles d(v)/dt + v dv/dx + omega^2 x + (lambda/m) X - k (x - xbar)
-    from the closed-form velocity field, substituting the width acceleration
-    from the reduced width equation under each coefficient variant and the
-    centroid acceleration from the centroid equation, then returns the
-    magnitude of the surviving (x - xbar) slope per variant.  The drive X
-    drops out: the centroid acceleration -omega^2 xbar - (lambda/m) X enters
-    d(v)/dt and cancels the balance's (lambda/m) X exactly, so neither is formed.
+    from the closed-form velocity field and returns the magnitude of the
+    surviving (x - xbar) slope per coefficient variant.  The width and
+    centroid accelerations are the integrator's own: measurement_rhs at
+    alpha = delta/s, alpha' = delta'/s with s = sqrt(hbar/2m), so
+    delta'' = s alpha'', under each variant.  It runs with the zero drive:
+    the centroid acceleration's -(lambda/m) X enters d(v)/dt and cancels the
+    balance's (lambda/m) X exactly, so no drive changes the slope.
     """
     if p.inv_tau == 0.0:
         raise ConfigurationError("the expansion check needs a finite tau")
     it = p.inv_tau
-    w2 = p.omega ** 2
-    pref = p.hbar_2m * p.hbar_2m
-    k = pref / delta ** 4
-    xbarddot = -w2 * xbar
+    w2 = p.omega2(0.0)
+    k = p.hbar_2m * p.hbar_2m / delta ** 4
+    s = math.sqrt(p.hbar_2m)
+    state = ErmakovState(0.0, delta / s, deltadot / s, xbar, xbardot)
     slope_v = deltadot / delta + 0.5 * it
     xs = _chebyshev(xbar, 4.0 * delta)
     out = {}
     for variant in _VARIANTS:
-        c = replace(p, coeff_variant=variant).c_tau
-        deltaddot = pref / delta ** 3 - it * deltadot - (w2 + c) * delta
+        alphaddot, xbarddot = measurement_rhs(state, replace(p, coeff_variant=variant),
+                                              DriveSpec())
+        deltaddot = s * alphaddot
         dv_dt = ((deltaddot / delta - (deltadot / delta) ** 2) * (xs - xbar)
                  - slope_v * xbardot + xbarddot)
         v = slope_v * (xs - xbar) + xbardot

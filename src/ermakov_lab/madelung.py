@@ -141,8 +141,9 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
     u2 = x - xbar
     u2 *= u2
     var = float(u2 @ rho) * dx / norm
-    if var <= 0:
-        raise NumericalFailure("wavefunction has zero variance")
+    if var * var == 0.0:  # observables divides by var^2
+        raise NumericalFailure(f"wavefunction has zero variance or one whose square "
+                               f"underflows: {var:g}")
     return norm, xbar, u2, var, rho
 
 
@@ -192,10 +193,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     FFT pair, plus one inverse FFT at a record point; the result differs from
     unfused stepping by rounding only.  Non-finite amplitudes are detected
     through the norm each step computes (a sum of |psi|^2 >= 0, finite
-    exactly when every entry is); they, and a norm outside [0.5, 2] at a
-    record point, raise NumericalFailure whose `partial` is the list of
-    observables recorded before the failure; so does a sink factor
-    exp(dt/tau) that overflows, with an empty list.
+    exactly when every entry is); they, a non-finite observable and a norm
+    outside [0.5, 2] at a record point raise NumericalFailure whose `partial`
+    is the list of observables recorded before the failure; so does a sink
+    factor exp(dt/tau) that overflows, with an empty list.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -247,8 +248,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         if (i + 1) % record_stride == 0 or i == steps - 1:
             psi = np.fft.ifft(kin_half * f)
             o = observables(WavePacket(g, psi, t), p)
-            if not math.isfinite(o.norm):
-                raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
+            if not all(map(math.isfinite, (o.norm, o.xbar, o.delta, o.excess_kurtosis, o.k_t))):
+                raise NumericalFailure(f"non-finite value in the observables recorded at t={t}",
+                                       partial=obs)
             if not (0.5 <= o.norm <= 2.0):
                 raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}",
                                        partial=obs)

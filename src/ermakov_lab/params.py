@@ -48,6 +48,8 @@ class PhysParams:
             raise ConfigurationError("m must be positive and finite")
         if not (0 < self.hbar < math.inf):
             raise ConfigurationError("hbar must be positive and finite")
+        if self.hbar_2m == 0.0:
+            raise ConfigurationError(f"hbar/(2m) = {self.hbar:g}/(2*{self.m:g}) underflows to 0")
         if not (0 <= self.omega < math.inf):
             raise ConfigurationError("omega must be non-negative and finite")
         if not math.isfinite(self.lam):
@@ -62,10 +64,14 @@ class PhysParams:
             raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
 
     def omega2(self, t: float) -> float:
-        """The squared frequency omega^2 (1 + eps sin(omega_m t)) at time t."""
+        """The squared frequency omega^2 (1 + eps sin(omega_m t)) at time t; NaN
+        where omega_m t overflows, so the solver's finiteness check sees it."""
         if self.eps == 0.0:
             return self.omega * self.omega
-        return self.omega * self.omega * (1.0 + self.eps * math.sin(self.omega_m * t))
+        try:
+            return self.omega * self.omega * (1.0 + self.eps * math.sin(self.omega_m * t))
+        except ValueError:  # math.sin(inf)
+            return math.nan
 
     @property
     def hbar_2m(self) -> float:
@@ -75,15 +81,15 @@ class PhysParams:
     @property
     def inv_tau(self) -> float:
         """1/tau, exactly zero for the infinite-tau sentinel."""
-        return 0.0 if math.isinf(self.tau) else 1.0 / self.tau
+        return 1.0 / self.tau
 
     @property
     def c_tau(self) -> float:
         """Coefficient added to omega^2 in the width equation."""
-        it = self.inv_tau
+        q = self.inv_tau * self.inv_tau
         if self.coeff_variant == COEFF_CONSISTENT:
-            return 0.25 * it * it
-        return 0.25 * it ** 4
+            return 0.25 * q
+        return 0.25 * q * q
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,13 @@ class DriveSpec:
             return lambda t, r, xbar: x0
         if self.kind == "sinusoid":
             x0, freq, phase, cos = self.x0, self.freq, self.phase, math.cos
-            return lambda t, r, xbar: x0 * cos(freq * t + phase)
+
+            def sinusoid(t, r, xbar):
+                try:
+                    return x0 * cos(freq * t + phase)
+                except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
+                    return math.nan
+            return sinusoid
         if self.kind == "tabulated":
             ts, xs, slopes = self._samples
             last = len(ts) - 1

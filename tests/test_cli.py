@@ -74,6 +74,21 @@ class TestConfigValidation:
         p.write_text("{not json")
         assert main(["run", str(p)]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        # beyond Python's limit on the digits of an int read from a string
+        pytest.param('{"mode": 1' + "0" * 5000 + "}", "config is not valid JSON",
+                     id="too-many-digits"),
+        pytest.param("[1, 2]", "config root must be a JSON object", id="list-root"),
+        pytest.param('{"params": 3}', "config section 'params' must be an object",
+                     id="number-section"),
+    ])
+    def test_malformed_config_file(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: " + message)
+
     @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
     def test_conserving_drive_without_coupling(self, tmp_path, capsys, mode):
         cfg = {"mode": mode, "params": {"tau": 2.0, "lambda": 0.0},
@@ -220,6 +235,28 @@ class TestConfigValidation:
         # omega is params.omega; omega_spec only modulates it
         pytest.param("run", "ode", {"omega_spec.omega0": 3.0},
                      "unknown config key 'omega_spec.omega0'", id="run-ode-omega0"),
+        # a JSON string is not a number, even where float() would read it
+        pytest.param("run", "ode", {"params.m": "2"}, "params.m must be a number, got '2'",
+                     id="run-ode-string-m"),
+        pytest.param("run", "ode", {"output.stride": "2"},
+                     "output.stride must be a whole number", id="run-ode-string-stride"),
+        pytest.param("run", "ode", {"params.tau": "2"}, 'params.tau must be a number or "inf"',
+                     id="run-ode-string-tau"),
+        pytest.param("run", "ode", {"params.tau": "infinite"},
+                     'params.tau must be a number or "inf"', id="run-ode-infinite-tau"),
+        pytest.param("run", "ode", {"params.tau": "nan"},
+                     'params.tau must be a number or "inf"', id="run-ode-nan-tau"),
+        pytest.param("run", "ode", {"drive.kind": "tabulated",
+                                    "drive.table": [["0", "1"], ["1", "2"]]},
+                     "drive.table must be a list of [t, X] pairs", id="run-ode-string-table"),
+        pytest.param("run", "ode", {"drive.kind": "tabulated", "drive.table": [[0.0, 1.0]]},
+                     "tabulated drive needs at least two samples", id="run-ode-one-sample"),
+        # alpha = delta / sqrt(hbar/2m) would divide by 0
+        pytest.param("run", "ode", {"params.hbar": 1e-300, "params.m": 1e150},
+                     "hbar/(2m) = 1e-300/(2*1e+150) underflows to 0", id="run-ode-zero-hbar_2m"),
+        # float() of an int beyond the float range raises OverflowError
+        pytest.param("run", "ode", {"params.m": 10 ** 400}, "params.m must be a number",
+                     id="run-ode-huge-int-m"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -239,6 +276,9 @@ class TestConfigValidation:
         ("params.tau", "0.5,0.5000001", "would both write tau_0.5"),
         ("params.lambda", "1,0", "conserving drive requires lambda != 0"),
         ("params.tau", " , ", "--values lists no value"),
+        ("params.tau", "1,abc", "--values must be comma-separated numbers"),
+        # params.tau is a number, not a section
+        ("params.tau.x", "1", "cannot descend into 'params.tau.x'"),
     ])
     def test_sweep_rejects_bad_values(self, tmp_path, capsys, param, values, needle):
         path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
@@ -281,6 +321,46 @@ class TestConfigValidation:
         csv = {"ode": "trajectory.csv", "pde": "observables.csv", "compare": "compare.csv"}
         header, data = read_csv(out / csv[mode])
         assert np.all(np.isfinite(data))
+
+
+@pytest.mark.parametrize("mode, fields, message", [
+    # omega_m t and freq t overflow after the first step: sin and cos give NaN
+    pytest.param("ode", {"omega_spec.eps": 0.5, "omega_spec.omega_m": 1e308,
+                         "numerics.dt": 1.0, "numerics.t_end": 2.0},
+                 "non-finite state at t=2.0", id="ode-omega_m-t-overflows"),
+    pytest.param("pde", {"params.lambda": 1.0, "drive.kind": "sinusoid",
+                         "drive.x0": 1.0, "drive.freq": 1.5e308, "numerics.dt": 1.0,
+                         "numerics.t_end": 2.0, "numerics.grid.n": 128},
+                 "non-finite value in the observables recorded at t=2.0",
+                 id="pde-freq-t-overflows"),
+    # the invariant's rounding over dt = 1e-150 is a difference quotient beyond
+    # the float range
+    pytest.param("ode", {"params.hbar": 1e-300, "params.tau": "inf", "init.xbar0": 1e150,
+                         "init.width_rate0": 1e-150, "numerics.dt": 1e-150,
+                         "numerics.t_end": 1e-150},
+                 "non-finite value in the finite-difference dI/dt", id="ode-fd-rate-overflows"),
+    # the variance 1e-300 has a square of 0, which the kurtosis and k_t divide by
+    pytest.param("pde", {"init.delta0": 1e-150, "init.xbar0": 0.0, "numerics.dt": 1e-8,
+                         "numerics.t_end": 1e-8, "numerics.grid.n": 64},
+                 "wavefunction has zero variance or one whose square underflows",
+                 id="pde-variance-square-underflows"),
+    # k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32
+    pytest.param("pde", {"params.m": 1e-150, "params.tau": 1e-8, "init.delta0": 1e-8,
+                         "init.xbar0": 0.0, "numerics.dt": 1e-8, "numerics.t_end": 1e-8,
+                         "numerics.grid.n": 128},
+                 "non-finite value in the observables recorded at t=1e-08",
+                 id="pde-k_t-overflows"),
+])
+def test_unrepresentable_run_exits_2(tmp_path, capsys, mode, fields, message):
+    out = tmp_path / "out"
+    cfg = {"mode": mode, "params": {"tau": 2.0}, "output": {"directory": str(out)}}
+    for dotted, value in fields.items():
+        cli._set_by_path(cfg, dotted, value)
+    assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning: ")]
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert message in err[0]
 
 
 class TestOdeMode:
@@ -326,8 +406,8 @@ class TestOdeMode:
         pytest.param("classical", {"alpha0": 0.9517489413280635,
                                    "alphadot0": -14.948306159992022},
                      "below collapse floor", id="alpha-crosses-zero-within-a-step"),
-        pytest.param("measurement", {"alpha0": 1e200}, "out of range", id="huge-alpha0"),
-        pytest.param("measurement", {"xbardot0": 1e160}, "out of range", id="huge-xbardot0"),
+        pytest.param("measurement", {"alpha0": 1e200}, "non-finite", id="huge-alpha0"),
+        pytest.param("measurement", {"xbardot0": 1e160}, "non-finite", id="huge-xbardot0"),
     ])
     def test_failure_inside_the_run_exits_2(self, tmp_path, capsys, system, init, needle):
         cfg = base_ode_config(tmp_path / "out", system=system)
@@ -343,6 +423,44 @@ class TestOdeMode:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert needle in err[0]
+
+    def test_tiny_hbar_runs(self, tmp_path, capsys):
+        # alpha0 = delta0 / sqrt(hbar/2m) = 1.4e150: alpha^3 would overflow, (1/alpha)^3 is 0
+        out = tmp_path / "out"
+        cfg = {"mode": "ode", "params": {"tau": 2.0, "hbar": 1e-300},
+               "init": {"delta0": 1.0}, "numerics": {"dt": 0.01, "t_end": 0.1},
+               "output": {"directory": str(out)}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / "trajectory.csv")
+        assert data.shape == (11, len(header)) and np.all(np.isfinite(data))
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_dt_keeps_the_numeric_rate_finite(self, tmp_path, capsys):
+        # np.gradient's spacing products of dt = 1e-300 underflow in unscaled times
+        out = tmp_path / "out"
+        cfg = base_ode_config(out)
+        cfg["numerics"] = {"dt": 1e-300, "t_end": 8e-300}
+        cfg["output"]["stride"] = 1
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / "trajectory.csv")
+        assert data.shape == (9, len(header)) and np.all(np.isfinite(data))
+
+    @pytest.mark.parametrize("command, code", [("run", 2), ("verify", 0)])
+    def test_paper_literal_tiny_tau(self, tmp_path, capsys, monkeypatch, command, code):
+        # C_tau = (1/tau)^4 / 4 is inf: the run fails at its first row, verify only
+        # validates the config
+        monkeypatch.setattr(cli, "CRITERIA", ())
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["params"].update(tau=1e-100, coeff_variant="paper_literal")
+        assert main([command, write_config(tmp_path / "c.json", cfg)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert err == ["numerical failure: integration aborted at t~0.0: "
+                           "non-finite value in the row recorded at t=0.0"]
+        else:
+            assert err == []
 
     def omega_spec_run(self, tmp_path, name, omega_spec=None):
         cfg = base_ode_config(tmp_path / name)
