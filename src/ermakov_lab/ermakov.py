@@ -157,10 +157,10 @@ def integrate(init: ErmakovState,
     drive defaults to zero; omega^2(t) is params.omega2, constant unless
     params.eps != 0.  The classical pair is params.tau = inf, params.lam = 0
     with a zero drive.
-    Runs whole steps of dt only: (t_end - t0)/dt not within 1e-9 (relative)
-    of a whole number is a ConfigurationError, as the CLI refuses such a
-    numerics.t_end.  Records every `stride` steps, always including the
-    initial and final states.
+    Runs whole steps of dt only: a dt that is not a positive finite number,
+    or (t_end - t0)/dt not within 1e-9 (relative) of a whole number, is a
+    ConfigurationError, as the CLI refuses such a numerics.t_end.  Records
+    every `stride` steps, always including the initial and final states.
 
     The drive and the constants are resolved once per call and
     the step runs on four plain floats.  Each RK4 stage checks only its own
@@ -170,8 +170,8 @@ def integrate(init: ErmakovState,
     or a non-finite value raises NumericalFailure whose `partial` is the
     Trajectory of the rows recorded before it.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ConfigurationError("dt must be positive and finite")
     if t_end <= init.t:
         raise ConfigurationError("t_end must exceed the initial time")
     if stride < 1:

@@ -58,13 +58,11 @@ class AnsatzSlice:
         u = np.asarray(x) - self.xbar
         return np.exp(-u * u / (2.0 * self.delta ** 2))
 
-    def velocity(self, x, with_sink_term: bool = True):
-        """The closed-form velocity field; with_sink_term adds (x-xbar)/(2 tau)."""
+    def velocity(self, x):
+        """The closed-form velocity field, (deltadot/delta + 1/(2 tau)) (x - xbar)
+        + xbardot; at tau = inf it has no sink term."""
         u = np.asarray(x) - self.xbar
-        slope = self.deltadot / self.delta
-        if with_sink_term:
-            slope += 1.0 / (2.0 * self.tau)
-        return slope * u + self.xbardot
+        return (self.deltadot / self.delta + 1.0 / (2.0 * self.tau)) * u + self.xbardot
 
 
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -191,29 +189,22 @@ def check_velocity_ansatz(a: AnsatzSlice) -> float:
     """Quadrature reconstruction of the velocity field from the first-order ODE.
 
     v = [int r u dx] / u is accumulated from far in the left tail.  Quadrature
-    of the width/centroid pieces alone reproduces the closed form without the
-    sink term; quadrature of the full inhomogeneity reproduces the
-    sink-corrected form; the larger of the two residuals is returned.
+    of the width/centroid pieces alone (the tau = inf slice) reproduces the
+    closed form without the sink term; quadrature of the full inhomogeneity
+    reproduces the sink-corrected form; the larger of the two residuals is
+    returned.  The sink piece integrates to (x - xbar)/(2 tau) pointwise,
+    even though its definite integral vanishes.
     """
     d = a.delta
     grid, step = np.linspace(a.xbar - 10.0 * d, a.xbar + 10.0 * d, 40001,
                              retstep=True)
     u_fac = a.u_factor(grid)
-    uu = grid - a.xbar
-    # width/centroid pieces of r only: quadrature reproduces the
-    # closed form without the sink term
-    r12 = (a.deltadot / d - a.deltadot / d ** 3 * uu * uu
-           - uu / d ** 2 * a.xbardot)
-    v12 = _cumulative_simpson(r12 * u_fac, step) / u_fac
-    # full r: the sink piece integrates to (x - xbar)/(2 tau) pointwise,
-    # even though its definite integral vanishes
-    v_full = _cumulative_simpson(a.r(grid) * u_fac, step) / u_fac
-    window = np.abs(uu) <= 4.0 * d
-    res12 = np.max(np.abs(v12[window]
-                          - a.velocity(grid, with_sink_term=False)[window]))
-    res_full = np.max(np.abs(v_full[window]
-                             - a.velocity(grid, with_sink_term=True)[window]))
-    return float(max(res12, res_full))
+    window = np.abs(grid - a.xbar) <= 4.0 * d
+    residual = 0.0
+    for s in (replace(a, tau=math.inf), a):
+        v = _cumulative_simpson(s.r(grid) * u_fac, step) / u_fac
+        residual = max(residual, np.max(np.abs(v[window] - s.velocity(grid)[window])))
+    return float(residual)
 
 
 def check_coefficient_expansion(delta: float, deltadot: float,

@@ -41,6 +41,9 @@ class Grid:
             raise ConfigurationError("x_max must exceed x_min")
         if self.n < 64:
             raise ConfigurationError("grid needs at least 64 points")
+        if not self.dx > 0:
+            raise ConfigurationError(f"grid spacing (x_max - x_min)/n = "
+                                     f"{self.x_max - self.x_min:g}/{self.n} underflows to 0")
 
     @property
     def dx(self) -> float:
@@ -100,9 +103,12 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     (x - xbar0) + xbardot0.  Its wavenumber (m/hbar) v_qu must stay below the
     grid's Nyquist limit pi/dx on the packet's support |x - xbar0| <= 8 delta0,
     or the phase would alias.  The grid's span (x_max - x_min)^4 must be
-    finite, which keeps the fourth moment of `observables` finite, so must
-    (hbar/2m)^2, the numerator of its k_t, and delta0 >= dx, below which the
-    samples miss the packet's width and norm.
+    finite, which keeps the fourth moment of `observables` finite, and
+    delta0 >= dx, below which the samples miss the packet's width and norm.
+    Last, the packet's own observables must pass the check `observables`
+    makes of every row `evolve` records: a packet they refuse (a variance
+    whose square underflows, a k_t beyond the float range) is refused here,
+    as a ConfigurationError.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -121,13 +127,17 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
         raise ConfigurationError(f"grid span x_max - x_min = {span:g} is out of range")
     if delta0 < grid.dx:
         raise ConfigurationError(f"delta0 = {delta0:g} is below the grid spacing {grid.dx:g}")
-    if not math.isfinite(p.hbar_2m * p.hbar_2m):
-        raise ConfigurationError(f"(hbar/2m)^2 = ({p.hbar_2m:g})^2 is out of range")
     x = grid.x
     u = x - xbar0
-    rho = (2.0 * np.pi * delta0 ** 2) ** -0.5 * np.exp(-u * u / (2.0 * delta0 ** 2))
+    two_var = 2.0 * delta0 * delta0
+    rho = np.exp(-u * u / two_var) / math.sqrt(np.pi * two_var)
     S = (p.m / p.hbar) * (0.5 * slope * u * u + xbardot0 * u)
-    return WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
+    w = WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
+    try:
+        observables(w, p)
+    except NumericalFailure as exc:
+        raise ConfigurationError(f"initial packet is not representable: {exc}") from None
+    return w
 
 
 def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
@@ -148,21 +158,26 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
 
 
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
-    """Quadrature moments of rho plus the quantum-force slope k_t."""
+    """Quadrature moments of rho plus the quantum-force slope k_t.
+
+    The one check of a recorded row: a non-finite value among the five
+    raises NumericalFailure, as do the zero-norm and zero-variance checks of
+    the moments."""
     norm, xbar, u2, var, rho = _moments(w.psi, w.grid.x, w.grid.dx)
     m4 = float((u2 * u2) @ rho) * w.grid.dx / norm
-    delta = math.sqrt(var)
-    return Observables(t=w.t, norm=norm, xbar=xbar, delta=delta,
-                       excess_kurtosis=m4 / var ** 2 - 3.0,
-                       k_t=p.hbar_2m * p.hbar_2m / (var * var))
+    var2 = var * var
+    row = (norm, xbar, math.sqrt(var), m4 / var2 - 3.0, p.hbar_2m * p.hbar_2m / var2)
+    if not all(map(math.isfinite, row)):
+        raise NumericalFailure(f"non-finite value in the observables recorded at t={w.t}")
+    return Observables(w.t, *row)
 
 
 def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
     """Right-hand side d(psi)/dt at w.t; a conserving drive raises ConfigurationError."""
     g = w.grid
     _, _, u2, var, _ = _moments(w.psi, g.x, g.dx)
-    kin = -(p.hbar ** 2 / (2.0 * p.m)) * np.fft.ifft(-g.k ** 2 * np.fft.fft(w.psi))
-    pot = (0.5 * p.m * p.omega2(w.t) * g.x ** 2
+    kin = (p.hbar * p.hbar_2m) * np.fft.ifft(g.k * g.k * np.fft.fft(w.psi))
+    pot = (0.5 * p.m * p.omega2(w.t) * g.x * g.x
            + p.lam * g.x * d.value(w.t)) * w.psi
     sink = 0.25 * p.inv_tau * (u2 / var - 1.0) * w.psi
     return (kin + pot) / (1j * p.hbar) - sink
@@ -173,15 +188,15 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            ) -> tuple[WavePacket, list[Observables]]:
     """Strang-split evolution; returns the final packet and recorded observables.
 
-    The harmonic potential is constant: a modulated p (p.eps != 0), steps < 1
-    and record_stride < 1 raise ConfigurationError.  The mean and variance
-    entering the measurement multiplier are recomputed from the current psi,
-    after the step's opening kinetic half-step, before each potential
-    application.  The sink factor uses the exactly integrated width path of
-    the pure-sink substep (variance decaying at rate 1/tau), which makes the
-    substep norm-exact on a Gaussian; it agrees with
-    exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization
-    is performed; norm drift is a diagnostic.
+    The harmonic potential is constant: a modulated p (p.eps != 0), a dt that
+    is not a positive finite number, steps < 1 and record_stride < 1 raise
+    ConfigurationError.  The mean and variance entering the measurement
+    multiplier are recomputed from the current psi, after the step's opening
+    kinetic half-step, before each potential application.  The sink factor
+    uses the exactly integrated width path of the pure-sink substep (variance
+    decaying at rate 1/tau), which makes the substep norm-exact on a
+    Gaussian; it agrees with exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to
+    O(dt^2).  No renormalization is performed; norm drift is a diagnostic.
 
     The multiplier is applied as three factors: the real sink factor
     exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call, and
@@ -191,73 +206,80 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     with the kinetic half-step, and the next step opens from it with the full
     kinetic factor (the closing and opening halves fused).  A step costs one
     FFT pair, plus one inverse FFT at a record point; the result differs from
-    unfused stepping by rounding only.  Non-finite amplitudes are detected
-    through the norm each step computes (a sum of |psi|^2 >= 0, finite
-    exactly when every entry is); they, a non-finite observable and a norm
-    outside [0.5, 2] at a record point raise NumericalFailure whose `partial`
-    is the list of observables recorded before the failure; so does a sink
-    factor exp(dt/tau) that overflows, with an empty list.
+    unfused stepping by rounding only.
+
+    Every recorded row, the t = 0 row included, goes through one check: the
+    finiteness check of `observables` and the norm window [0.5, 2].  Each
+    step also detects non-finite amplitudes through the norm it computes (a
+    sum of |psi|^2 >= 0, finite exactly when every entry is).  A failure of
+    any of these, of the moments, or a sink factor exp(dt/tau) that
+    overflows, raises NumericalFailure naming the time it was reached, whose
+    `partial` is the list of observables recorded before it.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ConfigurationError("dt must be positive and finite")
     if steps < 1 or record_stride < 1:
         raise ConfigurationError("steps and record_stride must be >= 1")
     if p.eps != 0.0:
         raise ConfigurationError("evolve needs a constant omega (eps = 0)")
     g = w.grid
-    cfl = p.m * g.dx ** 2 / (np.pi * p.hbar)
+    cfl = g.dx * g.dx / (2.0 * np.pi * p.hbar_2m)
     if dt > cfl:
         warnings.warn(f"dt={dt} exceeds the recommended kinetic bound {cfl:.3g}",
                       stacklevel=2)
     x = g.x
-    kin_half = np.exp(-1j * p.hbar * g.k ** 2 / (2.0 * p.m) * 0.5 * dt)
+    kin_half = np.exp((-0.5j * dt * p.hbar_2m) * (g.k * g.k))
     kin_full = kin_half * kin_half
     cis_harmonic = np.exp(1j * (-(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x))
     # x = x_blocks[j] + x_offsets[l] at index 32 j + l; the last block may be ragged
     x_blocks = g.x_min + 32 * g.dx * np.arange(-(-g.n // 32))
     x_offsets = g.dx * np.arange(32)
     drive_coef = -(dt / p.hbar) * p.lam
-    # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
-    try:
-        sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
-    except OverflowError as exc:
-        raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
-                               f"{dt * p.inv_tau:.3g}", partial=[]) from exc
     sink_const = 0.25 * dt * p.inv_tau
     drive_at = d.bind(p)
+    obs = []
+
+    def record(psi, t):
+        o = observables(WavePacket(g, psi, t), p)
+        if not 0.5 <= o.norm <= 2.0:
+            raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}")
+        obs.append(o)
+
     t = w.t
-    obs = [observables(w, p)]
-    prev_delta = obs[0].delta
-    psi = np.fft.ifft(kin_half * np.fft.fft(w.psi))
-    for i in range(steps):
-        norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
-        if not math.isfinite(norm):
-            raise NumericalFailure(f"non-finite amplitudes at t={t}", partial=obs)
-        delta = math.sqrt(var)
-        # deltadot/delta from a backward difference of delta(t), 0 on the first step
-        rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-        c = drive_coef * drive_at(t + 0.5 * dt, rate, xbar)
-        u2 *= -sink_gain / (2.0 * var)
-        u2 += sink_const
-        psi *= np.exp(u2, out=u2)
-        psi *= cis_harmonic
-        psi *= np.outer(np.exp(1j * c * x_blocks), np.exp(1j * c * x_offsets)).ravel()[:g.n]
-        f = np.fft.fft(psi)
-        t = w.t + (i + 1) * dt
-        prev_delta = delta
-        if (i + 1) % record_stride == 0 or i == steps - 1:
-            psi = np.fft.ifft(kin_half * f)
-            o = observables(WavePacket(g, psi, t), p)
-            if not all(map(math.isfinite, (o.norm, o.xbar, o.delta, o.excess_kurtosis, o.k_t))):
-                raise NumericalFailure(f"non-finite value in the observables recorded at t={t}",
-                                       partial=obs)
-            if not (0.5 <= o.norm <= 2.0):
-                raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}",
-                                       partial=obs)
-            obs.append(o)
-        if i < steps - 1:
-            f *= kin_full
-            psi = np.fft.ifft(f)
+    try:
+        # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+        try:
+            sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+        except OverflowError as exc:
+            raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                                   f"{dt * p.inv_tau:.3g}") from exc
+        record(w.psi, t)
+        prev_delta = obs[0].delta
+        psi = np.fft.ifft(kin_half * np.fft.fft(w.psi))
+        for i in range(steps):
+            norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+            if not math.isfinite(norm):
+                raise NumericalFailure(f"non-finite amplitudes at t={t}")
+            delta = math.sqrt(var)
+            # deltadot/delta from a backward difference of delta(t), 0 on the first step
+            rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+            c = drive_coef * drive_at(t + 0.5 * dt, rate, xbar)
+            u2 *= -sink_gain / (2.0 * var)
+            u2 += sink_const
+            psi *= np.exp(u2, out=u2)
+            psi *= cis_harmonic
+            psi *= np.outer(np.exp(1j * c * x_blocks), np.exp(1j * c * x_offsets)).ravel()[:g.n]
+            f = np.fft.fft(psi)
+            t = w.t + (i + 1) * dt
+            prev_delta = delta
+            if (i + 1) % record_stride == 0 or i == steps - 1:
+                psi = np.fft.ifft(kin_half * f)
+                record(psi, t)
+            if i < steps - 1:
+                f *= kin_full
+                psi = np.fft.ifft(f)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
     return WavePacket(grid=g, psi=psi, t=t), obs
 
 
@@ -280,7 +302,7 @@ def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:
     mask = rho >= RHO_FLOOR * rho.max()
     V_qu = np.full_like(rho, np.nan)
     curv = _d2_periodic(sq, g.dx)
-    V_qu[mask] = -(p.hbar ** 2 / (2.0 * p.m)) * curv[mask] / sq[mask]
+    V_qu[mask] = -(p.hbar * p.hbar_2m) * curv[mask] / sq[mask]
     return MadelungFields(grid=g, rho=rho, S=S, v_qu=v_qu, V_qu=V_qu,
                           valid_mask=mask)
 
@@ -295,8 +317,9 @@ def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> tuple[float, fl
     g = f.grid
     norm = float(np.sum(f.rho) * g.dx)
     xbar = float(np.sum(g.x * f.rho) * g.dx) / norm
-    delta = math.sqrt(float(np.sum((g.x - xbar) ** 2 * f.rho) * g.dx) / norm)
-    sel = f.valid_mask & (np.abs(g.x - xbar) <= 4.0 * delta)
+    u = g.x - xbar
+    delta = math.sqrt(float(np.sum(u * u * f.rho) * g.dx) / norm)
+    sel = f.valid_mask & (np.abs(u) <= 4.0 * delta)
     if np.count_nonzero(sel) < 16:
         raise NumericalFailure("fewer than 16 valid points inside 4 delta")
     # derivative on the contiguous valid block, then restricted to the window
@@ -305,7 +328,7 @@ def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> tuple[float, fl
     Fb = -np.gradient(Vb, g.dx) / p.m
     F = np.full(g.n, np.nan)
     F[idx[0]:idx[-1] + 1] = Fb
-    s = (g.x - xbar)[sel]
+    s = u[sel]
     Fw = F[sel]
     k_est = float(np.sum(Fw * s) / np.sum(s * s))
     dev = np.max(np.abs(Fw - k_est * s)) / np.max(np.abs(Fw))

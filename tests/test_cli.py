@@ -227,7 +227,27 @@ class TestConfigValidation:
         pytest.param("run", "pde", {"numerics.grid.n": 128, "params.tau": "inf",
                                     "params.m": 1e-300, "numerics.dt": 0.0125,
                                     "numerics.t_end": 0.05},
-                     "(hbar/2m)^2 = (5e+299)^2 is out of range", id="run-pde-tiny-m"),
+                     "initial packet is not representable: non-finite value in the "
+                     "observables recorded at t=0.0", id="run-pde-tiny-m"),
+        # the packet's own observables are the ones evolve records at t = 0: the
+        # variance 1e-300 has a square of 0, which the kurtosis and k_t divide by
+        pytest.param("run", "pde", {"init.delta0": 1e-150, "init.xbar0": 0.0,
+                                    "numerics.dt": 1e-8, "numerics.t_end": 1e-8,
+                                    "numerics.grid.n": 64},
+                     "initial packet is not representable: wavefunction has zero variance "
+                     "or one whose square underflows", id="run-pde-variance-square-underflows"),
+        # k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32
+        pytest.param("run", "pde", {"params.m": 1e-150, "params.tau": 1e-8,
+                                    "init.delta0": 1e-8, "init.xbar0": 0.0,
+                                    "numerics.dt": 1e-8, "numerics.t_end": 1e-8,
+                                    "numerics.grid.n": 128},
+                     "initial packet is not representable: non-finite value in the "
+                     "observables recorded at t=0.0", id="run-pde-k_t-overflows"),
+        # the default grid xbar0 -+ 16 delta0 spans 1.6e-322: 1.6e-322 / 64 rounds to 0
+        pytest.param("run", "pde", {"params.tau": "inf", "init.delta0": 5e-324,
+                                    "init.xbar0": 0.0, "numerics.dt": 1e-8,
+                                    "numerics.t_end": 1e-8, "numerics.grid.n": 64},
+                     "grid spacing (x_max - x_min)/n", id="run-pde-spacing-underflows"),
         # numpy refuses this size before allocating anything
         pytest.param("run", "pde", {"numerics.grid.n": 1e20},
                      "grid of 100000000000000000000 points is too large",
@@ -339,17 +359,6 @@ class TestConfigValidation:
                          "init.width_rate0": 1e-150, "numerics.dt": 1e-150,
                          "numerics.t_end": 1e-150},
                  "non-finite value in the finite-difference dI/dt", id="ode-fd-rate-overflows"),
-    # the variance 1e-300 has a square of 0, which the kurtosis and k_t divide by
-    pytest.param("pde", {"init.delta0": 1e-150, "init.xbar0": 0.0, "numerics.dt": 1e-8,
-                         "numerics.t_end": 1e-8, "numerics.grid.n": 64},
-                 "wavefunction has zero variance or one whose square underflows",
-                 id="pde-variance-square-underflows"),
-    # k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32
-    pytest.param("pde", {"params.m": 1e-150, "params.tau": 1e-8, "init.delta0": 1e-8,
-                         "init.xbar0": 0.0, "numerics.dt": 1e-8, "numerics.t_end": 1e-8,
-                         "numerics.grid.n": 128},
-                 "non-finite value in the observables recorded at t=1e-08",
-                 id="pde-k_t-overflows"),
 ])
 def test_unrepresentable_run_exits_2(tmp_path, capsys, mode, fields, message):
     out = tmp_path / "out"
@@ -539,8 +548,8 @@ class TestPdeMode:
             del cfg["output"]["snapshots"]
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: sink factor exp(dt/tau) overflows "
-                       "at dt/tau = 1.25e+198"]
+        assert err == ["numerical failure: evolution aborted at t~0.0: sink factor "
+                       "exp(dt/tau) overflows at dt/tau = 1.25e+198"]
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["pde", "compare"])

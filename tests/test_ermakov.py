@@ -309,6 +309,12 @@ class TestIntegrate:
         t2 = integrate(ErmakovState(0, 1, 0, 1, 0), p, **args)
         assert np.array_equal(t1.invariant, t2.invariant)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_refuses_bad_dt(self, dt):
+        # dt = inf would take no step and return the initial row alone
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0), t_end=1.0, dt=dt)
+
     def test_rejects_bad_numerics(self):
         p = PhysParams(tau=2.0)
         init = ErmakovState(0, 1, 0, 1, 0)

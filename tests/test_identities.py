@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,8 +101,8 @@ class TestVelocityAnsatz:
     def test_no_measurement_limit(self):
         a = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1e12)
         xs = np.linspace(-4, 4, 33)
-        assert np.max(np.abs(a.velocity(xs, with_sink_term=True)
-                             - a.velocity(xs, with_sink_term=False))) < 1e-11
+        # the sink-free field is the tau = inf slice
+        assert np.max(np.abs(a.velocity(xs) - replace(a, tau=math.inf).velocity(xs))) < 1e-11
 
 
 class TestCoefficientExpansion:

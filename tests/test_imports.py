@@ -1,4 +1,5 @@
-"""The package's internal import graph, read from the source with `ast`.
+"""The package's source read with `ast`: its internal import graph, and the
+modules written without `**`.
 
 No module is imported here: the graph is built from every `import` and
 `from ... import` statement in src/ermakov_lab, including those inside
@@ -55,3 +56,13 @@ def test_params_and_madelung_do_not_import_ermakov():
     assert "ermakov" not in graph["params"]
     assert "ermakov" not in graph["madelung"]
     assert graph["madelung"] <= {"params", "errors"}
+
+
+def test_solver_modules_have_no_power_operator():
+    # `**` on a float raises OverflowError where a product gives inf, which the
+    # solvers' finiteness checks report; a product is the one failure signal
+    for mod in ("ermakov", "params", "madelung"):
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        powers = [n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+        assert powers == [], f"{mod}.py uses ** on lines {powers}"

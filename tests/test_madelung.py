@@ -42,6 +42,11 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(1.0, 1.0, 128)
 
+    def test_refuses_a_spacing_that_underflows(self):
+        # a span of 32 subnormal steps: 1.6e-322 / 64 rounds to 0
+        with pytest.raises(ConfigurationError, match="underflows to 0"):
+            Grid(-16 * 5e-324, 16 * 5e-324, 64)
+
 
 class TestGaussianPacket:
     def test_norm_peak_and_variance(self):
@@ -90,11 +95,27 @@ class TestGaussianPacket:
                      id="grid3-0.1-below the grid spacing 0.25"),
         # hbar/2m = 5e299: k_t = (hbar/2m)^2 / delta^4 would be inf in every row
         pytest.param(Grid(-15, 17, 128), 1.0, PhysParams(tau=math.inf, m=1e-300),
-                     r"\(hbar/2m\)\^2 = \(5e\+299\)\^2 is out of range", id="tiny-m"),
+                     "initial packet is not representable: non-finite value in the "
+                     r"observables recorded at t=0\.0", id="tiny-m"),
     ])
     def test_refuses_unrepresentable_packet(self, grid, delta0, p, message):
         with pytest.raises(ConfigurationError, match=message):
             gaussian_packet(grid, 1.0, delta0, p=p)
+
+    @pytest.mark.parametrize("delta0, p, message", [
+        # the variance 1e-300 has a square of 0, which the kurtosis and k_t divide by
+        pytest.param(1e-150, PhysParams(tau=2.0), "wavefunction has zero variance or one "
+                     "whose square underflows", id="variance-square-underflows"),
+        # k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32
+        pytest.param(1e-8, PhysParams(tau=1e-8, m=1e-150), "non-finite value in the "
+                     r"observables recorded at t=0\.0", id="k_t-overflows"),
+    ])
+    def test_refuses_packet_its_observables_refuse(self, delta0, p, message):
+        # the default grid xbar0 -+ 16 delta0 passes every other packet check
+        g = Grid(-16 * delta0, 16 * delta0, 64)
+        with pytest.raises(ConfigurationError,
+                           match="initial packet is not representable: " + message):
+            gaussian_packet(g, 0.0, delta0, p=p)
 
     def test_width_floor_is_one_grid_spacing(self):
         g = Grid(-15, 17, 128)
@@ -276,11 +297,41 @@ class TestEvolve:
         p = PhysParams(tau=2.0)
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
-        w.psi *= 2.0  # norm 4, outside the trusted window after one step
-        with pytest.raises(NumericalFailure, match=r"norm .* outside \[0\.5, 2\]") as exc:
+        w.psi *= 2.0  # norm 4, outside the trusted window
+        # the t = 0 row goes through the same check as every later row
+        with pytest.raises(NumericalFailure,
+                           match=r"norm .* outside \[0\.5, 2\] at t=0\.0$") as exc:
             evolve(w, p, ZERO, g.dx ** 2 / np.pi, 1)
-        # the t = 0 observables were recorded before the failing step
-        assert [(o.t, o.norm) for o in exc.value.partial] == [(0.0, pytest.approx(4.0))]
+        assert exc.value.partial == []
+
+    def test_initial_row_is_checked(self):
+        # at m = 1e-150, k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32 is inf for the
+        # packet built at m = 1
+        g = Grid(-1.6e-7, 1.6e-7, 128)
+        w = gaussian_packet(g, 0.0, 1e-8, p=P_FREE)
+        with pytest.warns(UserWarning), \
+                pytest.raises(NumericalFailure, match="non-finite value in the observables "
+                                                      r"recorded at t=0\.0$") as exc:
+            evolve(w, PhysParams(tau=math.inf, m=1e-150), ZERO, 1e-3, 5)
+        assert exc.value.partial == []
+
+    def test_zero_norm_mid_run_keeps_the_recorded_rows(self):
+        # the 1/(2 tau) phase curvature cancelled, dt/tau = 50: the sink factor
+        # empties the packet within the run, before its first record point
+        tau, dt = 2e-4, 0.01
+        p = PhysParams(tau=tau)
+        g = Grid(-15, 17, 128)
+        w = gaussian_packet(g, 1.0, 1.0, width_rate0=-1.0 / (2 * tau), p=p)
+        with pytest.raises(NumericalFailure, match="wavefunction has zero norm") as exc:
+            evolve(w, p, ZERO, dt, 40, record_stride=100)
+        assert str(exc.value).startswith("evolution aborted at t~")
+        assert [o.t for o in exc.value.partial] == [0.0]
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_refuses_bad_dt(self, dt):
+        w = gaussian_packet(Grid(1 - 16, 1 + 16, 128), 1.0, 1.0, p=P_FREE)
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            evolve(w, P_FREE, ZERO, dt, 5)
 
     def test_sink_overflow_is_a_numerical_failure(self):
         g = Grid(1 - 16, 1 + 16, 128)
@@ -310,13 +361,15 @@ class TestEvolve:
         assert all(math.isfinite(o.xbar) for o in obs)
 
     def test_nonfinite_amplitude_aborts_between_record_points(self):
-        p = PhysParams(tau=2.0)
-        g = Grid(1 - 16, 1 + 16, 512)
+        p = PhysParams(tau=2.0, lam=1.0)
+        g = Grid(-15, 17, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
-        w.psi[g.n // 2] = np.nan
-        # caught at the first step, not at the first record point (step 10)
-        with pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=0\.0$") as exc:
-            evolve(w, p, ZERO, g.dx ** 2 / np.pi, 25, record_stride=10)
+        # freq * (t + dt/2) overflows on the first step: its drive factor is NaN
+        d = DriveSpec(kind="sinusoid", x0=1.0, freq=1e308)
+        # caught at the second step, not at the first record point (step 10)
+        with pytest.warns(UserWarning), \
+                pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=4\.0$") as exc:
+            evolve(w, p, d, 4.0, 25, record_stride=10)
         assert [o.t for o in exc.value.partial] == [0.0]
 
     def test_record_stride_changes_rounding_only(self):
