@@ -105,10 +105,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     or the phase would alias.  The grid's span (x_max - x_min)^4 must be
     finite, which keeps the fourth moment of `observables` finite, and
     delta0 >= dx, below which the samples miss the packet's width and norm.
-    Last, the packet's own observables must pass the check `observables`
-    makes of every row `evolve` records: a packet they refuse (a variance
-    whose square underflows, a k_t beyond the float range) is refused here,
-    as a ConfigurationError.
+    Last, a packet whose own observables fail the check of every row `evolve`
+    records (a variance whose square underflows, a k_t beyond the float
+    range) is a ConfigurationError here.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -158,11 +157,8 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
 
 
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
-    """Quadrature moments of rho plus the quantum-force slope k_t.
-
-    The one check of a recorded row: a non-finite value among the five
-    raises NumericalFailure, as do the zero-norm and zero-variance checks of
-    the moments."""
+    """Quadrature moments of rho plus the quantum-force slope k_t; a non-finite
+    value among them raises NumericalFailure (the one check of a recorded row)."""
     norm, xbar, u2, var, rho = _moments(w.psi, w.grid.x, w.grid.dx)
     m4 = float((u2 * u2) @ rho) * w.grid.dx / norm
     var2 = var * var
