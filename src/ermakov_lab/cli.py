@@ -246,12 +246,13 @@ def _steps(r: dict) -> int:
 
 
 def write_csv(path: Path, columns: list[str], rows) -> None:
+    """Write `rows`, tuples of one number per column, each number as %.17g."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def run_ode(r: dict) -> int:

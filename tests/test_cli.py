@@ -372,6 +372,17 @@ def test_unrepresentable_run_exits_2(tmp_path, capsys, mode, fields, message):
     assert message in err[0]
 
 
+def test_write_csv_bytes(tmp_path):
+    # the same bytes as joining f"{v:.17g}" per value, for every kind of number a row holds
+    rows = [(-0.0, 5e-324, 1.7976931348623157e308),
+            (np.float64(0.1), math.inf, -math.inf),
+            (math.nan, np.float64(-2.5e-310), 7),
+            (np.float64(math.nan), np.float64(-math.inf), 0.1)]
+    cli.write_csv(tmp_path / "rows.csv", ["a", "b", "c"], iter(rows))
+    expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "rows.csv").read_text() == cli.CSV_HEADER + "\na,b,c\n" + expected
+
+
 class TestOdeMode:
     def test_conserving_drive_invariant_column(self, tmp_path):
         out = tmp_path / "out"

@@ -445,20 +445,39 @@ class TestEvolveStep:
                 assert abs(getattr(o, f) - getattr(r, f)) <= 1e-12
 
     def test_one_forward_fft_per_step_boundary(self, monkeypatch):
-        # one FFT pair opens step 1; each step then takes one forward FFT, one
-        # inverse FFT to open the next step and one for its record point
-        w = gaussian_packet(Grid(1 - 16, 1 + 16, 256), 1.0, 1.0, p=self.P)
+        # one FFT pair opens step 1; each step then takes one forward FFT and one
+        # inverse FFT, which at a record point before the last step transforms
+        # the closed state and the next step's opened state as one (2, n) batch
+        n, steps = 256, 6
+        w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
 
         def counted(name, fn):
             def wrapper(a):
-                calls.append(name)
+                calls.append((name, a.shape))
                 return fn(a)
             return wrapper
 
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        steps = 6
-        evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=1)
-        assert len(calls) == 3 * steps + 1
-        assert calls.count("fft") == steps + 1
+        for stride, batched in ((1, steps - 1), (7, 0)):
+            calls.clear()
+            with monkeypatch.context() as mp:
+                for name in ("fft", "ifft"):
+                    mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+                evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
+            assert len(calls) == 2 * steps + 2
+            assert calls.count(("fft", (n,))) == steps + 1
+            assert calls.count(("ifft", (2, n))) == batched
+            assert calls.count(("ifft", (n,))) == steps + 1 - batched
+
+    # n = 100 leaves a ragged last 32-point block of the drive factor
+    @pytest.mark.parametrize("n", [100, 256])
+    def test_recording_does_not_change_the_evolution(self, n):
+        # a record point's batched inverse FFT keeps the operand order of the
+        # unbatched halves, so the state it opens is the one stride 3 opens
+        g = Grid(1 - 16, 1 + 16, n)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        dt = g.dx * g.dx / np.pi
+        fin1, obs1 = evolve(w, self.P, self.D, dt, 21, record_stride=1)
+        fin3, obs3 = evolve(w, self.P, self.D, dt, 21, record_stride=3)
+        assert np.array_equal(fin1.psi, fin3.psi)
+        assert obs1[::3] == obs3
