@@ -28,7 +28,6 @@ from .madelung import (
     madelung_decompose,
     observables,
     quantum_force_linearity,
-    time_derivative,
 )
 from .identities import (
     AnsatzSlice,

@@ -161,9 +161,10 @@ def resolve(cfg: dict) -> dict:
     """Every field of the config, converted once and defaulted: what a run reads.
 
     A config error for an unknown key, a bad value, a classical system the run
-    cannot honour, two initial widths, a refused pde/compare grid or packet and,
-    checked last, a given key that the mode, system or drive kind does not
-    read.  ERMAKOV_LAB_OUT replaces output.directory."""
+    cannot honour, two initial widths, a refused pde/compare grid or packet, a
+    given key that the mode, system or drive kind does not read and, checked
+    last, a drive term lambda X / m or pde drive phase (dt/hbar) lambda X x
+    beyond the float range.  ERMAKOV_LAB_OUT replaces output.directory."""
     given = dict(_given(cfg))
     r = {}
     for key, (conv, default, _) in _FIELDS.items():
@@ -215,6 +216,16 @@ def resolve(cfg: dict) -> dict:
         if why:
             where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
             raise ConfigurationError(f"{key} is not supported {where}")
+    if r["drive.kind"] != "conserving":  # |X| is at most |x0| or the table's largest |X|
+        lam_x = abs(p.lam) * max(abs(x) for x in (r["drive.x0"], *(x for _, x in r["drive.table"])))
+        if not math.isfinite(lam_x / p.m):
+            raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
+                                     "is beyond the float range")
+        dt_hbar = r["numerics.dt"] / p.hbar
+        x_far = max(abs(r["numerics.grid.x_min"]), abs(r["numerics.grid.x_max"]))
+        if r["mode"] in _PDE["mode"] and not math.isfinite(dt_hbar * lam_x * x_far):
+            raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
+                                     f" * {lam_x:g} * {x_far:g} is beyond the float range")
     return r
 
 

@@ -8,10 +8,11 @@ Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
 half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
-kinetic factor; at a record point the closed state and the next step's
-opened state go through one batched inverse FFT.  A step makes one fft call
-and one ifft call.  X(t) is DriveSpec.bind's function, given the packet's
-deltadot/delta and mean (read by the conserving kind).
+kinetic factor; at every record point, the last step included, the closed
+state and the next step's opened state go through one batched inverse FFT.
+A step makes one fft call and one ifft call.  X(t) is DriveSpec.bind's
+function, given the packet's deltadot/delta and mean (read by the conserving
+kind).
 """
 from __future__ import annotations
 
@@ -131,8 +132,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     u = x - xbar0
     two_var = 2.0 * delta0 * delta0
     rho = np.exp(-u * u / two_var) / math.sqrt(np.pi * two_var)
-    S = (p.m / p.hbar) * (0.5 * slope * u * u + xbardot0 * u)
-    w = WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # observables refuses a non-finite psi
+        S = (p.m / p.hbar) * (0.5 * slope * u * u + xbardot0 * u)
+        w = WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
     try:
         observables(w, p)
     except NumericalFailure as exc:
@@ -169,17 +171,6 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     return Observables(w.t, *row)
 
 
-def time_derivative(w: WavePacket, p: PhysParams, d: DriveSpec) -> np.ndarray:
-    """Right-hand side d(psi)/dt at w.t; a conserving drive raises ConfigurationError."""
-    g = w.grid
-    _, _, u2, var, _ = _moments(w.psi, g.x, g.dx)
-    kin = (p.hbar * p.hbar_2m) * np.fft.ifft(g.k * g.k * np.fft.fft(w.psi))
-    pot = (0.5 * p.m * p.omega2(w.t) * g.x * g.x
-           + p.lam * g.x * d.value(w.t)) * w.psi
-    sink = 0.25 * p.inv_tau * (u2 / var - 1.0) * w.psi
-    return (kin + pot) / (1j * p.hbar) - sink
-
-
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
            ) -> tuple[WavePacket, list[Observables]]:
@@ -201,12 +192,12 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     on the 32-point block starts and on the 32 offsets within a block.  The
     step then takes one forward FFT: a record point closes the step from it
     with the kinetic half-step, and the next step opens from it with the full
-    kinetic factor (the closing and opening halves fused).  At a record point
-    before the last step the two go through one inverse FFT of a (2, n)
-    batch, so every step makes one fft call and one ifft call; over S steps
-    with R record points after t = 0 that is 2S + 2 calls and 2S + 1 + R
-    transforms.  The result differs from unfused stepping by rounding only,
-    and does not depend on record_stride.
+    kinetic factor (the closing and opening halves fused).  At every record
+    point, the last step included, the two go through one inverse FFT of a
+    (2, n) batch, so every step makes one fft call and one ifft call; over S
+    steps with R record points after t = 0 that is 2S + 2 calls and
+    2S + 2 + R transforms.  The result differs from unfused stepping by
+    rounding only, and does not depend on record_stride.
 
     Every recorded row, the t = 0 row included, goes through one check: the
     finiteness check of `observables` and the norm window [0.5, 2].  Each
@@ -276,10 +267,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             f = np.fft.fft(psi)
             t = w.t + (i + 1) * dt
             prev_delta = delta
-            if i == steps - 1:
-                psi = np.fft.ifft(kin_half * f)
-                record(psi, t)
-            elif (i + 1) % record_stride == 0:
+            if (i + 1) % record_stride == 0 or i == steps - 1:
                 # complex a * b and b * a can differ in the last bit: f * kin_full is
                 # the state f *= kin_full opens, so psi does not depend on record_stride
                 np.multiply(kin_half, f, out=closed_opened[0])
@@ -291,7 +279,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 psi = np.fft.ifft(f)
     except NumericalFailure as exc:
         raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
-    return WavePacket(grid=g, psi=psi, t=t), obs
+    return WavePacket(grid=g, psi=closed, t=t), obs
 
 
 def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:

@@ -51,9 +51,10 @@ def test_tracer_counts_every_mode(tmp_path, tracer):
     assert totals["ermakov.steps"] == 35
     assert totals["madelung.steps"] == 10
     # each of the two 5-step runs: one FFT pair to open, then one fft and one
-    # ifft per step; a batched (2, n) ifft moves the bytes of two 1-D calls
+    # ifft per step; a batched (2, n) ifft, one at each record point and so at
+    # the last step, moves the bytes of two 1-D calls
     assert totals["madelung.fft.calls"] == 24
-    assert totals["madelung.fft.bytes"] == 65536
+    assert totals["madelung.fft.bytes"] == 69632
     # ode 11 rows, pde 6 rows and a 64-point snapshot, compare 6, the sweep 2 x 11
     assert totals["cli.write_csv.rows"] == 109
     assert totals["cli.write_csv.bytes"] > 0

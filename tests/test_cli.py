@@ -277,6 +277,38 @@ class TestConfigValidation:
         # float() of an int beyond the float range raises OverflowError
         pytest.param("run", "ode", {"params.m": 10 ** 400}, "params.m must be a number",
                      id="run-ode-huge-int-m"),
+        # m/hbar = 5e-324 passes the Nyquist check, but xbardot0 * (x - xbar0) overflows
+        # in the phase: numpy's warnings must not escape resolve
+        *(pytest.param("run", mode, {"params.m": 5e-324, "init.xbardot0": 1.7e308,
+                                     "numerics.dt": 1.0, "numerics.t_end": 1.0,
+                                     "numerics.grid.n": 64},
+                       "initial packet is not representable: non-finite value in the "
+                       "observables recorded at t=0.0", id=f"run-{mode}-phase-overflows",
+                       marks=pytest.mark.filterwarnings("error"))
+          for mode in ("pde", "compare")),
+        # lambda X = 1e600: the ode's drive term and evolve's drive phase overflow
+        *(pytest.param("run", mode, {**GRID_128, "params.lambda": 1e300,
+                                     "drive.kind": "sinusoid", "drive.x0": 1e300,
+                                     "drive.freq": 0.5, "numerics.dt": 0.01,
+                                     "numerics.t_end": 0.03},
+                       "drive term |lambda| max|X| / m = inf/1 is beyond the float range",
+                       id=f"run-{mode}-lambda-x-overflows")
+          for mode in ("pde", "compare")),
+        pytest.param("run", "ode", {"params.lambda": 1e300, "drive.kind": "sinusoid",
+                                    "drive.x0": 1e300, "drive.freq": 0.5,
+                                    "numerics.dt": 0.01, "numerics.t_end": 0.03},
+                     "drive term |lambda| max|X| / m = inf/1 is beyond the float range",
+                     id="run-ode-lambda-x-overflows"),
+        pytest.param("run", "ode", {"params.lambda": 1e10, "params.m": 1e-10,
+                                    "drive.kind": "tabulated",
+                                    "drive.table": [[0.0, 1.0], [1.0, -1e290]]},
+                     "drive term |lambda| max|X| / m = 1e+300/1e-10", id="run-ode-table-x"),
+        # lambda X / m = 1.1e307 is finite; (dt/hbar) lambda X max|x| = 1.1e307 * 17 is not
+        pytest.param("run", "pde", {**GRID_128, "params.lambda": 1.0, "drive.kind": "constant",
+                                    "drive.x0": 1.1e307, "numerics.dt": 1.0,
+                                    "numerics.t_end": 1.0},
+                     "drive phase (dt/hbar) |lambda| max|X| max|x| = 1 * 1.1e+307 * 17",
+                     id="run-pde-drive-phase-overflows"),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -312,10 +344,12 @@ class TestConfigValidation:
         ("numerics.grid.n", "128,32", "grid needs at least 64 points"),
         ("init.xbardot0", "0,100", "Nyquist limit"),
         ("numerics.grid.x_max", "17,5", "packet must sit at least 8*delta0"),
+        ("params.lambda", "1,1e300", "drive term |lambda| max|X| / m = inf/1"),
     ])
     def test_sweep_refuses_bad_grid_or_packet_before_running(self, tmp_path, capsys,
                                                              param, values, needle):
         cfg = {"mode": "pde", "params": {"tau": 2.0}, "init": {"xbar0": 1.0},
+               "drive": {"kind": "sinusoid", "x0": 1e300, "freq": 0.5},
                "numerics": {"dt": 0.0125, "t_end": 0.1,
                             "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
                "output": {"directory": str(tmp_path / "out")}}
@@ -325,6 +359,21 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert needle in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_drive_phase_just_inside_the_float_range_runs(self, tmp_path, capsys):
+        # (dt/hbar) |lambda| max|X| max|x| = 1e307 * 17 = 1.7e308: the largest phase
+        # evolve forms is finite, so resolve lets the run through (1.1e307 is refused)
+        out = tmp_path / "out"
+        cfg = {"mode": "pde", "params": {"tau": 2.0, "lambda": 1.0},
+               "drive": {"kind": "constant", "x0": 1e307}, "init": {"xbar0": 1.0},
+               "numerics": {"dt": 1.0, "t_end": 1.0,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(out)}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err.startswith("warning: dt=1.0 exceeds")
+        header, data = read_csv(out / "observables.csv")
+        assert data.shape == (2, len(header)) and np.all(np.isfinite(data))
 
     @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
     def test_huge_mass_runs(self, tmp_path, capsys, mode):

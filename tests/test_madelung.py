@@ -13,7 +13,6 @@ from ermakov_lab import (
     madelung_decompose,
     observables,
     quantum_force_linearity,
-    time_derivative,
 )
 from ermakov_lab.errors import ConfigurationError, NumericalFailure
 
@@ -216,19 +215,6 @@ class TestQuantumForceLinearity:
             quantum_force_linearity(f, P_FREE)
 
 
-class TestConservingDriveOutsideEvolve:
-    """Only evolve supplies the width rate the conserving feedback needs."""
-
-    P = PhysParams(tau=2.0, lam=1.0)
-
-    def packet(self):
-        return gaussian_packet(Grid(-15, 17, 128), 1.0, 1.0, p=self.P)
-
-    def test_time_derivative_refuses_it(self):
-        with pytest.raises(ConfigurationError):
-            time_derivative(self.packet(), self.P, DriveSpec(kind="conserving"))
-
-
 class TestEvolve:
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(NumericalFailure, match="zero variance"):
@@ -262,7 +248,7 @@ class TestEvolve:
         p = PhysParams(tau=2.0)
         g = Grid(-15, 17, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
-        rhs = time_derivative(w, p, ZERO)
+        rhs = right_side(w, p)
         errs = []
         for dt in (1e-4, 5e-5):
             fin, _ = evolve(w, p, ZERO, dt, 1)
@@ -372,22 +358,6 @@ class TestEvolve:
             evolve(w, p, d, 4.0, 25, record_stride=10)
         assert [o.t for o in exc.value.partial] == [0.0]
 
-    def test_record_stride_changes_rounding_only(self):
-        p = PhysParams(tau=2.0, lam=1.0)
-        g = Grid(1 - 16, 1 + 16, 512)
-        w = gaussian_packet(g, 1.0, 1.0, p=p)
-        dt = g.dx ** 2 / np.pi
-        d = DriveSpec(kind="sinusoid", x0=0.3, freq=0.6)
-        w1, obs1 = evolve(w, p, d, dt, 50, record_stride=1)
-        w7, obs7 = evolve(w, p, d, dt, 50, record_stride=7)
-        assert np.max(np.abs(w1.psi - w7.psi)) <= 1e-12
-        by_t = {round(o.t / dt): o for o in obs1}
-        assert [round(o.t / dt) for o in obs7] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
-        for o in obs7:
-            ref = by_t[round(o.t / dt)]
-            for f in ("norm", "xbar", "delta", "excess_kurtosis", "k_t"):
-                assert abs(getattr(o, f) - getattr(ref, f)) <= 1e-12
-
     def test_split_run_matches_single_run(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)
@@ -399,6 +369,19 @@ class TestEvolve:
         rest, _ = evolve(half, p, d, dt, 20, record_stride=10)
         assert rest.t == pytest.approx(full.t, abs=1e-12)
         assert np.max(np.abs(rest.psi - full.psi)) <= 1e-12
+
+
+def right_side(w, p):
+    """d(psi)/dt at w.t under the zero drive: the kinetic, harmonic and sink
+    terms of the equation evolve integrates."""
+    g, x, psi = w.grid, w.grid.x, w.psi
+    rho = np.abs(psi) ** 2
+    xbar = np.sum(x * rho) / np.sum(rho)
+    var = np.sum((x - xbar) ** 2 * rho) / np.sum(rho)
+    kin = (p.hbar * p.hbar_2m) * np.fft.ifft(g.k * g.k * np.fft.fft(psi))
+    pot = 0.5 * p.m * p.omega2(w.t) * x * x * psi
+    sink = 0.25 * p.inv_tau * ((x - xbar) ** 2 / var - 1.0) * psi
+    return (kin + pot) / (1j * p.hbar) - sink
 
 
 def reference_evolve(w, p, d, dt, steps, record_stride):
@@ -446,8 +429,9 @@ class TestEvolveStep:
 
     def test_one_forward_fft_per_step_boundary(self, monkeypatch):
         # one FFT pair opens step 1; each step then takes one forward FFT and one
-        # inverse FFT, which at a record point before the last step transforms
-        # the closed state and the next step's opened state as one (2, n) batch
+        # inverse FFT, which at every record point, the last step included,
+        # transforms the closed state and the next step's opened state as one
+        # (2, n) batch
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
@@ -458,7 +442,7 @@ class TestEvolveStep:
                 return fn(a)
             return wrapper
 
-        for stride, batched in ((1, steps - 1), (7, 0)):
+        for stride, batched in ((1, steps), (7, 1)):
             calls.clear()
             with monkeypatch.context() as mp:
                 for name in ("fft", "ifft"):
@@ -469,15 +453,17 @@ class TestEvolveStep:
             assert calls.count(("ifft", (2, n))) == batched
             assert calls.count(("ifft", (n,))) == steps + 1 - batched
 
-    # n = 100 leaves a ragged last 32-point block of the drive factor
-    @pytest.mark.parametrize("n", [100, 256])
-    def test_recording_does_not_change_the_evolution(self, n):
+    # n = 100 leaves a ragged last 32-point block of the drive factor; at
+    # n = 512 the last row (t = 50 dt) falls between two stride-7 record points
+    @pytest.mark.parametrize("n, steps, stride", [(100, 21, 3), (256, 21, 3), (512, 50, 7)],
+                             ids=["100", "256", "512"])
+    def test_recording_does_not_change_the_evolution(self, n, steps, stride):
         # a record point's batched inverse FFT keeps the operand order of the
-        # unbatched halves, so the state it opens is the one stride 3 opens
+        # unbatched halves, so the state it opens is the one a longer stride opens
         g = Grid(1 - 16, 1 + 16, n)
         w = gaussian_packet(g, 1.0, 1.0, p=self.P)
         dt = g.dx * g.dx / np.pi
-        fin1, obs1 = evolve(w, self.P, self.D, dt, 21, record_stride=1)
-        fin3, obs3 = evolve(w, self.P, self.D, dt, 21, record_stride=3)
-        assert np.array_equal(fin1.psi, fin3.psi)
-        assert obs1[::3] == obs3
+        fin1, obs1 = evolve(w, self.P, self.D, dt, steps, record_stride=1)
+        fin, obs = evolve(w, self.P, self.D, dt, steps, record_stride=stride)
+        assert np.array_equal(fin1.psi, fin.psi)
+        assert obs == obs1[::stride] + ([obs1[-1]] if steps % stride else [])
