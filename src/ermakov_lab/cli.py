@@ -216,7 +216,7 @@ def resolve(cfg: dict) -> dict:
         if why:
             where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
             raise ConfigurationError(f"{key} is not supported {where}")
-    if r["drive.kind"] != "conserving":  # |X| is at most |x0| or the table's largest |X|
+    if r["drive.kind"] != "conserving":  # |X| <= |x0| or |table X|, each 0 if the kind reads none
         lam_x = abs(p.lam) * max(abs(x) for x in (r["drive.x0"], *(x for _, x in r["drive.table"])))
         if not math.isfinite(lam_x / p.m):
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
