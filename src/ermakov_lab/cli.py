@@ -163,7 +163,7 @@ def resolve(cfg: dict) -> dict:
     A config error for an unknown key, a bad value, a classical system the run
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
-    last, a drive term lambda X / m or pde drive phase (dt/hbar) lambda X x
+    last, a drive term lambda X / m or a pde drive, harmonic or kinetic phase
     beyond the float range.  ERMAKOV_LAB_OUT replaces output.directory."""
     given = dict(_given(cfg))
     r = {}
@@ -216,16 +216,29 @@ def resolve(cfg: dict) -> dict:
         if why:
             where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
             raise ConfigurationError(f"{key} is not supported {where}")
+    dt_hbar = r["numerics.dt"] / p.hbar
+    x_far = max(abs(r["numerics.grid.x_min"]), abs(r["numerics.grid.x_max"]))
+    pde = r["mode"] in _PDE["mode"]
     if r["drive.kind"] != "conserving":  # |X| <= |x0| or |table X|, each 0 if the kind reads none
         lam_x = abs(p.lam) * max(abs(x) for x in (r["drive.x0"], *(x for _, x in r["drive.table"])))
         if not math.isfinite(lam_x / p.m):
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")
-        dt_hbar = r["numerics.dt"] / p.hbar
-        x_far = max(abs(r["numerics.grid.x_min"]), abs(r["numerics.grid.x_max"]))
-        if r["mode"] in _PDE["mode"] and not math.isfinite(dt_hbar * lam_x * x_far):
+        if pde and not math.isfinite(dt_hbar * lam_x * x_far):
             raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
                                      f" * {lam_x:g} * {x_far:g} is beyond the float range")
+    if pde:  # the largest harmonic and kinetic phases evolve forms, in its order
+        k_far = math.pi / ((r["numerics.grid.x_max"] - r["numerics.grid.x_min"])
+                           / r["numerics.grid.n"])
+        w2 = p.omega2(0.0)
+        if not math.isfinite(dt_hbar * 0.5 * p.m * w2 * x_far * x_far):
+            raise ConfigurationError(f"harmonic phase (dt/hbar) m omega^2 max|x|^2 / 2 = "
+                                     f"{dt_hbar:g} * {p.m:g} * {w2:g} * {x_far:g}^2 / 2 "
+                                     "is beyond the float range")
+        if not math.isfinite(0.5 * r["numerics.dt"] * p.hbar_2m * (k_far * k_far)):
+            raise ConfigurationError(f"kinetic phase dt (hbar/2m) (pi/dx)^2 / 2 = "
+                                     f"{r['numerics.dt']:g} * {p.hbar_2m:g} * {k_far:g}^2 / 2 "
+                                     "is beyond the float range")
     return r
 
 

@@ -149,10 +149,10 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
     norm = float(np.add.reduce(rho)) * dx
     if norm <= 0:
         raise NumericalFailure("wavefunction has zero norm")
-    xbar = float(x @ rho) * dx / norm
+    xbar = float(x.dot(rho)) * dx / norm
     u2 = x - xbar
     u2 *= u2
-    var = float(u2 @ rho) * dx / norm
+    var = float(u2.dot(rho)) * dx / norm
     if var * var == 0.0:  # observables divides by var^2
         raise NumericalFailure(f"wavefunction has zero variance or one whose square "
                                f"underflows: {var:g}")
@@ -163,7 +163,8 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     """Quadrature moments of rho plus the quantum-force slope k_t; a non-finite
     value among them raises NumericalFailure (the one check of a recorded row)."""
     norm, xbar, u2, var, rho = _moments(w.psi, w.grid.x, w.grid.dx)
-    m4 = float((u2 * u2) @ rho) * w.grid.dx / norm
+    u2 *= u2
+    m4 = float(u2.dot(rho)) * w.grid.dx / norm
     var2 = var * var
     row = (norm, xbar, math.sqrt(var), m4 / var2 - 3.0, p.hbar_2m * p.hbar_2m / var2)
     if not all(map(math.isfinite, row)):
@@ -197,7 +198,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     (2, n) batch, so every step makes one fft call and one ifft call; over S
     steps with R record points after t = 0 that is 2S + 2 calls and
     2S + 2 + R transforms.  The result differs from unfused stepping by
-    rounding only, and does not depend on record_stride.
+    rounding only, and does not depend on record_stride.  Every FFT, and the
+    drive factor, writes into buffers made once per call: the packet passed
+    in is never written, and the returned psi is a row of this call's own
+    (2, n) buffer, which a later call leaves alone.
 
     Every recorded row, the t = 0 row included, goes through one check: the
     finiteness check of `observables` and the norm window [0.5, 2].  Each
@@ -222,12 +226,21 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     kin_half = np.exp((-0.5j * dt * p.hbar_2m) * (g.k * g.k))
     kin_full = kin_half * kin_half
     cis_harmonic = np.exp(1j * (-(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x))
-    # i x = ix_blocks[j] + ix_offsets[l] at index 32 j + l; the last block may be ragged
-    ix_blocks = 1j * (g.x_min + 32 * g.dx * np.arange(-(-g.n // 32)))
-    ix_offsets = 1j * (g.dx * np.arange(32))
-    cis_drive = np.empty((len(ix_blocks), 32), complex)
-    # row 0: the closed state of a record point, row 1: the next step opened
+    # i x = ix[j] + ix[nb + l] at index 32 j + l (nb block starts, then the 32
+    # offsets within a block); the last block may be ragged
+    nb = -(-g.n // 32)
+    ix = 1j * np.concatenate((g.x_min + 32 * g.dx * np.arange(nb), g.dx * np.arange(32)))
+    cis = np.empty(nb + 32, complex)
+    cis_blocks, cis_offsets = cis[:nb, None], cis[nb:]
+    cis_drive = np.empty((nb, 32), complex)
+    drive_flat = cis_drive.ravel()[:g.n]
+    f = np.empty(g.n, complex)
+    # row 0: the closed state of a record point, row 1: the next step opened;
+    # closed_opened holds their spectra and states the states, which ifft
+    # writes (psi is states[1] throughout)
     closed_opened = np.empty((2, g.n), complex)
+    states = np.empty((2, g.n), complex)
+    closed, psi = states
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
     drive_at = d.bind(p)
@@ -249,7 +262,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                                    f"{dt * p.inv_tau:.3g}") from exc
         record(w.psi, t)
         prev_delta = obs[0].delta
-        psi = np.fft.ifft(kin_half * np.fft.fft(w.psi))
+        np.fft.fft(w.psi, out=f)
+        np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
         for i in range(steps):
             norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
             if not math.isfinite(norm):
@@ -262,9 +276,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             u2 += sink_const
             psi *= np.exp(u2, out=u2)
             psi *= cis_harmonic
-            np.multiply(np.exp(c * ix_blocks)[:, None], np.exp(c * ix_offsets), out=cis_drive)
-            psi *= cis_drive.ravel()[:g.n]
-            f = np.fft.fft(psi)
+            np.exp(np.multiply(c, ix, out=cis), out=cis)
+            np.multiply(cis_blocks, cis_offsets, out=cis_drive)
+            psi *= drive_flat
+            np.fft.fft(psi, out=f)
             t = w.t + (i + 1) * dt
             prev_delta = delta
             if (i + 1) % record_stride == 0 or i == steps - 1:
@@ -272,11 +287,11 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 # the state f *= kin_full opens, so psi does not depend on record_stride
                 np.multiply(kin_half, f, out=closed_opened[0])
                 np.multiply(f, kin_full, out=closed_opened[1])
-                closed, psi = np.fft.ifft(closed_opened)
+                np.fft.ifft(closed_opened, out=states)
                 record(closed, t)
             else:
                 f *= kin_full
-                psi = np.fft.ifft(f)
+                np.fft.ifft(f, out=psi)
     except NumericalFailure as exc:
         raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
     return WavePacket(grid=g, psi=closed, t=t), obs

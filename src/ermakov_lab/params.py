@@ -28,7 +28,7 @@ class PhysParams:
     """Physical constants of the measured oscillator, and the one home of the
     coefficients the solvers read: omega2(t), hbar_2m and c_tau.
 
-    m, hbar > 0 and omega >= 0, all finite; lam finite; tau > 0 (math.inf
+    m, hbar > 0 and omega >= 0, all finite; lam and lam/m finite; tau > 0 (math.inf
     switches the measurement off); coeff_variant selects 1/(4 tau^2) vs
     1/(4 tau^4) in the width equation; |eps| < 1 and omega_m modulate the
     frequency, omega2(t) = omega^2 (1 + eps sin(omega_m t)).
@@ -54,6 +54,9 @@ class PhysParams:
             raise ConfigurationError("omega must be non-negative and finite")
         if not math.isfinite(self.lam):
             raise ConfigurationError("lambda must be finite")
+        if not math.isfinite(self.lam / self.m):  # the ode's drive term reads lambda/m
+            raise ConfigurationError(f"lambda/m = {self.lam:g}/{self.m:g} "
+                                     "is beyond the float range")
         if not (self.tau > 0):
             raise ConfigurationError("tau must be positive (math.inf allowed)")
         if self.coeff_variant not in _VARIANTS:

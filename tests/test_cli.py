@@ -303,6 +303,23 @@ class TestConfigValidation:
                                     "drive.kind": "tabulated",
                                     "drive.table": [[0.0, 1.0], [1.0, -1e290]]},
                      "drive term |lambda| max|X| / m = 1e+300/1e-10", id="run-ode-table-x"),
+        # lambda/m = 1e310 under the zero drive: the ode's drive term was inf * 0 = NaN
+        *(pytest.param("run", mode, {"params.lambda": 1e300, "params.m": 1e-10,
+                                     "numerics.dt": 0.01, "numerics.t_end": 0.03,
+                                     "numerics.grid.n": 64},
+                       "lambda/m = 1e+300/1e-10 is beyond the float range",
+                       id=f"run-{mode}-lambda-over-m-overflows")
+          for mode in ("ode", "compare")),
+        # omega^2 = 1e600 and (hbar/2m) dt = 5e307: evolve's harmonic and kinetic
+        # phases overflow, and numpy's warnings must not reach the run
+        *(pytest.param("run", mode, {"params.tau": "inf", param: value,
+                                     "numerics.dt": 1e300, "numerics.t_end": 1e300,
+                                     "numerics.grid.n": 64},
+                       f"{phase} phase", id=f"run-{mode}-{phase}-phase-overflows",
+                       marks=pytest.mark.filterwarnings("error"))
+          for mode in ("pde", "compare")
+          for param, value, phase in (("params.omega", 1e300, "harmonic"),
+                                      ("params.m", 1e-8, "kinetic"))),
         # lambda X / m = 1.1e307 is finite; (dt/hbar) lambda X max|x| = 1.1e307 * 17 is not
         pytest.param("run", "pde", {**GRID_128, "params.lambda": 1.0, "drive.kind": "constant",
                                     "drive.x0": 1.1e307, "numerics.dt": 1.0,
@@ -374,6 +391,16 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("warning: dt=1.0 exceeds")
         header, data = read_csv(out / "observables.csv")
         assert data.shape == (2, len(header)) and np.all(np.isfinite(data))
+
+    def test_lambda_over_m_just_inside_the_float_range_runs(self, tmp_path, capsys):
+        # lambda/m = 1.7e308 is finite: the zero drive's term is 0, not inf * 0
+        out = tmp_path / "out"
+        cfg = {"mode": "ode", "params": {"tau": 2.0, "lambda": 1.7e300, "m": 1e-8},
+               "numerics": {"dt": 0.01, "t_end": 0.03}, "output": {"directory": str(out)}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / "trajectory.csv")
+        assert data.shape == (4, len(header)) and np.all(np.isfinite(data))
 
     @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
     def test_huge_mass_runs(self, tmp_path, capsys, mode):

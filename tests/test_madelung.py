@@ -437,9 +437,9 @@ class TestEvolveStep:
         calls = []
 
         def counted(name, fn):
-            def wrapper(a):
+            def wrapper(a, *args, **kwargs):
                 calls.append((name, a.shape))
-                return fn(a)
+                return fn(a, *args, **kwargs)
             return wrapper
 
         for stride, batched in ((1, steps), (7, 1)):
@@ -452,6 +452,24 @@ class TestEvolveStep:
             assert calls.count(("fft", (n,))) == steps + 1
             assert calls.count(("ifft", (2, n))) == batched
             assert calls.count(("ifft", (n,))) == steps + 1 - batched
+
+    # at stride 7 the last of the 50 steps falls between two record points
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_buffers_leave_the_packets_alone(self, stride):
+        # evolve transforms into buffers it makes once per call: it writes neither
+        # the packet passed in (read-only here) nor the psi an earlier call returned
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        w.psi.setflags(write=False)
+        psi0 = w.psi.copy()
+        dt = g.dx * g.dx / np.pi
+        fin, _ = evolve(w, self.P, self.D, dt, 50, record_stride=stride)
+        kept = fin.psi.copy()
+        again, _ = evolve(w, self.P, self.D, dt, 50, record_stride=stride)
+        evolve(fin, self.P, self.D, dt, 50, record_stride=stride)
+        assert np.array_equal(w.psi, psi0)
+        assert np.array_equal(fin.psi, kept)
+        assert np.array_equal(again.psi, kept)
 
     # n = 100 leaves a ragged last 32-point block of the drive factor; at
     # n = 512 the last row (t = 50 dt) falls between two stride-7 record points

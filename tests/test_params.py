@@ -26,10 +26,18 @@ class TestPhysParams:
         dict(tau=-2.0), dict(omega=-1.0), dict(coeff_variant="typo"),
         dict(m=math.inf), dict(hbar=math.nan), dict(omega=math.inf),
         dict(lam=math.nan), dict(lam=math.inf), dict(tau=math.nan),
+        # the ode's drive term reads lambda/m, and inf * 0 is NaN under the zero drive
+        dict(lam=1e300, m=1e-10), dict(lam=-1e300, m=1e-10),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ConfigurationError):
             PhysParams(**bad)
+
+    def test_lambda_over_m_just_inside_the_float_range(self):
+        p = PhysParams(lam=1.7e300, m=1e-8)
+        assert p.lam / p.m == pytest.approx(1.7e308)
+        with pytest.raises(ConfigurationError, match=r"lambda/m = 1\.8e\+300/1e-08"):
+            PhysParams(lam=1.8e300, m=1e-8)
 
     def test_infinite_tau_sentinel(self):
         p = PhysParams(tau=TAU_INFINITE)
