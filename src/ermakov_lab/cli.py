@@ -163,8 +163,9 @@ def resolve(cfg: dict) -> dict:
     A config error for an unknown key, a bad value, a classical system the run
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
-    last, a drive term lambda X / m or a pde drive, harmonic or kinetic phase
-    beyond the float range.  ERMAKOV_LAB_OUT replaces output.directory."""
+    last, a drive term lambda X / m, or a pde drive phase, drive coefficient
+    (dt/hbar) lambda, harmonic or kinetic phase, beyond the float range.
+    ERMAKOV_LAB_OUT replaces output.directory."""
     given = dict(_given(cfg))
     r = {}
     for key, (conv, default, _) in _FIELDS.items():
@@ -227,7 +228,10 @@ def resolve(cfg: dict) -> dict:
         if pde and not math.isfinite(dt_hbar * lam_x * x_far):
             raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
                                      f" * {lam_x:g} * {x_far:g} is beyond the float range")
-    if pde:  # the largest harmonic and kinetic phases evolve forms, in its order
+    if pde:  # evolve's drive coefficient and largest harmonic and kinetic phases, in its order
+        if not math.isfinite(dt_hbar * p.lam):  # inf * X is NaN even for X = 0
+            raise ConfigurationError(f"drive coefficient (dt/hbar) lambda = {dt_hbar:g} * "
+                                     f"{p.lam:g} is beyond the float range")
         k_far = math.pi / ((r["numerics.grid.x_max"] - r["numerics.grid.x_min"])
                            / r["numerics.grid.n"])
         w2 = p.omega2(0.0)

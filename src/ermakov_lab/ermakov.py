@@ -10,6 +10,11 @@ and its analytic rate, which the conserving drive zeroes identically.  At
 1/tau = 0, lambda = 0 it is the classical Ermakov-Pinney pair
 q'' = -omega^2(t) q, alpha'' = 1/alpha^3 - omega^2(t) alpha with q = xbar,
 and I is constant.
+
+measurement_rhs is the one written-out formula for the accelerations.  Each
+of integrate's four RK4 stages repeats it inline, in its operand order, so a
+step makes no Python call but the drive's: X is read at t, t + dt/2 (once for
+stages 2 and 3 unless the kind reads the state) and t + dt.
 """
 from __future__ import annotations
 
@@ -34,35 +39,27 @@ class ErmakovState:
     xbardot: float
 
 
-def _rhs(p: PhysParams, drive):
-    """The accelerations as f(t, alpha, alphadot, xbar, xbardot) -> (alpha'', xbar''),
-    with the constants resolved once and omega^2 read from p.omega2 only when
-    it is modulated; drive is the bound X(t, r, xbar) of DriveSpec.bind.
-
-    f checks only alpha < ALPHA_MIN, which keeps alphadot/alpha and 1/alpha^3
-    defined; a non-finite argument propagates to the result.
-    """
-    inv_tau, c_tau, lam_m = p.inv_tau, p.c_tau, p.lam / p.m
-    w2_const = p.omega2(0.0)
-    omega2 = None if p.eps == 0.0 else p.omega2
-
-    def f(t, alpha, alphadot, xbar, xbardot):
-        if alpha < ALPHA_MIN:
-            raise NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
-        w2 = w2_const if omega2 is None else omega2(t)
-        x_drive = drive(t, alphadot / alpha, xbar)
-        r = 1.0 / alpha  # (1/alpha)^3 underflows to 0 where alpha^3 would overflow
-        return (r * r * r - inv_tau * alphadot - (w2 + c_tau) * alpha,
-                -w2 * xbar - lam_m * x_drive)
-    return f
+def _collapse(alpha: float) -> NumericalFailure:
+    return NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
 
 
 def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float, float]:
-    """Accelerations (alpha'', xbar'') with omega^2 = p.omega2(s.t)."""
-    vals = (s.t, s.alpha, s.alphadot, s.xbar, s.xbardot)
-    if not all(math.isfinite(v) for v in vals):
+    """Accelerations (alpha'', xbar'') with omega^2 = p.omega2(s.t): the one
+    written-out formula, whose operand order every stage of `integrate` repeats.
+
+    A non-finite state value raises NumericalFailure, as does alpha < ALPHA_MIN,
+    which keeps alphadot/alpha and 1/alpha^3 defined.
+    """
+    t, alpha, alphadot, xbar = s.t, s.alpha, s.alphadot, s.xbar
+    if not all(math.isfinite(v) for v in (t, alpha, alphadot, xbar, s.xbardot)):
         raise NumericalFailure(f"non-finite state {s}")
-    return _rhs(p, d.bind(p))(*vals)
+    if alpha < ALPHA_MIN:
+        raise _collapse(alpha)
+    w2 = p.omega2(t)
+    x_drive = d.bind(p)(t, alphadot / alpha, xbar)
+    r = 1.0 / alpha  # (1/alpha)^3 underflows to 0 where alpha^3 would overflow
+    return (r * r * r - p.inv_tau * alphadot - (w2 + p.c_tau) * alpha,
+            -w2 * xbar - p.lam / p.m * x_drive)
 
 
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
@@ -162,13 +159,19 @@ def integrate(init: ErmakovState,
     ConfigurationError, as the CLI refuses such a numerics.t_end.  Records
     every `stride` steps, always including the initial and final states.
 
-    The drive and the constants are resolved once per call and
-    the step runs on four plain floats.  Each RK4 stage checks only its own
-    alpha against ALPHA_MIN; each step checks its result for a non-finite
-    value and for alpha < ALPHA_MIN; each recorded row is checked for a
-    non-finite value.  These are the only failure signals: a width collapse
-    or a non-finite value raises NumericalFailure whose `partial` is the
-    Trajectory of the rows recorded before it.
+    The drive and the constants are resolved once per call and the step runs
+    on four plain floats, each stage writing out measurement_rhs in its
+    operand order.  omega^2 + C_tau is formed once per call when omega is
+    constant, and once per step at each of t, t + dt/2 and t + dt when it is
+    modulated.  The drive is the only call a stage makes: the kinds that read
+    t alone evaluate X once at t + dt/2 for stages 2 and 3 (3 calls a step),
+    the conserving kind, which reads the state, once per stage (4 calls a
+    step).  Each RK4 stage checks only its own alpha against ALPHA_MIN, before
+    its drive; each step checks its result for a non-finite value and for
+    alpha < ALPHA_MIN; each recorded row is checked for a non-finite value.
+    These are the only failure signals: a width collapse or a non-finite
+    value raises NumericalFailure whose `partial` is the Trajectory of the
+    rows recorded before it.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -178,7 +181,17 @@ def integrate(init: ErmakovState,
         raise ConfigurationError("stride must be >= 1")
     n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
     drive_at = (DriveSpec() if drive is None else drive).bind(params)
-    f = _rhs(params, drive_at)
+    # every kind but the conserving feedback reads t alone: stages 2 and 3,
+    # both at t + dt/2, then share one X
+    own_mid_drive = drive is not None and drive.kind == "conserving"
+    inv_tau, c_tau, lam_m = params.inv_tau, params.c_tau, params.lam / params.m
+    omega2 = params.omega2 if params.eps != 0.0 else None
+    # -omega^2 and omega^2 + C_tau at t, t + dt/2 and t + dt: once per call
+    # when omega is constant, else once per step at each of the three times
+    w2 = params.omega2(init.t)
+    nw2_0 = nw2_h = nw2_1 = -w2
+    k_0 = k_h = k_1 = w2 + c_tau
+    alpha_min = ALPHA_MIN
 
     isfinite = math.isfinite
 
@@ -199,26 +212,53 @@ def integrate(init: ErmakovState,
     try:
         rows.append(record(t, a, ad, x, xd))
         for i in range(n_steps):
-            # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd
-            add1, xdd1 = f(t, a, ad, x, xd)
+            # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
+            # each stage is measurement_rhs written out, in its operand order
+            t_h, t_1 = t + half, t + dt
+            if omega2 is not None:
+                w2, w2_h, w2_1 = omega2(t), omega2(t_h), omega2(t_1)
+                nw2_0, nw2_h, nw2_1 = -w2, -w2_h, -w2_1
+                k_0, k_h, k_1 = w2 + c_tau, w2_h + c_tau, w2_1 + c_tau
+            if a < alpha_min:
+                raise _collapse(a)
+            x_drive = drive_at(t, ad / a, x)
+            r = 1.0 / a
+            add1 = r * r * r - inv_tau * ad - k_0 * a
+            xdd1 = nw2_0 * x - lam_m * x_drive
             a2, ad2 = a + half * ad, ad + half * add1
             x2, xd2 = x + half * xd, xd + half * xdd1
-            add2, xdd2 = f(t + half, a2, ad2, x2, xd2)
+            if a2 < alpha_min:
+                raise _collapse(a2)
+            x_drive = drive_at(t_h, ad2 / a2, x2)
+            r = 1.0 / a2
+            add2 = r * r * r - inv_tau * ad2 - k_h * a2
+            xdd2 = nw2_h * x2 - lam_m * x_drive
             a3, ad3 = a + half * ad2, ad + half * add2
             x3, xd3 = x + half * xd2, xd + half * xdd2
-            add3, xdd3 = f(t + half, a3, ad3, x3, xd3)
+            if a3 < alpha_min:
+                raise _collapse(a3)
+            if own_mid_drive:
+                x_drive = drive_at(t_h, ad3 / a3, x3)
+            r = 1.0 / a3
+            add3 = r * r * r - inv_tau * ad3 - k_h * a3
+            xdd3 = nw2_h * x3 - lam_m * x_drive
             a4, ad4 = a + dt * ad3, ad + dt * add3
             x4, xd4 = x + dt * xd3, xd + dt * xdd3
-            add4, xdd4 = f(t + dt, a4, ad4, x4, xd4)
-            a, ad, x, xd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
-                            ad + sixth * (add1 + 2 * add2 + 2 * add3 + add4),
-                            x + sixth * (xd + 2 * xd2 + 2 * xd3 + xd4),
-                            xd + sixth * (xdd1 + 2 * xdd2 + 2 * xdd3 + xdd4))
+            if a4 < alpha_min:
+                raise _collapse(a4)
+            x_drive = drive_at(t_1, ad4 / a4, x4)
+            r = 1.0 / a4
+            add4 = r * r * r - inv_tau * ad4 - k_1 * a4
+            xdd4 = nw2_1 * x4 - lam_m * x_drive
+            a, ad, x, xd = (a + sixth * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
+                            ad + sixth * (add1 + 2.0 * add2 + 2.0 * add3 + add4),
+                            x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
+                            xd + sixth * (xdd1 + 2.0 * xdd2 + 2.0 * xdd3 + xdd4))
             t = init.t + (i + 1) * dt
             if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
                 raise NumericalFailure(f"non-finite state at t={t}")
-            if a < ALPHA_MIN:  # the stages check only their own alpha
-                raise NumericalFailure(f"alpha={a} below collapse floor {ALPHA_MIN}")
+            if a < alpha_min:  # the stages check only their own alpha
+                raise _collapse(a)
             if (i + 1) % stride == 0 or i == n_steps - 1:
                 rows.append(record(t, a, ad, x, xd))
     except NumericalFailure as exc:

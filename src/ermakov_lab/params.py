@@ -106,7 +106,9 @@ class DriveSpec:
     invariant constant, with r = alphadot/alpha = deltadot/delta.
 
     bind(params) resolves the kind and its constants once and returns the
-    function X(t, r, xbar) that the integrators call per stage or step;
+    function X(t, r, xbar): integrate calls it at each distinct stage time of
+    a step (t, t + dt/2, t + dt), and per stage for the conserving kind, the
+    one kind that reads r and xbar; evolve calls it once per step.
     value(t, params, r, xbar) is one call of it.
     """
 

@@ -326,6 +326,15 @@ class TestConfigValidation:
                                     "numerics.t_end": 1.0},
                      "drive phase (dt/hbar) |lambda| max|X| max|x| = 1 * 1.1e+307 * 17",
                      id="run-pde-drive-phase-overflows"),
+        # (dt/hbar) lambda = 1e9 * 1e300: evolve's drive coefficient times the zero
+        # drive was inf * 0 = NaN, and the run exited 2 at t = 0.01
+        *(pytest.param("run", mode, {"params.tau": "inf", "params.lambda": 1e300,
+                                     "params.hbar": 1e-11, "numerics.dt": 0.01,
+                                     "numerics.t_end": 0.03, "numerics.grid.n": 64},
+                       "drive coefficient (dt/hbar) lambda = 1e+09 * 1e+300 is beyond "
+                       "the float range", id=f"run-{mode}-drive-coefficient-overflows",
+                       marks=pytest.mark.filterwarnings("error"))
+          for mode in ("pde", "compare")),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
                                               fields, message):
@@ -391,6 +400,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("warning: dt=1.0 exceeds")
         header, data = read_csv(out / "observables.csv")
         assert data.shape == (2, len(header)) and np.all(np.isfinite(data))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    def test_drive_coefficient_just_inside_the_float_range_runs(self, tmp_path, capsys,
+                                                                 mode):
+        # (dt/hbar) lambda = 1e9 * 1.7e299 = 1.7e308 is finite, so the zero drive's
+        # phase is 0 and resolve lets the run through
+        out = tmp_path / "out"
+        cfg = {"mode": mode, "params": {"tau": "inf", "lambda": 1.7e299, "hbar": 1e-11},
+               "init": {"xbar0": 1.0},
+               "numerics": {"dt": 0.01, "t_end": 0.03, "grid": {"n": 64}},
+               "output": {"directory": str(out)}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / ("observables.csv" if mode == "pde" else "compare.csv"))
+        assert data.shape == (4, len(header)) and np.all(np.isfinite(data))
 
     def test_lambda_over_m_just_inside_the_float_range_runs(self, tmp_path, capsys):
         # lambda/m = 1.7e308 is finite: the zero drive's term is 0, not inf * 0

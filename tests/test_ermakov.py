@@ -290,17 +290,56 @@ class TestIntegrate:
         assert len(traj) == 101
         assert all(np.all(np.isfinite(col)) for col in vars(traj).values())
 
-    def test_drive_evaluated_once_per_stage_and_row(self, monkeypatch):
+    @staticmethod
+    def count_drive_calls(monkeypatch, drive):
         calls = []
         bind = DriveSpec.bind
 
         def counting_bind(self, params=None):
-            drive = bind(self, params)
-            return lambda *a: calls.append(a) or drive(*a)
+            x_of = bind(self, params)
+            return lambda *a: calls.append(a) or x_of(*a)
         monkeypatch.setattr(DriveSpec, "bind", counting_bind)
         integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0, lam=1.0),
-                  drive=CONSERVING, t_end=1.0, dt=0.1, stride=5)
-        assert len(calls) == 4 * 10 + 3
+                  drive=drive, t_end=1.0, dt=0.1, stride=5)
+        return len(calls)
+
+    def test_drive_evaluated_once_per_stage_and_row(self, monkeypatch):
+        assert self.count_drive_calls(monkeypatch, CONSERVING) == 4 * 10 + 3
+
+    def test_time_only_drive_evaluated_once_per_stage_time_and_row(self, monkeypatch):
+        # stages 2 and 3 share the one X at t + dt/2
+        assert self.count_drive_calls(monkeypatch, SINUSOID) == 3 * 10 + 3
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("drive", [
+        ZERO, DriveSpec(kind="constant", x0=0.7), SINUSOID, CONSERVING,
+        DriveSpec(kind="tabulated", table=((0.0, 0.2), (0.33, -0.4), (4.0, 0.9), (9.0, -0.3))),
+    ], ids=lambda d: d.kind)
+    def test_step_equals_rk4_of_measurement_rhs(self, drive, eps):
+        # the stages integrate writes out are measurement_rhs, to the last bit; a
+        # reordered operand in one stage moves only some steps' last bits, so each
+        # of 100 steps is checked against its own reference step
+        p = PhysParams(tau=2.0, lam=1.0, eps=eps, omega_m=1.3)
+        dt = 0.1
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def slope(t, a, ad, x, xd):
+            add, xdd = measurement_rhs(ErmakovState(t, a, ad, x, xd), p, drive)
+            return ad, add, xd, xdd
+
+        def rk4_step(t, y):
+            k1 = slope(t, *y)
+            k2 = slope(t + half, *(u + half * k for u, k in zip(y, k1)))
+            k3 = slope(t + half, *(u + half * k for u, k in zip(y, k2)))
+            k4 = slope(t + dt, *(u + dt * k for u, k in zip(y, k3)))
+            return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+        tr = integrate(ErmakovState(0.3, 1.2, -0.4, 0.9, 0.5), p, drive=drive,
+                       t_end=10.3, dt=dt)
+        rows = np.column_stack((tr.t, tr.alpha, tr.alphadot, tr.x, tr.xdot)).tolist()
+        for (t, *y), (_, *y_next) in zip(rows, rows[1:]):
+            assert rk4_step(t, y) == y_next
 
     def test_deterministic(self):
         p = PhysParams(tau=2.0, lam=1.0)
