@@ -76,8 +76,8 @@ def _closure_run():
     """Shared PDE/ODE data for criteria 4-6: hbar=m=omega=1, tau=2,
     delta0=1, xbar0=1, over t in [0, 4 pi].
 
-    The PDE step is tied to the grid through the kinetic bound
-    dt = m dx^2 / (pi hbar), so halving dx refines time and space together.
+    The PDE step is tied to the grid, dt = m dx^2 / (pi hbar), so halving dx
+    refines time and space together.
     One ODE reference at dt = 1e-4 serves both grids; it runs to the longer
     horizon T + 10 dt of the coarse grid, rounded up to a whole number of its steps.
     """

@@ -17,7 +17,6 @@ kind).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +27,10 @@ from .params import DriveSpec, PhysParams
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8
+
+#: Largest share of |psi|^2 a recorded row may hold in the band |k| >= BAND_EDGE pi/dx.
+BAND_SHARE_MAX = 1e-3
+BAND_EDGE = 0.9
 
 
 @dataclass(eq=False)
@@ -204,12 +207,14 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     (2, n) buffer, which a later call leaves alone.
 
     Every recorded row, the t = 0 row included, goes through one check: the
-    finiteness check of `observables` and the norm window [0.5, 2].  Each
-    step also detects non-finite amplitudes through the norm it computes (a
-    sum of |psi|^2 >= 0, finite exactly when every entry is).  A failure of
-    any of these, of the moments, or a sink factor exp(dt/tau) that
-    overflows, raises NumericalFailure naming the time it was reached, whose
-    `partial` is the list of observables recorded before it.
+    finiteness check of `observables`, the norm window [0.5, 2], and at most
+    BAND_SHARE_MAX of |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from
+    the spectrum in hand (a packet narrower than the grid resolves, or a phase
+    turning faster, leaks there; dt has no kinetic limit).  Each step also
+    detects non-finite amplitudes through the norm it computes (a sum of
+    |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the
+    moments or a sink factor exp(dt/tau) that overflows included, raises
+    NumericalFailure naming its time, whose `partial` is the rows recorded before it.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -218,10 +223,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     if p.eps != 0.0:
         raise ConfigurationError("evolve needs a constant omega (eps = 0)")
     g = w.grid
-    cfl = g.dx * g.dx / (2.0 * np.pi * p.hbar_2m)
-    if dt > cfl:
-        warnings.warn(f"dt={dt} exceeds the recommended kinetic bound {cfl:.3g}",
-                      stacklevel=2)
     x = g.x
     kin_half = np.exp((-0.5j * dt * p.hbar_2m) * (g.k * g.k))
     kin_full = kin_half * kin_half
@@ -235,6 +236,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     cis_drive = np.empty((nb, 32), complex)
     drive_flat = cis_drive.ravel()[:g.n]
     f = np.empty(g.n, complex)
+    j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
+    band = f[j[0]:j[-1] + 1]
     # row 0: the closed state of a record point, row 1: the next step opened;
     # closed_opened holds their spectra and states the states, which ifft
     # writes (psi is states[1] throughout)
@@ -246,10 +249,14 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     drive_at = d.bind(p)
     obs = []
 
-    def record(psi, t):
+    def record(psi, t):  # f holds the spectrum of psi, up to unit-modulus factors
         o = observables(WavePacket(g, psi, t), p)
         if not 0.5 <= o.norm <= 2.0:
             raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}")
+        share = np.vdot(band, band).real * g.dx / (g.n * o.norm)  # sum |f|^2 = n norm / dx
+        if not share <= BAND_SHARE_MAX:
+            raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
+                                   f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} at t={t}")
         obs.append(o)
 
     t = w.t
@@ -260,9 +267,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         except OverflowError as exc:
             raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                    f"{dt * p.inv_tau:.3g}") from exc
+        np.fft.fft(w.psi, out=f)
         record(w.psi, t)
         prev_delta = obs[0].delta
-        np.fft.fft(w.psi, out=f)
         np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
         for i in range(steps):
             norm, xbar, u2, var, _ = _moments(psi, x, g.dx)

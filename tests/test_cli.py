@@ -33,6 +33,19 @@ def base_ode_config(outdir, **extra):
 GRID_128 = {"numerics.grid.x_min": -15.0, "numerics.grid.x_max": 17.0,
             "numerics.grid.n": 128}
 
+# pde and compare mode, with the oscillator and without it (params.omega = 0)
+OMEGA_CASES = [pytest.param(mode, omega, id=mode + suffix)
+               for suffix, omega in (("", 1.0), ("-omega0", 0.0))
+               for mode in ("pde", "compare")]
+
+
+def assert_unresolved(capsys, t):
+    """stderr is the one line of evolve's resolution check, refusing the row at t."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "of |psi|^2 in the band |k| >= 0.9 pi/dx exceeds 0.001" in err[0]
+    assert err[0].endswith(f"at t={t}")
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -283,8 +296,7 @@ class TestConfigValidation:
                                      "numerics.dt": 1.0, "numerics.t_end": 1.0,
                                      "numerics.grid.n": 64},
                        "initial packet is not representable: non-finite value in the "
-                       "observables recorded at t=0.0", id=f"run-{mode}-phase-overflows",
-                       marks=pytest.mark.filterwarnings("error"))
+                       "observables recorded at t=0.0", id=f"run-{mode}-phase-overflows")
           for mode in ("pde", "compare")),
         # lambda X = 1e600: the ode's drive term and evolve's drive phase overflow
         *(pytest.param("run", mode, {**GRID_128, "params.lambda": 1e300,
@@ -315,8 +327,7 @@ class TestConfigValidation:
         *(pytest.param("run", mode, {"params.tau": "inf", param: value,
                                      "numerics.dt": 1e300, "numerics.t_end": 1e300,
                                      "numerics.grid.n": 64},
-                       f"{phase} phase", id=f"run-{mode}-{phase}-phase-overflows",
-                       marks=pytest.mark.filterwarnings("error"))
+                       f"{phase} phase", id=f"run-{mode}-{phase}-phase-overflows")
           for mode in ("pde", "compare")
           for param, value, phase in (("params.omega", 1e300, "harmonic"),
                                       ("params.m", 1e-8, "kinetic"))),
@@ -332,8 +343,7 @@ class TestConfigValidation:
                                      "params.hbar": 1e-11, "numerics.dt": 0.01,
                                      "numerics.t_end": 0.03, "numerics.grid.n": 64},
                        "drive coefficient (dt/hbar) lambda = 1e+09 * 1e+300 is beyond "
-                       "the float range", id=f"run-{mode}-drive-coefficient-overflows",
-                       marks=pytest.mark.filterwarnings("error"))
+                       "the float range", id=f"run-{mode}-drive-coefficient-overflows")
           for mode in ("pde", "compare")),
     ])
     def test_bad_params_exit_1_without_output(self, tmp_path, capsys, command, mode,
@@ -386,32 +396,38 @@ class TestConfigValidation:
         assert needle in err[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_drive_phase_just_inside_the_float_range_runs(self, tmp_path, capsys):
         # (dt/hbar) |lambda| max|X| max|x| = 1e307 * 17 = 1.7e308: the largest phase
-        # evolve forms is finite, so resolve lets the run through (1.1e307 is refused)
+        # evolve forms is finite, so resolve lets the run through (1.1e307 is refused).
+        # The step's kick lambda X dt / hbar = 1e307 aliases the packet, and the row
+        # at t = 1 is refused as unresolved
         out = tmp_path / "out"
         cfg = {"mode": "pde", "params": {"tau": 2.0, "lambda": 1.0},
                "drive": {"kind": "constant", "x0": 1e307}, "init": {"xbar0": 1.0},
                "numerics": {"dt": 1.0, "t_end": 1.0,
                             "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
                "output": {"directory": str(out)}}
-        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
-        assert capsys.readouterr().err.startswith("warning: dt=1.0 exceeds")
-        header, data = read_csv(out / "observables.csv")
-        assert data.shape == (2, len(header)) and np.all(np.isfinite(data))
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert_unresolved(capsys, 1.0)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    @pytest.mark.parametrize("mode, omega", OMEGA_CASES)
     def test_drive_coefficient_just_inside_the_float_range_runs(self, tmp_path, capsys,
-                                                                 mode):
+                                                                 mode, omega):
         # (dt/hbar) lambda = 1e9 * 1.7e299 = 1.7e308 is finite, so the zero drive's
-        # phase is 0 and resolve lets the run through
+        # phase is 0 and resolve lets the run through.  At m/hbar = 1e11 the
+        # oscillator's phase (dt/hbar) m omega^2 x^2 / 2 turns faster than the grid
+        # resolves: the ode centroid moves as cos(t), the pde one cannot, and the
+        # first step's row is refused.  Without the oscillator nothing moves.
         out = tmp_path / "out"
-        cfg = {"mode": mode, "params": {"tau": "inf", "lambda": 1.7e299, "hbar": 1e-11},
+        cfg = {"mode": mode, "params": {"tau": "inf", "lambda": 1.7e299, "hbar": 1e-11,
+                                        "omega": omega},
                "init": {"xbar0": 1.0},
                "numerics": {"dt": 0.01, "t_end": 0.03, "grid": {"n": 64}},
                "output": {"directory": str(out)}}
+        if omega:
+            assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+            assert_unresolved(capsys, 0.01)
+            return
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
         assert capsys.readouterr().err == ""
         header, data = read_csv(out / ("observables.csv" if mode == "pde" else "compare.csv"))
@@ -427,16 +443,22 @@ class TestConfigValidation:
         header, data = read_csv(out / "trajectory.csv")
         assert data.shape == (4, len(header)) and np.all(np.isfinite(data))
 
-    @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
-    def test_huge_mass_runs(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, omega", [pytest.param("ode", 1.0, id="ode"),
+                                             *OMEGA_CASES])
+    def test_huge_mass_runs(self, tmp_path, capsys, mode, omega):
         # hbar/2m = 5e-201: the width scale sqrt(hbar/2m) and k_t = (hbar/2m)^2 / delta^4
-        # are computed without forming m^2
+        # are computed without forming m^2.  At m/hbar = 1e200 the pde side cannot
+        # resolve the oscillator's phase, and its first step's row is refused
         out = tmp_path / "out"
-        cfg = {"mode": mode, "params": {"tau": "inf", "m": 1e200},
+        cfg = {"mode": mode, "params": {"tau": "inf", "m": 1e200, "omega": omega},
                "numerics": {"dt": 0.0125, "t_end": 0.1},
                "output": {"directory": str(out)}}
         if mode != "ode":
             cfg["numerics"]["grid"] = {"n": 128}
+            if omega:
+                assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+                assert_unresolved(capsys, 0.0125)
+                return
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
         assert capsys.readouterr().err == ""
         csv = {"ode": "trajectory.csv", "pde": "observables.csv", "compare": "compare.csv"}
@@ -467,8 +489,7 @@ def test_unrepresentable_run_exits_2(tmp_path, capsys, mode, fields, message):
     for dotted, value in fields.items():
         cli._set_by_path(cfg, dotted, value)
     assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
-    err = [line for line in capsys.readouterr().err.splitlines()
-           if not line.startswith("warning: ")]
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
     assert message in err[0]
 
@@ -556,7 +577,6 @@ class TestOdeMode:
         header, data = read_csv(out / "trajectory.csv")
         assert data.shape == (11, len(header)) and np.all(np.isfinite(data))
 
-    @pytest.mark.filterwarnings("error")
     def test_tiny_dt_keeps_the_numeric_rate_finite(self, tmp_path, capsys):
         # np.gradient's spacing products of dt = 1e-300 underflow in unscaled times
         out = tmp_path / "out"
@@ -665,8 +685,10 @@ class TestPdeMode:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["pde", "compare"])
-    def test_dt_above_kinetic_bound_is_one_warning_line(self, tmp_path, capsys, mode):
-        # dx = 0.25: the bound m dx^2 / (pi hbar) is 0.0199
+    def test_dt_above_dx_squared_scale_exits_0_quietly(self, tmp_path, capsys, mode):
+        # dx = 0.25: dt = 0.05 is 2.5 m dx^2 / (pi hbar).  Strang-split Fourier
+        # stepping has no kinetic stability limit, so this is neither a failure
+        # nor a warning
         out = tmp_path / "out"
         cfg = self.pde_config(out)
         cfg["mode"] = mode
@@ -674,8 +696,7 @@ class TestPdeMode:
         if mode == "compare":
             del cfg["output"]["snapshots"]
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["warning: dt=0.05 exceeds the recommended kinetic bound 0.0199"]
+        assert capsys.readouterr().err == ""
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -713,6 +734,39 @@ class TestCompareMode:
         header, data = read_csv(out / "compare.csv")
         assert data[0, header.index("delta_ode")] == pytest.approx(1.0, abs=1e-12)
         assert abs(data[0, header.index("delta_diff")]) < 1e-12
+
+    @pytest.mark.parametrize("n, code", [(256, 2), (1024, 0)])
+    def test_narrowing_below_the_grid_spacing_exits_2(self, tmp_path, capsys, n, code):
+        # tau = 0.01 narrows the packet to delta = 0.1 (width_rate0 = -50 cancels the
+        # 1/(2 tau) phase curvature): below dx = 0.125 at n = 256, where a run to
+        # t = 1 ends with a centroid gap of 0.39; n = 1024 resolves it
+        out = tmp_path / "out"
+        cfg = {"mode": "compare", "params": {"tau": 0.01},
+               "init": {"delta0": 1.0, "width_rate0": -50.0, "xbar0": 1.0},
+               "numerics": {"dt": 1e-4, "t_end": 1.0,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": n}},
+               "output": {"directory": str(out), "stride": 10}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == code
+        if code == 2:
+            assert_unresolved(capsys, 0.054)
+            assert not out.exists()
+            return
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / "compare.csv")
+        assert np.max(np.abs(data[:, header.index("xbar_diff")])) < 1e-5
+        assert np.max(np.abs(data[:, header.index("delta_diff")])) < 1e-5
+
+    def test_drive_kick_beyond_the_grid_exits_2(self, tmp_path, capsys):
+        # lambda X dt / hbar = 10 per step: one step takes the packet to k = 10, just
+        # under pi/dx = 12.6, and the next past it.  Run on, the pde centroid stays
+        # near 1 while the ode's reaches -4 at t = 0.1
+        cfg = {"mode": "compare", "params": {"tau": 2.0, "lambda": 1.0},
+               "drive": {"kind": "constant", "x0": 1000.0}, "init": {"xbar0": 1.0},
+               "numerics": {"dt": 0.01, "t_end": 0.1,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(tmp_path / "out")}}
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert_unresolved(capsys, 0.01)
 
 
 def fake_criterion(name, value, bound):

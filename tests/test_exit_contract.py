@@ -1,10 +1,10 @@
 """The CLI's exit contract as one property over every field of cli._FIELDS.
 
-A run exits 0 with finite CSVs, 1 with one `config error:` line and no output
-directory, or 2 with one `numerical failure:` line.  `warning:` lines may
-accompany any of them; a raw Python warning may not.  The strategy is built
-from each field's conversion, so a new field is fuzzed without editing this
-test.  Runs are in process, derandomized, about 3 s on two CPUs.
+A run exits 0 with finite CSVs and nothing on stderr, 1 with one `config
+error:` line and no output directory, or 2 with one `numerical failure:` line.
+No other line and no Python warning may accompany any of them.  The strategy
+is built from each field's conversion, so a new field is fuzzed without
+editing this test.  Runs are in process, derandomized, about 3 s on two CPUs.
 """
 import ast
 import contextlib
@@ -82,8 +82,7 @@ def test_every_config_keeps_the_exit_contract(fields, steps):
             warnings.simplefilter("always")
             code = cli.main(["run", str(path)])
         assert [str(w.message) for w in stray] == []
-        lines = [line for line in err.getvalue().splitlines()
-                 if not line.startswith("warning: ")]
+        lines = err.getvalue().splitlines()
         if code == 0:
             assert lines == []
             for csv in out.glob("*.csv"):

@@ -226,9 +226,7 @@ class TestEvolve:
         g = Grid(1 - 16 * d0, 1 + 16 * d0, 1024)
         w = gaussian_packet(g, 1.0, d0, p=P_FREE)
         dt = 1e-3
-        with pytest.warns(UserWarning):
-            _, obs = evolve(w, P_FREE, ZERO, dt,
-                            int(round(4 * np.pi / dt)), record_stride=20)
+        _, obs = evolve(w, P_FREE, ZERO, dt, int(round(4 * np.pi / dt)), record_stride=20)
         ts = np.array([o.t for o in obs])
         xb = np.array([o.xbar for o in obs])
         dl = np.array([o.delta for o in obs])
@@ -239,8 +237,7 @@ class TestEvolve:
         p = PhysParams(tau=2.0)
         g = Grid(1 - 16, 1 + 16, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
-        with pytest.warns(UserWarning):
-            _, obs = evolve(w, p, ZERO, 1e-3, 10_000, record_stride=100)
+        _, obs = evolve(w, p, ZERO, 1e-3, 10_000, record_stride=100)
         assert max(abs(o.norm - 1.0) for o in obs) <= 1e-6
 
     def test_single_step_consistency(self):
@@ -279,6 +276,24 @@ class TestEvolve:
         slope = np.polyfit(g.x[sel] - o2.xbar, f.v_qu[sel], 1)[0]
         assert slope == pytest.approx(deltadot / o2.delta + 0.25, abs=1e-3)
 
+    @pytest.mark.parametrize("a", [0.02, 0.1])
+    def test_unresolved_row_is_refused(self, a):
+        # a copy of the packet shifted to the Nyquist wavenumber pi/dx, with amplitude
+        # a, holds about a share a^2 / (1 + a^2) of |psi|^2: 4e-4 passes, 1e-2 does not
+        p = PhysParams(tau=2.0)
+        g = Grid(-15, 17, 128)
+        w = gaussian_packet(g, 1.0, 1.0, p=p)
+        w.psi *= 1.0 + a * (-1.0) ** np.arange(g.n)
+        if a * a < 1e-3:
+            _, obs = evolve(w, p, ZERO, 0.01, 1)
+            assert len(obs) == 2
+            return
+        with pytest.raises(NumericalFailure, match=r"share 0\.009\d* of \|psi\|\^2 in the band "
+                                                   r"\|k\| >= 0\.9 pi/dx exceeds 0\.001 "
+                                                   r"at t=0\.0$") as exc:
+            evolve(w, p, ZERO, 0.01, 1)
+        assert exc.value.partial == []
+
     def test_divergence_guard(self):
         p = PhysParams(tau=2.0)
         g = Grid(1 - 16, 1 + 16, 512)
@@ -295,9 +310,8 @@ class TestEvolve:
         # packet built at m = 1
         g = Grid(-1.6e-7, 1.6e-7, 128)
         w = gaussian_packet(g, 0.0, 1e-8, p=P_FREE)
-        with pytest.warns(UserWarning), \
-                pytest.raises(NumericalFailure, match="non-finite value in the observables "
-                                                      r"recorded at t=0\.0$") as exc:
+        with pytest.raises(NumericalFailure, match="non-finite value in the observables "
+                                                   r"recorded at t=0\.0$") as exc:
             evolve(w, PhysParams(tau=math.inf, m=1e-150), ZERO, 1e-3, 5)
         assert exc.value.partial == []
 
@@ -353,8 +367,7 @@ class TestEvolve:
         # freq * (t + dt/2) overflows on the first step: its drive factor is NaN
         d = DriveSpec(kind="sinusoid", x0=1.0, freq=1e308)
         # caught at the second step, not at the first record point (step 10)
-        with pytest.warns(UserWarning), \
-                pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=4\.0$") as exc:
+        with pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=4\.0$") as exc:
             evolve(w, p, d, 4.0, 25, record_stride=10)
         assert [o.t for o in exc.value.partial] == [0.0]
 
