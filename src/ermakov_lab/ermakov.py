@@ -12,9 +12,10 @@ q'' = -omega^2(t) q, alpha'' = 1/alpha^3 - omega^2(t) alpha with q = xbar,
 and I is constant.
 
 measurement_rhs is the one written-out formula for the accelerations.  Each
-of integrate's four RK4 stages repeats it inline, in its operand order, so a
-step makes no Python call but the drive's: X is read at t, t + dt/2 (once for
-stages 2 and 3 unless the kind reads the state) and t + dt.
+of integrate's four RK4 stages repeats it inline, in its operand order, and
+makes no call: a drive that reads t alone is read from tables of X at every
+step's t, t + dt/2 and t + dt, made by DriveSpec.at once per block of
+BLOCK_STEPS steps, and the conserving feedback is written out as bind forms it.
 """
 from __future__ import annotations
 
@@ -28,6 +29,10 @@ from .params import DriveSpec, PhysParams
 
 #: Width below which the 1/alpha^3 term is considered a collapse.
 ALPHA_MIN = 1e-8
+
+#: Steps per block of integrate: a drive that reads t alone is sampled once per
+#: block, by DriveSpec.at, at every step's t, t + dt/2 and t + dt.
+BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -163,12 +168,16 @@ def integrate(init: ErmakovState,
     on four plain floats, each stage writing out measurement_rhs in its
     operand order.  omega^2 + C_tau is formed once per call when omega is
     constant, and once per step at each of t, t + dt/2 and t + dt when it is
-    modulated.  The drive is the only call a stage makes: the kinds that read
-    t alone evaluate X once at t + dt/2 for stages 2 and 3 (3 calls a step),
-    the conserving kind, which reads the state, once per stage (4 calls a
-    step).  Each RK4 stage checks only its own alpha against ALPHA_MIN, before
-    its drive; each step checks its result for a non-finite value and for
-    alpha < ALPHA_MIN; each recorded row is checked for a non-finite value.
+    modulated.  No stage calls the drive.  The steps run in blocks of
+    BLOCK_STEPS; at the start of each, a kind that reads t alone is sampled by
+    DriveSpec.at at every step's t, t + dt/2 (shared by stages 2 and 3) and
+    t + dt, the times formed as the loop forms them.  The conserving kind,
+    which reads the state, is written out in each stage as bind forms it,
+    (m/lambda)(r/tau + C_tau) xbar with r = alphadot/alpha.  Only record calls
+    bind's function, once per row.  Each RK4 stage checks only its own alpha
+    against ALPHA_MIN, before its drive; each step checks its result for a
+    non-finite value and for alpha < ALPHA_MIN; each recorded row is checked
+    for a non-finite value.
     These are the only failure signals: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
     rows recorded before it.
@@ -180,10 +189,12 @@ def integrate(init: ErmakovState,
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
-    drive_at = (DriveSpec() if drive is None else drive).bind(params)
-    # every kind but the conserving feedback reads t alone: stages 2 and 3,
-    # both at t + dt/2, then share one X
-    own_mid_drive = drive is not None and drive.kind == "conserving"
+    drive = DriveSpec() if drive is None else drive
+    drive_at = drive.bind(params)  # the rows' X; refuses a conserving drive at lambda = 0
+    # the conserving feedback, the one kind that reads the state, is written out
+    # in each stage as bind forms it; every other kind is read from block tables
+    feedback = drive.kind == "conserving"
+    gain = params.m / params.lam if feedback else 0.0
     inv_tau, c_tau, lam_m = params.inv_tau, params.c_tau, params.lam / params.m
     omega2 = params.omega2 if params.eps != 0.0 else None
     # -omega^2 and omega^2 + C_tau at t, t + dt/2 and t + dt: once per call
@@ -209,58 +220,67 @@ def integrate(init: ErmakovState,
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
     rows = []
     half, sixth = 0.5 * dt, dt / 6.0
+    no_table = [None] * BLOCK_STEPS
     try:
         rows.append(record(t, a, ad, x, xd))
-        for i in range(n_steps):
-            # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
-            # each stage is measurement_rhs written out, in its operand order
-            t_h, t_1 = t + half, t + dt
-            if omega2 is not None:
-                w2, w2_h, w2_1 = omega2(t), omega2(t_h), omega2(t_1)
-                nw2_0, nw2_h, nw2_1 = -w2, -w2_h, -w2_1
-                k_0, k_h, k_1 = w2 + c_tau, w2_h + c_tau, w2_1 + c_tau
-            if a < alpha_min:
-                raise _collapse(a)
-            x_drive = drive_at(t, ad / a, x)
-            r = 1.0 / a
-            add1 = r * r * r - inv_tau * ad - k_0 * a
-            xdd1 = nw2_0 * x - lam_m * x_drive
-            a2, ad2 = a + half * ad, ad + half * add1
-            x2, xd2 = x + half * xd, xd + half * xdd1
-            if a2 < alpha_min:
-                raise _collapse(a2)
-            x_drive = drive_at(t_h, ad2 / a2, x2)
-            r = 1.0 / a2
-            add2 = r * r * r - inv_tau * ad2 - k_h * a2
-            xdd2 = nw2_h * x2 - lam_m * x_drive
-            a3, ad3 = a + half * ad2, ad + half * add2
-            x3, xd3 = x + half * xd2, xd + half * xdd2
-            if a3 < alpha_min:
-                raise _collapse(a3)
-            if own_mid_drive:
-                x_drive = drive_at(t_h, ad3 / a3, x3)
-            r = 1.0 / a3
-            add3 = r * r * r - inv_tau * ad3 - k_h * a3
-            xdd3 = nw2_h * x3 - lam_m * x_drive
-            a4, ad4 = a + dt * ad3, ad + dt * add3
-            x4, xd4 = x + dt * xd3, xd + dt * xdd3
-            if a4 < alpha_min:
-                raise _collapse(a4)
-            x_drive = drive_at(t_1, ad4 / a4, x4)
-            r = 1.0 / a4
-            add4 = r * r * r - inv_tau * ad4 - k_1 * a4
-            xdd4 = nw2_1 * x4 - lam_m * x_drive
-            a, ad, x, xd = (a + sixth * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
-                            ad + sixth * (add1 + 2.0 * add2 + 2.0 * add3 + add4),
-                            x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
-                            xd + sixth * (xdd1 + 2.0 * xdd2 + 2.0 * xdd3 + xdd4))
-            t = init.t + (i + 1) * dt
-            if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
-                raise NumericalFailure(f"non-finite state at t={t}")
-            if a < alpha_min:  # the stages check only their own alpha
-                raise _collapse(a)
-            if (i + 1) % stride == 0 or i == n_steps - 1:
-                rows.append(record(t, a, ad, x, xd))
+        for i0 in range(0, n_steps, BLOCK_STEPS):
+            i1 = min(i0 + BLOCK_STEPS, n_steps)
+            if feedback:
+                xs_0 = xs_h = xs_1 = no_table
+            else:
+                # each step's t as the loop forms it: init.t, then init.t + i*dt
+                ts = init.t + np.arange(i0, i1) * dt
+                if i0 == 0:
+                    ts[0] = init.t
+                xs_0, xs_h, xs_1 = drive.at(ts), drive.at(ts + half), drive.at(ts + dt)
+            for i, x_0, x_h, x_1 in zip(range(i0, i1), xs_0, xs_h, xs_1):
+                # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
+                # each stage is measurement_rhs written out, in its operand order
+                if omega2 is not None:
+                    w2, w2_h, w2_1 = omega2(t), omega2(t + half), omega2(t + dt)
+                    nw2_0, nw2_h, nw2_1 = -w2, -w2_h, -w2_1
+                    k_0, k_h, k_1 = w2 + c_tau, w2_h + c_tau, w2_1 + c_tau
+                if a < alpha_min:
+                    raise _collapse(a)
+                r = 1.0 / a
+                add1 = r * r * r - inv_tau * ad - k_0 * a
+                xdd1 = nw2_0 * x - lam_m * (gain * (ad / a * inv_tau + c_tau) * x
+                                            if feedback else x_0)
+                a2, ad2 = a + half * ad, ad + half * add1
+                x2, xd2 = x + half * xd, xd + half * xdd1
+                if a2 < alpha_min:
+                    raise _collapse(a2)
+                r = 1.0 / a2
+                add2 = r * r * r - inv_tau * ad2 - k_h * a2
+                xdd2 = nw2_h * x2 - lam_m * (gain * (ad2 / a2 * inv_tau + c_tau) * x2
+                                             if feedback else x_h)
+                a3, ad3 = a + half * ad2, ad + half * add2
+                x3, xd3 = x + half * xd2, xd + half * xdd2
+                if a3 < alpha_min:
+                    raise _collapse(a3)
+                r = 1.0 / a3
+                add3 = r * r * r - inv_tau * ad3 - k_h * a3
+                xdd3 = nw2_h * x3 - lam_m * (gain * (ad3 / a3 * inv_tau + c_tau) * x3
+                                             if feedback else x_h)
+                a4, ad4 = a + dt * ad3, ad + dt * add3
+                x4, xd4 = x + dt * xd3, xd + dt * xdd3
+                if a4 < alpha_min:
+                    raise _collapse(a4)
+                r = 1.0 / a4
+                add4 = r * r * r - inv_tau * ad4 - k_1 * a4
+                xdd4 = nw2_1 * x4 - lam_m * (gain * (ad4 / a4 * inv_tau + c_tau) * x4
+                                             if feedback else x_1)
+                a, ad, x, xd = (a + sixth * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
+                                ad + sixth * (add1 + 2.0 * add2 + 2.0 * add3 + add4),
+                                x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
+                                xd + sixth * (xdd1 + 2.0 * xdd2 + 2.0 * xdd3 + xdd4))
+                t = init.t + (i + 1) * dt
+                if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
+                    raise NumericalFailure(f"non-finite state at t={t}")
+                if a < alpha_min:  # the stages check only their own alpha
+                    raise _collapse(a)
+                if (i + 1) % stride == 0 or i == n_steps - 1:
+                    rows.append(record(t, a, ad, x, xd))
     except NumericalFailure as exc:
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
                                partial=_package(rows)) from exc

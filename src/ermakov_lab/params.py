@@ -2,7 +2,9 @@
 
 All quantities default to the nondimensional convention hbar = m = 1; every
 constant remains an explicit field so dimensional runs stay possible.
-DriveSpec holds every drive formula, the conserving feedback included.
+DriveSpec holds every drive formula, the conserving feedback included; the
+one copy outside it is integrate's written-out feedback, pinned to bind's by
+a bitwise test.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -106,10 +110,13 @@ class DriveSpec:
     invariant constant, with r = alphadot/alpha = deltadot/delta.
 
     bind(params) resolves the kind and its constants once and returns the
-    function X(t, r, xbar): integrate calls it at each distinct stage time of
-    a step (t, t + dt/2, t + dt), and per stage for the conserving kind, the
-    one kind that reads r and xbar; evolve calls it once per step.
-    value(t, params, r, xbar) is one call of it.
+    function X(t, r, xbar): integrate's record calls it once per row and
+    evolve once per step.  at(times) gives X at an array of times, equal to
+    bind's by ==, for the kinds that read t alone: integrate's RK4 stages read
+    these tables, made once per block of steps.  The conserving kind, the one
+    that reads r and xbar, has no table; the stages write its formula out in
+    bind's operand order, pinned to measurement_rhs (and so to bind) by the
+    bitwise step test.  value(t, params, r, xbar) is one call of bind's function.
     """
 
     kind: str = "zero"
@@ -177,6 +184,27 @@ class DriveSpec:
             raise ConfigurationError("conserving drive requires lambda != 0")
         gain, inv_tau, c_tau = params.m / params.lam, params.inv_tau, params.c_tau
         return lambda t, r, xbar: gain * (r * inv_tau + c_tau) * xbar
+
+    def at(self, times: np.ndarray) -> list:
+        """X at each of `times` for the kinds that read t alone, each value equal
+        (==) to bind's X(t, r, xbar) at that time; the conserving kind is refused."""
+        if self.kind == "zero":
+            return [0.0] * len(times)
+        if self.kind == "constant":
+            return [self.x0] * len(times)
+        if self.kind == "sinusoid":
+            x0 = self.x0
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = (self.freq * times + self.phase).tolist()
+            try:
+                return [x0 * c for c in map(math.cos, phases)]
+            except ValueError:  # math.cos(inf): bind's function gives NaN there
+                x_of = self.bind()
+                return [x_of(t, None, None) for t in times.tolist()]
+        if self.kind == "tabulated":
+            ts, xs, _ = self._samples
+            return np.interp(times, ts, xs).tolist()
+        raise ConfigurationError("the conserving drive reads the state, not t alone")
 
     def value(self, t: float, params: PhysParams | None = None,
               log_width_rate: float | None = None, xbar: float | None = None) -> float:

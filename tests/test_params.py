@@ -15,6 +15,28 @@ def _bench_table(rng):
     return tuple((round(0.04 * k, 10), round(rng.uniform(-0.5, 0.5), 6)) for k in range(101))
 
 
+TABLES = pytest.mark.parametrize("table", [
+    _bench_table(random.Random(7)),
+    # irregular spacing, equal neighbours and a sign change
+    ((-1.5, 2.0), (-0.2, 2.0), (0.0, -3.25), (1e-9, 0.5), (7.0, 1e3), (7.5, -0.1)),
+], ids=["bench-table", "irregular"])
+
+
+def _lookup_times(ts):
+    """The samples, the midpoints, just inside and beyond both ends, and 10k uniform times."""
+    rng = np.random.default_rng(20)
+    return np.array([*ts, *(0.5 * (ts[1:] + ts[:-1])), ts[0] - 1.0, ts[0] - 1e-12,
+                     ts[-1] + 1e-12, ts[-1] + 1.0,
+                     *rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 10_000)])
+
+
+def _assert_at_is_bind(drive, times):
+    """drive.at(times) is bind's X at each time, bit for bit (repr tells -0.0 from 0.0)."""
+    x_of_t = drive.bind()
+    want = [x_of_t(t, None, None) for t in times.tolist()]
+    assert list(map(repr, drive.at(times))) == list(map(repr, want))
+
+
 class TestPhysParams:
     def test_defaults(self):
         p = PhysParams()
@@ -94,24 +116,45 @@ class TestDriveSpec:
         with pytest.raises(ConfigurationError, match="finite"):
             DriveSpec(kind="tabulated", table=table)
 
-    @pytest.mark.parametrize("table", [
-        _bench_table(random.Random(7)),
-        # irregular spacing, equal neighbours and a sign change
-        ((-1.5, 2.0), (-0.2, 2.0), (0.0, -3.25), (1e-9, 0.5), (7.0, 1e3), (7.5, -0.1)),
-    ], ids=["bench-table", "irregular"])
+    @TABLES
     def test_tabulated_lookup_is_np_interp_bitwise(self, table):
         ts = np.array([p[0] for p in table])
         xs = np.array([p[1] for p in table])
-        rng = np.random.default_rng(20)
-        times = [*ts, *(0.5 * (ts[1:] + ts[:-1])), ts[0] - 1.0, ts[0] - 1e-12,
-                 ts[-1] + 1e-12, ts[-1] + 1.0,
-                 *rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 10_000)]
+        times = _lookup_times(ts)
         drive = DriveSpec(kind="tabulated", table=table)
         x_of_t = drive.bind()
         for t in map(float, times):
             assert x_of_t(t, None, None) == float(np.interp(t, ts, xs)), t
         assert drive.value(ts[-1] + 1.0) == xs[-1] and drive.value(ts[0] - 1.0) == xs[0]
         assert math.isnan(x_of_t(math.nan, None, None))
+
+    @pytest.mark.parametrize("x0", [2.5, -0.0])
+    def test_at_zero_and_constant_are_bind(self, x0):
+        times = np.linspace(-1.0, 3.0, 9)
+        _assert_at_is_bind(DriveSpec(kind="constant", x0=x0), times)
+        _assert_at_is_bind(DriveSpec(), times)
+
+    def test_at_sinusoid_is_bind(self):
+        rng = np.random.default_rng(21)
+        times = rng.uniform(-50.0, 50.0, 1000)
+        _assert_at_is_bind(DriveSpec(kind="sinusoid", x0=-1.3, freq=0.7, phase=0.4), times)
+
+    def test_at_sinusoid_overflowing_phase_is_nan(self):
+        # freq*t overflows to +-inf from |t| = 1.8: math.cos raises there, bind gives NaN,
+        # and at falls back to bind for the whole array without a numpy warning
+        d = DriveSpec(kind="sinusoid", x0=2.0, freq=1e308, phase=0.5)
+        times = np.array([0.0, 1.0, 1.8, 2.0, -3.0])
+        _assert_at_is_bind(d, times)
+        assert [math.isnan(x) for x in d.at(times)] == [False, False, True, True, True]
+
+    @TABLES
+    def test_at_tabulated_is_bind(self, table):
+        ts = np.array([p[0] for p in table])
+        _assert_at_is_bind(DriveSpec(kind="tabulated", table=table), _lookup_times(ts))
+
+    def test_at_refuses_conserving(self):
+        with pytest.raises(ConfigurationError, match="reads the state"):
+            CONSERVING.at(np.zeros(3))
 
     def test_conserving_needs_state(self):
         with pytest.raises(ConfigurationError):
