@@ -16,6 +16,8 @@ of integrate's four RK4 stages repeats it inline, in its operand order, and
 makes no call: a drive that reads t alone is read from tables of X at every
 step's t, t + dt/2 and t + dt, made by DriveSpec.at once per block of
 BLOCK_STEPS steps, and the conserving feedback is written out as bind forms it.
+The loop records the state alone; the invariant, its rate, the width and X
+are formed as numpy columns after it, by the same functions on arrays.
 """
 from __future__ import annotations
 
@@ -25,14 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
-from .params import DriveSpec, PhysParams
+from .params import BLOCK_STEPS, DriveSpec, PhysParams, step_blocks
 
 #: Width below which the 1/alpha^3 term is considered a collapse.
 ALPHA_MIN = 1e-8
-
-#: Steps per block of integrate: a drive that reads t alone is sampled once per
-#: block, by DriveSpec.at, at every step's t, t + dt/2 and t + dt.
-BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,8 @@ def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float
 
 
 def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> float:
-    """Lewis invariant of the pair (q, alpha)."""
-    if alpha <= 0:
+    """Lewis invariant of the pair (q, alpha), of floats or elementwise of arrays."""
+    if np.any(alpha <= 0):
         raise ConfigurationError("alpha must be positive")
     u, v = qdot * alpha - alphadot * q, q / alpha
     return 0.5 * (u * u + v * v)
@@ -77,21 +75,21 @@ def lewis_invariant(q: float, qdot: float, alpha: float, alphadot: float) -> flo
 
 def els_invariant_rate(alpha: float, alphadot: float, xbar: float, xbardot: float,
                        p: PhysParams, x_drive: float) -> float:
-    """Analytic dI/dt along the measurement flow, given the drive value X.
+    """Analytic dI/dt along the measurement flow, given the drive value X (floats or arrays).
 
     Evaluated in the cancelled form, regular at xbar = 0 and free of powers
     of alpha:
       dI/dt = [((alpha'/alpha)/tau + C_tau) xbar - lambda X/m] alpha (xbar' alpha - xbar alpha').
     """
-    if alpha <= 0:
+    if np.any(alpha <= 0):
         raise ConfigurationError("alpha must be positive")
     gap = (alphadot / alpha * p.inv_tau + p.c_tau) * xbar - p.lam * x_drive / p.m
     return gap * alpha * (xbardot * alpha - xbar * alphadot)
 
 
 def delta_from_alpha(alpha: float, p: PhysParams) -> float:
-    """Physical width delta = sqrt(hbar/2m) alpha."""
-    if alpha <= 0:
+    """Physical width delta = sqrt(hbar/2m) alpha, of a float or elementwise of an array."""
+    if np.any(alpha <= 0):
         raise ConfigurationError("alpha must be positive")
     return math.sqrt(p.hbar_2m) * alpha
 
@@ -141,11 +139,25 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return round(n)
 
 
-def _package(rows):
-    cols = np.array(rows, dtype=float).reshape(-1, 9).T
-    return Trajectory(t=cols[0], alpha=cols[1], alphadot=cols[2],
-                      x=cols[3], xdot=cols[4], delta=cols[5],
-                      invariant=cols[6], dIdt_analytic=cols[7], drive=cols[8])
+def _trajectory(rows: list, params: PhysParams, x_column) -> Trajectory:
+    """The Trajectory of the recorded rows, a flat list of (t, alpha, alphadot,
+    xbar, xbardot) per row: delta, I, dI/dt and X = x_column(t, r, xbar) are
+    formed as columns.  The first row holding a non-finite value raises
+    NumericalFailure naming its time, whose `partial` is the rows before it."""
+    t, a, ad, x, xd = np.array(rows, dtype=float).reshape(-1, 5).T
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite row below
+        inv = lewis_invariant(x, xd, a, ad)
+        x_t = np.asarray(x_column(t, ad / a, x), dtype=float)
+        # + 0.0 records a vanishing rate as 0, never -0
+        rate = els_invariant_rate(a, ad, x, xd, params, x_t) + 0.0
+        cols = np.array((t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t))
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+    if bad.size:
+        t_bad = rows[5 * bad[0]]
+        raise NumericalFailure(f"integration aborted at t~{t_bad}: non-finite value in "
+                               f"the row recorded at t={t_bad}",
+                               partial=Trajectory(*cols[:, :bad[0]]))
+    return Trajectory(*cols)
 
 
 def integrate(init: ErmakovState,
@@ -168,19 +180,20 @@ def integrate(init: ErmakovState,
     on four plain floats, each stage writing out measurement_rhs in its
     operand order.  omega^2 + C_tau is formed once per call when omega is
     constant, and once per step at each of t, t + dt/2 and t + dt when it is
-    modulated.  No stage calls the drive.  The steps run in blocks of
-    BLOCK_STEPS; at the start of each, a kind that reads t alone is sampled by
+    modulated.  No stage calls the drive.  The steps run in the blocks of
+    step_blocks; at the start of each, a kind that reads t alone is sampled by
     DriveSpec.at at every step's t, t + dt/2 (shared by stages 2 and 3) and
-    t + dt, the times formed as the loop forms them.  The conserving kind,
-    which reads the state, is written out in each stage as bind forms it,
-    (m/lambda)(r/tau + C_tau) xbar with r = alphadot/alpha.  Only record calls
-    bind's function, once per row.  Each RK4 stage checks only its own alpha
-    against ALPHA_MIN, before its drive; each step checks its result for a
-    non-finite value and for alpha < ALPHA_MIN; each recorded row is checked
-    for a non-finite value.
+    t + dt.  The conserving kind, which reads the state, is written out in
+    each stage as bind forms it, (m/lambda)(r/tau + C_tau) xbar with
+    r = alphadot/alpha.  The loop records the state alone; after it, delta,
+    I, dI/dt and X are formed as columns, X by DriveSpec.at on the recorded
+    times, or by one call of bind's conserving function on the columns.
+    Each RK4 stage checks only its own alpha against ALPHA_MIN, before its
+    drive; each step checks its result for a non-finite value and for
+    alpha < ALPHA_MIN; each recorded row is checked for a non-finite value.
     These are the only failure signals: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
-    rows recorded before it.
+    rows recorded before it, the earliest failure winning.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -190,10 +203,10 @@ def integrate(init: ErmakovState,
         raise ConfigurationError("stride must be >= 1")
     n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
     drive = DriveSpec() if drive is None else drive
-    drive_at = drive.bind(params)  # the rows' X; refuses a conserving drive at lambda = 0
-    # the conserving feedback, the one kind that reads the state, is written out
-    # in each stage as bind forms it; every other kind is read from block tables
+    # the conserving feedback, the one kind that reads the state, is written out in
+    # each stage as bind forms it (bind refuses it at lambda = 0); the others are tabulated
     feedback = drive.kind == "conserving"
+    x_column = drive.bind(params) if feedback else lambda t, r, xbar: drive.at(t)
     gain = params.m / params.lam if feedback else 0.0
     inv_tau, c_tau, lam_m = params.inv_tau, params.c_tau, params.lam / params.m
     omega2 = params.omega2 if params.eps != 0.0 else None
@@ -205,35 +218,16 @@ def integrate(init: ErmakovState,
     alpha_min = ALPHA_MIN
 
     isfinite = math.isfinite
-
-    def record(t, a, ad, x, xd):
-        inv = lewis_invariant(x, xd, a, ad)
-        x_t = drive_at(t, ad / a, x)
-        # + 0.0 records a vanishing rate as 0, never -0
-        rate = els_invariant_rate(a, ad, x, xd, params, x_t) + 0.0
-        row = (t, a, ad, x, xd, delta_from_alpha(a, params), inv, rate, x_t)
-        if not all(map(isfinite, row)):
-            raise NumericalFailure(f"non-finite value in the row recorded at t={t}")
-        return row
-
     t = init.t
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
-    rows = []
+    rows = [t, a, ad, x, xd]  # flat, (t, alpha, alphadot, xbar, xbardot) per row
     half, sixth = 0.5 * dt, dt / 6.0
     no_table = [None] * BLOCK_STEPS
     try:
-        rows.append(record(t, a, ad, x, xd))
-        for i0 in range(0, n_steps, BLOCK_STEPS):
-            i1 = min(i0 + BLOCK_STEPS, n_steps)
-            if feedback:
-                xs_0 = xs_h = xs_1 = no_table
-            else:
-                # each step's t as the loop forms it: init.t, then init.t + i*dt
-                ts = init.t + np.arange(i0, i1) * dt
-                if i0 == 0:
-                    ts[0] = init.t
-                xs_0, xs_h, xs_1 = drive.at(ts), drive.at(ts + half), drive.at(ts + dt)
-            for i, x_0, x_h, x_1 in zip(range(i0, i1), xs_0, xs_h, xs_1):
+        for steps, ts in step_blocks(init.t, dt, n_steps):
+            xs_0, xs_h, xs_1 = ((no_table,) * 3 if feedback else
+                                (drive.at(ts), drive.at(ts + half), drive.at(ts + dt)))
+            for i, x_0, x_h, x_1 in zip(steps, xs_0, xs_h, xs_1):
                 # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
                 # each stage is measurement_rhs written out, in its operand order
                 if omega2 is not None:
@@ -280,8 +274,8 @@ def integrate(init: ErmakovState,
                 if a < alpha_min:  # the stages check only their own alpha
                     raise _collapse(a)
                 if (i + 1) % stride == 0 or i == n_steps - 1:
-                    rows.append(record(t, a, ad, x, xd))
+                    rows += (t, a, ad, x, xd)
     except NumericalFailure as exc:
-        raise NumericalFailure(f"integration aborted at t~{t}: {exc}",
-                               partial=_package(rows)) from exc
-    return _package(rows)
+        partial = _trajectory(rows, params, x_column)  # a bad row recorded before raises
+        raise NumericalFailure(f"integration aborted at t~{t}: {exc}", partial=partial) from exc
+    return _trajectory(rows, params, x_column)

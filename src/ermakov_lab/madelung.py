@@ -10,9 +10,9 @@ half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
 kinetic factor; at every record point, the last step included, the closed
 state and the next step's opened state go through one batched inverse FFT.
-A step makes one fft call and one ifft call.  X(t) is DriveSpec.bind's
-function, given the packet's deltadot/delta and mean (read by the conserving
-kind).
+A step makes one fft call and one ifft call.  X at each step's midpoint is
+read from DriveSpec.at tables made once per block of steps, or for the
+conserving kind is bind's function of the packet's deltadot/delta and mean.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
-from .params import DriveSpec, PhysParams
+from .params import BLOCK_STEPS, DriveSpec, PhysParams, step_blocks
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8
@@ -175,6 +175,19 @@ def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     return Observables(w.t, *row)
 
 
+def _checked_row(w: WavePacket, p: PhysParams, band: np.ndarray) -> Observables:
+    """observables(w, p), refused outside the norm window [0.5, 2] or with more than
+    BAND_SHARE_MAX of |psi|^2 in `band`, psi's spectrum at |k| >= BAND_EDGE pi/dx."""
+    o, g = observables(w, p), w.grid
+    if not 0.5 <= o.norm <= 2.0:
+        raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={w.t}")
+    share = np.vdot(band, band).real * g.dx / (g.n * o.norm)  # sum |f|^2 = n norm / dx
+    if not share <= BAND_SHARE_MAX:
+        raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
+                               f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} at t={w.t}")
+    return o
+
+
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
            ) -> tuple[WavePacket, list[Observables]]:
@@ -193,7 +206,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     The multiplier is applied as three factors: the real sink factor
     exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call, and
     exp(i c x) with c = -(dt/hbar) lambda X, the outer product of its values
-    on the 32-point block starts and on the 32 offsets within a block.  The
+    on the 32-point block starts and on the 32 offsets within a block.  X is
+    read at each step's t + dt/2 from DriveSpec.at tables, one per block of
+    step_blocks; the conserving kind calls bind's function once per step.  The
     step then takes one forward FFT: a record point closes the step from it
     with the kinetic half-step, and the next step opens from it with the full
     kinetic factor (the closing and opening halves fused).  At every record
@@ -246,18 +261,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     closed, psi = states
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
-    drive_at = d.bind(p)
+    # the one kind that reads the packet; bind refuses it at lambda = 0
+    feedback = d.bind(p) if d.kind == "conserving" else None
+    no_table = [None] * BLOCK_STEPS
     obs = []
-
-    def record(psi, t):  # f holds the spectrum of psi, up to unit-modulus factors
-        o = observables(WavePacket(g, psi, t), p)
-        if not 0.5 <= o.norm <= 2.0:
-            raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={t}")
-        share = np.vdot(band, band).real * g.dx / (g.n * o.norm)  # sum |f|^2 = n norm / dx
-        if not share <= BAND_SHARE_MAX:
-            raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
-                                   f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} at t={t}")
-        obs.append(o)
 
     t = w.t
     try:
@@ -267,38 +274,41 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         except OverflowError as exc:
             raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                    f"{dt * p.inv_tau:.3g}") from exc
-        np.fft.fft(w.psi, out=f)
-        record(w.psi, t)
+        np.fft.fft(w.psi, out=f)  # f holds the spectrum of each recorded psi
+        obs.append(_checked_row(w, p, band))
         prev_delta = obs[0].delta
         np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
-        for i in range(steps):
-            norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
-            if not math.isfinite(norm):
-                raise NumericalFailure(f"non-finite amplitudes at t={t}")
-            delta = math.sqrt(var)
-            # deltadot/delta from a backward difference of delta(t), 0 on the first step
-            rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-            c = drive_coef * drive_at(t + 0.5 * dt, rate, xbar)
-            u2 *= -sink_gain / (2.0 * var)
-            u2 += sink_const
-            psi *= np.exp(u2, out=u2)
-            psi *= cis_harmonic
-            np.exp(np.multiply(c, ix, out=cis), out=cis)
-            np.multiply(cis_blocks, cis_offsets, out=cis_drive)
-            psi *= drive_flat
-            np.fft.fft(psi, out=f)
-            t = w.t + (i + 1) * dt
-            prev_delta = delta
-            if (i + 1) % record_stride == 0 or i == steps - 1:
-                # complex a * b and b * a can differ in the last bit: f * kin_full is
-                # the state f *= kin_full opens, so psi does not depend on record_stride
-                np.multiply(kin_half, f, out=closed_opened[0])
-                np.multiply(f, kin_full, out=closed_opened[1])
-                np.fft.ifft(closed_opened, out=states)
-                record(closed, t)
-            else:
-                f *= kin_full
-                np.fft.ifft(f, out=psi)
+        for block, ts in step_blocks(w.t, dt, steps):
+            xs_h = no_table if feedback else d.at(ts + 0.5 * dt)
+            for i, x_h in zip(block, xs_h):
+                norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+                if not math.isfinite(norm):
+                    raise NumericalFailure(f"non-finite amplitudes at t={t}")
+                if feedback:  # deltadot/delta from a backward difference of delta, 0 at first
+                    delta = math.sqrt(var)
+                    rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+                    x_h = feedback(t + 0.5 * dt, rate, xbar)
+                    prev_delta = delta
+                c = drive_coef * x_h
+                u2 *= -sink_gain / (2.0 * var)
+                u2 += sink_const
+                psi *= np.exp(u2, out=u2)
+                psi *= cis_harmonic
+                np.exp(np.multiply(c, ix, out=cis), out=cis)
+                np.multiply(cis_blocks, cis_offsets, out=cis_drive)
+                psi *= drive_flat
+                np.fft.fft(psi, out=f)
+                t = w.t + (i + 1) * dt
+                if (i + 1) % record_stride == 0 or i == steps - 1:
+                    # complex a * b and b * a can differ in the last bit: f * kin_full is
+                    # the state f *= kin_full opens, so psi does not depend on record_stride
+                    np.multiply(kin_half, f, out=closed_opened[0])
+                    np.multiply(f, kin_full, out=closed_opened[1])
+                    np.fft.ifft(closed_opened, out=states)
+                    obs.append(_checked_row(WavePacket(g, closed, t), p, band))
+                else:
+                    f *= kin_full
+                    np.fft.ifft(f, out=psi)
     except NumericalFailure as exc:
         raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
     return WavePacket(grid=g, psi=closed, t=t), obs

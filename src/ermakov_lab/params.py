@@ -1,15 +1,15 @@
-"""Physical parameters and classical drives.
+"""Physical parameters, classical drives and the solvers' blocks of steps.
 
 All quantities default to the nondimensional convention hbar = m = 1; every
 constant remains an explicit field so dimensional runs stay possible.
-DriveSpec holds every drive formula, the conserving feedback included; the
-one copy outside it is integrate's written-out feedback, pinned to bind's by
-a bitwise test.
+DriveSpec holds one formula per drive kind: at for the kinds that read t
+alone, bind's feedback for the conserving kind.  The one copy outside it is
+integrate's written-out feedback, pinned to bind's by a bitwise test.
+step_blocks splits a solver's steps into the blocks over which it tabulates at.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,14 +109,16 @@ class DriveSpec:
     feedback X = (m/lambda)(r/tau + C_tau) xbar that keeps the reduced
     invariant constant, with r = alphadot/alpha = deltadot/delta.
 
+    at(times) gives X at an array of times for the kinds that read t alone:
+    integrate's RK4 stages and evolve's drive factor read it from tables made
+    once per block of steps, and integrate's recorded X column is one call.
     bind(params) resolves the kind and its constants once and returns the
-    function X(t, r, xbar): integrate's record calls it once per row and
-    evolve once per step.  at(times) gives X at an array of times, equal to
-    bind's by ==, for the kinds that read t alone: integrate's RK4 stages read
-    these tables, made once per block of steps.  The conserving kind, the one
-    that reads r and xbar, has no table; the stages write its formula out in
-    bind's operand order, pinned to measurement_rhs (and so to bind) by the
-    bitwise step test.  value(t, params, r, xbar) is one call of bind's function.
+    function X(t, r, xbar): one call of at for a kind that reads t alone, and
+    for the conserving kind, the one that reads r and xbar, the feedback
+    formula, which evolve calls once per step and integrate once, on its
+    recorded columns.  integrate's stages write the feedback out in bind's
+    operand order, pinned to measurement_rhs (and so to bind) by the bitwise
+    step test.  value(t, params, r, xbar) is one call of bind's function.
     """
 
     kind: str = "zero"
@@ -134,8 +136,8 @@ class DriveSpec:
             self._samples  # built here, so a bad table fails at construction
 
     @cached_property
-    def _samples(self) -> tuple[list, list, list]:  # built once per drive
-        """Sample times, values and the slope of each interval, as np.interp forms it."""
+    def _samples(self) -> tuple[list, list]:  # built once per drive
+        """Sample times and values, checked as np.interp needs them."""
         ts = [float(p[0]) for p in self.table]
         xs = [float(p[1]) for p in self.table]
         if len(ts) < 2:
@@ -144,40 +146,14 @@ class DriveSpec:
             raise ConfigurationError("tabulated drive samples must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigurationError("tabulated drive times must be strictly increasing")
-        slopes = [(xs[j + 1] - xs[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1)]
-        return ts, xs, slopes
+        return ts, xs
 
     def bind(self, params: PhysParams | None = None):
-        """X as a function of (t, r, xbar); the conserving kind needs params, lambda != 0."""
-        if self.kind == "zero":
-            return lambda t, r, xbar: 0.0
-        if self.kind == "constant":
-            x0 = self.x0
-            return lambda t, r, xbar: x0
-        if self.kind == "sinusoid":
-            x0, freq, phase, cos = self.x0, self.freq, self.phase, math.cos
-
-            def sinusoid(t, r, xbar):
-                try:
-                    return x0 * cos(freq * t + phase)
-                except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
-                    return math.nan
-            return sinusoid
-        if self.kind == "tabulated":
-            ts, xs, slopes = self._samples
-            last = len(ts) - 1
-
-            def tabulated(t, r, xbar):
-                j = bisect_right(ts, t) - 1  # ts[j] <= t < ts[j + 1]; last for t >= ts[-1]
-                if j < 0:
-                    return xs[0]
-                if j == last:
-                    return xs[j] if t == t else t  # a NaN time gives NaN, as in np.interp
-                if t == ts[j]:
-                    return xs[j]
-                return slopes[j] * (t - ts[j]) + xs[j]
-            return tabulated
-        # conserving
+        """X as a function of (t, r, xbar): at's X at the one time t for a kind that
+        reads t alone; the conserving kind needs params, lambda != 0."""
+        if self.kind != "conserving":
+            at = self.at
+            return lambda t, r, xbar: at(np.array([t]))[0]
         if params is None:
             raise ConfigurationError("conserving drive needs params, log_width_rate and xbar")
         if params.lam == 0:
@@ -186,24 +162,23 @@ class DriveSpec:
         return lambda t, r, xbar: gain * (r * inv_tau + c_tau) * xbar
 
     def at(self, times: np.ndarray) -> list:
-        """X at each of `times` for the kinds that read t alone, each value equal
-        (==) to bind's X(t, r, xbar) at that time; the conserving kind is refused."""
+        """X at each of `times` for the kinds that read t alone; the conserving kind
+        is refused.  The sinusoid maps math.cos over the phases (numpy's cos is not
+        bit-equal to it), with NaN where a phase overflows."""
         if self.kind == "zero":
             return [0.0] * len(times)
         if self.kind == "constant":
             return [self.x0] * len(times)
         if self.kind == "sinusoid":
-            x0 = self.x0
+            x0, cos = self.x0, math.cos
             with np.errstate(over="ignore", invalid="ignore"):
                 phases = (self.freq * times + self.phase).tolist()
             try:
-                return [x0 * c for c in map(math.cos, phases)]
-            except ValueError:  # math.cos(inf): bind's function gives NaN there
-                x_of = self.bind()
-                return [x_of(t, None, None) for t in times.tolist()]
+                return [x0 * c for c in map(cos, phases)]
+            except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
+                return [x0 * cos(ph) if math.isfinite(ph) else math.nan for ph in phases]
         if self.kind == "tabulated":
-            ts, xs, _ = self._samples
-            return np.interp(times, ts, xs).tolist()
+            return np.interp(times, *self._samples).tolist()
         raise ConfigurationError("the conserving drive reads the state, not t alone")
 
     def value(self, t: float, params: PhysParams | None = None,
@@ -212,3 +187,19 @@ class DriveSpec:
         if self.kind == "conserving" and (log_width_rate is None or xbar is None):
             raise ConfigurationError("conserving drive needs params, log_width_rate and xbar")
         return self.bind(params)(t, log_width_rate, xbar)
+
+
+#: Steps per block of a solver's loop: a drive that reads t alone is tabulated
+#: by DriveSpec.at once per block.
+BLOCK_STEPS = 256
+
+
+def step_blocks(t0: float, dt: float, n_steps: int):
+    """Per block of BLOCK_STEPS steps, its range of step indices and each step's start
+    time as the solvers' loops form it: t0 for step 0, else t0 + i*dt."""
+    for i0 in range(0, n_steps, BLOCK_STEPS):
+        i1 = min(i0 + BLOCK_STEPS, n_steps)
+        ts = t0 + np.arange(i0, i1) * dt
+        if i0 == 0:
+            ts[0] = t0
+        yield range(i0, i1), ts

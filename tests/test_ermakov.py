@@ -31,6 +31,41 @@ SINUSOID = DriveSpec(kind="sinusoid", x0=1.0, freq=0.7)
 TABULATED = DriveSpec(kind="tabulated", table=((0.0, 0.2), (0.33, -0.4), (4.0, 0.9), (9.0, -0.3)))
 
 
+def random_states(seed, n=50):
+    """Arrays alpha, alphadot, xbar, xbardot of n seeded states, alpha in [0.1, 3]."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 3.0, n), *rng.uniform(-2.0, 2.0, (3, n))
+
+
+def assert_elementwise(f, arrays, alpha):
+    """f on arrays is f on each entry's floats, bit for bit, and refuses any alpha <= 0."""
+    want = [f(*row) for row in zip(*(a.tolist() for a in arrays))]
+    assert f(*arrays).tolist() == want
+    for bad in (0.0, -1.0):
+        alpha[7] = bad
+        with pytest.raises(ConfigurationError, match="alpha must be positive"):
+            f(*arrays)
+
+
+def rk4_of_measurement_rhs(p, drive, dt):
+    """One RK4 step of measurement_rhs, each of its four slopes one call: the
+    reference that integrate's written-out stages must equal to the last bit."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def slope(t, a, ad, x, xd):
+        add, xdd = measurement_rhs(ErmakovState(t, a, ad, x, xd), p, drive)
+        return ad, add, xd, xdd
+
+    def rk4_step(t, y):
+        k1 = slope(t, *y)
+        k2 = slope(t + half, *(u + half * k for u, k in zip(y, k1)))
+        k3 = slope(t + half, *(u + half * k for u, k in zip(y, k2)))
+        k4 = slope(t + dt, *(u + dt * k for u, k in zip(y, k3)))
+        return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
+                for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return rk4_step
+
+
 class TestClassicalRhs:
     def test_unit_stationary(self):
         s = ErmakovState(0, alpha=1, alphadot=0, xbar=1, xbardot=0)
@@ -68,6 +103,10 @@ class TestLewisInvariant:
         for t in np.linspace(0, 10, 37):
             assert lewis_invariant(math.cos(t), -math.sin(t), 1.0, 0.0) == \
                 pytest.approx(0.5, abs=1e-14)
+
+    def test_arrays(self):
+        alpha, alphadot, xbar, xbardot = random_states(31)
+        assert_elementwise(lewis_invariant, (xbar, xbardot, alpha, alphadot), alpha)
 
 
 class TestMeasurementRhs:
@@ -160,6 +199,15 @@ class TestInvariantRate:
         assert detuned_rate == pytest.approx(5.04, rel=1e-2)
         assert abs(detuned_rate) > self.cancellation_bound(s, p)
 
+    def test_arrays(self):
+        p = PhysParams(tau=2.0, lam=0.8, m=1.3)
+        alpha, alphadot, xbar, xbardot = random_states(32)
+        x_drive = np.random.default_rng(33).uniform(-1.0, 1.0, alpha.size)
+
+        def f(alpha, alphadot, xbar, xbardot, x_drive):
+            return els_invariant_rate(alpha, alphadot, xbar, xbardot, p, x_drive)
+        assert_elementwise(f, (alpha, alphadot, xbar, xbardot, x_drive), alpha)
+
     def test_regular_at_xbar_zero(self):
         p = PhysParams(tau=1.0, lam=1.0)
         s = ErmakovState(0, alpha=1, alphadot=0.5, xbar=0.0, xbardot=1.0)
@@ -203,6 +251,11 @@ class TestWidthMap:
         p = PhysParams(tau=1.0, m=1.3, hbar=0.7)
         assert alpha_from_delta(delta_from_alpha(alpha, p), p) == \
             pytest.approx(alpha, abs=1e-14)
+
+    def test_arrays(self):
+        p = PhysParams(tau=1.0, m=1.3, hbar=0.7)
+        alpha = random_states(34)[0]
+        assert_elementwise(lambda a: delta_from_alpha(a, p), (alpha,), alpha)
 
     def test_domain(self):
         with pytest.raises(ConfigurationError, match="alpha must be positive"):
@@ -285,6 +338,32 @@ class TestIntegrate:
             integrate(init, p, drive=CONSERVING, t_end=1.0, dt=1e-3)
         assert len(exc.value.partial) == 0
 
+    def test_overflow_mid_run_aborts_at_that_row(self):
+        # X = -1e153 pushes the centroid until (xbardot alpha - alphadot xbar)^2 in the
+        # invariant overflows at t = 5; the loop itself runs to t_end
+        p = PhysParams(omega=0.0, tau=math.inf, lam=1.0)
+        push = DriveSpec(kind="constant", x0=-1e153)
+        init = ErmakovState(0.0, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(NumericalFailure, match=r"at t~5\.0: non-finite value in the "
+                                                   r"row recorded at t=5\.0$") as exc:
+            integrate(init, p, drive=push, t_end=10.0, dt=0.1)
+        partial = exc.value.partial
+        before = integrate(init, p, drive=push, t_end=4.9, dt=0.1)
+        assert len(partial) == len(before) == 50
+        assert all(np.array_equal(getattr(partial, k), getattr(before, k)) for k in vars(before))
+
+    def test_bad_row_wins_over_a_later_collapse(self):
+        # dt/tau = 2.9 is past RK4's stability limit, so the width oscillates ever
+        # wider and collapses in the step from t = 0.3; at xbar = 1e154 the invariant
+        # overflows once |alphadot| > 1.34, in the row at t = 0.1
+        p = PhysParams(tau=0.0345)
+        with pytest.raises(NumericalFailure, match=r"at t~0\.3\d*: alpha=.* below collapse"):
+            integrate(ErmakovState(0.0, 1.0, 0.0, 1.0, 0.0), p, t_end=1.0, dt=0.1)
+        with pytest.raises(NumericalFailure, match=r"at t~0\.1: non-finite value in the "
+                                                   r"row recorded at t=0\.1$") as exc:
+            integrate(ErmakovState(0.0, 1.0, 0.0, 1e154, 0.0), p, t_end=1.0, dt=0.1)
+        assert list(exc.value.partial.t) == [0.0]
+
     def test_huge_width_runs(self):
         # alpha^3 = 1e465 is beyond the float range; (1/alpha)^3 underflows to 0
         traj = integrate(ErmakovState(0, 1e155, 1e150, 1, 0), PhysParams(tau=2.0, lam=1.0),
@@ -292,24 +371,32 @@ class TestIntegrate:
         assert len(traj) == 101
         assert all(np.all(np.isfinite(col)) for col in vars(traj).values())
 
-    @staticmethod
-    def count_drive_calls(monkeypatch, drive):
-        calls = []
-        bind = DriveSpec.bind
+    @pytest.mark.parametrize("drive", [CONSERVING, SINUSOID, TABULATED], ids=lambda d: d.kind)
+    def test_drive_read_on_arrays_only(self, monkeypatch, drive):
+        # 10 steps at stride 5 record 3 rows.  A time-only kind is read by at alone:
+        # three tables for the one block of steps, then the X column; the conserving
+        # kind's function is called once, on the recorded columns
+        calls, at_times = [], []
+        bind, at = DriveSpec.bind, DriveSpec.at
 
         def counting_bind(self, params=None):
             x_of = bind(self, params)
             return lambda *a: calls.append(a) or x_of(*a)
+
+        def recording_at(self, times):
+            at_times.append(times)
+            return at(self, times)
         monkeypatch.setattr(DriveSpec, "bind", counting_bind)
+        monkeypatch.setattr(DriveSpec, "at", recording_at)
         integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0, lam=1.0),
                   drive=drive, t_end=1.0, dt=0.1, stride=5)
-        return len(calls)
-
-    @pytest.mark.parametrize("drive", [CONSERVING, SINUSOID, TABULATED], ids=lambda d: d.kind)
-    def test_drive_called_once_per_row_never_by_a_stage(self, monkeypatch, drive):
-        # 10 steps at stride 5 record 3 rows; the stages read X from block tables
-        # or write the conserving feedback out
-        assert self.count_drive_calls(monkeypatch, drive) == 3
+        if drive.kind == "conserving":
+            assert at_times == [] and len(calls) == 1
+            assert [type(a) for a in calls[0]] == [np.ndarray] * 3
+            assert [a.shape for a in calls[0]] == [(3,)] * 3
+        else:
+            assert calls == []
+            assert [ts.shape for ts in at_times] == [(10,)] * 3 + [(3,)]
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("drive", [
@@ -323,20 +410,7 @@ class TestIntegrate:
         # m, tau and lambda are not powers of 2, so a reordered product moves bits
         p = PhysParams(m=1.3, tau=3.0, lam=0.7, eps=eps, omega_m=1.3)
         dt = 0.1
-        half, sixth = 0.5 * dt, dt / 6.0
-
-        def slope(t, a, ad, x, xd):
-            add, xdd = measurement_rhs(ErmakovState(t, a, ad, x, xd), p, drive)
-            return ad, add, xd, xdd
-
-        def rk4_step(t, y):
-            k1 = slope(t, *y)
-            k2 = slope(t + half, *(u + half * k for u, k in zip(y, k1)))
-            k3 = slope(t + half, *(u + half * k for u, k in zip(y, k2)))
-            k4 = slope(t + dt, *(u + dt * k for u, k in zip(y, k3)))
-            return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
-                    for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
-
+        rk4_step = rk4_of_measurement_rhs(p, drive, dt)
         n_steps = 2 * BLOCK_STEPS + 37
         tr = integrate(ErmakovState(0.3, 1.2, -0.4, 0.9, 0.5), p, drive=drive,
                        t_end=0.3 + n_steps * dt, dt=dt)
@@ -344,6 +418,20 @@ class TestIntegrate:
         assert len(rows) == n_steps + 1
         for (t, *y), (_, *y_next) in zip(rows, rows[1:]):
             assert rk4_step(t, y) == y_next
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_conserving_step_equals_rk4_of_measurement_rhs_from_random_states(self, omega):
+        # along one trajectory r = alphadot/alpha decays as the width settles, and a
+        # reordered feedback in one stage, say (ad * inv_tau) / a for (ad / a) * inv_tau,
+        # moves no bit; single steps from 200 seeded states with |r| up to 4 catch it
+        rng = np.random.default_rng(41)
+        dt = 0.1
+        for tau in rng.choice([0.7, 3.0], 200).tolist():
+            p = PhysParams(m=1.3, lam=0.7, tau=tau, omega=omega)
+            y = [rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0), 0.0]
+            tr = integrate(ErmakovState(0.0, *y), p, drive=CONSERVING, t_end=dt, dt=dt)
+            y_next = [tr.alpha[1], tr.alphadot[1], tr.x[1], tr.xdot[1]]
+            assert rk4_of_measurement_rhs(p, CONSERVING, dt)(0.0, y) == y_next
 
     def test_deterministic(self):
         p = PhysParams(tau=2.0, lam=1.0)

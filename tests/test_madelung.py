@@ -15,6 +15,7 @@ from ermakov_lab import (
     quantum_force_linearity,
 )
 from ermakov_lab.errors import ConfigurationError, NumericalFailure
+from ermakov_lab.params import BLOCK_STEPS
 
 P_FREE = PhysParams(tau=math.inf)
 ZERO = DriveSpec()
@@ -370,6 +371,24 @@ class TestEvolve:
         with pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=4\.0$") as exc:
             evolve(w, p, d, 4.0, 25, record_stride=10)
         assert [o.t for o in exc.value.partial] == [0.0]
+
+    def test_drive_read_at_every_step_midpoint(self, monkeypatch):
+        # a time-only X is asked of at, in block tables, at the loop's t + dt/2 for
+        # every step, t formed as w.t + i*dt: over two whole blocks and a ragged third
+        asked = []
+        at = DriveSpec.at
+
+        def recording_at(self, times):
+            asked.extend(times.tolist())
+            return at(self, times)
+        monkeypatch.setattr(DriveSpec, "at", recording_at)
+        p = PhysParams(tau=2.0, lam=0.5)
+        w = gaussian_packet(Grid(-12, 12, 64), 0.5, 1.0, p=p)
+        w.t = 0.3
+        dt, steps = 1e-3, 2 * BLOCK_STEPS + 37
+        evolve(w, p, DriveSpec(kind="sinusoid", x0=0.4, freq=0.7), dt, steps, record_stride=100)
+        t = [w.t] + [w.t + i * dt for i in range(1, steps)]
+        assert asked == [ti + 0.5 * dt for ti in t]
 
     def test_split_run_matches_single_run(self):
         p = PhysParams(tau=2.0, lam=1.0)

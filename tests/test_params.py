@@ -30,11 +30,13 @@ def _lookup_times(ts):
                      *rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 10_000)])
 
 
-def _assert_at_is_bind(drive, times):
-    """drive.at(times) is bind's X at each time, bit for bit (repr tells -0.0 from 0.0)."""
+def _assert_at_is(drive, times, want):
+    """drive.at(times), and bind's X at each time, is `want`, bit for bit (repr tells
+    -0.0 from 0.0)."""
+    want = list(map(repr, want))
+    assert list(map(repr, drive.at(times))) == want
     x_of_t = drive.bind()
-    want = [x_of_t(t, None, None) for t in times.tolist()]
-    assert list(map(repr, drive.at(times))) == list(map(repr, want))
+    assert [repr(x_of_t(t, None, None)) for t in times.tolist()] == want
 
 
 class TestPhysParams:
@@ -120,37 +122,40 @@ class TestDriveSpec:
     def test_tabulated_lookup_is_np_interp_bitwise(self, table):
         ts = np.array([p[0] for p in table])
         xs = np.array([p[1] for p in table])
-        times = _lookup_times(ts)
         drive = DriveSpec(kind="tabulated", table=table)
-        x_of_t = drive.bind()
-        for t in map(float, times):
-            assert x_of_t(t, None, None) == float(np.interp(t, ts, xs)), t
+        for t in map(float, _lookup_times(ts)[:2 * len(ts) + 3]):  # samples, midpoints, ends
+            assert drive.value(t) == float(np.interp(t, ts, xs)), t
+        assert drive.at(np.array([ts[-1] + 1.0, ts[0] - 1.0])) == [xs[-1], xs[0]]
         assert drive.value(ts[-1] + 1.0) == xs[-1] and drive.value(ts[0] - 1.0) == xs[0]
-        assert math.isnan(x_of_t(math.nan, None, None))
+        assert math.isnan(drive.at(np.array([math.nan]))[0]) and math.isnan(drive.value(math.nan))
 
     @pytest.mark.parametrize("x0", [2.5, -0.0])
     def test_at_zero_and_constant_are_bind(self, x0):
         times = np.linspace(-1.0, 3.0, 9)
-        _assert_at_is_bind(DriveSpec(kind="constant", x0=x0), times)
-        _assert_at_is_bind(DriveSpec(), times)
+        _assert_at_is(DriveSpec(kind="constant", x0=x0), times, [x0] * 9)
+        _assert_at_is(DriveSpec(), times, [0.0] * 9)
 
     def test_at_sinusoid_is_bind(self):
         rng = np.random.default_rng(21)
         times = rng.uniform(-50.0, 50.0, 1000)
-        _assert_at_is_bind(DriveSpec(kind="sinusoid", x0=-1.3, freq=0.7, phase=0.4), times)
+        want = [-1.3 * math.cos(0.7 * t + 0.4) for t in times.tolist()]
+        _assert_at_is(DriveSpec(kind="sinusoid", x0=-1.3, freq=0.7, phase=0.4), times, want)
 
     def test_at_sinusoid_overflowing_phase_is_nan(self):
-        # freq*t overflows to +-inf from |t| = 1.8: math.cos raises there, bind gives NaN,
-        # and at falls back to bind for the whole array without a numpy warning
+        # freq*t overflows to +-inf from |t| = 1.8, where math.cos raises: NaN there,
+        # and no numpy warning
         d = DriveSpec(kind="sinusoid", x0=2.0, freq=1e308, phase=0.5)
         times = np.array([0.0, 1.0, 1.8, 2.0, -3.0])
-        _assert_at_is_bind(d, times)
-        assert [math.isnan(x) for x in d.at(times)] == [False, False, True, True, True]
+        _assert_at_is(d, times, [2.0 * math.cos(0.5), 2.0 * math.cos(1e308 + 0.5)]
+                      + [math.nan] * 3)
 
     @TABLES
     def test_at_tabulated_is_bind(self, table):
         ts = np.array([p[0] for p in table])
-        _assert_at_is_bind(DriveSpec(kind="tabulated", table=table), _lookup_times(ts))
+        xs = np.array([p[1] for p in table])
+        times = _lookup_times(ts)
+        want = [float(np.interp(t, ts, xs)) for t in times.tolist()]
+        _assert_at_is(DriveSpec(kind="tabulated", table=table), times, want)
 
     def test_at_refuses_conserving(self):
         with pytest.raises(ConfigurationError, match="reads the state"):
