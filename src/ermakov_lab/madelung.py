@@ -10,15 +10,18 @@ half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
 kinetic factor; at every record point, the last step included, the closed
 state and the next step's opened state go through one batched inverse FFT.
-A step makes one fft call and one ifft call.  X at each step's midpoint is
-read from DriveSpec.at tables made once per block of steps, or for the
-conserving kind is bind's function of the packet's deltadot/delta and mean.
+A step makes one fft call and one ifft call.  The recorded rows are checked
+in batches: one pass forms and checks the observables of several rows.  X at
+each step's midpoint is read from DriveSpec.at tables made once per block of
+steps, or for the conserving kind is bind's function of the packet's
+deltadot/delta and mean.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +34,9 @@ RHO_FLOOR = 1e-8
 #: Largest share of |psi|^2 a recorded row may hold in the band |k| >= BAND_EDGE pi/dx.
 BAND_SHARE_MAX = 1e-3
 BAND_EDGE = 0.9
+
+#: Grid points of recorded rows that evolve checks as one batch.
+ROW_POINTS = 8192
 
 
 @dataclass(eq=False)
@@ -163,29 +169,62 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
 
 
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
-    """Quadrature moments of rho plus the quantum-force slope k_t; a non-finite
-    value among them raises NumericalFailure (the one check of a recorded row)."""
-    norm, xbar, u2, var, rho = _moments(w.psi, w.grid.x, w.grid.dx)
+    """Quadrature moments of rho plus the quantum-force slope k_t, by the pass of
+    _rows on the one state w.psi: a zero norm, a variance whose square underflows
+    or a non-finite value among them raises NumericalFailure."""
+    with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
+        return next(_rows(w.psi[None], [w.t], w.grid, p))
+
+
+def _rows(psi: np.ndarray, ts: list, g: Grid, p: PhysParams, band: np.ndarray | None = None):
+    """Observables of the states psi, shape (k, n), at the times ts: one batched pass
+    forms the moments of all k rows, then each row is checked and yielded in order.
+
+    A zero norm, a variance whose square underflows to 0 or a non-finite value raises
+    NumericalFailure; given `band`, the states' spectra at |k| >= BAND_EDGE pi/dx, so do
+    a norm outside the window [0.5, 2] and more than BAND_SHARE_MAX of |psi|^2 in the
+    band.  Each row is bit for bit the 1-D pass of _moments: add.reduce and np.vecdot
+    over the last axis sum a row in the order of add.reduce, x.dot(rho) and np.vdot.
+    """
+    x, dx = g.x, g.dx
+    re, im = psi.real, psi.imag
+    rho = re * re + im * im
+    norm = np.add.reduce(rho, axis=-1) * dx
+    xbar = np.vecdot(rho, x) * dx / norm
+    u2 = x - xbar[:, None]
     u2 *= u2
-    m4 = float(u2.dot(rho)) * w.grid.dx / norm
-    var2 = var * var
-    row = (norm, xbar, math.sqrt(var), m4 / var2 - 3.0, p.hbar_2m * p.hbar_2m / var2)
-    if not all(map(math.isfinite, row)):
-        raise NumericalFailure(f"non-finite value in the observables recorded at t={w.t}")
-    return Observables(w.t, *row)
+    sums2 = np.vecdot(u2, rho)
+    u2 *= u2
+    sums4 = np.vecdot(u2, rho)
+    sums_band = repeat(None) if band is None else np.vecdot(band, band).real.tolist()
+    hbar2 = p.hbar_2m * p.hbar_2m
+    for t, nm, xb, s2, s4, sb in zip(ts, norm.tolist(), xbar.tolist(), sums2.tolist(),
+                                     sums4.tolist(), sums_band):
+        if nm <= 0:
+            raise NumericalFailure("wavefunction has zero norm")
+        var = s2 * dx / nm
+        var2 = var * var
+        if var2 == 0.0:
+            raise NumericalFailure(f"wavefunction has zero variance or one whose square "
+                                   f"underflows: {var:g}")
+        row = (nm, xb, math.sqrt(var), s4 * dx / nm / var2 - 3.0, hbar2 / var2)
+        if not all(map(math.isfinite, row)):
+            raise NumericalFailure(f"non-finite value in the observables recorded at t={t}")
+        if band is not None:
+            if not 0.5 <= nm <= 2.0:
+                raise NumericalFailure(f"norm {nm} outside [0.5, 2] at t={t}")
+            share = sb * dx / (g.n * nm)  # sum |f|^2 = n norm / dx
+            if not share <= BAND_SHARE_MAX:
+                raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
+                                       f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} "
+                                       f"at t={t}")
+        yield Observables(t, *row)
 
 
-def _checked_row(w: WavePacket, p: PhysParams, band: np.ndarray) -> Observables:
-    """observables(w, p), refused outside the norm window [0.5, 2] or with more than
-    BAND_SHARE_MAX of |psi|^2 in `band`, psi's spectrum at |k| >= BAND_EDGE pi/dx."""
-    o, g = observables(w, p), w.grid
-    if not 0.5 <= o.norm <= 2.0:
-        raise NumericalFailure(f"norm {o.norm} outside [0.5, 2] at t={w.t}")
-    share = np.vdot(band, band).real * g.dx / (g.n * o.norm)  # sum |f|^2 = n norm / dx
-    if not share <= BAND_SHARE_MAX:
-        raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
-                               f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} at t={w.t}")
-    return o
+def _batch_rows(n: int) -> int:
+    """Rows per batch of evolve's recorded rows on an n-point grid: ROW_POINTS
+    grid points of them, and at least 2."""
+    return max(2, ROW_POINTS // n)
 
 
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
@@ -215,7 +254,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     point, the last step included, the two go through one inverse FFT of a
     (2, n) batch, so every step makes one fft call and one ifft call; over S
     steps with R record points after t = 0 that is 2S + 2 calls and
-    2S + 2 + R transforms.  The result differs from unfused stepping by
+    2S + 2 + R transforms.  numpy transforms a batch's rows together, at less
+    cost per row than a 1-D call.  The result differs from unfused stepping by
     rounding only, and does not depend on record_stride.  Every FFT, and the
     drive factor, writes into buffers made once per call: the packet passed
     in is never written, and the returned psi is a row of this call's own
@@ -225,11 +265,18 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     finiteness check of `observables`, the norm window [0.5, 2], and at most
     BAND_SHARE_MAX of |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from
     the spectrum in hand (a packet narrower than the grid resolves, or a phase
-    turning faster, leaks there; dt has no kinetic limit).  Each step also
-    detects non-finite amplitudes through the norm it computes (a sum of
-    |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the
-    moments or a sink factor exp(dt/tau) that overflows included, raises
-    NumericalFailure naming its time, whose `partial` is the rows recorded before it.
+    turning faster, leaks there; dt has no kinetic limit).  The rows are
+    checked in batches of _batch_rows(n): a record point copies its closed
+    state and band slice into buffers made once per call, and one pass of
+    _rows checks the pending rows when the batch is full, at the end of each
+    block of steps and at the last step; the t = 0 row is a batch of one.  Each
+    step also detects non-finite amplitudes through the norm it computes (a
+    sum of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of
+    the moments or a sink factor exp(dt/tau) that overflows included, raises
+    NumericalFailure naming its time, whose `partial` is the rows recorded
+    before it.  A bad row is reported at its own time, after at most one batch
+    of further steps; a step that fails first checks the pending rows, so an
+    earlier bad row still wins.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -252,13 +299,18 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     drive_flat = cis_drive.ravel()[:g.n]
     f = np.empty(g.n, complex)
     j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
-    band = f[j[0]:j[-1] + 1]
+    j0, j1 = j[0], j[-1] + 1
     # row 0: the closed state of a record point, row 1: the next step opened;
     # closed_opened holds their spectra and states the states, which ifft
     # writes (psi is states[1] throughout)
     closed_opened = np.empty((2, g.n), complex)
     states = np.empty((2, g.n), complex)
     closed, psi = states
+    # the pending rows: their times, closed states and band slices of f
+    batch = _batch_rows(g.n)
+    rows_psi = np.empty((batch, g.n), complex)
+    bands = np.empty((batch, j1 - j0), complex)
+    pending = []
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
@@ -266,51 +318,76 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     no_table = [None] * BLOCK_STEPS
     obs = []
 
+    def flush():
+        """Check the pending rows in order, in one pass of _rows."""
+        k = len(pending)
+        rows = _rows(rows_psi[:k], pending, g, p, bands[:k])
+        for t_row in pending:
+            try:
+                obs.append(next(rows))
+            except NumericalFailure as exc:
+                raise NumericalFailure(f"evolution aborted at t~{t_row}: {exc}",
+                                       partial=obs) from exc
+        pending.clear()
+
     t = w.t
-    try:
-        # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+    # a step run past a bad row may overflow: that row's check reports it
+    with np.errstate(all="ignore"):
         try:
-            sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
-        except OverflowError as exc:
-            raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
-                                   f"{dt * p.inv_tau:.3g}") from exc
-        np.fft.fft(w.psi, out=f)  # f holds the spectrum of each recorded psi
-        obs.append(_checked_row(w, p, band))
-        prev_delta = obs[0].delta
-        np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
-        for block, ts in step_blocks(w.t, dt, steps):
-            xs_h = no_table if feedback else d.at(ts + 0.5 * dt)
-            for i, x_h in zip(block, xs_h):
-                norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
-                if not math.isfinite(norm):
-                    raise NumericalFailure(f"non-finite amplitudes at t={t}")
-                if feedback:  # deltadot/delta from a backward difference of delta, 0 at first
-                    delta = math.sqrt(var)
-                    rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-                    x_h = feedback(t + 0.5 * dt, rate, xbar)
-                    prev_delta = delta
-                c = drive_coef * x_h
-                u2 *= -sink_gain / (2.0 * var)
-                u2 += sink_const
-                psi *= np.exp(u2, out=u2)
-                psi *= cis_harmonic
-                np.exp(np.multiply(c, ix, out=cis), out=cis)
-                np.multiply(cis_blocks, cis_offsets, out=cis_drive)
-                psi *= drive_flat
-                np.fft.fft(psi, out=f)
-                t = w.t + (i + 1) * dt
-                if (i + 1) % record_stride == 0 or i == steps - 1:
-                    # complex a * b and b * a can differ in the last bit: f * kin_full is
-                    # the state f *= kin_full opens, so psi does not depend on record_stride
-                    np.multiply(kin_half, f, out=closed_opened[0])
-                    np.multiply(f, kin_full, out=closed_opened[1])
-                    np.fft.ifft(closed_opened, out=states)
-                    obs.append(_checked_row(WavePacket(g, closed, t), p, band))
-                else:
-                    f *= kin_full
-                    np.fft.ifft(f, out=psi)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
+            # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+            try:
+                sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+            except OverflowError as exc:
+                raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                                       f"{dt * p.inv_tau:.3g}") from exc
+            np.fft.fft(w.psi, out=f)
+            obs.extend(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
+            prev_delta = obs[0].delta
+            np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
+            for block, ts in step_blocks(w.t, dt, steps):
+                xs_h = no_table if feedback else d.at(ts + 0.5 * dt)
+                for i, x_h in zip(block, xs_h):
+                    norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+                    if not math.isfinite(norm):
+                        raise NumericalFailure(f"non-finite amplitudes at t={t}")
+                    if feedback:  # deltadot/delta from a backward difference of delta, 0 at first
+                        delta = math.sqrt(var)
+                        rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+                        x_h = feedback(t + 0.5 * dt, rate, xbar)
+                        prev_delta = delta
+                    c = drive_coef * x_h
+                    u2 *= -sink_gain / (2.0 * var)
+                    u2 += sink_const
+                    psi *= np.exp(u2, out=u2)
+                    psi *= cis_harmonic
+                    np.exp(np.multiply(c, ix, out=cis), out=cis)
+                    np.multiply(cis_blocks, cis_offsets, out=cis_drive)
+                    psi *= drive_flat
+                    np.fft.fft(psi, out=f)
+                    t = w.t + (i + 1) * dt
+                    if (i + 1) % record_stride == 0 or i == steps - 1:
+                        # complex a * b and b * a can differ in the last bit: f * kin_full is
+                        # the state f *= kin_full opens, so psi does not depend on record_stride
+                        np.multiply(kin_half, f, out=closed_opened[0])
+                        np.multiply(f, kin_full, out=closed_opened[1])
+                        np.fft.ifft(closed_opened, out=states)
+                        r = len(pending)
+                        rows_psi[r] = closed
+                        bands[r] = f[j0:j1]
+                        pending.append(t)
+                        if r + 1 == batch:
+                            flush()
+                    else:
+                        f *= kin_full
+                        np.fft.ifft(f, out=psi)
+                if pending:
+                    flush()
+        except NumericalFailure as exc:
+            if exc.partial is not None:  # a bad row, which flush reports at its own time
+                raise
+            if pending:  # an earlier bad row wins over this failure
+                flush()
+            raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
     return WavePacket(grid=g, psi=closed, t=t), obs
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -698,6 +699,21 @@ class TestPdeMode:
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_overflow_between_record_points_exits_2_quietly(self, tmp_path, capsys):
+        # tau = 1e-3 with the 1/(2 tau) phase curvature cancelled: the amplitudes
+        # overflow before the first record point (stride 100), with no numpy warning
+        cfg = {"mode": "pde", "params": {"tau": 0.001, "lambda": 1.0},
+               "drive": {"kind": "sinusoid", "x0": 0.6, "freq": 0.8, "phase": 1.0},
+               "init": {"delta0": 1.0, "width_rate0": -500.0, "xbar0": -0.4},
+               "numerics": {"dt": 0.02, "t_end": 4.0, "grid": {"n": 64}},
+               "output": {"directory": str(tmp_path / "out"), "stride": 100}}
+        with warnings.catch_warnings(record=True) as stray:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert [str(w.message) for w in stray] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: evolution aborted at t~1.44: non-finite amplitudes at t=1.44"]
+
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("ERMAKOV_LAB_OUT", str(override))
@@ -755,6 +771,35 @@ class TestCompareMode:
         header, data = read_csv(out / "compare.csv")
         assert np.max(np.abs(data[:, header.index("xbar_diff")])) < 1e-5
         assert np.max(np.abs(data[:, header.index("delta_diff")])) < 1e-5
+
+    # tau = 1e-3 with the 1/(2 tau) phase curvature nearly cancelled: the norm
+    # leaves [0.5, 2] in a row inside a batch (128 rows at n = 64, 64 at n = 128),
+    # and the steps run past that row overflow; the row is reported at its own time
+    @pytest.mark.parametrize("cfg, line", [
+        ({"params": {"tau": 0.001, "lambda": 0.5},
+          "init": {"delta0": 0.9087833742358749, "width_rate0": -454.3916871179374,
+                   "xbar0": 0.460650346411857},
+          "numerics": {"dt": 0.02, "t_end": 3.0, "grid": {"n": 64}},
+          "output": {"stride": 1}},
+         "evolution aborted at t~0.02: norm 4393.563730815666 outside [0.5, 2] at t=0.02"),
+        ({"params": {"tau": 0.001, "lambda": 1},
+          "drive": {"kind": "sinusoid", "x0": -0.9901883193179439,
+                    "freq": 1.3310728096004425, "phase": 4.023987308003498},
+          "init": {"delta0": 0.6395344683254347, "width_rate0": -319.76723416271733,
+                   "xbar0": -0.6885373430724024},
+          "numerics": {"dt": 0.02, "t_end": 8.0, "grid": {"n": 128}},
+          "output": {"stride": 7}},
+         "evolution aborted at t~0.14: norm 4.090239774982681e+25 outside [0.5, 2] "
+         "at t=0.14"),
+    ], ids=["stride1", "stride7"])
+    def test_bad_row_inside_a_batch_exits_2(self, tmp_path, capsys, cfg, line):
+        cfg = dict(cfg, mode="compare")
+        cfg["output"] = dict(cfg["output"], directory=str(tmp_path / "out"))
+        with warnings.catch_warnings(record=True) as stray:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert [str(w.message) for w in stray] == []
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: " + line]
 
     def test_drive_kick_beyond_the_grid_exits_2(self, tmp_path, capsys):
         # lambda X dt / hbar = 10 per step: one step takes the packet to k = 10, just

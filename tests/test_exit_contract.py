@@ -4,7 +4,7 @@ A run exits 0 with finite CSVs and nothing on stderr, 1 with one `config
 error:` line and no output directory, or 2 with one `numerical failure:` line.
 No other line and no Python warning may accompany any of them.  The strategy
 is built from each field's conversion, so a new field is fuzzed without
-editing this test.  Runs are in process, derandomized, about 3 s on two CPUs.
+editing this test.  Runs are in process, derandomized, several seconds on two CPUs.
 """
 import ast
 import contextlib
@@ -65,7 +65,11 @@ def configs(draw):
     return fields
 
 
-@given(fields=configs(), steps=st.integers(1, 8))
+# a few steps, or a long run whose rows fill evolve's batches (128 rows at n = 64)
+STEPS = st.integers(1, 8) | st.just(300)
+
+
+@given(fields=configs(), steps=STEPS)
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 def test_every_config_keeps_the_exit_contract(fields, steps):
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,6 +6,7 @@ import pytest
 from ermakov_lab import (
     DriveSpec,
     Grid,
+    Observables,
     PhysParams,
     WavePacket,
     evolve,
@@ -14,7 +15,9 @@ from ermakov_lab import (
     observables,
     quantum_force_linearity,
 )
+from ermakov_lab import madelung
 from ermakov_lab.errors import ConfigurationError, NumericalFailure
+from ermakov_lab.madelung import _moments, _rows
 from ermakov_lab.params import BLOCK_STEPS
 
 P_FREE = PhysParams(tau=math.inf)
@@ -463,7 +466,7 @@ class TestEvolveStep:
         # one FFT pair opens step 1; each step then takes one forward FFT and one
         # inverse FFT, which at every record point, the last step included,
         # transforms the closed state and the next step's opened state as one
-        # (2, n) batch
+        # (2, n) batch; checking the rows in batches of 32 (n = 256) or 4 adds none
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
@@ -474,11 +477,12 @@ class TestEvolveStep:
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        for stride, batched in ((1, steps), (7, 1)):
+        for stride, batch, batched in ((1, 32, steps), (7, 32, 1), (1, 4, steps)):
             calls.clear()
             with monkeypatch.context() as mp:
                 for name in ("fft", "ifft"):
                     mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+                mp.setattr(madelung, "_batch_rows", lambda n: batch)
                 evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
             assert len(calls) == 2 * steps + 2
             assert calls.count(("fft", (n,))) == steps + 1
@@ -517,3 +521,110 @@ class TestEvolveStep:
         fin, obs = evolve(w, self.P, self.D, dt, steps, record_stride=stride)
         assert np.array_equal(fin1.psi, fin.psi)
         assert obs == obs1[::stride] + ([obs1[-1]] if steps % stride else [])
+
+
+def single_row(psi, t, g, p):
+    """The observables of one state from 1-D sums: the norm by add.reduce, the
+    moments by x.dot(rho), as _moments forms them on every step."""
+    norm, xbar, u2, var, rho = _moments(psi, g.x, g.dx)
+    u2 *= u2
+    m4 = float(u2.dot(rho)) * g.dx / norm
+    var2 = var * var
+    return Observables(t, norm, xbar, math.sqrt(var), m4 / var2 - 3.0,
+                       p.hbar_2m * p.hbar_2m / var2)
+
+
+def rows_passed(rows):
+    """How many rows pass before one is refused for its band share."""
+    passed = 0
+    try:
+        for _ in rows:
+            passed += 1
+    except NumericalFailure as exc:
+        assert "of |psi|^2 in the band" in str(exc)
+    return passed
+
+
+class TestRowBatch:
+    P = PhysParams(tau=2.0, lam=1.0)
+
+    # n = 100 is not a power of two; k = 1 is the t = 0 row's batch
+    @pytest.mark.parametrize("n", [64, 100, 256, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 7, 32])
+    def test_batched_row_is_the_single_row(self, monkeypatch, n, k):
+        g = Grid(-15, 17, n)
+        rng = np.random.default_rng(1000 * n + k)
+        psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        psi *= np.sqrt(rng.uniform(0.6, 1.9, (k, 1))
+                       / (np.sum(np.abs(psi) ** 2, axis=1, keepdims=True) * g.dx))
+        band = rng.standard_normal((k, n // 10)) + 1j * rng.standard_normal((k, n // 10))
+        band *= rng.uniform(0.0, 1.0, (k, 1))
+        ts = (0.1 * np.arange(k)).tolist()
+        single = [single_row(s, t, g, self.P) for s, t in zip(psi, ts)]
+        assert [repr(o) for o in _rows(psi, ts, g, self.P)] == [repr(o) for o in single]
+        assert [repr(observables(WavePacket(g, s, t), self.P))
+                for s, t in zip(psi, ts)] == [repr(o) for o in single]
+        # each row's band share, rows sorted by it, is pinned bit for bit by the
+        # largest BAND_SHARE_MAX that refuses it
+        shares = [np.vdot(b, b).real * g.dx / (g.n * o.norm) for b, o in zip(band, single)]
+        order = np.argsort(shares)
+        psi, band = psi[order], band[order]
+        for r, share in enumerate(np.array(shares)[order]):
+            monkeypatch.setattr(madelung, "BAND_SHARE_MAX", share)
+            assert rows_passed(_rows(psi, ts, g, self.P, band)) == min(r + 1, k)
+            monkeypatch.setattr(madelung, "BAND_SHARE_MAX", np.nextafter(share, 0.0))
+            assert rows_passed(_rows(psi, ts, g, self.P, band)) == r
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("drive", [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6),
+                                       DriveSpec(kind="conserving")],
+                             ids=["sinusoid", "conserving"])
+    def test_rows_do_not_depend_on_the_batch(self, monkeypatch, batch, stride, drive):
+        # 128 rows a batch at n = 64; the run spans two blocks of steps
+        g = Grid(1 - 16, 1 + 16, 64)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        steps = BLOCK_STEPS + 44
+        fin, obs = evolve(w, self.P, drive, 0.01, steps, record_stride=stride)
+        monkeypatch.setattr(madelung, "_batch_rows", lambda n: batch)
+        fin_b, obs_b = evolve(w, self.P, drive, 0.01, steps, record_stride=stride)
+        assert repr(obs_b) == repr(obs)
+        assert fin_b.t == fin.t
+        assert fin_b.psi.tobytes() == fin.psi.tobytes()
+
+    def failure(self, monkeypatch, batch, *args, **kwargs):
+        """evolve's NumericalFailure, with `batch` rows a batch (None: the default)."""
+        with monkeypatch.context() as mp:
+            if batch is not None:
+                mp.setattr(madelung, "_batch_rows", lambda n: batch)
+            with pytest.raises(NumericalFailure) as exc:
+                evolve(*args, **kwargs)
+        return str(exc.value), repr(exc.value.partial)
+
+    def test_unresolved_row_inside_a_batch(self, monkeypatch):
+        # tau = 0.01 narrows the packet below dx = 0.125 (width_rate0 = -50 cancels
+        # the 1/(2 tau) phase curvature): the row at step 540 is the 28th of its
+        # batch of 32, and is reported as a batch of one reports it
+        p = PhysParams(tau=0.01)
+        w = gaussian_packet(Grid(-15, 17, 256), 1.0, 1.0, width_rate0=-50.0, p=p)
+        args = (w, p, ZERO, 1e-4, 1000)
+        message, partial = self.failure(monkeypatch, None, *args)
+        assert message.startswith("evolution aborted at t~0.054: share 0.00104 of |psi|^2 ")
+        assert partial.count("Observables(") == 540
+        assert self.failure(monkeypatch, 1, *args) == (message, partial)
+
+    def test_bad_row_wins_over_a_later_step_failure(self, monkeypatch):
+        # tau = 1e-3 with the phase curvature cancelled: the norm leaves [0.5, 2] by
+        # the first step, and the amplitudes overflow at step 72, before the
+        # 128-row batch of n = 64 is full
+        p = PhysParams(tau=1e-3, lam=0.5)
+        w = gaussian_packet(Grid(0.5 - 16 * 0.9, 0.5 + 16 * 0.9, 64), 0.5, 0.9,
+                            width_rate0=-450.0, p=p)
+        message, partial = self.failure(monkeypatch, None, w, p, ZERO, 0.02, 150,
+                                        record_stride=1000)
+        assert message == "evolution aborted at t~1.44: non-finite amplitudes at t=1.44"
+        message, partial = self.failure(monkeypatch, None, w, p, ZERO, 0.02, 150)
+        assert message.startswith("evolution aborted at t~0.02: norm ")
+        assert message.endswith(" outside [0.5, 2] at t=0.02")
+        assert partial.count("Observables(") == 1
+        assert self.failure(monkeypatch, 1, w, p, ZERO, 0.02, 150) == (message, partial)
