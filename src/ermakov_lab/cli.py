@@ -320,9 +320,8 @@ def _evolve(r: dict):
 def run_pde(r: dict) -> int:
     out = Path(r["output.directory"])
     _, _, final, obs = _evolve(r)
-    write_csv(out / "observables.csv",
-              ["t", "norm", "xbar", "delta", "excess_kurtosis", "k_t"],
-              ((o.t, o.norm, o.xbar, o.delta, o.excess_kurtosis, o.k_t) for o in obs))
+    cols = vars(obs)
+    write_csv(out / "observables.csv", list(cols), zip(*cols.values()))
     if r["output.snapshots"]:
         write_csv(out / "fields_final.csv",
                   ["x", "re_psi", "im_psi", "rho"],
@@ -337,11 +336,11 @@ def run_compare(r: dict) -> int:
                         r["init.xbar0"], r["init.xbardot0"])
     traj = integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
                      dt=r["numerics.dt"], stride=r["output.stride"])
-    rows = [(o.t, o.xbar, x, o.xbar - x, o.delta, d, o.delta - d, o.norm, o.excess_kurtosis)
-            for o, x, d in zip(obs, traj.x, traj.delta)]
-    write_csv(Path(r["output.directory"]) / "compare.csv",
-              ["t", "xbar_pde", "xbar_ode", "xbar_diff", "delta_pde", "delta_ode",
-               "delta_diff", "norm", "excess_kurtosis"], rows)
+    cols = {"t": obs.t, "xbar_pde": obs.xbar, "xbar_ode": traj.x,
+            "xbar_diff": obs.xbar - traj.x, "delta_pde": obs.delta,
+            "delta_ode": traj.delta, "delta_diff": obs.delta - traj.delta,
+            "norm": obs.norm, "excess_kurtosis": obs.excess_kurtosis}
+    write_csv(Path(r["output.directory"]) / "compare.csv", list(cols), zip(*cols.values()))
     return 0
 
 

@@ -148,40 +148,30 @@ def check_integrating_factor(a: AnsatzSlice) -> tuple[float, float]:
 
 
 def check_decomposition_integrals(a: AnsatzSlice) -> tuple[float, float, float]:
-    """The three pieces of int r u dx.
+    """The three pieces of int r u dx, each the r of a slice with the other terms off.
 
-    I1, I2: the claimed antiderivatives are differentiated pointwise and
-    compared with their integrands.  I3: the definite integral over
-    |x - xbar| <= 8 delta vanishes (Gaussian second-moment identity).
+    I1 (width), I2 (centroid): the claimed antiderivatives are differentiated
+    pointwise and compared with their integrands.  I3 (sink): the definite
+    integral over |x - xbar| <= 8 delta vanishes (Gaussian second-moment identity).
     """
     w = (np.pi * a.delta ** 2) ** 0.5
     xs = _chebyshev(a.xbar, 4.0 * a.delta)
     h = a.delta / 200.0
-    d, dd = a.delta, a.deltadot
+    width = replace(a, xbardot=0.0, tau=math.inf)
+    centroid = replace(a, deltadot=0.0, tau=math.inf)
+    sink = replace(a, deltadot=0.0, xbardot=0.0)
 
     def anti1(x):
-        return w * a.rho(x) * (dd / d) * (np.asarray(x) - a.xbar)
-
-    def integrand1(x):
-        u = np.asarray(x) - a.xbar
-        return (dd / d - dd / d ** 3 * u * u) * w * a.rho(x)
-
-    res1 = float(np.max(np.abs(_d1(anti1, xs, h) - integrand1(xs))))
+        return w * a.rho(x) * (a.deltadot / a.delta) * (np.asarray(x) - a.xbar)
 
     def anti2(x):
         return w * a.xbardot * a.rho(x)
 
-    def integrand2(x):
-        u = np.asarray(x) - a.xbar
-        return -(u / d ** 2) * a.xbardot * w * a.rho(x)
-
-    res2 = float(np.max(np.abs(_d1(anti2, xs, h) - integrand2(xs))))
-
+    res1 = float(np.max(np.abs(_d1(anti1, xs, h) - width.r(xs) * w * a.rho(xs))))
+    res2 = float(np.max(np.abs(_d1(anti2, xs, h) - centroid.r(xs) * w * a.rho(xs))))
     grid, step = np.linspace(a.xbar - 8.0 * a.delta, a.xbar + 8.0 * a.delta, 8001,
                              retstep=True)
-    u = grid - a.xbar
-    integrand3 = (-u * u / (2.0 * a.tau * d ** 2) + 1.0 / (2.0 * a.tau)) * w * a.rho(grid)
-    res3 = float(abs(_cumulative_simpson(integrand3, step)[-1]))
+    res3 = float(abs(_cumulative_simpson(sink.r(grid) * w * a.rho(grid), step)[-1]))
     return res1, res2, res3
 
 

@@ -11,7 +11,7 @@ half-step of the next share one forward FFT and are applied as one full
 kinetic factor; at every record point, the last step included, the closed
 state and the next step's opened state go through one batched inverse FFT.
 A step makes one fft call and one ifft call.  The recorded rows are checked
-in batches: one pass forms and checks the observables of several rows.  X at
+in batches, by one pass of several rows, into a table of columns.  X at
 each step's midpoint is read from DriveSpec.at tables made once per block of
 steps, or for the conserving kind is bind's function of the packet's
 deltadot/delta and mean.
@@ -79,14 +79,19 @@ class WavePacket:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class Observables:
-    t: float
-    norm: float
-    xbar: float
-    delta: float
-    excess_kurtosis: float
-    k_t: float
+    """Recorded rows of the PDE, a numpy column per field (floats from `observables`)."""
+
+    t: np.ndarray
+    norm: np.ndarray
+    xbar: np.ndarray
+    delta: np.ndarray
+    excess_kurtosis: np.ndarray
+    k_t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass
@@ -169,16 +174,16 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
 
 
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
-    """Quadrature moments of rho plus the quantum-force slope k_t, by the pass of
-    _rows on the one state w.psi: a zero norm, a variance whose square underflows
-    or a non-finite value among them raises NumericalFailure."""
+    """Quadrature moments of rho plus the quantum-force slope k_t, an Observables of
+    floats, by the pass of _rows on the one state w.psi: a zero norm, a variance whose
+    square underflows or a non-finite value among them raises NumericalFailure."""
     with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
-        return next(_rows(w.psi[None], [w.t], w.grid, p))
+        return Observables(*next(_rows(w.psi[None], [w.t], w.grid, p)))
 
 
 def _rows(psi: np.ndarray, ts: list, g: Grid, p: PhysParams, band: np.ndarray | None = None):
-    """Observables of the states psi, shape (k, n), at the times ts: one batched pass
-    forms the moments of all k rows, then each row is checked and yielded in order.
+    """Observables fields of the states psi, shape (k, n), at the times ts, a tuple per
+    row: one batched pass forms the moments of all k rows, then checks and yields each.
 
     A zero norm, a variance whose square underflows to 0 or a non-finite value raises
     NumericalFailure; given `band`, the states' spectra at |k| >= BAND_EDGE pi/dx, so do
@@ -218,7 +223,7 @@ def _rows(psi: np.ndarray, ts: list, g: Grid, p: PhysParams, band: np.ndarray | 
                 raise NumericalFailure(f"share {share:.3g} of |psi|^2 in the band |k| >= "
                                        f"{BAND_EDGE:g} pi/dx exceeds {BAND_SHARE_MAX:g} "
                                        f"at t={t}")
-        yield Observables(t, *row)
+        yield (t, *row)
 
 
 def _batch_rows(n: int) -> int:
@@ -229,18 +234,18 @@ def _batch_rows(n: int) -> int:
 
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
-           ) -> tuple[WavePacket, list[Observables]]:
-    """Strang-split evolution; returns the final packet and recorded observables.
+           ) -> tuple[WavePacket, Observables]:
+    """Strang-split evolution; returns the final packet and the rows as columns.
 
-    The harmonic potential is constant: a modulated p (p.eps != 0), a dt that
-    is not a positive finite number, steps < 1 and record_stride < 1 raise
-    ConfigurationError.  The mean and variance entering the measurement
-    multiplier are recomputed from the current psi, after the step's opening
-    kinetic half-step, before each potential application.  The sink factor
-    uses the exactly integrated width path of the pure-sink substep (variance
-    decaying at rate 1/tau), which makes the substep norm-exact on a
-    Gaussian; it agrees with exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to
-    O(dt^2).  No renormalization is performed; norm drift is a diagnostic.
+    The harmonic potential is constant: a modulated p (p.eps != 0), a dt that is not a
+    positive finite number, steps < 1, record_stride < 1 and more rows than numpy can
+    allocate raise ConfigurationError.  The mean and variance entering the measurement
+    multiplier are recomputed from the current psi, after the step's opening kinetic
+    half-step, before each potential application.  The sink factor uses the exactly
+    integrated width path of the pure-sink substep (variance decaying at rate 1/tau),
+    which makes the substep norm-exact on a Gaussian; it agrees with
+    exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization is
+    performed; norm drift is a diagnostic.
 
     The multiplier is applied as three factors: the real sink factor
     exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call, and
@@ -261,22 +266,22 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     in is never written, and the returned psi is a row of this call's own
     (2, n) buffer, which a later call leaves alone.
 
-    Every recorded row, the t = 0 row included, goes through one check: the
-    finiteness check of `observables`, the norm window [0.5, 2], and at most
-    BAND_SHARE_MAX of |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from
-    the spectrum in hand (a packet narrower than the grid resolves, or a phase
-    turning faster, leaks there; dt has no kinetic limit).  The rows are
-    checked in batches of _batch_rows(n): a record point copies its closed
-    state and band slice into buffers made once per call, and one pass of
-    _rows checks the pending rows when the batch is full, at the end of each
-    block of steps and at the last step; the t = 0 row is a batch of one.  Each
-    step also detects non-finite amplitudes through the norm it computes (a
-    sum of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of
-    the moments or a sink factor exp(dt/tau) that overflows included, raises
-    NumericalFailure naming its time, whose `partial` is the rows recorded
-    before it.  A bad row is reported at its own time, after at most one batch
-    of further steps; a step that fails first checks the pending rows, so an
-    earlier bad row still wins.
+    Every recorded row, the t = 0 row included, goes through one check: the finiteness
+    check of `observables`, the norm window [0.5, 2], and at most BAND_SHARE_MAX of
+    |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the spectrum in hand (a
+    packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
+    has no kinetic limit).  The rows are checked in batches of _batch_rows(n): a record
+    point copies its closed state and band slice into buffers made once per call, and
+    one pass of _rows checks the pending rows when the batch is full, at the end of
+    each block of steps and at the last step; the t = 0 row is a batch of one.  A
+    checked row goes into a table made once per call, whose columns are returned.
+    Each step also detects non-finite amplitudes through the norm it computes (a sum
+    of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
+    or a sink factor exp(dt/tau) that overflows included, raises NumericalFailure
+    naming its time, whose `partial` is the Observables of the rows recorded before
+    it, empty if the t = 0 row fails.  A bad row is reported at its own time, after at
+    most one batch of further steps; a step that fails first checks the pending rows,
+    so an earlier bad row still wins.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -316,18 +321,26 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     # the one kind that reads the packet; bind refuses it at lambda = 0
     feedback = d.bind(p) if d.kind == "conserving" else None
     no_table = [None] * BLOCK_STEPS
-    obs = []
+    # (t, norm, xbar, delta, excess_kurtosis, k_t) of t = 0, every stride-th step and
+    # the last step, `done` of them checked
+    try:  # numpy refuses a size beyond its limits, or beyond memory, before allocating
+        rows = np.empty((2 + (steps - 1) // record_stride, 6))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
+    done = 0
 
     def flush():
-        """Check the pending rows in order, in one pass of _rows."""
+        """Check the pending rows in order, in one pass of _rows, and write them into rows."""
+        nonlocal done
         k = len(pending)
-        rows = _rows(rows_psi[:k], pending, g, p, bands[:k])
+        checked = _rows(rows_psi[:k], pending, g, p, bands[:k])
         for t_row in pending:
             try:
-                obs.append(next(rows))
+                rows[done] = next(checked)
             except NumericalFailure as exc:
                 raise NumericalFailure(f"evolution aborted at t~{t_row}: {exc}",
-                                       partial=obs) from exc
+                                       partial=Observables(*rows[:done].T)) from exc
+            done += 1
         pending.clear()
 
     t = w.t
@@ -341,8 +354,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                        f"{dt * p.inv_tau:.3g}") from exc
             np.fft.fft(w.psi, out=f)
-            obs.extend(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
-            prev_delta = obs[0].delta
+            rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
+            done = 1
             np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
             for block, ts in step_blocks(w.t, dt, steps):
                 xs_h = no_table if feedback else d.at(ts + 0.5 * dt)
@@ -387,8 +400,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 raise
             if pending:  # an earlier bad row wins over this failure
                 flush()
-            raise NumericalFailure(f"evolution aborted at t~{t}: {exc}", partial=obs) from exc
-    return WavePacket(grid=g, psi=closed, t=t), obs
+            raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
+                                   partial=Observables(*rows[:done].T)) from exc
+    return WavePacket(grid=g, psi=closed, t=t), Observables(*rows[:done].T)
 
 
 def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:

@@ -266,6 +266,14 @@ class TestConfigValidation:
         pytest.param("run", "pde", {"numerics.grid.n": 1e20},
                      "grid of 100000000000000000000 points is too large",
                      id="run-pde-huge-n"),
+        # evolve makes its table of rows before the first step: numpy refuses 1e19 rows
+        # for their count and 1e17 rows (4 EiB) for want of memory
+        *(pytest.param("run", mode, {"numerics.grid.n": 64, "numerics.dt": 1.0,
+                                     "numerics.t_end": t_end},
+                       f"{int(t_end)} steps record too many rows: {why}",
+                       id=f"run-{mode}-{t_end:g}-steps")
+          for mode in ("pde", "compare")
+          for t_end, why in ((1e19, "Maximum allowed dimension"), (1e17, "Unable to allocate"))),
         # omega is params.omega; omega_spec only modulates it
         pytest.param("run", "ode", {"omega_spec.omega0": 3.0},
                      "unknown config key 'omega_spec.omega0'", id="run-ode-omega0"),

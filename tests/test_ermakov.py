@@ -88,6 +88,11 @@ class TestClassicalRhs:
         with pytest.raises(NumericalFailure, match="non-finite state"):
             measurement_rhs(s, P_CLASSICAL, ZERO)
 
+    def test_collapse_rejected(self):
+        s = ErmakovState(0, alpha=5e-9, alphadot=0, xbar=1, xbardot=0)
+        with pytest.raises(NumericalFailure, match=r"^alpha=5e-09 below collapse floor 1e-08$"):
+            measurement_rhs(s, P_CLASSICAL, ZERO)
+
 
 class TestLewisInvariant:
     def test_direct_values(self):
@@ -305,6 +310,11 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError, match=rf"\(t_end - t0\) / dt = {ratio} "
                                                      "is not a whole number of steps"):
             integrate(ErmakovState(t0, 1, 0, 1, 0), p, drive=SINUSOID, t_end=t_end, dt=dt)
+
+    def test_refuses_a_stride_below_one(self):
+        with pytest.raises(ConfigurationError, match=r"^stride must be >= 1$"):
+            integrate(ErmakovState(0, 1, 0, 1, 0), PhysParams(tau=2.0), t_end=1.0, dt=0.1,
+                      stride=0)
 
     def test_whole_step_count_keeps_uniform_steps(self):
         # 0.7 / 0.1 = 6.999999999999999 rounds to 7 steps of exactly dt

@@ -27,6 +27,13 @@ def test_simpson_helpers_match_scipy(n):
                          - cumulative_simpson(f, x=x, initial=0.0))) <= 1e-12
 
 
+@pytest.mark.parametrize("field, message", [("delta", "delta must be positive"),
+                                            ("tau", "tau must be positive")])
+def test_slice_refuses_a_nonpositive_width_or_tau(field, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        replace(SLICE, **{field: 0.0})
+
+
 class TestK0Gaussian:
     def test_width_two(self):
         # slope scales as delta^-4: k(0) = 1/64 at delta = 2

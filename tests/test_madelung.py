@@ -5,12 +5,15 @@ import pytest
 
 from ermakov_lab import (
     DriveSpec,
+    ErmakovState,
     Grid,
     Observables,
     PhysParams,
+    Trajectory,
     WavePacket,
     evolve,
     gaussian_packet,
+    integrate,
     madelung_decompose,
     observables,
     quantum_force_linearity,
@@ -22,6 +25,12 @@ from ermakov_lab.params import BLOCK_STEPS
 
 P_FREE = PhysParams(tau=math.inf)
 ZERO = DriveSpec()
+
+
+def columns(record):
+    """The fields of a column record as bytes, equal only when bit for bit equal:
+    numpy's array repr rounds, and == takes -0.0 for 0.0."""
+    return {f: c.tobytes() for f, c in vars(record).items()}
 
 
 def point_packet():
@@ -60,6 +69,11 @@ class TestGaussianPacket:
         assert rho.max() == pytest.approx((2 * np.pi) ** -0.5, rel=1e-10)
         o = observables(w, P_FREE)
         assert o.delta ** 2 == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("delta0", [0.0, -1.0])
+    def test_refuses_a_nonpositive_width(self, delta0):
+        with pytest.raises(ConfigurationError, match=r"^delta0 must be positive$"):
+            gaussian_packet(Grid(-16, 16, 1024), 0.0, delta0, p=P_FREE)
 
     def test_boundary_margin_enforced(self):
         g = Grid(-16, 16, 1024)
@@ -160,8 +174,19 @@ class TestObservables:
         with pytest.raises(NumericalFailure, match="zero variance"):
             observables(point_packet(), P_FREE)
 
+    def test_zero_norm_is_degenerate(self):
+        w = point_packet()
+        w.psi[:] = 0.0
+        with pytest.raises(NumericalFailure, match=r"^wavefunction has zero norm$"):
+            observables(w, P_FREE)
+
 
 class TestMadelungDecompose:
+    def test_zero_variance_is_degenerate(self):
+        with pytest.raises(NumericalFailure, match=r"^wavefunction has zero variance or one "
+                                                   r"whose square underflows: 0$"):
+            madelung_decompose(point_packet(), P_FREE)
+
     def test_real_packet_has_zero_velocity(self):
         g = Grid(-16, 16, 1024)
         w = gaussian_packet(g, 0.0, 1.0, p=P_FREE)
@@ -231,18 +256,15 @@ class TestEvolve:
         w = gaussian_packet(g, 1.0, d0, p=P_FREE)
         dt = 1e-3
         _, obs = evolve(w, P_FREE, ZERO, dt, int(round(4 * np.pi / dt)), record_stride=20)
-        ts = np.array([o.t for o in obs])
-        xb = np.array([o.xbar for o in obs])
-        dl = np.array([o.delta for o in obs])
-        assert np.max(np.abs(xb - np.cos(ts))) < 1e-3
-        assert np.max(np.abs(dl - d0)) / d0 < 1e-3
+        assert np.max(np.abs(obs.xbar - np.cos(obs.t))) < 1e-3
+        assert np.max(np.abs(obs.delta - d0)) / d0 < 1e-3
 
     def test_norm_neutral_sink_long_run(self):
         p = PhysParams(tau=2.0)
         g = Grid(1 - 16, 1 + 16, 1024)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         _, obs = evolve(w, p, ZERO, 1e-3, 10_000, record_stride=100)
-        assert max(abs(o.norm - 1.0) for o in obs) <= 1e-6
+        assert np.max(np.abs(obs.norm - 1.0)) <= 1e-6
 
     def test_single_step_consistency(self):
         # (psi(dt) - psi(0)) / dt approaches the equation right side at O(dt)
@@ -263,7 +285,7 @@ class TestEvolve:
         dt = g.dx ** 2 / np.pi
         _, obs = evolve(w, p, ZERO, dt, int(round(4 * np.pi / dt)),
                         record_stride=10)
-        assert max(abs(o.excess_kurtosis) for o in obs) <= 1e-3
+        assert np.max(np.abs(obs.excess_kurtosis)) <= 1e-3
 
     def test_velocity_slope_tracks_width_rate(self):
         p = PhysParams(tau=2.0)
@@ -275,7 +297,7 @@ class TestEvolve:
         w3, _ = evolve(w2, p, ZERO, dt, 1)
         f = madelung_decompose(w2, p)
         o2 = observables(w2, p)
-        deltadot = (observables(w3, p).delta - obs1[-1].delta) / (2 * dt)
+        deltadot = (observables(w3, p).delta - obs1.delta[-1]) / (2 * dt)
         sel = f.valid_mask & (np.abs(g.x - o2.xbar) < 3 * o2.delta)
         slope = np.polyfit(g.x[sel] - o2.xbar, f.v_qu[sel], 1)[0]
         assert slope == pytest.approx(deltadot / o2.delta + 0.25, abs=1e-3)
@@ -296,7 +318,7 @@ class TestEvolve:
                                                    r"\|k\| >= 0\.9 pi/dx exceeds 0\.001 "
                                                    r"at t=0\.0$") as exc:
             evolve(w, p, ZERO, 0.01, 1)
-        assert exc.value.partial == []
+        assert len(exc.value.partial) == 0
 
     def test_divergence_guard(self):
         p = PhysParams(tau=2.0)
@@ -307,7 +329,7 @@ class TestEvolve:
         with pytest.raises(NumericalFailure,
                            match=r"norm .* outside \[0\.5, 2\] at t=0\.0$") as exc:
             evolve(w, p, ZERO, g.dx ** 2 / np.pi, 1)
-        assert exc.value.partial == []
+        assert len(exc.value.partial) == 0
 
     def test_initial_row_is_checked(self):
         # at m = 1e-150, k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32 is inf for the
@@ -317,7 +339,7 @@ class TestEvolve:
         with pytest.raises(NumericalFailure, match="non-finite value in the observables "
                                                    r"recorded at t=0\.0$") as exc:
             evolve(w, PhysParams(tau=math.inf, m=1e-150), ZERO, 1e-3, 5)
-        assert exc.value.partial == []
+        assert len(exc.value.partial) == 0
 
     def test_zero_norm_mid_run_keeps_the_recorded_rows(self):
         # the 1/(2 tau) phase curvature cancelled, dt/tau = 50: the sink factor
@@ -329,7 +351,7 @@ class TestEvolve:
         with pytest.raises(NumericalFailure, match="wavefunction has zero norm") as exc:
             evolve(w, p, ZERO, dt, 40, record_stride=100)
         assert str(exc.value).startswith("evolution aborted at t~")
-        assert [o.t for o in exc.value.partial] == [0.0]
+        assert exc.value.partial.t.tolist() == [0.0]
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_refuses_bad_dt(self, dt):
@@ -342,7 +364,7 @@ class TestEvolve:
         w = gaussian_packet(g, 1.0, 1.0, p=P_FREE)
         with pytest.raises(NumericalFailure, match="overflows") as exc:
             evolve(w, PhysParams(tau=1e-200), ZERO, g.dx ** 2 / np.pi, 5)
-        assert exc.value.partial == []
+        assert len(exc.value.partial) == 0
 
     @pytest.mark.parametrize("steps, record_stride", [(5, 0), (-3, 1), (0, 1)])
     def test_refuses_bad_step_counts(self, steps, record_stride):
@@ -362,7 +384,7 @@ class TestEvolve:
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         dt = g.dx ** 2 / np.pi
         _, obs = evolve(w, p, DriveSpec(kind="conserving"), dt, 200)
-        assert all(math.isfinite(o.xbar) for o in obs)
+        assert np.all(np.isfinite(obs.xbar))
 
     def test_nonfinite_amplitude_aborts_between_record_points(self):
         p = PhysParams(tau=2.0, lam=1.0)
@@ -373,7 +395,7 @@ class TestEvolve:
         # caught at the second step, not at the first record point (step 10)
         with pytest.raises(NumericalFailure, match=r"non-finite amplitudes at t=4\.0$") as exc:
             evolve(w, p, d, 4.0, 25, record_stride=10)
-        assert [o.t for o in exc.value.partial] == [0.0]
+        assert exc.value.partial.t.tolist() == [0.0]
 
     def test_drive_read_at_every_step_midpoint(self, monkeypatch):
         # a time-only X is asked of at, in block tables, at the loop's t + dt/2 for
@@ -458,9 +480,8 @@ class TestEvolveStep:
         psi, ref = reference_evolve(w, self.P, self.D, dt, 50, record_stride)
         assert np.max(np.abs(fin.psi - psi)) <= 1e-12
         assert len(obs) == len(ref)
-        for o, r in zip(obs, ref):
-            for f in ("t", "norm", "xbar", "delta", "excess_kurtosis", "k_t"):
-                assert abs(getattr(o, f) - getattr(r, f)) <= 1e-12
+        for f, column in vars(obs).items():
+            assert np.max(np.abs(column - [getattr(r, f) for r in ref])) <= 1e-12
 
     def test_one_forward_fft_per_step_boundary(self, monkeypatch):
         # one FFT pair opens step 1; each step then takes one forward FFT and one
@@ -520,7 +541,8 @@ class TestEvolveStep:
         fin1, obs1 = evolve(w, self.P, self.D, dt, steps, record_stride=1)
         fin, obs = evolve(w, self.P, self.D, dt, steps, record_stride=stride)
         assert np.array_equal(fin1.psi, fin.psi)
-        assert obs == obs1[::stride] + ([obs1[-1]] if steps % stride else [])
+        kept = list(range(0, steps + 1, stride)) + ([steps] if steps % stride else [])
+        assert columns(obs) == {f: c[kept].tobytes() for f, c in vars(obs1).items()}
 
 
 def single_row(psi, t, g, p):
@@ -530,8 +552,7 @@ def single_row(psi, t, g, p):
     u2 *= u2
     m4 = float(u2.dot(rho)) * g.dx / norm
     var2 = var * var
-    return Observables(t, norm, xbar, math.sqrt(var), m4 / var2 - 3.0,
-                       p.hbar_2m * p.hbar_2m / var2)
+    return (t, norm, xbar, math.sqrt(var), m4 / var2 - 3.0, p.hbar_2m * p.hbar_2m / var2)
 
 
 def rows_passed(rows):
@@ -561,12 +582,13 @@ class TestRowBatch:
         band *= rng.uniform(0.0, 1.0, (k, 1))
         ts = (0.1 * np.arange(k)).tolist()
         single = [single_row(s, t, g, self.P) for s, t in zip(psi, ts)]
-        assert [repr(o) for o in _rows(psi, ts, g, self.P)] == [repr(o) for o in single]
+        # repr pins a float bit for bit, -0.0 against 0.0 included
+        assert [repr(r) for r in _rows(psi, ts, g, self.P)] == [repr(r) for r in single]
         assert [repr(observables(WavePacket(g, s, t), self.P))
-                for s, t in zip(psi, ts)] == [repr(o) for o in single]
+                for s, t in zip(psi, ts)] == [repr(Observables(*r)) for r in single]
         # each row's band share, rows sorted by it, is pinned bit for bit by the
         # largest BAND_SHARE_MAX that refuses it
-        shares = [np.vdot(b, b).real * g.dx / (g.n * o.norm) for b, o in zip(band, single)]
+        shares = [np.vdot(b, b).real * g.dx / (g.n * r[1]) for b, r in zip(band, single)]
         order = np.argsort(shares)
         psi, band = psi[order], band[order]
         for r, share in enumerate(np.array(shares)[order]):
@@ -588,18 +610,19 @@ class TestRowBatch:
         fin, obs = evolve(w, self.P, drive, 0.01, steps, record_stride=stride)
         monkeypatch.setattr(madelung, "_batch_rows", lambda n: batch)
         fin_b, obs_b = evolve(w, self.P, drive, 0.01, steps, record_stride=stride)
-        assert repr(obs_b) == repr(obs)
+        assert columns(obs_b) == columns(obs)
         assert fin_b.t == fin.t
         assert fin_b.psi.tobytes() == fin.psi.tobytes()
 
     def failure(self, monkeypatch, batch, *args, **kwargs):
-        """evolve's NumericalFailure, with `batch` rows a batch (None: the default)."""
+        """evolve's NumericalFailure as (message, partial), with `batch` rows a batch
+        (None: the default)."""
         with monkeypatch.context() as mp:
             if batch is not None:
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
             with pytest.raises(NumericalFailure) as exc:
                 evolve(*args, **kwargs)
-        return str(exc.value), repr(exc.value.partial)
+        return str(exc.value), exc.value.partial
 
     def test_unresolved_row_inside_a_batch(self, monkeypatch):
         # tau = 0.01 narrows the packet below dx = 0.125 (width_rate0 = -50 cancels
@@ -610,8 +633,9 @@ class TestRowBatch:
         args = (w, p, ZERO, 1e-4, 1000)
         message, partial = self.failure(monkeypatch, None, *args)
         assert message.startswith("evolution aborted at t~0.054: share 0.00104 of |psi|^2 ")
-        assert partial.count("Observables(") == 540
-        assert self.failure(monkeypatch, 1, *args) == (message, partial)
+        assert len(partial) == 540
+        message_1, partial_1 = self.failure(monkeypatch, 1, *args)
+        assert (message_1, columns(partial_1)) == (message, columns(partial))
 
     def test_bad_row_wins_over_a_later_step_failure(self, monkeypatch):
         # tau = 1e-3 with the phase curvature cancelled: the norm leaves [0.5, 2] by
@@ -626,5 +650,48 @@ class TestRowBatch:
         message, partial = self.failure(monkeypatch, None, w, p, ZERO, 0.02, 150)
         assert message.startswith("evolution aborted at t~0.02: norm ")
         assert message.endswith(" outside [0.5, 2] at t=0.02")
-        assert partial.count("Observables(") == 1
-        assert self.failure(monkeypatch, 1, w, p, ZERO, 0.02, 150) == (message, partial)
+        assert len(partial) == 1
+        message_1, partial_1 = self.failure(monkeypatch, 1, w, p, ZERO, 0.02, 150)
+        assert (message_1, columns(partial_1)) == (message, columns(partial))
+
+
+def pushed(t_end, xbardot0=0.0):
+    """integrate's record of a centroid pushed by X = -1e153: the invariant overflows in
+    the row at t = 5.  xbardot0 = 1e160 overflows it in the t = 0 row."""
+    return integrate(ErmakovState(0.0, 1.0, 0.0, 0.0, xbardot0),
+                     PhysParams(omega=0.0, tau=math.inf, lam=1.0),
+                     drive=DriveSpec(kind="constant", x0=-1e153), t_end=t_end, dt=0.1)
+
+
+def narrowed(steps, scale=1.0):
+    """evolve's record of a packet narrowing below dx = 0.125 (tau = 0.01, the phase
+    curvature cancelled): the row at step 540, t = 0.054, leaks into the band.
+    scale = 2 gives the packet norm 4, which the t = 0 row refuses."""
+    p = PhysParams(tau=0.01)
+    w = gaussian_packet(Grid(-15, 17, 256), 1.0, 1.0, width_rate0=-50.0, p=p)
+    w.psi *= scale
+    return evolve(w, p, ZERO, 1e-4, steps)[1]
+
+
+# (run, its failing argument, the time of the failing row, the rows before it,
+# the argument that stops the run one row earlier, the kind of record it returns)
+@pytest.mark.parametrize("run, failing, t_fail, rows, stopped, record", [
+    (pushed, 10.0, "5.0", 50, 4.9, Trajectory),
+    (narrowed, 1000, "0.054", 540, 539, Observables),
+    (lambda t_end: pushed(t_end, xbardot0=1e160), 10.0, "0.0", 0, None, Trajectory),
+    (lambda steps: narrowed(steps, scale=2.0), 1000, "0.0", 0, None, Observables),
+], ids=["integrate", "evolve", "integrate-t0", "evolve-t0"])
+def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, rows,
+                                                         stopped, record):
+    # both solvers' partial is the kind of record they return, numpy columns of the
+    # rows before the failing one: an empty record if that is the t = 0 row
+    with pytest.raises(NumericalFailure, match=rf"aborted at t~{t_fail}: ") as exc:
+        run(failing)
+    partial = exc.value.partial
+    assert type(partial) is record and len(partial) == rows
+    for column in vars(partial).values():
+        assert column.dtype == float and column.shape == (rows,)
+    if rows:
+        assert partial.t[-1] < float(t_fail)
+        before = run(stopped)
+        assert type(before) is record and columns(partial) == columns(before)

@@ -95,6 +95,10 @@ class TestOmegaSpec:
 
 
 class TestDriveSpec:
+    def test_refuses_an_unknown_kind(self):
+        with pytest.raises(ConfigurationError, match=r"^unknown drive kind 'square'$"):
+            DriveSpec(kind="square")
+
     def test_zero_and_constant(self):
         assert DriveSpec().value(3.0) == 0.0
         assert DriveSpec(kind="constant", x0=2.5).value(3.0) == 2.5
