@@ -27,7 +27,7 @@ from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, evolve, gaussian_packet
+from .madelung import Grid, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -162,8 +162,8 @@ def resolve(cfg: dict) -> dict:
     A config error for an unknown key, a bad value, a classical system the run
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
-    last, a drive term lambda X / m, or a pde drive phase, drive coefficient
-    (dt/hbar) lambda, harmonic or kinetic phase, beyond the float range.
+    last, a drive term lambda X / m beyond the float range or, in pde and compare
+    mode, any bound of evolve's own set-up, madelung._setup, on the run's grid.
     ERMAKOV_LAB_OUT replaces output.directory."""
     given = dict(_given(cfg))
     r = {}
@@ -181,7 +181,7 @@ def resolve(cfg: dict) -> dict:
     r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
     p, d = _build(r)
     d.bind(p)  # a conserving drive refuses lambda = 0
-    _steps(r)
+    steps = _steps(r)
     if r["output.stride"] < 1:
         raise ConfigurationError("output.stride must be >= 1")
     for key in ("init.delta0", "init.alpha0"):
@@ -205,8 +205,8 @@ def resolve(cfg: dict) -> dict:
     else:
         r["init.alpha0"] = r["init.delta0"] / scale
         r["init.alphadot0"] = r["init.width_rate0"] / scale
-    if r["mode"] in _PDE["mode"]:
-        _packet(r, p)
+    pde = r["mode"] in _PDE["mode"]
+    grid = _packet(r, p).grid if pde else None
     for key in given:
         why = _unread(r, key)
         if why == "mode":  # name the outermost section this mode reads nothing of
@@ -216,32 +216,13 @@ def resolve(cfg: dict) -> dict:
         if why:
             where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
             raise ConfigurationError(f"{key} is not supported {where}")
-    dt_hbar = r["numerics.dt"] / p.hbar
-    x_far = max(abs(r["numerics.grid.x_min"]), abs(r["numerics.grid.x_max"]))
-    pde = r["mode"] in _PDE["mode"]
     if r["drive.kind"] != "conserving":  # |X| <= |x0| or |table X|, each 0 if the kind reads none
         lam_x = abs(p.lam) * max(abs(x) for x in (r["drive.x0"], *(x for _, x in r["drive.table"])))
         if not math.isfinite(lam_x / p.m):
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")
-        if pde and not math.isfinite(dt_hbar * lam_x * x_far):
-            raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
-                                     f" * {lam_x:g} * {x_far:g} is beyond the float range")
-    if pde:  # evolve's drive coefficient and largest harmonic and kinetic phases, in its order
-        if not math.isfinite(dt_hbar * p.lam):  # inf * X is NaN even for X = 0
-            raise ConfigurationError(f"drive coefficient (dt/hbar) lambda = {dt_hbar:g} * "
-                                     f"{p.lam:g} is beyond the float range")
-        k_far = math.pi / ((r["numerics.grid.x_max"] - r["numerics.grid.x_min"])
-                           / r["numerics.grid.n"])
-        w2 = p.omega2(0.0)
-        if not math.isfinite(dt_hbar * 0.5 * p.m * w2 * x_far * x_far):
-            raise ConfigurationError(f"harmonic phase (dt/hbar) m omega^2 max|x|^2 / 2 = "
-                                     f"{dt_hbar:g} * {p.m:g} * {w2:g} * {x_far:g}^2 / 2 "
-                                     "is beyond the float range")
-        if not math.isfinite(0.5 * r["numerics.dt"] * p.hbar_2m * (k_far * k_far)):
-            raise ConfigurationError(f"kinetic phase dt (hbar/2m) (pi/dx)^2 / 2 = "
-                                     f"{r['numerics.dt']:g} * {p.hbar_2m:g} * {k_far:g}^2 / 2 "
-                                     "is beyond the float range")
+    if pde:
+        _setup(grid, p, d, r["numerics.dt"], steps, r["output.stride"])
     return r
 
 

@@ -14,7 +14,7 @@ and I is constant.
 measurement_rhs is the one written-out formula for the accelerations.  Each
 of integrate's four RK4 stages repeats it inline, in its operand order, and
 makes no call: a drive that reads t alone is read from tables of X at every
-step's t, t + dt/2 and t + dt, made by DriveSpec.at once per block of
+step's t, t + dt/2 and t + dt, made by step_blocks once per block of
 BLOCK_STEPS steps, and the conserving feedback is written out as bind forms it.
 The loop records the state alone; the invariant, its rate, the width and X
 are formed as numpy columns after it, by the same functions on arrays.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
-from .params import BLOCK_STEPS, DriveSpec, PhysParams, step_blocks
+from .params import DriveSpec, PhysParams, step_blocks
 
 #: Width below which the 1/alpha^3 term is considered a collapse.
 ALPHA_MIN = 1e-8
@@ -188,9 +188,9 @@ def integrate(init: ErmakovState,
     r = alphadot/alpha.  The loop records the state alone; after it, delta,
     I, dI/dt and X are formed as columns, X by DriveSpec.at on the recorded
     times, or by one call of bind's conserving function on the columns.
-    Each RK4 stage checks only its own alpha against ALPHA_MIN, before its
-    drive; each step checks its result for a non-finite value and for
-    alpha < ALPHA_MIN; each recorded row is checked for a non-finite value.
+    alpha < ALPHA_MIN is checked once of the initial alpha, by stages 2 to 4
+    before their drive, and of each step's result; each step's result and
+    each recorded row are checked for a non-finite value.
     These are the only failure signals: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
     rows recorded before it, the earliest failure winning.
@@ -222,11 +222,10 @@ def integrate(init: ErmakovState,
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
     rows = [t, a, ad, x, xd]  # flat, (t, alpha, alphadot, xbar, xbardot) per row
     half, sixth = 0.5 * dt, dt / 6.0
-    no_table = [None] * BLOCK_STEPS
     try:
-        for steps, ts in step_blocks(init.t, dt, n_steps):
-            xs_0, xs_h, xs_1 = ((no_table,) * 3 if feedback else
-                                (drive.at(ts), drive.at(ts + half), drive.at(ts + dt)))
+        if a < alpha_min:  # the initial alpha; every later one is checked at its step's end
+            raise _collapse(a)
+        for steps, xs_0, xs_h, xs_1 in step_blocks(init.t, dt, n_steps, drive, 0.0, half, dt):
             for i, x_0, x_h, x_1 in zip(steps, xs_0, xs_h, xs_1):
                 # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
                 # each stage is measurement_rhs written out, in its operand order
@@ -234,8 +233,6 @@ def integrate(init: ErmakovState,
                     w2, w2_h, w2_1 = omega2(t), omega2(t + half), omega2(t + dt)
                     nw2_0, nw2_h, nw2_1 = -w2, -w2_h, -w2_1
                     k_0, k_h, k_1 = w2 + c_tau, w2_h + c_tau, w2_1 + c_tau
-                if a < alpha_min:
-                    raise _collapse(a)
                 r = 1.0 / a
                 add1 = r * r * r - inv_tau * ad - k_0 * a
                 xdd1 = nw2_0 * x - lam_m * (gain * (ad / a * inv_tau + c_tau) * x

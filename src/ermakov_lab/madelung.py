@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
-from .params import BLOCK_STEPS, DriveSpec, PhysParams, step_blocks
+from .params import DriveSpec, PhysParams, step_blocks
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8
@@ -64,7 +64,7 @@ class Grid:
     def x(self) -> np.ndarray:
         try:
             return self.x_min + self.dx * np.arange(self.n)
-        except ValueError as exc:  # numpy refuses the size before allocating
+        except (ValueError, MemoryError) as exc:  # a size beyond numpy's limits or memory
             raise ConfigurationError(f"grid of {self.n} points is too large: {exc}") from None
 
     @cached_property
@@ -232,23 +232,59 @@ def _batch_rows(n: int) -> int:
     return max(2, ROW_POINTS // n)
 
 
+def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_stride: int):
+    """evolve's checks before its first step, each a ConfigurationError, and what it forms
+    there: kin_half, cis_harmonic and the empty table of rows.  The factors are refused by
+    the finiteness of their entries; cli.resolve calls it on every pde and compare config."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError("dt must be positive and finite")
+    if steps < 1 or record_stride < 1:
+        raise ConfigurationError("steps and record_stride must be >= 1")
+    if p.eps != 0.0:
+        raise ConfigurationError("evolve needs a constant omega (eps = 0)")
+    dt_hbar = dt / p.hbar
+    if d.kind != "conserving":  # |X| <= |x0| or |table X|
+        lam_x = abs(p.lam) * max(abs(x) for x in (d.x0, *(x for _, x in d.table)))
+        x_far = max(abs(g.x_min), abs(g.x_max))
+        if not math.isfinite(dt_hbar * lam_x * x_far):
+            raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
+                                     f" * {lam_x:g} * {x_far:g} is beyond the float range")
+    if not math.isfinite(dt_hbar * p.lam):  # inf * X is NaN even for X = 0
+        raise ConfigurationError(f"drive coefficient (dt/hbar) lambda = {dt_hbar:g} * "
+                                 f"{p.lam:g} is beyond the float range")
+    with np.errstate(all="ignore"):  # an overflowing phase gives a NaN factor, refused here
+        cis_harmonic = np.exp(1j * (-dt_hbar * 0.5 * p.m * p.omega2(0.0) * g.x * g.x))
+        kin_half = np.exp((-0.5j * dt * p.hbar_2m) * (g.k * g.k))
+    if not np.isfinite(cis_harmonic).all():
+        raise ConfigurationError(f"harmonic phase (dt/hbar) m omega^2 x^2 / 2 = {dt_hbar:g} * "
+                                 f"{p.m:g} * {p.omega:g}^2 * x^2 / 2 is beyond the float range")
+    if not np.isfinite(kin_half).all():
+        raise ConfigurationError(f"kinetic phase dt (hbar/2m) k^2 / 2 = {dt:g} * "
+                                 f"{p.hbar_2m:g} * k^2 / 2 is beyond the float range")
+    try:  # numpy refuses a size beyond its limits, or beyond memory, before allocating
+        return kin_half, cis_harmonic, np.empty((2 + (steps - 1) // record_stride, 6))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
+
+
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
            ) -> tuple[WavePacket, Observables]:
     """Strang-split evolution; returns the final packet and the rows as columns.
 
-    The harmonic potential is constant: a modulated p (p.eps != 0), a dt that is not a
-    positive finite number, steps < 1, record_stride < 1 and more rows than numpy can
-    allocate raise ConfigurationError.  The mean and variance entering the measurement
-    multiplier are recomputed from the current psi, after the step's opening kinetic
-    half-step, before each potential application.  The sink factor uses the exactly
+    Before the first step, _setup raises ConfigurationError for a bad dt, steps or
+    record_stride, a modulated p, a drive phase or coefficient beyond the float range,
+    a non-finite harmonic or kinetic factor and more rows than numpy can allocate.
+    The mean and variance entering the measurement multiplier are recomputed from the
+    current psi, after the step's opening kinetic half-step, before each potential
+    application.  The sink factor uses the exactly
     integrated width path of the pure-sink substep (variance decaying at rate 1/tau),
     which makes the substep norm-exact on a Gaussian; it agrees with
     exp(-(dt/4 tau)[(x-xbar)^2/delta^2 - 1]) to O(dt^2).  No renormalization is
     performed; norm drift is a diagnostic.
 
     The multiplier is applied as three factors: the real sink factor
-    exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call, and
+    exp(amp), exp(-i (dt/hbar) m omega^2 x^2 / 2), built once per call by _setup, and
     exp(i c x) with c = -(dt/hbar) lambda X, the outer product of its values
     on the 32-point block starts and on the 32 offsets within a block.  X is
     read at each step's t + dt/2 from DriveSpec.at tables, one per block of
@@ -283,17 +319,11 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     most one batch of further steps; a step that fails first checks the pending rows,
     so an earlier bad row still wins.
     """
-    if not 0 < dt < math.inf:
-        raise ConfigurationError("dt must be positive and finite")
-    if steps < 1 or record_stride < 1:
-        raise ConfigurationError("steps and record_stride must be >= 1")
-    if p.eps != 0.0:
-        raise ConfigurationError("evolve needs a constant omega (eps = 0)")
     g = w.grid
+    # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
+    kin_half, cis_harmonic, rows = _setup(g, p, d, dt, steps, record_stride)
     x = g.x
-    kin_half = np.exp((-0.5j * dt * p.hbar_2m) * (g.k * g.k))
     kin_full = kin_half * kin_half
-    cis_harmonic = np.exp(1j * (-(dt / p.hbar) * 0.5 * p.m * p.omega2(w.t) * x * x))
     # i x = ix[j] + ix[nb + l] at index 32 j + l (nb block starts, then the 32
     # offsets within a block); the last block may be ragged
     nb = -(-g.n // 32)
@@ -320,13 +350,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
     feedback = d.bind(p) if d.kind == "conserving" else None
-    no_table = [None] * BLOCK_STEPS
-    # (t, norm, xbar, delta, excess_kurtosis, k_t) of t = 0, every stride-th step and
-    # the last step, `done` of them checked
-    try:  # numpy refuses a size beyond its limits, or beyond memory, before allocating
-        rows = np.empty((2 + (steps - 1) // record_stride, 6))
-    except (ValueError, MemoryError) as exc:
-        raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
     done = 0
 
     def flush():
@@ -357,8 +380,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
             done = 1
             np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
-            for block, ts in step_blocks(w.t, dt, steps):
-                xs_h = no_table if feedback else d.at(ts + 0.5 * dt)
+            for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
                 for i, x_h in zip(block, xs_h):
                     norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
                     if not math.isfinite(norm):

@@ -5,7 +5,7 @@ constant remains an explicit field so dimensional runs stay possible.
 DriveSpec holds one formula per drive kind: at for the kinds that read t
 alone, bind's feedback for the conserving kind.  The one copy outside it is
 integrate's written-out feedback, pinned to bind's by a bitwise test.
-step_blocks splits a solver's steps into the blocks over which it tabulates at.
+step_blocks splits a solver's steps into blocks and tabulates at over each.
 """
 from __future__ import annotations
 
@@ -194,12 +194,11 @@ class DriveSpec:
 BLOCK_STEPS = 256
 
 
-def step_blocks(t0: float, dt: float, n_steps: int):
-    """Per block of BLOCK_STEPS steps, its range of step indices and each step's start
-    time as the solvers' loops form it: t0 for step 0, else t0 + i*dt."""
+def step_blocks(t0: float, dt: float, n_steps: int, drive: DriveSpec, *offsets):
+    """Per block of BLOCK_STEPS steps, its step indices and, for each offset, X by DriveSpec.at
+    at each step's t0 + i*dt + offset, or for the conserving kind a None per step."""
     for i0 in range(0, n_steps, BLOCK_STEPS):
         i1 = min(i0 + BLOCK_STEPS, n_steps)
         ts = t0 + np.arange(i0, i1) * dt
-        if i0 == 0:
-            ts[0] = t0
-        yield range(i0, i1), ts
+        yield range(i0, i1), *(drive.at(ts + offset) if drive.kind != "conserving"
+                               else [None] * (i1 - i0) for offset in offsets)

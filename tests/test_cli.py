@@ -266,6 +266,10 @@ class TestConfigValidation:
         pytest.param("run", "pde", {"numerics.grid.n": 1e20},
                      "grid of 100000000000000000000 points is too large",
                      id="run-pde-huge-n"),
+        # within numpy's dimension limit, but 1e17 points (800 PB) cannot be allocated
+        pytest.param("run", "pde", {"numerics.grid.n": 1e17},
+                     "grid of 100000000000000000 points is too large: Unable to allocate",
+                     id="run-pde-unallocatable-n"),
         # evolve makes its table of rows before the first step: numpy refuses 1e19 rows
         # for their count and 1e17 rows (4 EiB) for want of memory
         *(pytest.param("run", mode, {"numerics.grid.n": 64, "numerics.dt": 1.0,
@@ -390,6 +394,8 @@ class TestConfigValidation:
         ("init.xbardot0", "0,100", "Nyquist limit"),
         ("numerics.grid.x_max", "17,5", "packet must sit at least 8*delta0"),
         ("params.lambda", "1,1e300", "drive term |lambda| max|X| / m = inf/1"),
+        # 8e18 steps: evolve's table of rows cannot be made, and resolve makes it first
+        ("numerics.t_end", "0.1,1e17", "record too many rows"),
     ])
     def test_sweep_refuses_bad_grid_or_packet_before_running(self, tmp_path, capsys,
                                                              param, values, needle):

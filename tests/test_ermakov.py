@@ -9,6 +9,7 @@ from ermakov_lab import (
     DriveSpec,
     ErmakovState,
     PhysParams,
+    Trajectory,
     alpha_from_delta,
     delta_from_alpha,
     els_invariant_rate,
@@ -16,8 +17,8 @@ from ermakov_lab import (
     lewis_invariant,
     measurement_rhs,
 )
-from ermakov_lab.ermakov import BLOCK_STEPS
 from ermakov_lab.errors import ConfigurationError, NumericalFailure
+from ermakov_lab.params import BLOCK_STEPS
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10, allow_nan=False)
@@ -331,6 +332,16 @@ class TestIntegrate:
         partial = exc.value.partial
         assert partial is not None and len(partial) >= 1
         assert partial.alpha[0] == pytest.approx(2e-8)
+
+    def test_initial_collapse_aborts_with_the_first_row(self):
+        # the initial alpha is checked once, before the first step's stages
+        init = ErmakovState(0.0, 5e-9, 0.0, 1.0, 0.0)
+        with pytest.raises(NumericalFailure, match=r"^integration aborted at t~0\.0: alpha=5e-09 "
+                                                   r"below collapse floor 1e-08$") as exc:
+            integrate(init, PhysParams(tau=2.0), t_end=1.0, dt=1e-3)
+        partial = exc.value.partial
+        assert isinstance(partial, Trajectory)
+        assert (partial.t.tolist(), partial.alpha.tolist()) == ([0.0], [5e-9])
 
     def test_alpha_crossing_zero_within_a_step_aborts_with_partial(self):
         # every stage keeps alpha > 0, the step's result does not

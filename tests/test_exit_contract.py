@@ -24,8 +24,9 @@ from ermakov_lab import DriveSpec, cli
 POSITIVE = [1.0, 1e-8, 1e8, 1e-150, 1e150, 1e-300, 1e300]
 # about 3 draws in 4 are positive: most fields refuse 0 and negative values
 NUMBERS = st.sampled_from(POSITIVE * 3 + [0.0] + [-v for v in POSITIVE])
-# numpy refuses 1e20 points before allocating; every other size is small
-WHOLE = [0, 63, 64, 128, 1e20]
+# numpy refuses 1e20 points before allocating and cannot allocate 1e17; every other
+# size is small
+WHOLE = [0, 63, 64, 128, 1e17, 1e20]
 # set whenever the run reads them: the default grid of 1024 points is larger
 # than this test needs, and the step sets the time scale of the run
 ALWAYS = ("numerics.grid.n", "numerics.dt")

@@ -378,6 +378,22 @@ class TestEvolve:
         with pytest.raises(ConfigurationError, match="constant omega"):
             evolve(w, p, ZERO, 1e-3, 5)
 
+    # each bound of evolve's set-up, on [-15, 17]: the kinetic phase at (hbar/2m) dt =
+    # 5e307, omega^2 = 1e600, the drive phase 1 * 1.1e307 * 17 and the drive
+    # coefficient (dt/hbar) lambda = 1e9 * 1e300; a numpy warning would fail the case
+    @pytest.mark.parametrize("p, d, dt, message", [
+        (PhysParams(tau=math.inf, m=1e-8), ZERO, 1e300, "kinetic phase"),
+        (PhysParams(tau=math.inf, omega=1e300), ZERO, 1e300, "harmonic phase"),
+        (PhysParams(tau=math.inf, lam=1.0), DriveSpec(kind="constant", x0=1.1e307), 1.0,
+         "drive phase"),
+        (PhysParams(tau=math.inf, lam=1e300, hbar=1e-11), ZERO, 0.01, "drive coefficient"),
+    ], ids=["kinetic", "harmonic", "drive-phase", "drive-coefficient"])
+    def test_refuses_each_bound_before_any_step(self, monkeypatch, p, d, dt, message):
+        w = gaussian_packet(Grid(-15, 17, 128), 1.0, 1.0, p=P_FREE)
+        monkeypatch.setattr(madelung, "_moments", lambda *a: pytest.fail("evolve took a step"))
+        with pytest.raises(ConfigurationError, match=f"^{message} .* is beyond the float range$"):
+            evolve(w, p, d, dt, 3)
+
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)
