@@ -216,8 +216,9 @@ def resolve(cfg: dict) -> dict:
         if why:
             where = f"in {r['mode']} mode" if why == "mode" else f"with {why} = {r[why]}"
             raise ConfigurationError(f"{key} is not supported {where}")
-    if r["drive.kind"] != "conserving":  # |X| <= |x0| or |table X|, each 0 if the kind reads none
-        lam_x = abs(p.lam) * max(abs(x) for x in (r["drive.x0"], *(x for _, x in r["drive.table"])))
+    x_bound = d.x_bound  # None for the conserving kind
+    if x_bound is not None:
+        lam_x = abs(p.lam) * x_bound
         if not math.isfinite(lam_x / p.m):
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")

@@ -10,11 +10,15 @@ half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
 kinetic factor; at every record point, the last step included, the closed
 state and the next step's opened state go through one batched inverse FFT.
-A step makes one fft call and one ifft call.  The recorded rows are checked
-in batches, by one pass of several rows, into a table of columns.  X at
-each step's midpoint is read from DriveSpec.at tables made once per block of
-steps, or for the conserving kind is bind's function of the packet's
-deltadot/delta and mean.
+A step makes one fft call and one ifft call, each straight to the numpy
+pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's factor 1 or
+1/n: the same bytes, less the wrapper's Python work per call (norm, dtypes,
+axis, out's shape), a sizeable part of a call at a few hundred points.  A
+numpy without that private module gets np.fft's own functions.  The
+recorded rows are checked in batches, by one pass of several rows, into a
+table of columns.  X at each step's midpoint is read from DriveSpec.at
+tables made once per block of steps, or for the conserving kind is bind's
+function of the packet's deltadot/delta and mean.
 """
 from __future__ import annotations
 
@@ -27,6 +31,22 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams, step_blocks
+
+
+def _np_fft(a, fct, out):
+    """np.fft.fft in the form of the gufunc it wraps, which applies fct = 1 itself."""
+    return np.fft.fft(a, out=out)
+
+
+def _np_ifft(a, fct, out):
+    """np.fft.ifft in the form of the gufunc it wraps, which applies fct = 1/n itself."""
+    return np.fft.ifft(a, out=out)
+
+
+try:  # the transforms np.fft.fft/ifft call, (a, fct, out) along the last axis
+    from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
+except ImportError:  # a private module: np.fft's wrappers give the same bytes
+    _fft, _ifft = _np_fft, _np_ifft
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8
@@ -243,8 +263,9 @@ def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_s
     if p.eps != 0.0:
         raise ConfigurationError("evolve needs a constant omega (eps = 0)")
     dt_hbar = dt / p.hbar
-    if d.kind != "conserving":  # |X| <= |x0| or |table X|
-        lam_x = abs(p.lam) * max(abs(x) for x in (d.x0, *(x for _, x in d.table)))
+    x_bound = d.x_bound  # None for the conserving kind
+    if x_bound is not None:
+        lam_x = abs(p.lam) * x_bound
         x_far = max(abs(g.x_min), abs(g.x_max))
         if not math.isfinite(dt_hbar * lam_x * x_far):
             raise ConfigurationError(f"drive phase (dt/hbar) |lambda| max|X| max|x| = {dt_hbar:g}"
@@ -296,8 +317,12 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     (2, n) batch, so every step makes one fft call and one ifft call; over S
     steps with R record points after t = 0 that is 2S + 2 calls and
     2S + 2 + R transforms.  numpy transforms a batch's rows together, at less
-    cost per row than a 1-D call.  The result differs from unfused stepping by
-    rounding only, and does not depend on record_stride.  Every FFT, and the
+    cost per row than a 1-D call.  The calls go to the module's _fft and _ifft,
+    read once per evolve call: numpy's pocketfft gufuncs with the factors 1 and
+    1/n that np.fft passes them, which skips np.fft's Python wrapper, a
+    sizeable part of a call at a few hundred points, and keeps its bytes.  The
+    result differs from unfused stepping by rounding only, and does not depend
+    on record_stride.  Every FFT, and the
     drive factor, writes into buffers made once per call: the packet passed
     in is never written, and the returned psi is a row of this call's own
     (2, n) buffer, which a later call leaves alone.
@@ -333,6 +358,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     cis_drive = np.empty((nb, 32), complex)
     drive_flat = cis_drive.ravel()[:g.n]
     f = np.empty(g.n, complex)
+    # the factors np.fft passes: 1 forward, reciprocal(n) inverse, which is 1.0 / n to the bit
+    fft, ifft, inv_n = _fft, _ifft, 1.0 / g.n
     j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
     j0, j1 = j[0], j[-1] + 1
     # row 0: the closed state of a record point, row 1: the next step opened;
@@ -376,10 +403,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             except OverflowError as exc:
                 raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                        f"{dt * p.inv_tau:.3g}") from exc
-            np.fft.fft(w.psi, out=f)
+            fft(w.psi, 1.0, out=f)
             rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
             done = 1
-            np.fft.ifft(np.multiply(kin_half, f, out=f), out=psi)
+            ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
             for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
                 for i, x_h in zip(block, xs_h):
                     norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
@@ -398,14 +425,14 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                     np.exp(np.multiply(c, ix, out=cis), out=cis)
                     np.multiply(cis_blocks, cis_offsets, out=cis_drive)
                     psi *= drive_flat
-                    np.fft.fft(psi, out=f)
+                    fft(psi, 1.0, out=f)
                     t = w.t + (i + 1) * dt
                     if (i + 1) % record_stride == 0 or i == steps - 1:
                         # complex a * b and b * a can differ in the last bit: f * kin_full is
                         # the state f *= kin_full opens, so psi does not depend on record_stride
                         np.multiply(kin_half, f, out=closed_opened[0])
                         np.multiply(f, kin_full, out=closed_opened[1])
-                        np.fft.ifft(closed_opened, out=states)
+                        ifft(closed_opened, inv_n, out=states)
                         r = len(pending)
                         rows_psi[r] = closed
                         bands[r] = f[j0:j1]
@@ -414,7 +441,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                             flush()
                     else:
                         f *= kin_full
-                        np.fft.ifft(f, out=psi)
+                        ifft(f, inv_n, out=psi)
                 if pending:
                     flush()
         except NumericalFailure as exc:

@@ -119,6 +119,8 @@ class DriveSpec:
     recorded columns.  integrate's stages write the feedback out in bind's
     operand order, pinned to measurement_rhs (and so to bind) by the bitwise
     step test.  value(t, params, r, xbar) is one call of bind's function.
+    x_bound, the largest |X| of a kind that reads t alone, is the one bound
+    that cli.resolve's and evolve's float-range checks read.
     """
 
     kind: str = "zero"
@@ -147,6 +149,16 @@ class DriveSpec:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigurationError("tabulated drive times must be strictly increasing")
         return ts, xs
+
+    @property
+    def x_bound(self) -> float | None:
+        """The largest |X| the drive takes: 0 for zero, |x0| for constant and sinusoid,
+        max |table X| for tabulated, None for conserving, whose X follows the packet."""
+        if self.kind == "zero":
+            return 0.0
+        if self.kind == "tabulated":
+            return max(map(abs, self._samples[1]))
+        return None if self.kind == "conserving" else abs(self.x0)
 
     def bind(self, params: PhysParams | None = None):
         """X as a function of (t, r, xbar): at's X at the one time t for a kind that

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,15 @@ def columns(record):
     """The fields of a column record as bytes, equal only when bit for bit equal:
     numpy's array repr rounds, and == takes -0.0 for 0.0."""
     return {f: c.tobytes() for f, c in vars(record).items()}
+
+
+def count_ffts(mp, calls):
+    """Patch evolve's FFT names to append (name, shape, fct, bytes in + out) per call."""
+    for name in ("fft", "ifft"):
+        def counted(a, fct, out, name=name, fn=getattr(madelung, "_" + name)):
+            calls.append((name, a.shape, fct, a.nbytes + out.nbytes))
+            return fn(a, fct, out=out)
+        mp.setattr(madelung, "_" + name, counted)
 
 
 def point_packet():
@@ -394,6 +404,18 @@ class TestEvolve:
         with pytest.raises(ConfigurationError, match=f"^{message} .* is beyond the float range$"):
             evolve(w, p, d, dt, 3)
 
+    # the drive phase reads the largest |X| the kind takes: the zero kind's X is 0
+    # and the tabulated kind's its table's, whatever x0 holds
+    @pytest.mark.parametrize("kind, table", [("zero", ()), ("tabulated", ((0.0, 0.1), (1.0, 0.2)))])
+    def test_drive_phase_bound_ignores_an_unread_x0(self, kind, table):
+        w = gaussian_packet(Grid(-15, 17, 128), 1.0, 1.0, p=P_FREE)
+        p = PhysParams(tau=2.0, lam=1.0)
+        fin, obs = evolve(w, p, DriveSpec(kind=kind, x0=1.1e307, table=table), 1.0, 1)
+        fin_0, obs_0 = evolve(w, p, DriveSpec(kind=kind, table=table), 1.0, 1)
+        assert len(obs) == 2
+        assert columns(obs) == columns(obs_0)
+        assert fin.psi.tobytes() == fin_0.psi.tobytes()
+
     def test_conserving_drive_runs(self):
         p = PhysParams(tau=2.0, lam=1.0)
         g = Grid(1 - 16, 1 + 16, 512)
@@ -507,24 +529,20 @@ class TestEvolveStep:
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
-
-        def counted(name, fn):
-            def wrapper(a, *args, **kwargs):
-                calls.append((name, a.shape))
-                return fn(a, *args, **kwargs)
-            return wrapper
-
         for stride, batch, batched in ((1, 32, steps), (7, 32, 1), (1, 4, steps)):
             calls.clear()
             with monkeypatch.context() as mp:
-                for name in ("fft", "ifft"):
-                    mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+                count_ffts(mp, calls)
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
                 evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
+            names = [(name, shape) for name, shape, _, _ in calls]
             assert len(calls) == 2 * steps + 2
-            assert calls.count(("fft", (n,))) == steps + 1
-            assert calls.count(("ifft", (2, n))) == batched
-            assert calls.count(("ifft", (n,))) == steps + 1 - batched
+            assert names.count(("fft", (n,))) == steps + 1
+            assert names.count(("ifft", (2, n))) == batched
+            assert names.count(("ifft", (n,))) == steps + 1 - batched
+            # np.fft's factors, and the bytes in and out of 2S + 2 + R transforms
+            assert {(name, fct) for name, _, fct, _ in calls} == {("fft", 1.0), ("ifft", 1 / n)}
+            assert sum(b for *_, b in calls) == 2 * 16 * n * (2 * steps + 2 + batched)
 
     # at stride 7 the last of the 50 steps falls between two record points
     @pytest.mark.parametrize("stride", [1, 7])
@@ -580,6 +598,36 @@ def rows_passed(rows):
     except NumericalFailure as exc:
         assert "of |psi|^2 in the band" in str(exc)
     return passed
+
+
+class TestFFTPath:
+    """evolve calls numpy's pocketfft gufuncs with np.fft's factors: np.fft's bytes."""
+
+    P = PhysParams(tau=2.0, lam=1.0)
+
+    @pytest.mark.parametrize("n", [64, 100, 256, 1024])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["1d", "2xn"])
+    def test_gufuncs_give_np_fft_bytes(self, n, shape):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((*shape, n)) + 1j * rng.standard_normal((*shape, n))
+        out = np.empty_like(a)
+        assert madelung._fft(a, 1.0, out=out).tobytes() == np.fft.fft(a).tobytes()
+        assert madelung._ifft(a, 1 / n, out=out).tobytes() == np.fft.ifft(a).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("drive", [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6),
+                                       DriveSpec(kind="conserving")],
+                             ids=["sinusoid", "conserving"])
+    def test_evolve_gives_the_np_fft_fallback_bytes(self, monkeypatch, drive, stride):
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        dt = g.dx * g.dx / np.pi
+        fin, obs = evolve(w, self.P, drive, dt, 50, record_stride=stride)
+        monkeypatch.setattr(madelung, "_fft", madelung._np_fft)
+        monkeypatch.setattr(madelung, "_ifft", madelung._np_ifft)
+        fin_np, obs_np = evolve(w, self.P, drive, dt, 50, record_stride=stride)
+        assert fin.psi.tobytes() == fin_np.psi.tobytes()
+        assert columns(obs) == columns(obs_np)
 
 
 class TestRowBatch:
@@ -711,3 +759,33 @@ def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, r
         assert partial.t[-1] < float(t_fail)
         before = run(stopped)
         assert type(before) is record and columns(partial) == columns(before)
+
+
+def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
+    # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
+    # opens with one FFT pair, then makes one fft and one ifft per step; a batched
+    # (2, n) ifft, one at each record point and so at the last step, moves the
+    # bytes of two 1-D calls; the ode runs make none
+    from ermakov_lab import cli
+
+    ode = {"mode": "ode", "params": {"tau": 2.0},
+           "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
+    pde = {"mode": "pde", "params": {"tau": 2.0},
+           "numerics": {"dt": 0.01, "t_end": 0.05, "grid": {"n": 64}},
+           "output": {"snapshots": True}}
+    compare = dict(pde, mode="compare", output={})
+
+    def write(name, cfg):
+        cfg = dict(cfg, output=dict(cfg["output"], directory=str(tmp_path / name)))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    calls = []
+    count_ffts(monkeypatch, calls)
+    for name, cfg in (("ode", ode), ("pde", pde), ("compare", compare)):
+        assert cli.main(["run", write(name, cfg)]) == 0
+    assert cli.main(["sweep", write("sweep", ode),
+                     "--param", "params.tau", "--values", "1,2"]) == 0
+    assert len(calls) == 24
+    assert sum(b for *_, b in calls) == 69632

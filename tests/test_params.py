@@ -161,6 +161,16 @@ class TestDriveSpec:
         want = [float(np.interp(t, ts, xs)) for t in times.tolist()]
         _assert_at_is(DriveSpec(kind="tabulated", table=table), times, want)
 
+    @pytest.mark.parametrize("drive, bound", [
+        (DriveSpec(x0=5.0), 0.0),
+        (DriveSpec(kind="constant", x0=-2.0), 2.0),
+        (DriveSpec(kind="sinusoid", x0=-0.5, freq=3.0), 0.5),
+        (DriveSpec(kind="tabulated", x0=9.0, table=((0.0, 0.1), (1.0, -0.3))), 0.3),
+        (DriveSpec(kind="conserving", x0=9.0), None),
+    ], ids=["zero", "constant", "sinusoid", "tabulated", "conserving"])
+    def test_x_bound_is_the_kinds_largest_x(self, drive, bound):
+        assert drive.x_bound == bound
+
     def test_at_refuses_conserving(self):
         with pytest.raises(ConfigurationError, match="reads the state"):
             CONSERVING.at(np.zeros(3))
