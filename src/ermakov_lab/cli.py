@@ -8,16 +8,24 @@ Subcommands:
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
+
+`sweep` runs its values on every CPU the process may use: the calling process
+and forked children, value j in process j mod W.  Each value's stderr is
+printed in value order once all values have finished.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,10 +379,94 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
     node[parts[-1]] = value
 
 
+def _run_share(runs: list[dict]) -> list:
+    """Run resolved values in order, each with its stderr captured, into one report per
+    value: [exit code, stderr text, None], or [1, stderr text, message] for a value that
+    raised a ConfigurationError, which ends the share as it ends a serial sweep."""
+    reports = []
+    for r in runs:
+        err, message, code = io.StringIO(), None, 1
+        with contextlib.redirect_stderr(err):
+            try:
+                code = _run_mode(_MODES[r["mode"]], r)
+            except ConfigurationError as exc:
+                message = str(exc)
+        reports.append([code, err.getvalue(), message])
+        if message is not None:
+            break
+    return reports
+
+
+def _processes(n_values: int) -> int:
+    """How many processes run a sweep's values: one per CPU this process may use, at most
+    one per value.  One when os.fork or os.sched_getaffinity is missing, or while a second
+    thread runs, since forking a threaded process can deadlock."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(n_values, len(os.sched_getaffinity(0)))
+
+
+def _child(runs: list[dict], fd: int):
+    """A forked process's whole life: run its share, write the reports to the pipe `fd` as
+    JSON and exit, 0 after a whole report and 1 otherwise.  It never returns."""
+    status = 1
+    try:
+        with open(fd, "w") as pipe:
+            json.dump(_run_share(runs), pipe)
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _run_shares(runs: list[dict], w: int) -> list:
+    """The reports of each of `w` processes' shares, value j in process j mod w: the
+    caller runs share 0 and w - 1 forked children the rest.  A child that ended without a
+    whole report gives None.  Every child is reaped before this returns or raises; if the
+    caller's own share raises, the children are terminated first."""
+    children, statuses = [], []
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for k in range(1, w):
+            rfd, wfd = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork while native threads run (numpy's BLAS
+                # pool, which is fork-safe); _processes has ruled out a second Python
+                # thread.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                os.close(rfd)
+                _child(runs[k::w], wfd)
+            os.close(wfd)
+            children.append((pid, open(rfd)))
+        shares = [_run_share(runs[0::w])]
+        texts = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    return shares + [json.loads(text) if status == 0 else None
+                     for text, status in zip(texts, statuses)]
+
+
 def sweep(config_path, parameter: str, values: list[float]) -> int:
     """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
     return the worst exit code.  Every value is resolved before the first run, so no value,
-    a bad one, or two that would write one directory, is a config error that runs nothing."""
+    a bad one, or two that would write one directory, is a config error that runs nothing.
+    The values then run over W = min(values, usable CPUs) processes (see _run_shares), and
+    each value's stderr is printed in value order after all have finished; a run's config
+    error is raised in value order, after the stderr of the values before it."""
     if not values:
         raise ConfigurationError("--values lists no value")
     base_cfg = load_config(config_path)
@@ -390,7 +482,21 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
                                      f"would both write {name}")
         r["output.directory"] = str(Path(r["output.directory"]) / name)
         runs[name] = (r, v)
-    return max(_run_mode(_MODES[r["mode"]], r) for r, _ in runs.values())
+    resolved = [r for r, _ in runs.values()]
+    w = _processes(len(resolved))
+    shares = _run_shares(resolved, w)
+    worst = 0
+    for j in range(len(resolved)):
+        share = shares[j % w]
+        if share is None:
+            raise RuntimeError(f"the sweep process of values {values[j % w::w]} "
+                               "ended without a report")
+        code, err, message = share[j // w]
+        sys.stderr.write(err)
+        if message is not None:
+            raise ConfigurationError(message)
+        worst = max(worst, code)
+    return worst
 
 
 def main(argv=None) -> int:

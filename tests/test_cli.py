@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from ermakov_lab import cli
 from ermakov_lab.cli import main
 from ermakov_lab.criteria import CRITERIA
+from ermakov_lab.errors import ConfigurationError
 
 
 def write_config(path, cfg):
@@ -867,6 +870,38 @@ class TestVerifyMode:
             [f"criterion_{i}" for i in range(1, 11)]
 
 
+def cpus(n):
+    """A stand-in for os.sched_getaffinity: a process allowed on n CPUs."""
+    return lambda pid: set(range(n))
+
+
+def files(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
+def no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Sweeps with failing values: omega_m t and freq t overflow after the first step.
+FAILING_SWEEPS = {
+    "ode-omega_m": ({"mode": "ode", "params": {"tau": 2.0},
+                     "omega_spec": {"eps": 0.5, "omega_m": 1.0},
+                     "numerics": {"dt": 1.0, "t_end": 2.0}},
+                    "omega_spec.omega_m", "1,1e308,2,1.5e308,0.5", 2),
+    "pde-freq": ({"mode": "pde", "params": {"tau": 2.0, "lambda": 1.0},
+                  "drive": {"kind": "sinusoid", "x0": 1.0, "freq": 1.0},
+                  "numerics": {"dt": 1.0, "t_end": 2.0, "grid": {"n": 128}}},
+                 "drive.freq", "0.5,1.5e308,0.7,2", 1),
+}
+
+
 class TestSweep:
     def test_tau_fanout_and_order_independence(self, tmp_path):
         out = tmp_path / "out"
@@ -893,3 +928,115 @@ class TestSweep:
         assert err == ["config error: mode must be one of 'ode', 'pde', 'compare', "
                        "got 'verify'"]
         assert not out.exists()
+
+    # sweep runs its values over min(values, usable CPUs) processes; the tests below
+    # patch os.sched_getaffinity so that they fork on any host.
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize("case", FAILING_SWEEPS)
+    def test_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, case, w):
+        cfg, param, values, failures = FAILING_SWEEPS[case]
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        seen = {}
+        for n in (1, w):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
+            out = tmp_path / f"w{n}"
+            path = write_config(tmp_path / f"w{n}.json",
+                                dict(cfg, output={"directory": str(out)}))
+            code = main(["sweep", path, "--param", param, "--values", values])
+            seen[n] = (code, capsys.readouterr().err, files(out))
+            assert_no_child_left()
+        assert len(forks) == w - 1
+        assert seen[w] == seen[1]
+        code, err, csvs = seen[1]
+        assert code == 2 and err.count("numerical failure: ") == failures
+        assert len(csvs) == len(values.split(",")) - failures
+
+    def test_config_error_of_a_run_is_raised_in_value_order(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def run(r):
+            tau = r["params.tau"]
+            if tau in (2, 4):
+                raise ConfigurationError(f"refused tau {tau:g}")
+            print(f"ran tau {tau:g}", file=sys.stderr)
+            return 0
+
+        monkeypatch.setitem(cli._MODES, "ode", run)
+        path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
+            assert main(["sweep", path, "--param", "params.tau",
+                         "--values", "1,2,3,4"]) == 1
+            assert capsys.readouterr().err == "ran tau 1\nconfig error: refused tau 2\n"
+            assert_no_child_left()
+
+    def test_a_child_that_ends_without_a_report_is_an_error(self, tmp_path, monkeypatch):
+        parent, run_share = os.getpid(), cli._run_share
+
+        def share(runs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_share(runs)
+
+        monkeypatch.setattr(cli, "_run_share", share)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        with pytest.raises(RuntimeError, match=r"values \[2\.0\] ended without a report"):
+            main(["sweep", path, "--param", "params.tau", "--values", "1,2,3"])
+        assert_no_child_left()
+        assert [d.name for d in (tmp_path / "out").iterdir()] == ["tau_1"]
+
+    def test_a_failing_own_share_terminates_the_children(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        class Boom(Exception):
+            pass
+
+        def share(runs):
+            if os.getpid() != parent:
+                time.sleep(60)
+                return []
+            raise Boom
+
+        monkeypatch.setattr(cli, "_run_share", share)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
+        start = time.monotonic()
+        with pytest.raises(Boom):
+            main(["sweep", path, "--param", "params.tau", "--values", "1,2,3"])
+        # the sleeping children were terminated, not waited for
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_one_value_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1"]) == 0
+
+    def test_a_second_thread_keeps_the_sweep_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 0
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert sorted(d.name for d in (tmp_path / "out").iterdir()) == ["tau_1", "tau_2"]
