@@ -1,8 +1,6 @@
 """Numerical laboratory for invariants of a continuously measured oscillator."""
 
 from .params import (
-    COEFF_CONSISTENT,
-    COEFF_PAPER_LITERAL,
     TAU_INFINITE,
     DriveSpec,
     PhysParams,

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
-from .params import _VARIANTS, COEFF_CONSISTENT, DriveSpec, PhysParams
+from .params import DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
 from .madelung import Grid, _setup, evolve, gaussian_packet
 
@@ -100,7 +100,6 @@ _FIELDS = {
     "params.omega": (_number, 1.0, {}),
     "params.lambda": (_number, 0.0, {}),
     "params.tau": (_tau, _REQUIRED, {}),
-    "params.coeff_variant": (_one_of(*_VARIANTS), COEFF_CONSISTENT, {}),
     "omega_spec.eps": (_number, 0.0, _ODE),
     "omega_spec.omega_m": (_number, 0.0, _ODE),
     "drive.kind": (_one_of(*DriveSpec._KINDS), "zero", {}),
@@ -239,7 +238,6 @@ def _build(r: dict) -> tuple[PhysParams, DriveSpec]:
     """The parameters (omega_spec modulating params.omega) and drive of a resolved config."""
     return (PhysParams(m=r["params.m"], hbar=r["params.hbar"], omega=r["params.omega"],
                        lam=r["params.lambda"], tau=r["params.tau"],
-                       coeff_variant=r["params.coeff_variant"],
                        eps=r["omega_spec.eps"], omega_m=r["omega_spec.omega_m"]),
             DriveSpec(kind=r["drive.kind"], x0=r["drive.x0"], freq=r["drive.freq"],
                       phase=r["drive.phase"], table=r["drive.table"]))
@@ -262,11 +260,21 @@ def _steps(r: dict) -> int:
     return _whole_steps(t_end, dt, "numerics.t_end / numerics.dt")
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """`path` opened for writing, its directory made first; an OSError is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_csv(path: Path, columns: list[str], rows) -> None:
     """Write `rows`, tuples of one number per column, each number as %.17g."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(line % row for row in rows)
@@ -348,9 +356,8 @@ def run_verify(r: dict, scenario: dict) -> int:
         "all_pass": all(c["pass"] for c in checks),
         "wall_time_s": time.perf_counter() - t0,
     }
-    path = Path(r["output.directory"]) / "report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    with _output(Path(r["output.directory"]) / "report.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     for c in checks:
         tag = "PASS" if c["pass"] else "FAIL"
         print(f"{tag} {c['name']}: {c['value']:.3e} (tol {c['tolerance']:.1e})")

@@ -144,7 +144,8 @@ def criterion_8():
 
 
 def criterion_9():
-    """The Euler balance with the closure slope k_t, under each width coefficient variant."""
+    """The Euler balance with the closure slope k_t, under C_tau = 1/(4 tau^2) and under
+    the paper's literal 1/(4 tau^4), which no solver runs."""
     reps2 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=2.0))
     reps1 = check_coefficient_expansion(1.0, 0.3, 0.5, 0.2, PhysParams(tau=1.0))
     literal2 = abs(reps2["paper_literal"] - LITERAL_SLOPE_TAU2)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ermakov import ErmakovState, measurement_rhs
 from .errors import ConfigurationError
-from .params import _VARIANTS, DriveSpec, PhysParams
+from .params import DriveSpec, PhysParams
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,12 @@ def check_coefficient_expansion(delta: float, deltadot: float,
 
     Assembles d(v)/dt + v dv/dx + omega^2 x + (lambda/m) X - k (x - xbar)
     from the closed-form velocity field and returns the magnitude of the
-    surviving (x - xbar) slope per coefficient variant.  The width and
-    centroid accelerations are the integrator's own: measurement_rhs at
-    alpha = delta/s, alpha' = delta'/s with s = sqrt(hbar/2m), so
-    delta'' = s alpha'', under each variant.  It runs with the zero drive:
-    the centroid acceleration's -(lambda/m) X enters d(v)/dt and cancels the
+    surviving (x - xbar) slope under two width accelerations: "consistent",
+    the integrator's own, measurement_rhs at alpha = delta/s, alpha' = delta'/s
+    with s = sqrt(hbar/2m), so delta'' = s alpha''; and "paper_literal", the
+    same with C_tau = 1/(4 tau^2) replaced by the paper's literal 1/(4 tau^4),
+    which only this check evaluates.  It runs with the zero drive: the
+    centroid acceleration's -(lambda/m) X enters d(v)/dt and cancels the
     balance's (lambda/m) X exactly, so no drive changes the slope.
     """
     if p.inv_tau == 0.0:
@@ -218,17 +219,19 @@ def check_coefficient_expansion(delta: float, deltadot: float,
     k = p.hbar_2m * p.hbar_2m / delta ** 4
     s = math.sqrt(p.hbar_2m)
     state = ErmakovState(0.0, delta / s, deltadot / s, xbar, xbardot)
+    alphaddot, xbarddot = measurement_rhs(state, p, DriveSpec())
+    q = it * it
+    alphaddots = {"consistent": alphaddot,
+                  "paper_literal": alphaddot + (p.c_tau - 0.25 * q * q) * state.alpha}
     slope_v = deltadot / delta + 0.5 * it
     xs = _chebyshev(xbar, 4.0 * delta)
     out = {}
-    for variant in _VARIANTS:
-        alphaddot, xbarddot = measurement_rhs(state, replace(p, coeff_variant=variant),
-                                              DriveSpec())
-        deltaddot = s * alphaddot
+    for name, width_acc in alphaddots.items():
+        deltaddot = s * width_acc
         dv_dt = ((deltaddot / delta - (deltadot / delta) ** 2) * (xs - xbar)
                  - slope_v * xbardot + xbarddot)
         v = slope_v * (xs - xbar) + xbardot
         lhs = dv_dt + v * slope_v + w2 * xs - k * (xs - xbar)
         slope, intercept = np.polyfit(xs - xbar, lhs, 1)
-        out[variant] = float(max(abs(slope), abs(intercept) / (4.0 * delta)))
+        out[name] = float(max(abs(slope), abs(intercept) / (4.0 * delta)))
     return out

@@ -13,8 +13,7 @@ state and the next step's opened state go through one batched inverse FFT.
 A step makes one fft call and one ifft call, each straight to the numpy
 pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's factor 1 or
 1/n: the same bytes, less the wrapper's Python work per call (norm, dtypes,
-axis, out's shape), a sizeable part of a call at a few hundred points.  A
-numpy without that private module gets np.fft's own functions.  The
+axis, out's shape), a sizeable part of a call at a few hundred points.  The
 recorded rows are checked in batches, by one pass of several rows, into a
 table of columns.  X at each step's midpoint is read from DriveSpec.at
 tables made once per block of steps, or for the conserving kind is bind's
@@ -28,25 +27,11 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
+# the transforms np.fft.fft/ifft call since numpy 2.0: (a, fct, out) along the last axis
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams, step_blocks
-
-
-def _np_fft(a, fct, out):
-    """np.fft.fft in the form of the gufunc it wraps, which applies fct = 1 itself."""
-    return np.fft.fft(a, out=out)
-
-
-def _np_ifft(a, fct, out):
-    """np.fft.ifft in the form of the gufunc it wraps, which applies fct = 1/n itself."""
-    return np.fft.ifft(a, out=out)
-
-
-try:  # the transforms np.fft.fft/ifft call, (a, fct, out) along the last axis
-    from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
-except ImportError:  # a private module: np.fft's wrappers give the same bytes
-    _fft, _ifft = _np_fft, _np_ifft
 
 #: Relative density floor below which hydrodynamic fields are masked.
 RHO_FLOOR = 1e-8

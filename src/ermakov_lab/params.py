@@ -20,12 +20,6 @@ from .errors import ConfigurationError
 #: Sentinel for an infinite measurement time constant (1/tau = 0).
 TAU_INFINITE = math.inf
 
-#: Damping-coefficient variants for the reduced width equation.
-COEFF_CONSISTENT = "consistent"        # 1/(4 tau^2)
-COEFF_PAPER_LITERAL = "paper_literal"  # 1/(4 tau^4)
-
-_VARIANTS = (COEFF_CONSISTENT, COEFF_PAPER_LITERAL)
-
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -33,8 +27,7 @@ class PhysParams:
     coefficients the solvers read: omega2(t), hbar_2m and c_tau.
 
     m, hbar > 0 and omega >= 0, all finite; lam and lam/m finite; tau > 0 (math.inf
-    switches the measurement off); coeff_variant selects 1/(4 tau^2) vs
-    1/(4 tau^4) in the width equation; |eps| < 1 and omega_m modulate the
+    switches the measurement off); |eps| < 1 and omega_m modulate the
     frequency, omega2(t) = omega^2 (1 + eps sin(omega_m t)).
     """
 
@@ -43,7 +36,6 @@ class PhysParams:
     omega: float = 1.0
     lam: float = 0.0
     tau: float = TAU_INFINITE
-    coeff_variant: str = COEFF_CONSISTENT
     eps: float = 0.0
     omega_m: float = 0.0
 
@@ -63,10 +55,6 @@ class PhysParams:
                                      "is beyond the float range")
         if not (self.tau > 0):
             raise ConfigurationError("tau must be positive (math.inf allowed)")
-        if self.coeff_variant not in _VARIANTS:
-            raise ConfigurationError(
-                f"coeff_variant must be one of {_VARIANTS}, got {self.coeff_variant!r}"
-            )
         if not (abs(self.eps) < 1):
             raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
 
@@ -92,11 +80,8 @@ class PhysParams:
 
     @property
     def c_tau(self) -> float:
-        """Coefficient added to omega^2 in the width equation."""
-        q = self.inv_tau * self.inv_tau
-        if self.coeff_variant == COEFF_CONSISTENT:
-            return 0.25 * q
-        return 0.25 * q * q
+        """C_tau = 1/(4 tau^2), added to omega^2 in the width equation."""
+        return 0.25 * (self.inv_tau * self.inv_tau)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -284,6 +285,9 @@ class TestConfigValidation:
         # omega is params.omega; omega_spec only modulates it
         pytest.param("run", "ode", {"omega_spec.omega0": 3.0},
                      "unknown config key 'omega_spec.omega0'", id="run-ode-omega0"),
+        # the width coefficient is C_tau = 1/(4 tau^2), not an option
+        pytest.param("run", "ode", {"params.coeff_variant": "paper_literal"},
+                     "unknown config key 'params.coeff_variant'", id="run-ode-coeff_variant"),
         # a JSON string is not a number, even where float() would read it
         pytest.param("run", "ode", {"params.m": "2"}, "params.m must be a number, got '2'",
                      id="run-ode-string-m"),
@@ -523,6 +527,19 @@ def test_write_csv_bytes(tmp_path):
     assert (tmp_path / "rows.csv").read_text() == cli.CSV_HEADER + "\na,b,c\n" + expected
 
 
+@pytest.mark.parametrize("command, name", [("run", "trajectory.csv"), ("verify", "report.json")])
+def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command, name):
+    # output.directory names an existing file: the write is one config error, no traceback
+    monkeypatch.setattr(cli, "CRITERIA", (fake_criterion("good", 1.0, 2.0),))
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg = base_ode_config(out)
+    cfg["numerics"]["t_end"] = 0.1
+    assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {out / name}: {os.strerror(errno.EEXIST)}"]
+
+
 class TestOdeMode:
     def test_conserving_drive_invariant_column(self, tmp_path):
         out = tmp_path / "out"
@@ -607,12 +624,13 @@ class TestOdeMode:
         assert data.shape == (9, len(header)) and np.all(np.isfinite(data))
 
     @pytest.mark.parametrize("command, code", [("run", 2), ("verify", 0)])
-    def test_paper_literal_tiny_tau(self, tmp_path, capsys, monkeypatch, command, code):
-        # C_tau = (1/tau)^4 / 4 is inf: the run fails at its first row, verify only
+    def test_c_tau_beyond_the_float_range_fails_the_run(self, tmp_path, capsys, monkeypatch,
+                                                        command, code):
+        # C_tau = (1/tau)^2 / 4 is inf: the run fails at its first row, verify only
         # validates the config
         monkeypatch.setattr(cli, "CRITERIA", ())
         cfg = base_ode_config(tmp_path / "out")
-        cfg["params"].update(tau=1e-100, coeff_variant="paper_literal")
+        cfg["params"]["tau"] = 1e-200
         assert main([command, write_config(tmp_path / "c.json", cfg)]) == code
         err = capsys.readouterr().err.splitlines()
         if code == 2:
@@ -1015,6 +1033,24 @@ class TestSweep:
         # the sleeping children were terminated, not waited for
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_unwritable_output_is_one_config_error(self, tmp_path, capsys, monkeypatch, w):
+        # the second value's directory is a file: at W = 2 a forked child runs that
+        # value and reports the error, which is the one line in either case
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(w))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tau_2").write_text("")
+        cfg = base_ode_config(out)
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot write {out / 'tau_2' / 'trajectory.csv'}: "
+            f"{os.strerror(errno.EEXIST)}"]
+        assert_no_child_left()
+        assert (out / "tau_1" / "trajectory.csv").is_file()
 
     def test_one_value_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", no_fork)

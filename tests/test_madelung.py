@@ -43,6 +43,16 @@ def count_ffts(mp, calls):
         mp.setattr(madelung, "_" + name, counted)
 
 
+def np_fft(a, fct, out):
+    """np.fft.fft in the form of the gufunc evolve calls; it applies fct = 1 itself."""
+    return np.fft.fft(a, out=out)
+
+
+def np_ifft(a, fct, out):
+    """np.fft.ifft in the form of the gufunc evolve calls; it applies fct = 1/n itself."""
+    return np.fft.ifft(a, out=out)
+
+
 def point_packet():
     """A 64-point packet nonzero at a single grid point: zero variance."""
     g = Grid(-16, 16, 64)
@@ -521,7 +531,9 @@ class TestEvolveStep:
         for f, column in vars(obs).items():
             assert np.max(np.abs(column - [getattr(r, f) for r in ref])) <= 1e-12
 
-    def test_one_forward_fft_per_step_boundary(self, monkeypatch):
+    @pytest.mark.parametrize("drive", [D, DriveSpec(kind="conserving")],
+                             ids=["sinusoid", "conserving"])
+    def test_one_forward_fft_per_step_boundary(self, monkeypatch, drive):
         # one FFT pair opens step 1; each step then takes one forward FFT and one
         # inverse FFT, which at every record point, the last step included,
         # transforms the closed state and the next step's opened state as one
@@ -534,7 +546,7 @@ class TestEvolveStep:
             with monkeypatch.context() as mp:
                 count_ffts(mp, calls)
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
-                evolve(w, self.P, self.D, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
+                evolve(w, self.P, drive, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
             names = [(name, shape) for name, shape, _, _ in calls]
             assert len(calls) == 2 * steps + 2
             assert names.count(("fft", (n,))) == steps + 1
@@ -618,13 +630,13 @@ class TestFFTPath:
     @pytest.mark.parametrize("drive", [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6),
                                        DriveSpec(kind="conserving")],
                              ids=["sinusoid", "conserving"])
-    def test_evolve_gives_the_np_fft_fallback_bytes(self, monkeypatch, drive, stride):
+    def test_evolve_gives_np_fft_bytes(self, monkeypatch, drive, stride):
         g = Grid(1 - 16, 1 + 16, 256)
         w = gaussian_packet(g, 1.0, 1.0, p=self.P)
         dt = g.dx * g.dx / np.pi
         fin, obs = evolve(w, self.P, drive, dt, 50, record_stride=stride)
-        monkeypatch.setattr(madelung, "_fft", madelung._np_fft)
-        monkeypatch.setattr(madelung, "_ifft", madelung._np_ifft)
+        monkeypatch.setattr(madelung, "_fft", np_fft)
+        monkeypatch.setattr(madelung, "_ifft", np_ifft)
         fin_np, obs_np = evolve(w, self.P, drive, dt, 50, record_stride=stride)
         assert fin.psi.tobytes() == fin_np.psi.tobytes()
         assert columns(obs) == columns(obs_np)

@@ -43,11 +43,10 @@ class TestPhysParams:
     def test_defaults(self):
         p = PhysParams()
         assert p.m == 1.0 and p.hbar == 1.0
-        assert p.coeff_variant == "consistent"
 
     @pytest.mark.parametrize("bad", [
         dict(m=0.0), dict(m=-1.0), dict(hbar=0.0), dict(tau=0.0),
-        dict(tau=-2.0), dict(omega=-1.0), dict(coeff_variant="typo"),
+        dict(tau=-2.0), dict(omega=-1.0),
         dict(m=math.inf), dict(hbar=math.nan), dict(omega=math.inf),
         dict(lam=math.nan), dict(lam=math.inf), dict(tau=math.nan),
         # the ode's drive term reads lambda/m, and inf * 0 is NaN under the zero drive
@@ -69,12 +68,9 @@ class TestPhysParams:
         assert p.c_tau == 0.0
 
     def test_coeff_variants(self):
-        assert PhysParams(tau=2.0).c_tau == pytest.approx(1.0 / 16.0)
-        assert PhysParams(tau=2.0, coeff_variant="paper_literal").c_tau == \
-            pytest.approx(1.0 / 64.0)
-        # the variants coincide at tau = 1
-        assert PhysParams(tau=1.0).c_tau == \
-            PhysParams(tau=1.0, coeff_variant="paper_literal").c_tau
+        # C_tau = 1/(4 tau^2), the one width coefficient
+        assert PhysParams(tau=2.0).c_tau == 1.0 / 16.0
+        assert PhysParams(tau=1.0).c_tau == 0.25
 
 
 class TestOmegaSpec:
