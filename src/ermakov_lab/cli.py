@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
 import os
 import sys
-import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _setup, evolve, gaussian_packet
+from .madelung import Grid, _cpus, _fork, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -171,7 +170,9 @@ def resolve(cfg: dict) -> dict:
     given key that the mode, system or drive kind does not read and, checked
     last, a drive term lambda X / m beyond the float range or, in pde and compare
     mode, any bound of evolve's own set-up, madelung._setup, on the run's grid.
-    ERMAKOV_LAB_OUT replaces output.directory."""
+    ERMAKOV_LAB_OUT replaces output.directory, and right after that an output
+    directory that cannot be made (a file where it or an ancestor should be) is
+    refused before any work."""
     given = dict(_given(cfg))
     r = {}
     for key, (conv, default, _) in _FIELDS.items():
@@ -186,6 +187,7 @@ def resolve(cfg: dict) -> dict:
         else:
             r[key] = default(r) if callable(default) else default
     r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
+    _makeable(r["output.directory"])
     p, d = _build(r)
     d.bind(p)  # a conserving drive refuses lambda = 0
     steps = _steps(r)
@@ -258,6 +260,16 @@ def _steps(r: dict) -> int:
         raise ConfigurationError("numerics.dt and numerics.t_end must be positive "
                                  "and their ratio finite")
     return _whole_steps(t_end, dt, "numerics.t_end / numerics.dt")
+
+
+def _makeable(directory: str) -> None:
+    """Refuse, as a config error, a directory that cannot be made because its deepest
+    existing ancestor is not a directory, with the error mkdir would give; make nothing."""
+    path = Path(directory)
+    ancestor = next((a for a in (path, *path.parents) if os.path.exists(a)), None)
+    if ancestor is not None and not os.path.isdir(ancestor):
+        code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+        raise ConfigurationError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextlib.contextmanager
@@ -405,13 +417,9 @@ def _run_share(runs: list[dict]) -> list:
 
 
 def _processes(n_values: int) -> int:
-    """How many processes run a sweep's values: one per CPU this process may use, at most
-    one per value.  One when os.fork or os.sched_getaffinity is missing, or while a second
-    thread runs, since forking a threaded process can deadlock."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(n_values, len(os.sched_getaffinity(0)))
+    """How many processes run a sweep's values: one per CPU this process may use (see
+    madelung._cpus), at most one per value."""
+    return min(n_values, _cpus())
 
 
 def _child(runs: list[dict], fd: int):
@@ -439,13 +447,7 @@ def _run_shares(runs: list[dict], w: int) -> list:
         sys.stderr.flush()
         for k in range(1, w):
             rfd, wfd = os.pipe()
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on fork while native threads run (numpy's BLAS
-                # pool, which is fork-safe); _processes has ruled out a second Python
-                # thread.
-                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
+            pid = _fork()
             if pid == 0:
                 os.close(rfd)
                 _child(runs[k::w], wfd)

@@ -8,20 +8,26 @@ Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
 half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
-kinetic factor; at every record point, the last step included, the closed
-state and the next step's opened state go through one batched inverse FFT.
-A step makes one fft call and one ifft call, each straight to the numpy
-pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's factor 1 or
-1/n: the same bytes, less the wrapper's Python work per call (norm, dtypes,
-axis, out's shape), a sizeable part of a call at a few hundred points.  The
-recorded rows are checked in batches, by one pass of several rows, into a
-table of columns.  X at each step's midpoint is read from DriveSpec.at
-tables made once per block of steps, or for the conserving kind is bind's
-function of the packet's deltadot/delta and mean.
+kinetic factor.  A step makes one fft call and one ifft call, each straight
+to the numpy pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's
+factor 1 or 1/n: the same bytes, less the wrapper's Python work per call
+(norm, dtypes, axis, out's shape), a sizeable part of a call at a few
+hundred points.  A record point keeps the step's spectrum; the recorded rows
+are handed off in batches to a checker, which closes them with one (k, n)
+inverse FFT and checks them in one pass, into a table of columns.  On a
+second CPU, for a run with enough rows, the checker is a forked child that
+works while the steps go on; a bad row is then reported after at most two
+hand-offs of further steps.  X at each step's midpoint is read from
+DriveSpec.at tables made once per block of steps, or for the conserving
+kind is bind's function of the packet's deltadot/delta and mean.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -42,6 +48,10 @@ BAND_EDGE = 0.9
 
 #: Grid points of recorded rows that evolve checks as one batch.
 ROW_POINTS = 8192
+
+#: Grid points of recorded rows after t = 0 from which evolve checks them in a forked
+#: child: below it the fork costs more than the overlap saves.
+FORK_POINTS = 1 << 19
 
 
 @dataclass(eq=False)
@@ -273,6 +283,103 @@ def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_s
         raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
 
 
+def _cpus() -> int:
+    """CPUs this process may use for forked workers: one when os.fork or os.sched_getaffinity
+    is missing, or while a second thread runs, since forking a threaded process can deadlock."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork() -> int:
+    """os.fork(), without the warning Python >= 3.12 gives while native threads run (numpy's
+    BLAS pool, which is fork-safe); _cpus rules out a second Python thread."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        return os.fork()
+
+
+class _Checker:
+    """A forked process that runs check(slot, ts) on every task the parent sends it, in
+    order, and sends each result back; it ends at the end of its task pipe."""
+
+    def __init__(self, check):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = _fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(check, *fds)
+        tasks_r, tasks_w, results_r, results_w = fds
+        os.close(tasks_r)
+        os.close(results_w)
+        self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
+
+    def send(self, slot: int, ts: list) -> None:
+        try:
+            pickle.dump((slot, ts), self.tasks)
+            self.tasks.flush()
+        except BrokenPipeError:
+            raise self.ended(ts) from None
+
+    def receive(self, ts: list):
+        try:
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            raise self.ended(ts) from None
+
+    def ended(self, ts: list) -> RuntimeError:
+        return RuntimeError(f"evolve's row checker (process {self.pid}) ended before "
+                            f"checking the rows at t={ts[0]}..{ts[-1]}")
+
+    def close(self, terminate: bool) -> None:
+        """End the process, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
+        if terminate:
+            import signal
+
+            os.kill(self.pid, signal.SIGTERM)
+        for pipe in (self.tasks, self.results):
+            try:
+                pipe.close()
+            except OSError:  # unsent bytes of a task to a process that has ended
+                pass
+        os.waitpid(self.pid, 0)
+
+
+def _serve(check, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
+    """A forked checker's whole life: answer each task until the pipe ends, then exit, 0 at
+    that end and 1 otherwise.  It never returns."""
+    status = 1
+    try:
+        os.close(tasks_w)
+        os.close(results_r)
+        with open(tasks_r, "rb") as tasks, open(results_w, "wb") as results:
+            while True:
+                try:
+                    slot, ts = pickle.load(tasks)
+                except EOFError:
+                    break
+                pickle.dump(check(slot, ts), results)
+                results.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _shared(shape: tuple) -> np.ndarray:
+    """An empty complex array in an anonymous shared mapping, which a forked child shares."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), complex).reshape(shape)
+
+
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
            ) -> tuple[WavePacket, Observables]:
@@ -295,39 +402,50 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     on the 32-point block starts and on the 32 offsets within a block.  X is
     read at each step's t + dt/2 from DriveSpec.at tables, one per block of
     step_blocks; the conserving kind calls bind's function once per step.  The
-    step then takes one forward FFT: a record point closes the step from it
-    with the kinetic half-step, and the next step opens from it with the full
-    kinetic factor (the closing and opening halves fused).  At every record
-    point, the last step included, the two go through one inverse FFT of a
-    (2, n) batch, so every step makes one fft call and one ifft call; over S
-    steps with R record points after t = 0 that is 2S + 2 calls and
-    2S + 2 + R transforms.  numpy transforms a batch's rows together, at less
-    cost per row than a 1-D call.  The calls go to the module's _fft and _ifft,
-    read once per evolve call: numpy's pocketfft gufuncs with the factors 1 and
-    1/n that np.fft passes them, which skips np.fft's Python wrapper, a
-    sizeable part of a call at a few hundred points, and keeps its bytes.  The
-    result differs from unfused stepping by rounding only, and does not depend
-    on record_stride.  Every FFT, and the
-    drive factor, writes into buffers made once per call: the packet passed
-    in is never written, and the returned psi is a row of this call's own
-    (2, n) buffer, which a later call leaves alone.
+    step then takes one forward FFT, and the next step opens from its spectrum
+    f with the full kinetic factor (the closing and opening halves fused) and
+    one inverse FFT; the last step instead closes with the kinetic half-step.
+    A record point copies f into a slot of a (2, batch, n) ring, and the
+    rows' closed states are formed later, by one inverse FFT of a (k, n)
+    batch per hand-off (below).  So every step makes one fft call and one
+    ifft call; over S steps with R record points after t = 0, handed off in
+    H batches, that is 2S + 2 + H calls and 2S + 2 + R transforms.  Each row
+    of a (k, n) transform is bit for bit the 1-D transform of that row.  The
+    calls go to the module's _fft and _ifft, read once per evolve call:
+    numpy's pocketfft gufuncs with the factors 1 and 1/n that np.fft passes
+    them, which skips np.fft's Python wrapper, a sizeable part of a call at a
+    few hundred points, and keeps its bytes.  The result differs from
+    unfused stepping by rounding only, and does not depend on record_stride.
+    Every FFT, and the drive factor, writes into buffers made once per call:
+    the packet passed in is never written, and the returned psi is this
+    call's own buffer, which a later call leaves alone.
 
     Every recorded row, the t = 0 row included, goes through one check: the finiteness
     check of `observables`, the norm window [0.5, 2], and at most BAND_SHARE_MAX of
-    |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the spectrum in hand (a
+    |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the row's spectrum (a
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
-    has no kinetic limit).  The rows are checked in batches of _batch_rows(n): a record
-    point copies its closed state and band slice into buffers made once per call, and
-    one pass of _rows checks the pending rows when the batch is full, at the end of
-    each block of steps and at the last step; the t = 0 row is a batch of one.  A
-    checked row goes into a table made once per call, whose columns are returned.
+    has no kinetic limit).  The t = 0 row is checked on its own.  The later rows are
+    handed off in batches of up to _batch_rows(n): when a slot is full, at the end of
+    each block of steps and at the last step.  One checker handles each batch: it
+    closes the k spectra with kin_half and one (k, n) inverse FFT, and checks the rows
+    in one pass of _rows.  The checker runs in a child forked before the first step,
+    fed slot numbers and times over a pipe and sending the rows back over another,
+    while the steps go on, when this process may use a second CPU (see _cpus) and the
+    rows after t = 0 fill more than one batch and hold FORK_POINTS grid points or
+    more; the caller blocks only to refill a slot whose batch is still being checked.
+    Otherwise it runs in this process at each hand-off.  The checked rows go into a
+    table made once per call, whose columns are returned.  The child ends when its
+    pipe ends, after evolve has taken every batch, or by SIGTERM when evolve raises;
+    it is reaped on every path, so no process outlives the call.  A tracer in the
+    calling process does not see the child's work.
+
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
     or a sink factor exp(dt/tau) that overflows included, raises NumericalFailure
     naming its time, whose `partial` is the Observables of the rows recorded before
     it, empty if the t = 0 row fails.  A bad row is reported at its own time, after at
-    most one batch of further steps; a step that fails first checks the pending rows,
-    so an earlier bad row still wins.
+    most two hand-offs of further steps; a step that fails first hands off and checks
+    the pending rows, so an earlier bad row still wins.
     """
     g = w.grid
     # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
@@ -343,100 +461,150 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     cis_drive = np.empty((nb, 32), complex)
     drive_flat = cis_drive.ravel()[:g.n]
     f = np.empty(g.n, complex)
+    psi = np.empty(g.n, complex)
     # the factors np.fft passes: 1 forward, reciprocal(n) inverse, which is 1.0 / n to the bit
     fft, ifft, inv_n = _fft, _ifft, 1.0 / g.n
     j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
     j0, j1 = j[0], j[-1] + 1
-    # row 0: the closed state of a record point, row 1: the next step opened;
-    # closed_opened holds their spectra and states the states, which ifft
-    # writes (psi is states[1] throughout)
-    closed_opened = np.empty((2, g.n), complex)
-    states = np.empty((2, g.n), complex)
-    closed, psi = states
-    # the pending rows: their times, closed states and band slices of f
+    # the spectra of the recorded rows, two slots of a batch, shared with a forked checker;
+    # `pending` holds the times of the rows in the slot being filled, `handed` those of the
+    # slots handed to the child, oldest first
     batch = _batch_rows(g.n)
-    rows_psi = np.empty((batch, g.n), complex)
-    bands = np.empty((batch, j1 - j0), complex)
-    pending = []
+    n_rows = len(rows) - 1  # after t = 0
+    forked = n_rows > batch and n_rows * g.n >= FORK_POINTS and _cpus() > 1
+    shape = (2, batch, g.n)
+    spectra = _shared(shape) if forked else np.empty(shape, complex)
+    slot, pending, handed = 0, [], []
+    checker = closed = None
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
     feedback = d.bind(p) if d.kind == "conserving" else None
     done = 0
 
-    def flush():
-        """Check the pending rows in order, in one pass of _rows, and write them into rows."""
-        nonlocal done
-        k = len(pending)
-        checked = _rows(rows_psi[:k], pending, g, p, bands[:k])
-        for t_row in pending:
+    def check(s, ts):
+        """The checker: close the len(ts) spectra of slot s and check their rows; return
+        the rows before the first bad one and that row's message, or None."""
+        nonlocal closed
+        if closed is None:
+            closed = np.empty((batch, g.n), complex)
+        k = len(ts)
+        spec = spectra[s, :k]
+        band = spec[:, j0:j1].copy()
+        good = []
+        with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
+            ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=closed[:k])
             try:
-                rows[done] = next(checked)
+                for row in _rows(closed[:k], ts, g, p, band):
+                    good.append(row)
             except NumericalFailure as exc:
-                raise NumericalFailure(f"evolution aborted at t~{t_row}: {exc}",
-                                       partial=Observables(*rows[:done].T)) from exc
-            done += 1
+                return good, str(exc)
+        return good, None
+
+    def take(ts, result):
+        """Write a batch's checked rows into rows; raise its bad row at the row's own time."""
+        nonlocal done
+        good, message = result
+        if good:
+            rows[done:done + len(good)] = good
+            done += len(good)
+        if message is not None:
+            raise NumericalFailure(f"evolution aborted at t~{ts[len(good)]}: {message}",
+                                   partial=Observables(*rows[:done].T))
+
+    def hand_off():
+        """Hand the pending rows to the checker: the forked one, or this process's."""
+        nonlocal slot
+        ts = pending.copy()
         pending.clear()
+        if checker is None:
+            take(ts, check(slot, ts))
+        else:
+            checker.send(slot, ts)
+            handed.append(ts)
+            slot = 1 - slot
+
+    def collect():
+        """Take the result of the oldest batch handed to the child, waiting for it."""
+        ts = handed.pop(0)
+        take(ts, checker.receive(ts))
 
     t = w.t
-    # a step run past a bad row may overflow: that row's check reports it
-    with np.errstate(all="ignore"):
-        try:
-            # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+    try:
+        if forked:
             try:
-                sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
-            except OverflowError as exc:
-                raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
-                                       f"{dt * p.inv_tau:.3g}") from exc
-            fft(w.psi, 1.0, out=f)
-            rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
-            done = 1
-            ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
-            for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
-                for i, x_h in zip(block, xs_h):
-                    norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
-                    if not math.isfinite(norm):
-                        raise NumericalFailure(f"non-finite amplitudes at t={t}")
-                    if feedback:  # deltadot/delta from a backward difference of delta, 0 at first
-                        delta = math.sqrt(var)
-                        rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-                        x_h = feedback(t + 0.5 * dt, rate, xbar)
-                        prev_delta = delta
-                    c = drive_coef * x_h
-                    u2 *= -sink_gain / (2.0 * var)
-                    u2 += sink_const
-                    psi *= np.exp(u2, out=u2)
-                    psi *= cis_harmonic
-                    np.exp(np.multiply(c, ix, out=cis), out=cis)
-                    np.multiply(cis_blocks, cis_offsets, out=cis_drive)
-                    psi *= drive_flat
-                    fft(psi, 1.0, out=f)
-                    t = w.t + (i + 1) * dt
-                    if (i + 1) % record_stride == 0 or i == steps - 1:
-                        # complex a * b and b * a can differ in the last bit: f * kin_full is
-                        # the state f *= kin_full opens, so psi does not depend on record_stride
-                        np.multiply(kin_half, f, out=closed_opened[0])
-                        np.multiply(f, kin_full, out=closed_opened[1])
-                        ifft(closed_opened, inv_n, out=states)
-                        r = len(pending)
-                        rows_psi[r] = closed
-                        bands[r] = f[j0:j1]
-                        pending.append(t)
-                        if r + 1 == batch:
-                            flush()
-                    else:
-                        f *= kin_full
-                        ifft(f, inv_n, out=psi)
-                if pending:
-                    flush()
-        except NumericalFailure as exc:
-            if exc.partial is not None:  # a bad row, which flush reports at its own time
-                raise
-            if pending:  # an earlier bad row wins over this failure
-                flush()
-            raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
-                                   partial=Observables(*rows[:done].T)) from exc
-    return WavePacket(grid=g, psi=closed, t=t), Observables(*rows[:done].T)
+                checker = _Checker(check)
+            except OSError:  # no process or pipe to spare: check the rows here
+                pass
+        # a step run past a bad row may overflow: that row's check reports it
+        with np.errstate(all="ignore"):
+            try:
+                # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+                try:
+                    sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+                except OverflowError as exc:
+                    raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                                           f"{dt * p.inv_tau:.3g}") from exc
+                fft(w.psi, 1.0, out=f)
+                rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
+                done = 1
+                ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
+                for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
+                    for i, x_h in zip(block, xs_h):
+                        norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+                        if not math.isfinite(norm):
+                            raise NumericalFailure(f"non-finite amplitudes at t={t}")
+                        if feedback:  # deltadot/delta from a backward difference of delta
+                            delta = math.sqrt(var)
+                            rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+                            x_h = feedback(t + 0.5 * dt, rate, xbar)
+                            prev_delta = delta
+                        c = drive_coef * x_h
+                        u2 *= -sink_gain / (2.0 * var)
+                        u2 += sink_const
+                        psi *= np.exp(u2, out=u2)
+                        psi *= cis_harmonic
+                        np.exp(np.multiply(c, ix, out=cis), out=cis)
+                        np.multiply(cis_blocks, cis_offsets, out=cis_drive)
+                        psi *= drive_flat
+                        fft(psi, 1.0, out=f)
+                        t = w.t + (i + 1) * dt
+                        last = i == steps - 1
+                        if last or (i + 1) % record_stride == 0:
+                            if not pending and len(handed) == 2:  # the slot is being checked
+                                collect()
+                            spectra[slot, len(pending)] = f
+                            pending.append(t)
+                        if last:  # kin_half * f, in the operand order of the checker's
+                            ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
+                            hand_off()
+                        else:
+                            f *= kin_full
+                            ifft(f, inv_n, out=psi)
+                            if len(pending) == batch:
+                                hand_off()
+                    if pending:
+                        hand_off()
+                while handed:
+                    collect()
+            except NumericalFailure as exc:
+                if exc.partial is not None:  # a bad row, which take reports at its own time
+                    raise
+                if pending:  # an earlier bad row wins over this failure
+                    hand_off()
+                while handed:
+                    collect()
+                raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
+                                       partial=Observables(*rows[:done].T)) from exc
+    except BaseException:
+        if checker is not None:
+            checker.close(terminate=True)
+            checker = None
+        raise
+    finally:
+        if checker is not None:
+            checker.close(terminate=False)
+    return WavePacket(grid=g, psi=psi, t=t), Observables(*rows[:done].T)
 
 
 def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:

@@ -529,15 +529,49 @@ def test_write_csv_bytes(tmp_path):
 
 @pytest.mark.parametrize("command, name", [("run", "trajectory.csv"), ("verify", "report.json")])
 def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command, name):
-    # output.directory names an existing file: the write is one config error, no traceback
+    # output.directory names an existing file: resolve refuses it, one config error and
+    # no traceback; with the file gone the same command writes `name` there
     monkeypatch.setattr(cli, "CRITERIA", (fake_criterion("good", 1.0, 2.0),))
     out = tmp_path / "out"
     out.write_text("")
     cfg = base_ode_config(out)
     cfg["numerics"]["t_end"] = 0.1
-    assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main([command, path]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: cannot write {out / name}: {os.strerror(errno.EEXIST)}"]
+        f"config error: cannot write {out}: {os.strerror(errno.EEXIST)}"]
+    out.unlink()
+    assert main([command, path]) == 0
+    assert (out / name).is_file()
+
+
+# output.directory under a file (pde) or naming one (sweep): refused before any step
+@pytest.mark.parametrize("command, sub, code", [("run", "sub", errno.ENOTDIR),
+                                                ("sweep", "", errno.EEXIST)],
+                         ids=["pde", "sweep"])
+def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypatch,
+                                                      command, sub, code):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "evolve", no_run)
+    monkeypatch.setattr(cli, "integrate", no_run)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg = {"mode": "pde", "params": {"tau": 2.0},
+           "numerics": {"dt": 0.001, "t_end": 1.0, "grid": {"n": 64}},
+           "output": {"directory": str(out / sub)}}
+    argv = [command, write_config(tmp_path / "c.json", cfg)]
+    if command == "sweep":
+        argv += ["--param", "params.tau", "--values", "1,2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {out / sub}: {os.strerror(code)}"]
+    assert_no_child_left()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json", "out"]
+    assert out.read_text() == ""
 
 
 class TestOdeMode:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +43,22 @@ def count_ffts(mp, calls):
             calls.append((name, a.shape, fct, a.nbytes + out.nbytes))
             return fn(a, fct, out=out)
         mp.setattr(madelung, "_" + name, counted)
+
+
+def cpus(n):
+    """A stand-in for os.sched_getaffinity: a process allowed on n CPUs."""
+    return lambda pid: set(range(n))
+
+
+def forking(mp, n_cpus):
+    """Run evolve on n_cpus CPUs, its checker forked on two whatever the run's size."""
+    mp.setattr(os, "sched_getaffinity", cpus(n_cpus))
+    mp.setattr(madelung, "FORK_POINTS", 0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def np_fft(a, fct, out):
@@ -535,26 +553,29 @@ class TestEvolveStep:
                              ids=["sinusoid", "conserving"])
     def test_one_forward_fft_per_step_boundary(self, monkeypatch, drive):
         # one FFT pair opens step 1; each step then takes one forward FFT and one
-        # inverse FFT, which at every record point, the last step included,
-        # transforms the closed state and the next step's opened state as one
-        # (2, n) batch; checking the rows in batches of 32 (n = 256) or 4 adds none
+        # inverse FFT, which opens the next step or, at the last, closes the state;
+        # each hand-off of recorded rows adds one (k, n) inverse FFT that closes
+        # them: here one hand-off of the 6 rows or the last row, or two of 4 and 2
+        # rows in batches of 4 (the checker runs in this process, on one CPU)
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
-        for stride, batch, batched in ((1, 32, steps), (7, 32, 1), (1, 4, steps)):
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        for stride, batch, batches in ((1, 32, [6]), (7, 32, [1]), (1, 4, [4, 2])):
             calls.clear()
             with monkeypatch.context() as mp:
                 count_ffts(mp, calls)
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
                 evolve(w, self.P, drive, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
             names = [(name, shape) for name, shape, _, _ in calls]
-            assert len(calls) == 2 * steps + 2
+            assert len(calls) == 2 * steps + 2 + len(batches)
             assert names.count(("fft", (n,))) == steps + 1
-            assert names.count(("ifft", (2, n))) == batched
-            assert names.count(("ifft", (n,))) == steps + 1 - batched
+            assert names.count(("ifft", (n,))) == steps + 1
+            assert [shape for name, shape in names if len(shape) == 2] == \
+                [(k, n) for k in batches]
             # np.fft's factors, and the bytes in and out of 2S + 2 + R transforms
             assert {(name, fct) for name, _, fct, _ in calls} == {("fft", 1.0), ("ifft", 1 / n)}
-            assert sum(b for *_, b in calls) == 2 * 16 * n * (2 * steps + 2 + batched)
+            assert sum(b for *_, b in calls) == 2 * 16 * n * (2 * steps + 2 + sum(batches))
 
     # at stride 7 the last of the 50 steps falls between two record points
     @pytest.mark.parametrize("stride", [1, 7])
@@ -690,14 +711,16 @@ class TestRowBatch:
         assert fin_b.t == fin.t
         assert fin_b.psi.tobytes() == fin.psi.tobytes()
 
-    def failure(self, monkeypatch, batch, *args, **kwargs):
+    def failure(self, monkeypatch, batch, *args, n_cpus=1, **kwargs):
         """evolve's NumericalFailure as (message, partial), with `batch` rows a batch
-        (None: the default)."""
+        (None: the default), on n_cpus CPUs: two fork the checker.  No child is left."""
         with monkeypatch.context() as mp:
+            forking(mp, n_cpus)
             if batch is not None:
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
             with pytest.raises(NumericalFailure) as exc:
                 evolve(*args, **kwargs)
+        assert_no_child_left()
         return str(exc.value), exc.value.partial
 
     def test_unresolved_row_inside_a_batch(self, monkeypatch):
@@ -710,8 +733,10 @@ class TestRowBatch:
         message, partial = self.failure(monkeypatch, None, *args)
         assert message.startswith("evolution aborted at t~0.054: share 0.00104 of |psi|^2 ")
         assert len(partial) == 540
-        message_1, partial_1 = self.failure(monkeypatch, 1, *args)
-        assert (message_1, columns(partial_1)) == (message, columns(partial))
+        # the same with the checker forked, and in batches of one row
+        for batch, n_cpus in ((None, 2), (1, 1), (1, 2)):
+            message_1, partial_1 = self.failure(monkeypatch, batch, *args, n_cpus=n_cpus)
+            assert (message_1, columns(partial_1)) == (message, columns(partial))
 
     def test_bad_row_wins_over_a_later_step_failure(self, monkeypatch):
         # tau = 1e-3 with the phase curvature cancelled: the norm leaves [0.5, 2] by
@@ -727,8 +752,155 @@ class TestRowBatch:
         assert message.startswith("evolution aborted at t~0.02: norm ")
         assert message.endswith(" outside [0.5, 2] at t=0.02")
         assert len(partial) == 1
-        message_1, partial_1 = self.failure(monkeypatch, 1, w, p, ZERO, 0.02, 150)
-        assert (message_1, columns(partial_1)) == (message, columns(partial))
+        # the same with the checker forked, and in batches of one row or of 40, where
+        # the step fails while the child holds the bad row's batch and the next
+        for batch, n_cpus in ((None, 2), (1, 1), (1, 2), (40, 2)):
+            message_1, partial_1 = self.failure(monkeypatch, batch, w, p, ZERO, 0.02, 150,
+                                                n_cpus=n_cpus)
+            assert (message_1, columns(partial_1)) == (message, columns(partial))
+
+
+class TestChecker:
+    """evolve's recorded rows are closed and checked in (k, n) batches, in a forked
+    child when a second CPU is usable: the same bytes as on one CPU."""
+
+    P = PhysParams(tau=2.0, lam=1.0)
+    DRIVES = [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6), DriveSpec(kind="conserving")]
+
+    @staticmethod
+    def forks(mp):
+        """Patch os.fork to count into the returned list."""
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        mp.setattr(os, "fork", counting_fork)
+        return pids
+
+    # k up to _batch_rows(n): 128, 81, 32, 8 and 2 rows, 251 cases
+    @pytest.mark.parametrize("n", [64, 100, 256, 1024, 4096])
+    def test_batched_inverse_fft_rows_are_the_1d_rows(self, n):
+        g = Grid(-15, 17, n)
+        kin_half = madelung._setup(g, self.P, ZERO, g.dx * g.dx / np.pi, 1, 1)[0]
+        batch = madelung._batch_rows(n)
+        rng = np.random.default_rng(n)
+        spectra = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        closed = np.empty((batch, n), complex)
+        row = np.empty(n, complex)
+        for k in range(1, batch + 1):
+            madelung._ifft(kin_half * spectra[:k], 1 / n, out=closed[:k])
+            for spectrum, state in zip(spectra[:k], closed[:k]):
+                madelung._ifft(kin_half * spectrum, 1 / n, out=row)
+                assert state.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("drive", DRIVES, ids=["sinusoid", "conserving"])
+    def test_forked_checker_gives_the_inline_bytes(self, monkeypatch, drive):
+        # 700 steps at stride 1 hand off 22 batches of up to 32 rows
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        dt = g.dx * g.dx / np.pi
+        runs = {}
+        for n_cpus in (1, 2):
+            with monkeypatch.context() as mp:
+                forking(mp, n_cpus)
+                pids = self.forks(mp)
+                fin, obs = evolve(w, self.P, drive, dt, 700)
+            assert len(pids) == n_cpus - 1
+            assert_no_child_left()
+            runs[n_cpus] = (fin.psi.tobytes(), fin.t, columns(obs))
+        assert runs[2] == runs[1]
+        assert len(obs) == 701
+
+    def test_one_hand_off_runs_inline(self, monkeypatch):
+        # the 50 rows after t = 0 fit one batch of 128 (n = 64): nothing would overlap
+        g = Grid(1 - 16, 1 + 16, 64)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        forking(monkeypatch, 2)
+        pids = self.forks(monkeypatch)
+        _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, 50)
+        assert len(obs) == 51 and pids == []
+
+    @pytest.mark.parametrize("steps, stride, forked", [(299, 1, False), (300, 1, True),
+                                                       (597, 2, False), (599, 2, True)])
+    def test_the_checker_forks_from_fork_points(self, monkeypatch, steps, stride, forked):
+        # FORK_POINTS = 300 rows of 64 points, past the batch of 128 rows
+        g = Grid(1 - 16, 1 + 16, 64)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(madelung, "FORK_POINTS", 300 * 64)
+        pids = self.forks(monkeypatch)
+        _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, steps, record_stride=stride)
+        assert len(pids) == forked
+        assert_no_child_left()
+
+    def test_a_failed_fork_checks_the_rows_here(self, monkeypatch):
+        # a fork refused for want of processes leaves the run to the checker in this
+        # process, with the same bytes and the pipes closed
+        g = Grid(1 - 16, 1 + 16, 64)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        fin, obs = evolve(w, self.P, self.DRIVES[0], 0.01, 300)
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        forking(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        fin_2, obs_2 = evolve(w, self.P, self.DRIVES[0], 0.01, 300)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert (fin_2.psi.tobytes(), columns(obs_2)) == (fin.psi.tobytes(), columns(obs))
+
+    def test_a_failing_caller_terminates_the_child(self, monkeypatch):
+        # the caller's step raises at step 50, while the child checks the first batch
+        # of 32 rows, slowly: the child is terminated, not waited for
+        parent, calls = os.getpid(), []
+
+        def moments(*args):
+            calls.append(None)
+            if len(calls) == 50:
+                raise RuntimeError("moments failed")
+            return _moments(*args)
+
+        def rows(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return _rows(*args)
+
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        monkeypatch.setattr(madelung, "_moments", moments)
+        monkeypatch.setattr(madelung, "_rows", rows)
+        forking(monkeypatch, 2)
+        pids = self.forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="moments failed"):
+            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
+        assert time.monotonic() - start < 30
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    def test_a_checker_that_dies_is_an_error(self, monkeypatch):
+        parent, batches = os.getpid(), []
+
+        def rows(*args):
+            if os.getpid() != parent:
+                batches.append(None)  # the child's own copy of the list
+                if len(batches) == 2:
+                    os._exit(1)
+            return _rows(*args)
+
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        monkeypatch.setattr(madelung, "_rows", rows)
+        forking(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"^evolve's row checker \(process \d+\) ended "
+                                                r"before checking the rows at t="):
+            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
+        assert_no_child_left()
 
 
 def pushed(t_end, xbardot0=0.0):
@@ -775,10 +947,12 @@ def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, r
 
 def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
     # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
-    # opens with one FFT pair, then makes one fft and one ifft per step; a batched
-    # (2, n) ifft, one at each record point and so at the last step, moves the
-    # bytes of two 1-D calls; the ode runs make none
+    # opens with one FFT pair, then makes one fft and one ifft per step, 12 calls,
+    # and hands its 5 rows off once, to one (5, n) ifft that moves the bytes of five
+    # 1-D calls; the ode runs make none.  On one CPU the checker runs in this process.
     from ermakov_lab import cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
 
     ode = {"mode": "ode", "params": {"tau": 2.0},
            "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
@@ -799,5 +973,5 @@ def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
         assert cli.main(["run", write(name, cfg)]) == 0
     assert cli.main(["sweep", write("sweep", ode),
                      "--param", "params.tau", "--values", "1,2"]) == 0
-    assert len(calls) == 24
+    assert len(calls) == 26
     assert sum(b for *_, b in calls) == 69632
