@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 
-`sweep` runs its values on every CPU the process may use: the calling process
-and forked children, value j in process j mod W.  Each value's stderr is
-printed in value order once all values have finished.
+`sweep` runs its values on every CPU the process may use, value j in share
+j mod W: the calling process runs share 0, and each other share runs in a
+forked madelung._Worker, or in the calling process when the fork is refused.
+Each value's stderr is printed in value order once all values have finished.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _cpus, _fork, _setup, evolve, gaussian_packet
+from .madelung import Grid, _Worker, _cpus, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -416,57 +417,27 @@ def _run_share(runs: list[dict]) -> list:
     return reports
 
 
-def _processes(n_values: int) -> int:
-    """How many processes run a sweep's values: one per CPU this process may use (see
-    madelung._cpus), at most one per value."""
-    return min(n_values, _cpus())
-
-
-def _child(runs: list[dict], fd: int):
-    """A forked process's whole life: run its share, write the reports to the pipe `fd` as
-    JSON and exit, 0 after a whole report and 1 otherwise.  It never returns."""
-    status = 1
-    try:
-        with open(fd, "w") as pipe:
-            json.dump(_run_share(runs), pipe)
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(status)
-
-
 def _run_shares(runs: list[dict], w: int) -> list:
-    """The reports of each of `w` processes' shares, value j in process j mod w: the
-    caller runs share 0 and w - 1 forked children the rest.  A child that ended without a
-    whole report gives None.  Every child is reaped before this returns or raises; if the
-    caller's own share raises, the children are terminated first."""
-    children, statuses = [], []
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        for k in range(1, w):
-            rfd, wfd = os.pipe()
-            pid = _fork()
-            if pid == 0:
-                os.close(rfd)
-                _child(runs[k::w], wfd)
-            os.close(wfd)
-            children.append((pid, open(rfd)))
-        shares = [_run_share(runs[0::w])]
-        texts = [pipe.read() for _, pipe in children]
-    except BaseException:
-        import signal
+    """The reports of each of `w` shares, value j in share j mod w: the caller runs share 0
+    and hands each other share k to a forked madelung._Worker, or runs it itself, after
+    share 0, when the fork is refused.  A child that ended without a whole report gives
+    None.  Every child is reaped before this returns or raises; if the caller's own work
+    raises, the children are terminated first."""
+    def share(k):
+        return _run_share(runs[k::w])
 
-        for pid, _ in children:
-            os.kill(pid, signal.SIGTERM)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    return shares + [json.loads(text) if status == 0 else None
-                     for text, status in zip(texts, statuses)]
+    with contextlib.ExitStack() as children:
+        workers = {}
+        for k in range(1, w):
+            try:
+                workers[k] = children.enter_context(_Worker(share))
+            except OSError:  # no process or pipe to spare
+                continue
+            workers[k].send(k)
+            workers[k].end_tasks()  # so the child's exit overlaps the caller's work
+        reports = {k: share(k) for k in range(w) if k not in workers}
+        reports.update((k, worker.receive()) for k, worker in workers.items())
+    return [reports[k] for k in range(w)]
 
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
@@ -490,9 +461,10 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
             raise ConfigurationError(f"--values {runs[name][1]!r} and {v!r} "
                                      f"would both write {name}")
         r["output.directory"] = str(Path(r["output.directory"]) / name)
+        _makeable(r["output.directory"])
         runs[name] = (r, v)
     resolved = [r for r, _ in runs.values()]
-    w = _processes(len(resolved))
+    w = min(len(resolved), _cpus())
     shares = _run_shares(resolved, w)
     worst = 0
     for j in range(len(resolved)):

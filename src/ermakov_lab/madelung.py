@@ -17,7 +17,10 @@ are handed off in batches to a checker, which closes them with one (k, n)
 inverse FFT and checks them in one pass, into a table of columns.  On a
 second CPU, for a run with enough rows, the checker is a forked child that
 works while the steps go on; a bad row is then reported after at most two
-hand-offs of further steps.  X at each step's midpoint is read from
+hand-offs of further steps.  That child is a _Worker, the lab's one forked
+worker, which cli.sweep uses for its values' shares too: it answers each task
+sent over one pipe with a pickle over another, and a refused fork leaves the
+work to the caller.  X at each step's midpoint is read from
 DriveSpec.at tables made once per block of steps, or for the conserving
 kind is bind's function of the packet's deltadot/delta and mean.
 """
@@ -26,8 +29,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 import threading
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -292,84 +297,98 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork() -> int:
-    """os.fork(), without the warning Python >= 3.12 gives while native threads run (numpy's
-    BLAS pool, which is fork-safe); _cpus rules out a second Python thread."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                DeprecationWarning)
-        return os.fork()
+class _Worker:
+    """A forked process that answers each task the caller sends it, in order, with
+    answer(task), fixed at construction; the caller reads the answers back as pickles.
 
+    Forking or a pipe may raise OSError: the caller then does the work itself.  As a
+    context manager it closes on exit, terminating the child when the block raises."""
 
-class _Checker:
-    """A forked process that runs check(slot, ts) on every task the parent sends it, in
-    order, and sends each result back; it ends at the end of its task pipe."""
-
-    def __init__(self, check):
+    def __init__(self, answer):
         fds = []
         try:
             fds += os.pipe()
             fds += os.pipe()
-            self.pid = _fork()
+            sys.stdout.flush()  # or the child's own flush would write the parent's text too
+            sys.stderr.flush()
+            # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
+            # fork-safe); _cpus rules out a second Python thread
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
         except BaseException:
             for fd in fds:
                 os.close(fd)
             raise
         if self.pid == 0:
-            _serve(check, *fds)
+            _serve(answer, *fds)
         tasks_r, tasks_w, results_r, results_w = fds
         os.close(tasks_r)
         os.close(results_w)
         self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
 
-    def send(self, slot: int, ts: list) -> None:
+    def send(self, task) -> None:
         try:
-            pickle.dump((slot, ts), self.tasks)
+            pickle.dump(task, self.tasks)
             self.tasks.flush()
-        except BrokenPipeError:
-            raise self.ended(ts) from None
+        except BrokenPipeError:  # the child has ended: receive reports it
+            pass
 
-    def receive(self, ts: list):
+    def receive(self):
+        """The answer to the oldest task not yet received, waiting for it; None when the
+        child ended without it."""
         try:
             return pickle.load(self.results)
         except (EOFError, pickle.UnpicklingError):
-            raise self.ended(ts) from None
+            return None
 
-    def ended(self, ts: list) -> RuntimeError:
-        return RuntimeError(f"evolve's row checker (process {self.pid}) ended before "
-                            f"checking the rows at t={ts[0]}..{ts[-1]}")
+    def end_tasks(self) -> None:
+        """Send no more tasks: the child exits once it has answered those sent."""
+        try:
+            self.tasks.close()
+        except OSError:  # unsent bytes of a task to a child that has ended
+            pass
 
     def close(self, terminate: bool) -> None:
-        """End the process, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
+        """End the child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
         if terminate:
             import signal
 
             os.kill(self.pid, signal.SIGTERM)
-        for pipe in (self.tasks, self.results):
-            try:
-                pipe.close()
-            except OSError:  # unsent bytes of a task to a process that has ended
-                pass
+        self.end_tasks()
+        self.results.close()
         os.waitpid(self.pid, 0)
 
+    def __enter__(self):
+        return self
 
-def _serve(check, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
-    """A forked checker's whole life: answer each task until the pipe ends, then exit, 0 at
-    that end and 1 otherwise.  It never returns."""
+    def __exit__(self, exc_type, *_):
+        self.close(terminate=exc_type is not None)
+
+
+def _serve(answer, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
+    """A forked worker's whole life: answer each task until the task pipe ends, then exit,
+    0 at that end and 1, after printing the traceback to stderr, otherwise.  It never
+    returns."""
     status = 1
     try:
         os.close(tasks_w)
         os.close(results_r)
-        with open(tasks_r, "rb") as tasks, open(results_w, "wb") as results:
-            while True:
-                try:
-                    slot, ts = pickle.load(tasks)
-                except EOFError:
-                    break
-                pickle.dump(check(slot, ts), results)
-                results.flush()
+        # left open to os._exit: the caller sees the end only after the traceback
+        tasks, results = open(tasks_r, "rb"), open(results_w, "wb")
+        while True:
+            try:
+                task = pickle.load(tasks)
+            except EOFError:
+                break
+            pickle.dump(answer(task), results)
+            results.flush()
         status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
     finally:
+        sys.stderr.flush()
         os._exit(status)
 
 
@@ -428,16 +447,16 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     handed off in batches of up to _batch_rows(n): when a slot is full, at the end of
     each block of steps and at the last step.  One checker handles each batch: it
     closes the k spectra with kin_half and one (k, n) inverse FFT, and checks the rows
-    in one pass of _rows.  The checker runs in a child forked before the first step,
-    fed slot numbers and times over a pipe and sending the rows back over another,
-    while the steps go on, when this process may use a second CPU (see _cpus) and the
-    rows after t = 0 fill more than one batch and hold FORK_POINTS grid points or
-    more; the caller blocks only to refill a slot whose batch is still being checked.
-    Otherwise it runs in this process at each hand-off.  The checked rows go into a
-    table made once per call, whose columns are returned.  The child ends when its
-    pipe ends, after evolve has taken every batch, or by SIGTERM when evolve raises;
-    it is reaped on every path, so no process outlives the call.  A tracer in the
-    calling process does not see the child's work.
+    in one pass of _rows.  The checker runs in a _Worker forked before the first step,
+    sent slot numbers and times and answering with the rows, while the steps go on,
+    when this process may use a second CPU (see _cpus) and the rows after t = 0 fill
+    more than one batch and hold FORK_POINTS grid points or more; the caller blocks
+    only to refill a slot whose batch is still being checked.  Otherwise, or when the
+    fork is refused, it runs in this process at each hand-off.  The checked rows go
+    into a table made once per call, whose columns are returned.  The child ends when
+    its task pipe ends, after evolve has taken every batch, or by SIGTERM when evolve
+    raises; it is reaped on every path, so no process outlives the call.  A tracer in
+    the calling process does not see the child's work.
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
@@ -520,20 +539,24 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         if checker is None:
             take(ts, check(slot, ts))
         else:
-            checker.send(slot, ts)
+            checker.send((slot, ts))
             handed.append(ts)
             slot = 1 - slot
 
     def collect():
         """Take the result of the oldest batch handed to the child, waiting for it."""
         ts = handed.pop(0)
-        take(ts, checker.receive(ts))
+        result = checker.receive()
+        if result is None:
+            raise RuntimeError(f"evolve's row checker (process {checker.pid}) ended before "
+                               f"checking the rows at t={ts[0]}..{ts[-1]}")
+        take(ts, result)
 
     t = w.t
-    try:
+    with ExitStack() as workers:  # the forked checker, closed on every path
         if forked:
             try:
-                checker = _Checker(check)
+                checker = workers.enter_context(_Worker(lambda task: check(*task)))
             except OSError:  # no process or pipe to spare: check the rows here
                 pass
         # a step run past a bad row may overflow: that row's check reports it
@@ -596,14 +619,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                     collect()
                 raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
                                        partial=Observables(*rows[:done].T)) from exc
-    except BaseException:
-        if checker is not None:
-            checker.close(terminate=True)
-            checker = None
-        raise
-    finally:
-        if checker is not None:
-            checker.close(terminate=False)
     return WavePacket(grid=g, psi=psi, t=t), Observables(*rows[:done].T)
 
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, count_forks, cpus
 from ermakov_lab import cli
 from ermakov_lab.cli import main
 from ermakov_lab.criteria import CRITERIA
@@ -922,11 +923,6 @@ class TestVerifyMode:
             [f"criterion_{i}" for i in range(1, 11)]
 
 
-def cpus(n):
-    """A stand-in for os.sched_getaffinity: a process allowed on n CPUs."""
-    return lambda pid: set(range(n))
-
-
 def files(root):
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
             if f.is_file()}
@@ -934,11 +930,6 @@ def files(root):
 
 def no_fork():
     raise AssertionError("os.fork was called")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # Sweeps with failing values: omega_m t and freq t overflow after the first step.
@@ -987,14 +978,7 @@ class TestSweep:
     @pytest.mark.parametrize("case", FAILING_SWEEPS)
     def test_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, case, w):
         cfg, param, values, failures = FAILING_SWEEPS[case]
-        forks, fork = [], os.fork
-
-        def counting_fork():
-            pid = fork()
-            forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = count_forks(monkeypatch)
         seen = {}
         for n in (1, w):
             monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
@@ -1070,8 +1054,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("w", [1, 2])
     def test_unwritable_output_is_one_config_error(self, tmp_path, capsys, monkeypatch, w):
-        # the second value's directory is a file: at W = 2 a forked child runs that
-        # value and reports the error, which is the one line in either case
+        # the second value's directory is a file: the sweep refuses it while resolving,
+        # before any run or fork, as the one line in either case
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(w))
         out = tmp_path / "out"
         out.mkdir()
@@ -1081,10 +1066,38 @@ class TestSweep:
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: cannot write {out / 'tau_2' / 'trajectory.csv'}: "
-            f"{os.strerror(errno.EEXIST)}"]
+            f"config error: cannot write {out / 'tau_2'}: {os.strerror(errno.EEXIST)}"]
         assert_no_child_left()
-        assert (out / "tau_1" / "trajectory.csv").is_file()
+        assert not (out / "tau_1").exists()
+
+    # W = 2 and 3 with every fork refused, and W = 3 with the second refused
+    @pytest.mark.parametrize("w, allowed", [(2, 0), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("case", FAILING_SWEEPS)
+    def test_a_refused_fork_runs_the_share_here(self, tmp_path, capsys, monkeypatch, case,
+                                                w, allowed):
+        cfg, param, values, _ = FAILING_SWEEPS[case]
+        pids, fork = [], os.fork
+
+        def refusing_fork():
+            if len(pids) == allowed:
+                raise BlockingIOError("fork refused")
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        seen = {}
+        for n in (1, w):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
+            out = tmp_path / f"w{n}"
+            path = write_config(tmp_path / f"w{n}.json",
+                                dict(cfg, output={"directory": str(out)}))
+            fds = len(os.listdir("/proc/self/fd"))
+            code = main(["sweep", path, "--param", param, "--values", values])
+            assert len(os.listdir("/proc/self/fd")) == fds
+            seen[n] = (code, capsys.readouterr().err, files(out))
+            assert_no_child_left()
+        assert len(pids) == allowed
+        assert seen[w] == seen[1]
 
     def test_one_value_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", no_fork)

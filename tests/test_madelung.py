@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, count_forks, cpus
 from ermakov_lab import (
     DriveSpec,
     ErmakovState,
@@ -45,20 +46,10 @@ def count_ffts(mp, calls):
         mp.setattr(madelung, "_" + name, counted)
 
 
-def cpus(n):
-    """A stand-in for os.sched_getaffinity: a process allowed on n CPUs."""
-    return lambda pid: set(range(n))
-
-
 def forking(mp, n_cpus):
     """Run evolve on n_cpus CPUs, its checker forked on two whatever the run's size."""
     mp.setattr(os, "sched_getaffinity", cpus(n_cpus))
     mp.setattr(madelung, "FORK_POINTS", 0)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def np_fft(a, fct, out):
@@ -767,19 +758,6 @@ class TestChecker:
     P = PhysParams(tau=2.0, lam=1.0)
     DRIVES = [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6), DriveSpec(kind="conserving")]
 
-    @staticmethod
-    def forks(mp):
-        """Patch os.fork to count into the returned list."""
-        pids, fork = [], os.fork
-
-        def counting_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        mp.setattr(os, "fork", counting_fork)
-        return pids
-
     # k up to _batch_rows(n): 128, 81, 32, 8 and 2 rows, 251 cases
     @pytest.mark.parametrize("n", [64, 100, 256, 1024, 4096])
     def test_batched_inverse_fft_rows_are_the_1d_rows(self, n):
@@ -806,7 +784,7 @@ class TestChecker:
         for n_cpus in (1, 2):
             with monkeypatch.context() as mp:
                 forking(mp, n_cpus)
-                pids = self.forks(mp)
+                pids = count_forks(mp)
                 fin, obs = evolve(w, self.P, drive, dt, 700)
             assert len(pids) == n_cpus - 1
             assert_no_child_left()
@@ -819,7 +797,7 @@ class TestChecker:
         g = Grid(1 - 16, 1 + 16, 64)
         w = gaussian_packet(g, 1.0, 1.0, p=self.P)
         forking(monkeypatch, 2)
-        pids = self.forks(monkeypatch)
+        pids = count_forks(monkeypatch)
         _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, 50)
         assert len(obs) == 51 and pids == []
 
@@ -831,7 +809,7 @@ class TestChecker:
         w = gaussian_packet(g, 1.0, 1.0, p=self.P)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(madelung, "FORK_POINTS", 300 * 64)
-        pids = self.forks(monkeypatch)
+        pids = count_forks(monkeypatch)
         _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, steps, record_stride=stride)
         assert len(pids) == forked
         assert_no_child_left()
@@ -875,7 +853,7 @@ class TestChecker:
         monkeypatch.setattr(madelung, "_moments", moments)
         monkeypatch.setattr(madelung, "_rows", rows)
         forking(monkeypatch, 2)
-        pids = self.forks(monkeypatch)
+        pids = count_forks(monkeypatch)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="moments failed"):
             evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
@@ -901,6 +879,26 @@ class TestChecker:
                                                 r"before checking the rows at t="):
             evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
         assert_no_child_left()
+
+    def test_a_checker_that_raises_prints_its_traceback(self, monkeypatch, capfd):
+        parent = os.getpid()
+
+        def rows(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("rows failed in the checker")
+            return _rows(*args)
+
+        g = Grid(1 - 16, 1 + 16, 256)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        monkeypatch.setattr(madelung, "_rows", rows)
+        forking(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"^evolve's row checker \(process \d+\) ended "
+                                                r"before checking the rows at t="):
+            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: rows failed in the checker\n")
 
 
 def pushed(t_end, xbardot0=0.0):
