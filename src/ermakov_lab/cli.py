@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 
 `sweep` runs its values on every CPU the process may use, value j in share
-j mod W: the calling process runs share 0, and each other share runs in a
-forked madelung._Worker, or in the calling process when the fork is refused.
+j mod W, each share the task of one madelung._Worker: share 0 runs in the
+calling process, and each other share in a forked child, or in the calling
+process after share 0 when the fork is refused.
 Each value's stderr is printed in value order once all values have finished.
 """
 from __future__ import annotations
@@ -133,7 +134,9 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+    except OSError as exc:  # a file that cannot be read: EACCES, or EIO from a special file
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too long int, deep nesting
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -293,14 +296,19 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def run_ode(r: dict) -> int:
+def _integrate(r: dict, x: str = "xbar"):
+    """The ode side of an ode/compare run, its centroid read from init.<x>0 and <x>dot0."""
     params, drive = _build(r)
-    classical = r["system"] == "classical"
-    x = "q" if classical else "xbar"
     init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
                         r[f"init.{x}0"], r[f"init.{x}dot0"])
-    traj = integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
+    return integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
                      dt=r["numerics.dt"], stride=r["output.stride"])
+
+
+def run_ode(r: dict) -> int:
+    classical = r["system"] == "classical"
+    x = "q" if classical else "xbar"
+    traj = _integrate(r, x)
     width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
     centroid = {x: traj.x, x + "dot": traj.xdot}
     coords = {**centroid, **width} if classical else {**width, **centroid}
@@ -321,16 +329,15 @@ def _packet(r: dict, params: PhysParams):
 
 
 def _evolve(r: dict):
-    """The pde side of a pde/compare run: (params, drive, final packet, observables)."""
+    """The pde side of a pde/compare run: (final packet, observables)."""
     params, drive = _build(r)
-    final, obs = evolve(_packet(r, params), params, drive, r["numerics.dt"], _steps(r),
-                        record_stride=r["output.stride"])
-    return params, drive, final, obs
+    return evolve(_packet(r, params), params, drive, r["numerics.dt"], _steps(r),
+                  record_stride=r["output.stride"])
 
 
 def run_pde(r: dict) -> int:
     out = Path(r["output.directory"])
-    _, _, final, obs = _evolve(r)
+    final, obs = _evolve(r)
     cols = vars(obs)
     write_csv(out / "observables.csv", list(cols), zip(*cols.values()))
     if r["output.snapshots"]:
@@ -342,11 +349,8 @@ def run_pde(r: dict) -> int:
 
 
 def run_compare(r: dict) -> int:
-    params, drive, _, obs = _evolve(r)
-    init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
-                        r["init.xbar0"], r["init.xbardot0"])
-    traj = integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
-                     dt=r["numerics.dt"], stride=r["output.stride"])
+    _, obs = _evolve(r)
+    traj = _integrate(r)
     cols = {"t": obs.t, "xbar_pde": obs.xbar, "xbar_ode": traj.x,
             "xbar_diff": obs.xbar - traj.x, "delta_pde": obs.delta,
             "delta_ode": traj.delta, "delta_diff": obs.delta - traj.delta,
@@ -418,33 +422,28 @@ def _run_share(runs: list[dict]) -> list:
 
 
 def _run_shares(runs: list[dict], w: int) -> list:
-    """The reports of each of `w` shares, value j in share j mod w: the caller runs share 0
-    and hands each other share k to a forked madelung._Worker, or runs it itself, after
-    share 0, when the fork is refused.  A child that ended without a whole report gives
-    None.  Every child is reaped before this returns or raises; if the caller's own work
-    raises, the children are terminated first."""
+    """The reports of each of `w` shares, value j in share j mod w, share k the task of
+    the k-th madelung._Worker: the first answers in the caller, the others in forked
+    children, or in the caller, after share 0, when a fork is refused.  A child that
+    ended without a whole report gives None.  Every child is reaped before this returns
+    or raises; if the caller's own work raises, the children are terminated first."""
     def share(k):
         return _run_share(runs[k::w])
 
     with contextlib.ExitStack() as children:
-        workers = {}
-        for k in range(1, w):
-            try:
-                workers[k] = children.enter_context(_Worker(share))
-            except OSError:  # no process or pipe to spare
-                continue
+        workers = []
+        for k in range(w):
+            workers.append(children.enter_context(_Worker(share, k > 0)))
             workers[k].send(k)
-            workers[k].end_tasks()  # so the child's exit overlaps the caller's work
-        reports = {k: share(k) for k in range(w) if k not in workers}
-        reports.update((k, worker.receive()) for k, worker in workers.items())
-    return [reports[k] for k in range(w)]
+            workers[k].end_tasks()  # so a child's exit overlaps the caller's work
+        return [worker.receive() for worker in workers]
 
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
     """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
     return the worst exit code.  Every value is resolved before the first run, so no value,
     a bad one, or two that would write one directory, is a config error that runs nothing.
-    The values then run over W = min(values, usable CPUs) processes (see _run_shares), and
+    The values then run in W = min(values, usable CPUs) shares (see _run_shares), and
     each value's stderr is printed in value order after all have finished; a run's config
     error is raised in value order, after the stderr of the values before it."""
     if not values:

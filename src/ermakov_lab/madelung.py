@@ -14,15 +14,15 @@ factor 1 or 1/n: the same bytes, less the wrapper's Python work per call
 (norm, dtypes, axis, out's shape), a sizeable part of a call at a few
 hundred points.  A record point keeps the step's spectrum; the recorded rows
 are handed off in batches to a checker, which closes them with one (k, n)
-inverse FFT and checks them in one pass, into a table of columns.  On a
-second CPU, for a run with enough rows, the checker is a forked child that
-works while the steps go on; a bad row is then reported after at most two
-hand-offs of further steps.  That child is a _Worker, the lab's one forked
-worker, which cli.sweep uses for its values' shares too: it answers each task
-sent over one pipe with a pickle over another, and a refused fork leaves the
-work to the caller.  X at each step's midpoint is read from
-DriveSpec.at tables made once per block of steps, or for the conserving
-kind is bind's function of the packet's deltadot/delta and mean.
+inverse FFT and checks them in one pass, into a table of columns.  The
+checker is a _Worker, the lab's one worker, which cli.sweep uses for its
+values' shares too: it answers each task in order, in a forked child while
+the caller goes on, or in the calling process when the caller collects the
+answer.  A run with enough rows forks it on a second CPU; either way a bad
+row is reported after at most two hand-offs of further steps.  X at each
+step's midpoint is read from DriveSpec.at tables made once per block of
+steps, or for the conserving kind is bind's function of the packet's
+deltadot/delta and mean.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import pickle
 import sys
 import threading
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -298,13 +297,16 @@ def _cpus() -> int:
 
 
 class _Worker:
-    """A forked process that answers each task the caller sends it, in order, with
-    answer(task), fixed at construction; the caller reads the answers back as pickles.
+    """Answers each task the caller sends, in order, with answer(task), fixed at
+    construction: in a forked child while the caller goes on, the answers read back as
+    pickles, given `fork` and a second CPU (see _cpus); otherwise, or when os.pipe or
+    os.fork raises OSError, in the calling process, each at its `receive`.  As a context
+    manager it closes on exit, terminating a child when the block raises."""
 
-    Forking or a pipe may raise OSError: the caller then does the work itself.  As a
-    context manager it closes on exit, terminating the child when the block raises."""
-
-    def __init__(self, answer):
+    def __init__(self, answer, fork: bool):
+        self.answer, self.queued, self.pid = answer, [], None
+        if not fork or _cpus() == 1:
+            return
         fds = []
         try:
             fds += os.pipe()
@@ -317,9 +319,11 @@ class _Worker:
                 warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                         DeprecationWarning)
                 self.pid = os.fork()
-        except BaseException:
+        except BaseException as exc:
             for fd in fds:
                 os.close(fd)
+            if isinstance(exc, OSError):  # no process or pipe to spare: answer here
+                return
             raise
         if self.pid == 0:
             _serve(answer, *fds)
@@ -329,6 +333,9 @@ class _Worker:
         self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
 
     def send(self, task) -> None:
+        if self.pid is None:
+            self.queued.append(task)
+            return
         try:
             pickle.dump(task, self.tasks)
             self.tasks.flush()
@@ -338,20 +345,25 @@ class _Worker:
     def receive(self):
         """The answer to the oldest task not yet received, waiting for it; None when the
         child ended without it."""
+        if self.pid is None:
+            return self.answer(self.queued.pop(0))
         try:
             return pickle.load(self.results)
         except (EOFError, pickle.UnpicklingError):
             return None
 
     def end_tasks(self) -> None:
-        """Send no more tasks: the child exits once it has answered those sent."""
+        """Send no more tasks: a child exits once it has answered those sent."""
         try:
-            self.tasks.close()
+            if self.pid is not None:
+                self.tasks.close()
         except OSError:  # unsent bytes of a task to a child that has ended
             pass
 
     def close(self, terminate: bool) -> None:
-        """End the child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
+        """End a child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
+        if self.pid is None:
+            return
         if terminate:
             import signal
 
@@ -445,26 +457,27 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
     has no kinetic limit).  The t = 0 row is checked on its own.  The later rows are
     handed off in batches of up to _batch_rows(n): when a slot is full, at the end of
-    each block of steps and at the last step.  One checker handles each batch: it
-    closes the k spectra with kin_half and one (k, n) inverse FFT, and checks the rows
-    in one pass of _rows.  The checker runs in a _Worker forked before the first step,
-    sent slot numbers and times and answering with the rows, while the steps go on,
-    when this process may use a second CPU (see _cpus) and the rows after t = 0 fill
-    more than one batch and hold FORK_POINTS grid points or more; the caller blocks
-    only to refill a slot whose batch is still being checked.  Otherwise, or when the
-    fork is refused, it runs in this process at each hand-off.  The checked rows go
-    into a table made once per call, whose columns are returned.  The child ends when
-    its task pipe ends, after evolve has taken every batch, or by SIGTERM when evolve
-    raises; it is reaped on every path, so no process outlives the call.  A tracer in
-    the calling process does not see the child's work.
+    each block of steps and at the last step.  Each batch is a task of one checker, a
+    _Worker sent slot numbers and times and answering with the rows: it closes the k
+    spectra with kin_half and one (k, n) inverse FFT, and checks the rows in one pass
+    of _rows.  evolve collects a batch's rows to refill its slot, and after the last
+    step.  The checker is forked before the first step, and works while the steps go
+    on, when the rows after t = 0 fill more than one batch and hold FORK_POINTS grid
+    points or more and this process may use a second CPU (see _cpus); otherwise, or
+    when the fork is refused, it checks each batch in this process as evolve collects
+    it.  The checked rows go into a table made once per call, whose columns are
+    returned.  A forked child ends when its task pipe ends, after evolve has taken
+    every batch, or by SIGTERM when evolve raises; it is reaped on every path, so no
+    process outlives the call.  A tracer in the calling process does not see a
+    child's work.
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
     or a sink factor exp(dt/tau) that overflows included, raises NumericalFailure
     naming its time, whose `partial` is the Observables of the rows recorded before
     it, empty if the t = 0 row fails.  A bad row is reported at its own time, after at
-    most two hand-offs of further steps; a step that fails first hands off and checks
-    the pending rows, so an earlier bad row still wins.
+    most two hand-offs of further steps, whether the checker forked or not; a step that
+    fails first hands off and checks the pending rows, so an earlier bad row still wins.
     """
     g = w.grid
     # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
@@ -487,14 +500,12 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     j0, j1 = j[0], j[-1] + 1
     # the spectra of the recorded rows, two slots of a batch, shared with a forked checker;
     # `pending` holds the times of the rows in the slot being filled, `handed` those of the
-    # slots handed to the child, oldest first
+    # slots handed to the checker, oldest first
     batch = _batch_rows(g.n)
     n_rows = len(rows) - 1  # after t = 0
-    forked = n_rows > batch and n_rows * g.n >= FORK_POINTS and _cpus() > 1
-    shape = (2, batch, g.n)
-    spectra = _shared(shape) if forked else np.empty(shape, complex)
+    spectra = _shared((2, batch, g.n))
     slot, pending, handed = 0, [], []
-    checker = closed = None
+    closed = None
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
@@ -520,9 +531,23 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 return good, str(exc)
         return good, None
 
-    def take(ts, result):
-        """Write a batch's checked rows into rows; raise its bad row at the row's own time."""
+    def hand_off():
+        """Hand the pending rows to the checker, and fill the other slot next."""
+        nonlocal slot
+        handed.append(pending.copy())
+        checker.send((slot, handed[-1]))
+        pending.clear()
+        slot = 1 - slot
+
+    def collect():
+        """Write the oldest handed batch's checked rows into rows, waiting for them; raise
+        its bad row at the row's own time."""
         nonlocal done
+        ts = handed.pop(0)
+        result = checker.receive()
+        if result is None:
+            raise RuntimeError(f"evolve's row checker (process {checker.pid}) ended before "
+                               f"checking the rows at t={ts[0]}..{ts[-1]}")
         good, message = result
         if good:
             rows[done:done + len(good)] = good
@@ -531,34 +556,9 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             raise NumericalFailure(f"evolution aborted at t~{ts[len(good)]}: {message}",
                                    partial=Observables(*rows[:done].T))
 
-    def hand_off():
-        """Hand the pending rows to the checker: the forked one, or this process's."""
-        nonlocal slot
-        ts = pending.copy()
-        pending.clear()
-        if checker is None:
-            take(ts, check(slot, ts))
-        else:
-            checker.send((slot, ts))
-            handed.append(ts)
-            slot = 1 - slot
-
-    def collect():
-        """Take the result of the oldest batch handed to the child, waiting for it."""
-        ts = handed.pop(0)
-        result = checker.receive()
-        if result is None:
-            raise RuntimeError(f"evolve's row checker (process {checker.pid}) ended before "
-                               f"checking the rows at t={ts[0]}..{ts[-1]}")
-        take(ts, result)
-
     t = w.t
-    with ExitStack() as workers:  # the forked checker, closed on every path
-        if forked:
-            try:
-                checker = workers.enter_context(_Worker(lambda task: check(*task)))
-            except OSError:  # no process or pipe to spare: check the rows here
-                pass
+    fork = n_rows > batch and n_rows * g.n >= FORK_POINTS
+    with _Worker(lambda task: check(*task), fork) as checker:  # closed on every path
         # a step run past a bad row may overflow: that row's check reports it
         with np.errstate(all="ignore"):
             try:
@@ -611,7 +611,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 while handed:
                     collect()
             except NumericalFailure as exc:
-                if exc.partial is not None:  # a bad row, which take reports at its own time
+                if exc.partial is not None:  # a bad row, which collect reports at its own time
                     raise
                 if pending:  # an earlier bad row wins over this failure
                     hand_off()

@@ -100,6 +100,9 @@ class TestConfigValidation:
         pytest.param("[1, 2]", "config root must be a JSON object", id="list-root"),
         pytest.param('{"params": 3}', "config section 'params' must be an object",
                      id="number-section"),
+        # past the decoder's recursion limit, which raises RecursionError
+        pytest.param('{"a": ' * 100000 + "1" + "}" * 100000, "config is not valid JSON",
+                     id="nested-too-deep"),
     ])
     def test_malformed_config_file(self, tmp_path, capsys, text, message):
         p = tmp_path / "c.json"
@@ -107,6 +110,19 @@ class TestConfigValidation:
         assert main(["run", str(p)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: " + message)
+
+    def test_unreadable_config_file(self, tmp_path, capsys, monkeypatch):
+        # a read refused as for a file without read permission (chmod does not stop a
+        # read by root, so the refusal is patched in)
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        p = tmp_path / "c.json"
+        p.write_text("{}")
+        monkeypatch.setattr(cli.Path, "read_text", refused)
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot read config {p}: {os.strerror(errno.EACCES)}"]
 
     @pytest.mark.parametrize("mode", ["ode", "pde", "compare"])
     def test_conserving_drive_without_coupling(self, tmp_path, capsys, mode):

@@ -751,6 +751,45 @@ class TestRowBatch:
             assert (message_1, columns(partial_1)) == (message, columns(partial))
 
 
+class TestWorker:
+    """A _Worker that does not fork answers each task in this process, at its receive."""
+
+    @pytest.mark.parametrize("case", ["fork-false", "one-cpu", "fork-refused"])
+    def test_answers_in_this_process(self, monkeypatch, case):
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
+        if case == "fork-refused":
+            monkeypatch.setattr(os, "fork", no_fork)
+        pids = count_forks(monkeypatch)
+        fork = case != "fork-false"
+        answered = []
+
+        def answer(task):
+            answered.append(task)
+            return task * task
+
+        fds = len(os.listdir("/proc/self/fd"))
+        with madelung._Worker(answer, fork) as worker:
+            for task in (3, 1, 2):
+                worker.send(task)
+            worker.end_tasks()
+            assert answered == []
+            for i, square in enumerate((9, 1, 4)):
+                assert worker.receive() == square
+                assert answered == [3, 1, 2][:i + 1]
+        # a block that raises leaves by that exception alone, its task unanswered
+        with pytest.raises(KeyError, match="caller failed"):
+            with madelung._Worker(answer, fork) as worker:
+                worker.send(5)
+                raise KeyError("caller failed")
+        assert answered == [3, 1, 2]
+        assert pids == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+
+
 class TestChecker:
     """evolve's recorded rows are closed and checked in (k, n) batches, in a forked
     child when a second CPU is usable: the same bytes as on one CPU."""
