@@ -12,8 +12,10 @@ failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 `sweep` runs its values on every CPU the process may use, value j in share
 j mod W, each share the task of one madelung._Worker: share 0 runs in the
 calling process, and each other share in a forked child, or in the calling
-process after share 0 when the fork is refused.
-Each value's stderr is printed in value order once all values have finished.
+process after share 0 when the fork is refused.  A bad value found while resolving
+runs nothing; otherwise every value runs and ends as `run` ends on its config, its
+stderr printed in value order once all have finished, and the sweep exits with the
+largest code.
 """
 from __future__ import annotations
 
@@ -130,8 +132,9 @@ _FIELDS = {
 def load_config(path) -> dict:
     """The config file as a dict; resolve() validates it."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
+    if not p.is_file():  # not opened: reading a FIFO with no writer would block
+        raise ConfigurationError(f"{path} is not a regular file" if p.exists()
+                                 else f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text())
     except OSError as exc:  # a file that cannot be read: EACCES, or EIO from a special file
@@ -385,9 +388,14 @@ _MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare}
 
 
 def _run_mode(run, *args) -> int:
-    """run(*args); a numerical failure is one stderr line and exit 2."""
+    """run(*args), the one place a failure raised during a run is reported: a config
+    error (an artifact that cannot be written) is one stderr line and exit 1, a
+    numerical failure one stderr line and exit 2."""
     try:
         return run(*args)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -404,29 +412,21 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
 
 
 def _run_share(runs: list[dict]) -> list:
-    """Run resolved values in order, each with its stderr captured, into one report per
-    value: [exit code, stderr text, None], or [1, stderr text, message] for a value that
-    raised a ConfigurationError, which ends the share as it ends a serial sweep."""
+    """Run every resolved value in order, each through _run_mode as `run` runs it and
+    with its stderr captured, into one (exit code, stderr text) per value."""
     reports = []
     for r in runs:
-        err, message, code = io.StringIO(), None, 1
-        with contextlib.redirect_stderr(err):
-            try:
-                code = _run_mode(_MODES[r["mode"]], r)
-            except ConfigurationError as exc:
-                message = str(exc)
-        reports.append([code, err.getvalue(), message])
-        if message is not None:
-            break
+        with contextlib.redirect_stderr(err := io.StringIO()):
+            reports.append((_run_mode(_MODES[r["mode"]], r), err.getvalue()))
     return reports
 
 
 def _run_shares(runs: list[dict], w: int) -> list:
-    """The reports of each of `w` shares, value j in share j mod w, share k the task of
-    the k-th madelung._Worker: the first answers in the caller, the others in forked
-    children, or in the caller, after share 0, when a fork is refused.  A child that
-    ended without a whole report gives None.  Every child is reaped before this returns
-    or raises; if the caller's own work raises, the children are terminated first."""
+    """The reports of each of `w` shares (see _run_share), value j in share j mod w, share
+    k the task of the k-th madelung._Worker: the first answers in the caller, the others
+    in forked children, or in the caller, after share 0, when a fork is refused.  A child
+    that ended without a whole report gives None.  Every child is reaped before this
+    returns or raises; if the caller's own work raises, the children are terminated first."""
     def share(k):
         return _run_share(runs[k::w])
 
@@ -441,11 +441,11 @@ def _run_shares(runs: list[dict], w: int) -> list:
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
     """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
-    return the worst exit code.  Every value is resolved before the first run, so no value,
-    a bad one, or two that would write one directory, is a config error that runs nothing.
-    The values then run in W = min(values, usable CPUs) shares (see _run_shares), and
-    each value's stderr is printed in value order after all have finished; a run's config
-    error is raised in value order, after the stderr of the values before it."""
+    return the largest exit code.  Every value is resolved before the first run, so no
+    value, a bad one, or two that would write one directory, is a config error that runs
+    nothing.  Then every value runs, in W = min(values, usable CPUs) shares (see
+    _run_shares), ending as `run` ends on its config, and its stderr is printed in value
+    order after all have finished: the outputs of one process, whatever W."""
     if not values:
         raise ConfigurationError("--values lists no value")
     base_cfg = load_config(config_path)
@@ -471,10 +471,8 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
         if share is None:
             raise RuntimeError(f"the sweep process of values {values[j % w::w]} "
                                "ended without a report")
-        code, err, message = share[j // w]
+        code, err = share[j // w]
         sys.stderr.write(err)
-        if message is not None:
-            raise ConfigurationError(message)
         worst = max(worst, code)
     return worst
 
@@ -505,12 +503,12 @@ def main(argv=None) -> int:
             return sweep(args.config, args.param, values)
         cfg = load_config(args.config)
         r = resolve(cfg)
-        if args.command == "verify":
-            return _run_mode(run_verify, r, cfg)
-        return _run_mode(_MODES[r["mode"]], r)
-    except ConfigurationError as exc:
+    except ConfigurationError as exc:  # before a run: _run_mode reports a run's own
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "verify":
+        return _run_mode(run_verify, r, cfg)
+    return _run_mode(_MODES[r["mode"]], r)
 
 
 if __name__ == "__main__":

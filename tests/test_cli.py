@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from conftest import assert_no_child_left, count_forks, cpus
 from ermakov_lab import cli
 from ermakov_lab.cli import main
 from ermakov_lab.criteria import CRITERIA
-from ermakov_lab.errors import ConfigurationError
+from ermakov_lab.errors import ConfigurationError, NumericalFailure
 
 
 def write_config(path, cfg):
@@ -85,8 +86,22 @@ class TestConfigValidation:
         assert code == 1
         assert "tua" in capsys.readouterr().err
 
-    def test_missing_file(self, tmp_path):
-        assert main(["run", str(tmp_path / "nope.json")]) == 1
+    def test_missing_file(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.json")
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: config file not found: {path}"]
+
+    @pytest.mark.parametrize("kind", ["dev-null", "directory", "fifo"])
+    def test_config_path_that_is_not_a_regular_file(self, tmp_path, capsys, kind):
+        # refused without opening it: reading a FIFO that no process writes would block
+        path = {"dev-null": os.devnull, "directory": str(tmp_path)}.get(kind)
+        if path is None:
+            path = str(tmp_path / "c.json")
+            os.mkfifo(path)
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {path} is not a regular file"]
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -1010,12 +1025,23 @@ class TestSweep:
         assert code == 2 and err.count("numerical failure: ") == failures
         assert len(csvs) == len(values.split(",")) - failures
 
-    def test_config_error_of_a_run_is_raised_in_value_order(self, tmp_path, capsys,
-                                                             monkeypatch):
+    # every value runs and ends as `run` would end on it; the sweep exits with the
+    # largest code, so a numerical failure (2) outranks a config error (1)
+    @pytest.mark.parametrize("failures, code, err", [
+        pytest.param({2: ConfigurationError, 4: ConfigurationError}, 1,
+                     "ran tau 1\nconfig error: refused tau 2\n"
+                     "ran tau 3\nconfig error: refused tau 4\n", id="config-errors"),
+        pytest.param({2: NumericalFailure, 3: ConfigurationError}, 2,
+                     "ran tau 1\nnumerical failure: refused tau 2\n"
+                     "config error: refused tau 3\nran tau 4\n", id="and-numerical"),
+    ])
+    def test_config_error_of_a_run_is_reported_in_value_order(self, tmp_path, capsys,
+                                                              monkeypatch, failures,
+                                                              code, err):
         def run(r):
             tau = r["params.tau"]
-            if tau in (2, 4):
-                raise ConfigurationError(f"refused tau {tau:g}")
+            if tau in failures:
+                raise failures[tau](f"refused tau {tau:g}")
             print(f"ran tau {tau:g}", file=sys.stderr)
             return 0
 
@@ -1024,9 +1050,30 @@ class TestSweep:
         for n in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
             assert main(["sweep", path, "--param", "params.tau",
-                         "--values", "1,2,3,4"]) == 1
-            assert capsys.readouterr().err == "ran tau 1\nconfig error: refused tau 2\n"
+                         "--values", "1,2,3,4"]) == code
+            assert capsys.readouterr().err == err
             assert_no_child_left()
+
+    def test_an_unwritable_artifact_stops_no_other_value(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the second value's CSV path is a directory: only its write fails, after its
+        # run, and the sweep's outputs are the same on any number of CPUs
+        out = tmp_path / "out"
+        cfg = base_ode_config(out)
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        seen = {}
+        for n in (1, 2, 3):
+            shutil.rmtree(out, ignore_errors=True)
+            (out / "tau_2" / "trajectory.csv").mkdir(parents=True)
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
+            code = main(["sweep", path, "--param", "params.tau", "--values", "1,2,3,4"])
+            seen[n] = (code, capsys.readouterr().err, files(out))
+            assert_no_child_left()
+        assert seen[2] == seen[1] and seen[3] == seen[1]
+        assert seen[1][:2] == (1, f"config error: cannot write {out}/tau_2/trajectory.csv: "
+                                  f"{os.strerror(errno.EISDIR)}\n")
+        assert sorted(seen[1][2]) == [f"tau_{v}/trajectory.csv" for v in (1, 3, 4)]
 
     def test_a_child_that_ends_without_a_report_is_an_error(self, tmp_path, monkeypatch):
         parent, run_share = os.getpid(), cli._run_share
