@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 
 `sweep` runs its values on every CPU the process may use, value j in share
-j mod W, each share the task of one madelung._Worker: share 0 runs in the
-calling process, and each other share in a forked child, or in the calling
-process after share 0 when the fork is refused.  A bad value found while resolving
-runs nothing; otherwise every value runs and ends as `run` ends on its config, its
-stderr printed in value order once all have finished, and the sweep exits with the
-largest code.
+j mod W, each share the task of one _Worker, the lab's only process code: share
+0 runs in the calling process, and each other share in a forked child, or in the
+calling process after share 0 when the fork is refused.  A bad value found while
+resolving runs nothing; otherwise every value runs and ends as `run` ends on its
+config, its stderr printed in value order once all have finished, and the sweep
+exits with the largest code.
 """
 from __future__ import annotations
 
@@ -27,8 +27,11 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _Worker, _cpus, _setup, evolve, gaussian_packet
+from .madelung import Grid, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -411,6 +414,124 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
     node[parts[-1]] = value
 
 
+def _cpus() -> int:
+    """CPUs this process may use for forked workers: one when os.fork or os.sched_getaffinity
+    is missing, or while a second thread runs, since forking a threaded process can deadlock."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Worker:
+    """Answers each task the caller sends, in order, with answer(task), fixed at
+    construction: in a forked child while the caller goes on, the answers read back as
+    pickles, given `fork` and a second CPU (see _cpus); otherwise, or when os.pipe or
+    os.fork raises OSError, in the calling process, each at its `receive`.  As a context
+    manager it closes on exit, terminating a child when the block raises."""
+
+    def __init__(self, answer, fork: bool):
+        self.answer, self.queued, self.pid = answer, [], None
+        if not fork or _cpus() == 1:
+            return
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            sys.stdout.flush()  # or the child's own flush would write the parent's text too
+            sys.stderr.flush()
+            # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
+            # fork-safe); _cpus rules out a second Python thread
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException as exc:
+            for fd in fds:
+                os.close(fd)
+            if isinstance(exc, OSError):  # no process or pipe to spare: answer here
+                return
+            raise
+        if self.pid == 0:
+            _serve(answer, *fds)
+        tasks_r, tasks_w, results_r, results_w = fds
+        os.close(tasks_r)
+        os.close(results_w)
+        self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
+
+    def send(self, task) -> None:
+        if self.pid is None:
+            self.queued.append(task)
+            return
+        try:
+            pickle.dump(task, self.tasks)
+            self.tasks.flush()
+        except BrokenPipeError:  # the child has ended: receive reports it
+            pass
+
+    def receive(self):
+        """The answer to the oldest task not yet received, waiting for it; None when the
+        child ended without it."""
+        if self.pid is None:
+            return self.answer(self.queued.pop(0))
+        try:
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            return None
+
+    def end_tasks(self) -> None:
+        """Send no more tasks: a child exits once it has answered those sent."""
+        try:
+            if self.pid is not None:
+                self.tasks.close()
+        except OSError:  # unsent bytes of a task to a child that has ended
+            pass
+
+    def close(self, terminate: bool) -> None:
+        """End a child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
+        if self.pid is None:
+            return
+        if terminate:
+            import signal
+
+            os.kill(self.pid, signal.SIGTERM)
+        self.end_tasks()
+        self.results.close()
+        os.waitpid(self.pid, 0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        self.close(terminate=exc_type is not None)
+
+
+def _serve(answer, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
+    """A forked worker's whole life: answer each task until the task pipe ends, then exit,
+    0 at that end and 1, after printing the traceback to stderr, otherwise.  It never
+    returns."""
+    status = 1
+    try:
+        os.close(tasks_w)
+        os.close(results_r)
+        # left open to os._exit: the caller sees the end only after the traceback
+        tasks, results = open(tasks_r, "rb"), open(results_w, "wb")
+        while True:
+            try:
+                task = pickle.load(tasks)
+            except EOFError:
+                break
+            pickle.dump(answer(task), results)
+            results.flush()
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
+
+
+
 def _run_share(runs: list[dict]) -> list:
     """Run every resolved value in order, each through _run_mode as `run` runs it and
     with its stderr captured, into one (exit code, stderr text) per value."""
@@ -423,8 +544,8 @@ def _run_share(runs: list[dict]) -> list:
 
 def _run_shares(runs: list[dict], w: int) -> list:
     """The reports of each of `w` shares (see _run_share), value j in share j mod w, share
-    k the task of the k-th madelung._Worker: the first answers in the caller, the others
-    in forked children, or in the caller, after share 0, when a fork is refused.  A child
+    k the task of the k-th _Worker: the first answers in the caller, the others in
+    forked children, or in the caller, after share 0, when a fork is refused.  A child
     that ended without a whole report gives None.  Every child is reaped before this
     returns or raises; if the caller's own work raises, the children are terminated first."""
     def share(k):

@@ -13,13 +13,9 @@ to the numpy pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's
 factor 1 or 1/n: the same bytes, less the wrapper's Python work per call
 (norm, dtypes, axis, out's shape), a sizeable part of a call at a few
 hundred points.  A record point keeps the step's spectrum; the recorded rows
-are handed off in batches to a checker, which closes them with one (k, n)
-inverse FFT and checks them in one pass, into a table of columns.  The
-checker is a _Worker, the lab's one worker, which cli.sweep uses for its
-values' shares too: it answers each task in order, in a forked child while
-the caller goes on, or in the calling process when the caller collects the
-answer.  A run with enough rows forks it on a second CPU; either way a bad
-row is reported after at most two hand-offs of further steps.  X at each
+are checked in batches, in the calling process, each closed with one (k, n)
+inverse FFT and checked in one pass, into a table of columns, so a bad row
+is reported at the check of its own batch, before any later step.  X at each
 step's midpoint is read from DriveSpec.at tables made once per block of
 steps, or for the conserving kind is bind's function of the packet's
 deltadot/delta and mean.
@@ -27,11 +23,6 @@ deltadot/delta and mean.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
-import threading
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -52,10 +43,6 @@ BAND_EDGE = 0.9
 
 #: Grid points of recorded rows that evolve checks as one batch.
 ROW_POINTS = 8192
-
-#: Grid points of recorded rows after t = 0 from which evolve checks them in a forked
-#: child: below it the fork costs more than the overlap saves.
-FORK_POINTS = 1 << 19
 
 
 @dataclass(eq=False)
@@ -287,130 +274,6 @@ def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_s
         raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
 
 
-def _cpus() -> int:
-    """CPUs this process may use for forked workers: one when os.fork or os.sched_getaffinity
-    is missing, or while a second thread runs, since forking a threaded process can deadlock."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-class _Worker:
-    """Answers each task the caller sends, in order, with answer(task), fixed at
-    construction: in a forked child while the caller goes on, the answers read back as
-    pickles, given `fork` and a second CPU (see _cpus); otherwise, or when os.pipe or
-    os.fork raises OSError, in the calling process, each at its `receive`.  As a context
-    manager it closes on exit, terminating a child when the block raises."""
-
-    def __init__(self, answer, fork: bool):
-        self.answer, self.queued, self.pid = answer, [], None
-        if not fork or _cpus() == 1:
-            return
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            sys.stdout.flush()  # or the child's own flush would write the parent's text too
-            sys.stderr.flush()
-            # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
-            # fork-safe); _cpus rules out a second Python thread
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                        DeprecationWarning)
-                self.pid = os.fork()
-        except BaseException as exc:
-            for fd in fds:
-                os.close(fd)
-            if isinstance(exc, OSError):  # no process or pipe to spare: answer here
-                return
-            raise
-        if self.pid == 0:
-            _serve(answer, *fds)
-        tasks_r, tasks_w, results_r, results_w = fds
-        os.close(tasks_r)
-        os.close(results_w)
-        self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
-
-    def send(self, task) -> None:
-        if self.pid is None:
-            self.queued.append(task)
-            return
-        try:
-            pickle.dump(task, self.tasks)
-            self.tasks.flush()
-        except BrokenPipeError:  # the child has ended: receive reports it
-            pass
-
-    def receive(self):
-        """The answer to the oldest task not yet received, waiting for it; None when the
-        child ended without it."""
-        if self.pid is None:
-            return self.answer(self.queued.pop(0))
-        try:
-            return pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):
-            return None
-
-    def end_tasks(self) -> None:
-        """Send no more tasks: a child exits once it has answered those sent."""
-        try:
-            if self.pid is not None:
-                self.tasks.close()
-        except OSError:  # unsent bytes of a task to a child that has ended
-            pass
-
-    def close(self, terminate: bool) -> None:
-        """End a child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
-        if self.pid is None:
-            return
-        if terminate:
-            import signal
-
-            os.kill(self.pid, signal.SIGTERM)
-        self.end_tasks()
-        self.results.close()
-        os.waitpid(self.pid, 0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        self.close(terminate=exc_type is not None)
-
-
-def _serve(answer, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
-    """A forked worker's whole life: answer each task until the task pipe ends, then exit,
-    0 at that end and 1, after printing the traceback to stderr, otherwise.  It never
-    returns."""
-    status = 1
-    try:
-        os.close(tasks_w)
-        os.close(results_r)
-        # left open to os._exit: the caller sees the end only after the traceback
-        tasks, results = open(tasks_r, "rb"), open(results_w, "wb")
-        while True:
-            try:
-                task = pickle.load(tasks)
-            except EOFError:
-                break
-            pickle.dump(answer(task), results)
-            results.flush()
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-    finally:
-        sys.stderr.flush()
-        os._exit(status)
-
-
-def _shared(shape: tuple) -> np.ndarray:
-    """An empty complex array in an anonymous shared mapping, which a forked child shares."""
-    import mmap
-
-    return np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), complex).reshape(shape)
-
-
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
            dt: float, steps: int, record_stride: int = 1
            ) -> tuple[WavePacket, Observables]:
@@ -436,48 +299,38 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     step then takes one forward FFT, and the next step opens from its spectrum
     f with the full kinetic factor (the closing and opening halves fused) and
     one inverse FFT; the last step instead closes with the kinetic half-step.
-    A record point copies f into a slot of a (2, batch, n) ring, and the
-    rows' closed states are formed later, by one inverse FFT of a (k, n)
-    batch per hand-off (below).  So every step makes one fft call and one
-    ifft call; over S steps with R record points after t = 0, handed off in
-    H batches, that is 2S + 2 + H calls and 2S + 2 + R transforms.  Each row
-    of a (k, n) transform is bit for bit the 1-D transform of that row.  The
-    calls go to the module's _fft and _ifft, read once per evolve call:
-    numpy's pocketfft gufuncs with the factors 1 and 1/n that np.fft passes
-    them, which skips np.fft's Python wrapper, a sizeable part of a call at a
-    few hundred points, and keeps its bytes.  The result differs from
-    unfused stepping by rounding only, and does not depend on record_stride.
-    Every FFT, and the drive factor, writes into buffers made once per call:
-    the packet passed in is never written, and the returned psi is this
-    call's own buffer, which a later call leaves alone.
+    A record point copies f into a (batch, n) buffer, and the rows' closed
+    states are formed at their batch's check (below), by one inverse FFT of
+    the (k, n) batch.  So every step makes one fft call and one ifft call;
+    over S steps with R record points after t = 0, checked in H batches, that
+    is 2S + 2 + H calls and 2S + 2 + R transforms.  Each row of a (k, n)
+    transform is bit for bit the 1-D transform of that row.  The calls go to
+    the module's _fft and _ifft, read once per evolve call: numpy's pocketfft
+    gufuncs with the factors 1 and 1/n that np.fft passes them, which skips
+    np.fft's Python wrapper, a sizeable part of a call at a few hundred
+    points, and keeps its bytes.  The result differs from unfused stepping by
+    rounding only, and does not depend on record_stride.  Every FFT, and the
+    drive factor, writes into buffers made once per call: the packet passed
+    in is never written, and the returned psi is this call's own buffer,
+    which a later call leaves alone.
 
     Every recorded row, the t = 0 row included, goes through one check: the finiteness
     check of `observables`, the norm window [0.5, 2], and at most BAND_SHARE_MAX of
     |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the row's spectrum (a
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
     has no kinetic limit).  The t = 0 row is checked on its own.  The later rows are
-    handed off in batches of up to _batch_rows(n): when a slot is full, at the end of
-    each block of steps and at the last step.  Each batch is a task of one checker, a
-    _Worker sent slot numbers and times and answering with the rows: it closes the k
-    spectra with kin_half and one (k, n) inverse FFT, and checks the rows in one pass
-    of _rows.  evolve collects a batch's rows to refill its slot, and after the last
-    step.  The checker is forked before the first step, and works while the steps go
-    on, when the rows after t = 0 fill more than one batch and hold FORK_POINTS grid
-    points or more and this process may use a second CPU (see _cpus); otherwise, or
-    when the fork is refused, it checks each batch in this process as evolve collects
-    it.  The checked rows go into a table made once per call, whose columns are
-    returned.  A forked child ends when its task pipe ends, after evolve has taken
-    every batch, or by SIGTERM when evolve raises; it is reaped on every path, so no
-    process outlives the call.  A tracer in the calling process does not see a
-    child's work.
+    checked in batches of up to _batch_rows(n), in this process: when the buffer is
+    full, at the end of each block of steps and at the last step.  A check closes the
+    k spectra with kin_half and one (k, n) inverse FFT, checks the rows in one pass of
+    _rows, and writes them into a table made once per call, whose columns are returned.
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
     or a sink factor exp(dt/tau) that overflows included, raises NumericalFailure
     naming its time, whose `partial` is the Observables of the rows recorded before
-    it, empty if the t = 0 row fails.  A bad row is reported at its own time, after at
-    most two hand-offs of further steps, whether the checker forked or not; a step that
-    fails first hands off and checks the pending rows, so an earlier bad row still wins.
+    it, empty if the t = 0 row fails.  A bad row is reported at its own time, at the
+    check of its batch, before any later step; a step that fails first checks the
+    pending rows, so an earlier bad row still wins.
     """
     g = w.grid
     # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
@@ -498,127 +351,89 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     fft, ifft, inv_n = _fft, _ifft, 1.0 / g.n
     j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
     j0, j1 = j[0], j[-1] + 1
-    # the spectra of the recorded rows, two slots of a batch, shared with a forked checker;
-    # `pending` holds the times of the rows in the slot being filled, `handed` those of the
-    # slots handed to the checker, oldest first
+    # the spectra of the recorded rows not yet checked, at the times `pending`
     batch = _batch_rows(g.n)
-    n_rows = len(rows) - 1  # after t = 0
-    spectra = _shared((2, batch, g.n))
-    slot, pending, handed = 0, [], []
-    closed = None
+    spectra = np.empty((batch, g.n), complex)
+    closed = np.empty((batch, g.n), complex)
+    pending = []
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
     feedback = d.bind(p) if d.kind == "conserving" else None
     done = 0
 
-    def check(s, ts):
-        """The checker: close the len(ts) spectra of slot s and check their rows; return
-        the rows before the first bad one and that row's message, or None."""
-        nonlocal closed
-        if closed is None:
-            closed = np.empty((batch, g.n), complex)
-        k = len(ts)
-        spec = spectra[s, :k]
-        band = spec[:, j0:j1].copy()
-        good = []
-        with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
-            ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=closed[:k])
-            try:
-                for row in _rows(closed[:k], ts, g, p, band):
-                    good.append(row)
-            except NumericalFailure as exc:
-                return good, str(exc)
-        return good, None
-
-    def hand_off():
-        """Hand the pending rows to the checker, and fill the other slot next."""
-        nonlocal slot
-        handed.append(pending.copy())
-        checker.send((slot, handed[-1]))
-        pending.clear()
-        slot = 1 - slot
-
-    def collect():
-        """Write the oldest handed batch's checked rows into rows, waiting for them; raise
-        its bad row at the row's own time."""
+    def check():
+        """Close the pending rows' spectra and check their rows into `rows`; raise the
+        first bad row at its own time."""
         nonlocal done
-        ts = handed.pop(0)
-        result = checker.receive()
-        if result is None:
-            raise RuntimeError(f"evolve's row checker (process {checker.pid}) ended before "
-                               f"checking the rows at t={ts[0]}..{ts[-1]}")
-        good, message = result
-        if good:
-            rows[done:done + len(good)] = good
-            done += len(good)
-        if message is not None:
-            raise NumericalFailure(f"evolution aborted at t~{ts[len(good)]}: {message}",
-                                   partial=Observables(*rows[:done].T))
+        k, first = len(pending), done
+        spec = spectra[:k]
+        band = spec[:, j0:j1].copy()
+        ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=closed[:k])
+        try:
+            for row in _rows(closed[:k], pending, g, p, band):
+                rows[done] = row
+                done += 1
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"evolution aborted at t~{pending[done - first]}: {exc}",
+                                   partial=Observables(*rows[:done].T)) from None
+        pending.clear()
 
     t = w.t
-    fork = n_rows > batch and n_rows * g.n >= FORK_POINTS
-    with _Worker(lambda task: check(*task), fork) as checker:  # closed on every path
-        # a step run past a bad row may overflow: that row's check reports it
-        with np.errstate(all="ignore"):
+    # a step run past a bad row may overflow: that row's check reports it
+    with np.errstate(all="ignore"):
+        try:
+            # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
             try:
-                # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
-                try:
-                    sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
-                except OverflowError as exc:
-                    raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
-                                           f"{dt * p.inv_tau:.3g}") from exc
-                fft(w.psi, 1.0, out=f)
-                rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
-                done = 1
-                ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
-                for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
-                    for i, x_h in zip(block, xs_h):
-                        norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
-                        if not math.isfinite(norm):
-                            raise NumericalFailure(f"non-finite amplitudes at t={t}")
-                        if feedback:  # deltadot/delta from a backward difference of delta
-                            delta = math.sqrt(var)
-                            rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
-                            x_h = feedback(t + 0.5 * dt, rate, xbar)
-                            prev_delta = delta
-                        c = drive_coef * x_h
-                        u2 *= -sink_gain / (2.0 * var)
-                        u2 += sink_const
-                        psi *= np.exp(u2, out=u2)
-                        psi *= cis_harmonic
-                        np.exp(np.multiply(c, ix, out=cis), out=cis)
-                        np.multiply(cis_blocks, cis_offsets, out=cis_drive)
-                        psi *= drive_flat
-                        fft(psi, 1.0, out=f)
-                        t = w.t + (i + 1) * dt
-                        last = i == steps - 1
-                        if last or (i + 1) % record_stride == 0:
-                            if not pending and len(handed) == 2:  # the slot is being checked
-                                collect()
-                            spectra[slot, len(pending)] = f
-                            pending.append(t)
-                        if last:  # kin_half * f, in the operand order of the checker's
-                            ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
-                            hand_off()
-                        else:
-                            f *= kin_full
-                            ifft(f, inv_n, out=psi)
-                            if len(pending) == batch:
-                                hand_off()
-                    if pending:
-                        hand_off()
-                while handed:
-                    collect()
-            except NumericalFailure as exc:
-                if exc.partial is not None:  # a bad row, which collect reports at its own time
-                    raise
-                if pending:  # an earlier bad row wins over this failure
-                    hand_off()
-                while handed:
-                    collect()
-                raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
-                                       partial=Observables(*rows[:done].T)) from exc
+                sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+            except OverflowError as exc:
+                raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                                       f"{dt * p.inv_tau:.3g}") from exc
+            fft(w.psi, 1.0, out=f)
+            rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
+            done = 1
+            ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
+            for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
+                for i, x_h in zip(block, xs_h):
+                    norm, xbar, u2, var, _ = _moments(psi, x, g.dx)
+                    if not math.isfinite(norm):
+                        raise NumericalFailure(f"non-finite amplitudes at t={t}")
+                    if feedback:  # deltadot/delta from a backward difference of delta
+                        delta = math.sqrt(var)
+                        rate = (delta - prev_delta) / dt / delta if i > 0 else 0.0
+                        x_h = feedback(t + 0.5 * dt, rate, xbar)
+                        prev_delta = delta
+                    c = drive_coef * x_h
+                    u2 *= -sink_gain / (2.0 * var)
+                    u2 += sink_const
+                    psi *= np.exp(u2, out=u2)
+                    psi *= cis_harmonic
+                    np.exp(np.multiply(c, ix, out=cis), out=cis)
+                    np.multiply(cis_blocks, cis_offsets, out=cis_drive)
+                    psi *= drive_flat
+                    fft(psi, 1.0, out=f)
+                    t = w.t + (i + 1) * dt
+                    last = i == steps - 1
+                    if last or (i + 1) % record_stride == 0:
+                        spectra[len(pending)] = f
+                        pending.append(t)
+                    if last:  # kin_half * f, in the operand order of check's
+                        ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
+                        check()
+                    else:
+                        f *= kin_full
+                        ifft(f, inv_n, out=psi)
+                        if len(pending) == batch:
+                            check()
+                if pending:
+                    check()
+        except NumericalFailure as exc:
+            if exc.partial is not None:  # a bad row, which check reports at its own time
+                raise
+            if pending:  # an earlier bad row wins over this failure
+                check()
+            raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
+                                   partial=Observables(*rows[:done].T)) from exc
     return WavePacket(grid=g, psi=psi, t=t), Observables(*rows[:done].T)
 
 

@@ -1093,6 +1093,26 @@ class TestSweep:
         assert_no_child_left()
         assert [d.name for d in (tmp_path / "out").iterdir()] == ["tau_1"]
 
+    def test_a_share_that_raises_prints_its_traceback(self, tmp_path, monkeypatch, capfd):
+        parent, run_share = os.getpid(), cli._run_share
+
+        def share(runs):
+            if os.getpid() != parent:
+                raise RuntimeError("share failed in the child")
+            return run_share(runs)
+
+        monkeypatch.setattr(cli, "_run_share", share)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        with pytest.raises(RuntimeError, match=r"values \[2\.0\] ended without a report"):
+            main(["sweep", path, "--param", "params.tau", "--values", "1,2"])
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: share failed in the child\n")
+
     def test_a_failing_own_share_terminates_the_children(self, tmp_path, monkeypatch):
         parent = os.getpid()
 
@@ -1186,3 +1206,42 @@ class TestSweep:
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert sorted(d.name for d in (tmp_path / "out").iterdir()) == ["tau_1", "tau_2"]
+
+
+class TestWorker:
+    """A _Worker that does not fork answers each task in this process, at its receive."""
+
+    @pytest.mark.parametrize("case", ["fork-false", "one-cpu", "fork-refused"])
+    def test_answers_in_this_process(self, monkeypatch, case):
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
+        if case == "fork-refused":
+            monkeypatch.setattr(os, "fork", no_fork)
+        pids = count_forks(monkeypatch)
+        fork = case != "fork-false"
+        answered = []
+
+        def answer(task):
+            answered.append(task)
+            return task * task
+
+        fds = len(os.listdir("/proc/self/fd"))
+        with cli._Worker(answer, fork) as worker:
+            for task in (3, 1, 2):
+                worker.send(task)
+            worker.end_tasks()
+            assert answered == []
+            for i, square in enumerate((9, 1, 4)):
+                assert worker.receive() == square
+                assert answered == [3, 1, 2][:i + 1]
+        # a block that raises leaves by that exception alone, its task unanswered
+        with pytest.raises(KeyError, match="caller failed"):
+            with cli._Worker(answer, fork) as worker:
+                worker.send(5)
+                raise KeyError("caller failed")
+        assert answered == [3, 1, 2]
+        assert pids == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()

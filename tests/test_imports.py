@@ -1,5 +1,5 @@
-"""The package's source read with `ast`: its internal import graph, and the
-modules written without `**`.
+"""The package's source read with `ast`: its internal import graph, the
+modules written without `**`, and those that import no process code.
 
 No module is imported here: the graph is built from every `import` and
 `from ... import` statement in src/ermakov_lab, including those inside
@@ -66,3 +66,16 @@ def test_solver_modules_have_no_power_operator():
         powers = [n.lineno for n in ast.walk(tree)
                   if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
         assert powers == [], f"{mod}.py uses ** on lines {powers}"
+
+
+def test_only_cli_starts_processes():
+    # the solver modules import no process, pipe, shared-memory, signal or thread
+    # code: the sweep's workers in cli are the lab's only processes
+    banned = {"os", "pickle", "mmap", "signal", "threading"}
+    for mod in ("params", "ermakov", "madelung"):
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        names = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names}
+        names |= {n.module.split(".")[0] for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.level == 0}
+        assert not names & banned, f"{mod}.py imports {sorted(names & banned)}"

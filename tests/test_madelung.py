@@ -1,12 +1,9 @@
 import json
 import math
-import os
-import time
 
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, count_forks, cpus
 from ermakov_lab import (
     DriveSpec,
     ErmakovState,
@@ -44,12 +41,6 @@ def count_ffts(mp, calls):
             calls.append((name, a.shape, fct, a.nbytes + out.nbytes))
             return fn(a, fct, out=out)
         mp.setattr(madelung, "_" + name, counted)
-
-
-def forking(mp, n_cpus):
-    """Run evolve on n_cpus CPUs, its checker forked on two whatever the run's size."""
-    mp.setattr(os, "sched_getaffinity", cpus(n_cpus))
-    mp.setattr(madelung, "FORK_POINTS", 0)
 
 
 def np_fft(a, fct, out):
@@ -545,13 +536,12 @@ class TestEvolveStep:
     def test_one_forward_fft_per_step_boundary(self, monkeypatch, drive):
         # one FFT pair opens step 1; each step then takes one forward FFT and one
         # inverse FFT, which opens the next step or, at the last, closes the state;
-        # each hand-off of recorded rows adds one (k, n) inverse FFT that closes
-        # them: here one hand-off of the 6 rows or the last row, or two of 4 and 2
-        # rows in batches of 4 (the checker runs in this process, on one CPU)
+        # each check of recorded rows adds one (k, n) inverse FFT that closes
+        # them: here one check of the 6 rows or the last row, or two of 4 and 2
+        # rows in batches of 4
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
         for stride, batch, batches in ((1, 32, [6]), (7, 32, [1]), (1, 4, [4, 2])):
             calls.clear()
             with monkeypatch.context() as mp:
@@ -702,32 +692,42 @@ class TestRowBatch:
         assert fin_b.t == fin.t
         assert fin_b.psi.tobytes() == fin.psi.tobytes()
 
-    def failure(self, monkeypatch, batch, *args, n_cpus=1, **kwargs):
+    def failure(self, monkeypatch, batch, *args, **kwargs):
         """evolve's NumericalFailure as (message, partial), with `batch` rows a batch
-        (None: the default), on n_cpus CPUs: two fork the checker.  No child is left."""
+        (None: the default)."""
         with monkeypatch.context() as mp:
-            forking(mp, n_cpus)
             if batch is not None:
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
             with pytest.raises(NumericalFailure) as exc:
                 evolve(*args, **kwargs)
-        assert_no_child_left()
         return str(exc.value), exc.value.partial
 
     def test_unresolved_row_inside_a_batch(self, monkeypatch):
-        # tau = 0.01 narrows the packet below dx = 0.125 (width_rate0 = -50 cancels
-        # the 1/(2 tau) phase curvature): the row at step 540 is the 28th of its
-        # batch of 32, and is reported as a batch of one reports it
-        p = PhysParams(tau=0.01)
-        w = gaussian_packet(Grid(-15, 17, 256), 1.0, 1.0, width_rate0=-50.0, p=p)
-        args = (w, p, ZERO, 1e-4, 1000)
-        message, partial = self.failure(monkeypatch, None, *args)
+        # the row at step 540 is the 28th of its batch of 32, and is reported as a
+        # batch of one reports it
+        message, partial = self.failure(monkeypatch, None, *unresolved(1000))
         assert message.startswith("evolution aborted at t~0.054: share 0.00104 of |psi|^2 ")
         assert len(partial) == 540
-        # the same with the checker forked, and in batches of one row
-        for batch, n_cpus in ((None, 2), (1, 1), (1, 2)):
-            message_1, partial_1 = self.failure(monkeypatch, batch, *args, n_cpus=n_cpus)
-            assert (message_1, columns(partial_1)) == (message, columns(partial))
+        message_1, partial_1 = self.failure(monkeypatch, 1, *unresolved(1000))
+        assert (message_1, columns(partial_1)) == (message, columns(partial))
+
+    # the row at step 540 is the 28th of the third block of 256 steps, whose rows are
+    # checked in whole batches and at the block's end, step 768
+    @pytest.mark.parametrize("batch, steps_run", [(1, 540), (7, 540), (None, 544),
+                                                  (100, 612), (300, 768)])
+    def test_no_step_runs_past_the_check_of_a_bad_row(self, monkeypatch, batch, steps_run):
+        # evolve takes one _moments per step: it stops at the check of the bad row's batch
+        calls = []
+
+        def moments(*args):
+            calls.append(None)
+            return _moments(*args)
+
+        monkeypatch.setattr(madelung, "_moments", moments)
+        message, partial = self.failure(monkeypatch, batch, *unresolved(1000))
+        assert len(calls) == steps_run
+        assert message.startswith("evolution aborted at t~0.054: share 0.00104 of |psi|^2 ")
+        assert len(partial) == 540
 
     def test_bad_row_wins_over_a_later_step_failure(self, monkeypatch):
         # tau = 1e-3 with the phase curvature cancelled: the norm leaves [0.5, 2] by
@@ -743,59 +743,17 @@ class TestRowBatch:
         assert message.startswith("evolution aborted at t~0.02: norm ")
         assert message.endswith(" outside [0.5, 2] at t=0.02")
         assert len(partial) == 1
-        # the same with the checker forked, and in batches of one row or of 40, where
-        # the step fails while the child holds the bad row's batch and the next
-        for batch, n_cpus in ((None, 2), (1, 1), (1, 2), (40, 2)):
-            message_1, partial_1 = self.failure(monkeypatch, batch, w, p, ZERO, 0.02, 150,
-                                                n_cpus=n_cpus)
+        # the same in batches of one row or of 40, where the bad row's batch is checked
+        # at step 40, before the step fails
+        for batch in (1, 40):
+            message_1, partial_1 = self.failure(monkeypatch, batch, w, p, ZERO, 0.02, 150)
             assert (message_1, columns(partial_1)) == (message, columns(partial))
 
 
-class TestWorker:
-    """A _Worker that does not fork answers each task in this process, at its receive."""
-
-    @pytest.mark.parametrize("case", ["fork-false", "one-cpu", "fork-refused"])
-    def test_answers_in_this_process(self, monkeypatch, case):
-        def no_fork():
-            raise BlockingIOError("fork refused")
-
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
-        if case == "fork-refused":
-            monkeypatch.setattr(os, "fork", no_fork)
-        pids = count_forks(monkeypatch)
-        fork = case != "fork-false"
-        answered = []
-
-        def answer(task):
-            answered.append(task)
-            return task * task
-
-        fds = len(os.listdir("/proc/self/fd"))
-        with madelung._Worker(answer, fork) as worker:
-            for task in (3, 1, 2):
-                worker.send(task)
-            worker.end_tasks()
-            assert answered == []
-            for i, square in enumerate((9, 1, 4)):
-                assert worker.receive() == square
-                assert answered == [3, 1, 2][:i + 1]
-        # a block that raises leaves by that exception alone, its task unanswered
-        with pytest.raises(KeyError, match="caller failed"):
-            with madelung._Worker(answer, fork) as worker:
-                worker.send(5)
-                raise KeyError("caller failed")
-        assert answered == [3, 1, 2]
-        assert pids == []
-        assert len(os.listdir("/proc/self/fd")) == fds
-        assert_no_child_left()
-
-
 class TestChecker:
-    """evolve's recorded rows are closed and checked in (k, n) batches, in a forked
-    child when a second CPU is usable: the same bytes as on one CPU."""
+    """evolve's recorded rows are closed in (k, n) batches: the bytes of 1-D closes."""
 
     P = PhysParams(tau=2.0, lam=1.0)
-    DRIVES = [DriveSpec(kind="sinusoid", x0=0.3, freq=0.6), DriveSpec(kind="conserving")]
 
     # k up to _batch_rows(n): 128, 81, 32, 8 and 2 rows, 251 cases
     @pytest.mark.parametrize("n", [64, 100, 256, 1024, 4096])
@@ -813,132 +771,6 @@ class TestChecker:
                 madelung._ifft(kin_half * spectrum, 1 / n, out=row)
                 assert state.tobytes() == row.tobytes()
 
-    @pytest.mark.parametrize("drive", DRIVES, ids=["sinusoid", "conserving"])
-    def test_forked_checker_gives_the_inline_bytes(self, monkeypatch, drive):
-        # 700 steps at stride 1 hand off 22 batches of up to 32 rows
-        g = Grid(1 - 16, 1 + 16, 256)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        dt = g.dx * g.dx / np.pi
-        runs = {}
-        for n_cpus in (1, 2):
-            with monkeypatch.context() as mp:
-                forking(mp, n_cpus)
-                pids = count_forks(mp)
-                fin, obs = evolve(w, self.P, drive, dt, 700)
-            assert len(pids) == n_cpus - 1
-            assert_no_child_left()
-            runs[n_cpus] = (fin.psi.tobytes(), fin.t, columns(obs))
-        assert runs[2] == runs[1]
-        assert len(obs) == 701
-
-    def test_one_hand_off_runs_inline(self, monkeypatch):
-        # the 50 rows after t = 0 fit one batch of 128 (n = 64): nothing would overlap
-        g = Grid(1 - 16, 1 + 16, 64)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        forking(monkeypatch, 2)
-        pids = count_forks(monkeypatch)
-        _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, 50)
-        assert len(obs) == 51 and pids == []
-
-    @pytest.mark.parametrize("steps, stride, forked", [(299, 1, False), (300, 1, True),
-                                                       (597, 2, False), (599, 2, True)])
-    def test_the_checker_forks_from_fork_points(self, monkeypatch, steps, stride, forked):
-        # FORK_POINTS = 300 rows of 64 points, past the batch of 128 rows
-        g = Grid(1 - 16, 1 + 16, 64)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        monkeypatch.setattr(madelung, "FORK_POINTS", 300 * 64)
-        pids = count_forks(monkeypatch)
-        _, obs = evolve(w, self.P, self.DRIVES[0], 0.01, steps, record_stride=stride)
-        assert len(pids) == forked
-        assert_no_child_left()
-
-    def test_a_failed_fork_checks_the_rows_here(self, monkeypatch):
-        # a fork refused for want of processes leaves the run to the checker in this
-        # process, with the same bytes and the pipes closed
-        g = Grid(1 - 16, 1 + 16, 64)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
-        fin, obs = evolve(w, self.P, self.DRIVES[0], 0.01, 300)
-
-        def no_fork():
-            raise BlockingIOError("fork refused")
-
-        forking(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-        fds = len(os.listdir("/proc/self/fd"))
-        fin_2, obs_2 = evolve(w, self.P, self.DRIVES[0], 0.01, 300)
-        assert len(os.listdir("/proc/self/fd")) == fds
-        assert (fin_2.psi.tobytes(), columns(obs_2)) == (fin.psi.tobytes(), columns(obs))
-
-    def test_a_failing_caller_terminates_the_child(self, monkeypatch):
-        # the caller's step raises at step 50, while the child checks the first batch
-        # of 32 rows, slowly: the child is terminated, not waited for
-        parent, calls = os.getpid(), []
-
-        def moments(*args):
-            calls.append(None)
-            if len(calls) == 50:
-                raise RuntimeError("moments failed")
-            return _moments(*args)
-
-        def rows(*args):
-            if os.getpid() != parent:
-                time.sleep(60)
-            return _rows(*args)
-
-        g = Grid(1 - 16, 1 + 16, 256)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        monkeypatch.setattr(madelung, "_moments", moments)
-        monkeypatch.setattr(madelung, "_rows", rows)
-        forking(monkeypatch, 2)
-        pids = count_forks(monkeypatch)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="moments failed"):
-            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
-        assert time.monotonic() - start < 30
-        assert len(pids) == 1
-        assert_no_child_left()
-
-    def test_a_checker_that_dies_is_an_error(self, monkeypatch):
-        parent, batches = os.getpid(), []
-
-        def rows(*args):
-            if os.getpid() != parent:
-                batches.append(None)  # the child's own copy of the list
-                if len(batches) == 2:
-                    os._exit(1)
-            return _rows(*args)
-
-        g = Grid(1 - 16, 1 + 16, 256)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        monkeypatch.setattr(madelung, "_rows", rows)
-        forking(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=r"^evolve's row checker \(process \d+\) ended "
-                                                r"before checking the rows at t="):
-            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
-        assert_no_child_left()
-
-    def test_a_checker_that_raises_prints_its_traceback(self, monkeypatch, capfd):
-        parent = os.getpid()
-
-        def rows(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("rows failed in the checker")
-            return _rows(*args)
-
-        g = Grid(1 - 16, 1 + 16, 256)
-        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
-        monkeypatch.setattr(madelung, "_rows", rows)
-        forking(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=r"^evolve's row checker \(process \d+\) ended "
-                                                r"before checking the rows at t="):
-            evolve(w, self.P, self.DRIVES[0], g.dx * g.dx / np.pi, 300)
-        assert_no_child_left()
-        err = capfd.readouterr().err
-        assert err.startswith("Traceback (most recent call last):\n")
-        assert err.endswith("RuntimeError: rows failed in the checker\n")
-
 
 def pushed(t_end, xbardot0=0.0):
     """integrate's record of a centroid pushed by X = -1e153: the invariant overflows in
@@ -948,14 +780,21 @@ def pushed(t_end, xbardot0=0.0):
                      drive=DriveSpec(kind="constant", x0=-1e153), t_end=t_end, dt=0.1)
 
 
-def narrowed(steps, scale=1.0):
-    """evolve's record of a packet narrowing below dx = 0.125 (tau = 0.01, the phase
-    curvature cancelled): the row at step 540, t = 0.054, leaks into the band.
-    scale = 2 gives the packet norm 4, which the t = 0 row refuses."""
+def unresolved(steps):
+    """evolve's arguments for a packet narrowing below dx = 0.125 (tau = 0.01, and
+    width_rate0 = -50 cancels the 1/(2 tau) phase curvature): the row at step 540,
+    t = 0.054, leaks into the band."""
     p = PhysParams(tau=0.01)
     w = gaussian_packet(Grid(-15, 17, 256), 1.0, 1.0, width_rate0=-50.0, p=p)
+    return w, p, ZERO, 1e-4, steps
+
+
+def narrowed(steps, scale=1.0):
+    """evolve's record of unresolved(steps).  scale = 2 gives the packet norm 4, which
+    the t = 0 row refuses."""
+    w, *args = unresolved(steps)
     w.psi *= scale
-    return evolve(w, p, ZERO, 1e-4, steps)[1]
+    return evolve(w, *args)[1]
 
 
 # (run, its failing argument, the time of the failing row, the rows before it,
@@ -985,11 +824,9 @@ def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, r
 def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
     # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
     # opens with one FFT pair, then makes one fft and one ifft per step, 12 calls,
-    # and hands its 5 rows off once, to one (5, n) ifft that moves the bytes of five
-    # 1-D calls; the ode runs make none.  On one CPU the checker runs in this process.
+    # and checks its 5 rows once, with one (5, n) ifft that moves the bytes of five
+    # 1-D calls; the ode runs make none.
     from ermakov_lab import cli
-
-    monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
 
     ode = {"mode": "ode", "params": {"tau": 2.0},
            "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
