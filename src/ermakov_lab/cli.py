@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 
 `sweep` runs its values on every CPU the process may use, value j in share
-j mod W, each share the task of one _Worker, the lab's only process code: share
-0 runs in the calling process, and each other share in a forked child, or in the
-calling process after share 0 when the fork is refused.  A bad value found while
-resolving runs nothing; otherwise every value runs and ends as `run` ends on its
-config, its stderr printed in value order once all have finished, and the sweep
-exits with the largest code.
+j mod W: share 0 runs in the calling process, and each other share in a child
+forked by _fork, the lab's only process code, which pickles its one report
+back, or in the calling process after share 0 when its pipe or fork is
+refused.  A bad value found while resolving runs nothing; otherwise every value
+runs and ends as `run` ends on its config, its stderr printed in value order
+once all have finished, and the sweep exits with the largest code.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -423,113 +424,45 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Worker:
-    """Answers each task the caller sends, in order, with answer(task), fixed at
-    construction: in a forked child while the caller goes on, the answers read back as
-    pickles, given `fork` and a second CPU (see _cpus); otherwise, or when os.pipe or
-    os.fork raises OSError, in the calling process, each at its `receive`.  As a context
-    manager it closes on exit, terminating a child when the block raises."""
-
-    def __init__(self, answer, fork: bool):
-        self.answer, self.queued, self.pid = answer, [], None
-        if not fork or _cpus() == 1:
-            return
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            sys.stdout.flush()  # or the child's own flush would write the parent's text too
-            sys.stderr.flush()
-            # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
-            # fork-safe); _cpus rules out a second Python thread
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                        DeprecationWarning)
-                self.pid = os.fork()
-        except BaseException as exc:
-            for fd in fds:
-                os.close(fd)
-            if isinstance(exc, OSError):  # no process or pipe to spare: answer here
-                return
-            raise
-        if self.pid == 0:
-            _serve(answer, *fds)
-        tasks_r, tasks_w, results_r, results_w = fds
-        os.close(tasks_r)
-        os.close(results_w)
-        self.tasks, self.results = open(tasks_w, "wb"), open(results_r, "rb")
-
-    def send(self, task) -> None:
-        if self.pid is None:
-            self.queued.append(task)
-            return
-        try:
-            pickle.dump(task, self.tasks)
-            self.tasks.flush()
-        except BrokenPipeError:  # the child has ended: receive reports it
-            pass
-
-    def receive(self):
-        """The answer to the oldest task not yet received, waiting for it; None when the
-        child ended without it."""
-        if self.pid is None:
-            return self.answer(self.queued.pop(0))
-        try:
-            return pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):
-            return None
-
-    def end_tasks(self) -> None:
-        """Send no more tasks: a child exits once it has answered those sent."""
-        try:
-            if self.pid is not None:
-                self.tasks.close()
-        except OSError:  # unsent bytes of a task to a child that has ended
-            pass
-
-    def close(self, terminate: bool) -> None:
-        """End a child, by SIGTERM if `terminate`, else at the end of its tasks, and reap it."""
-        if self.pid is None:
-            return
-        if terminate:
-            import signal
-
-            os.kill(self.pid, signal.SIGTERM)
-        self.end_tasks()
-        self.results.close()
-        os.waitpid(self.pid, 0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        self.close(terminate=exc_type is not None)
-
-
-def _serve(answer, tasks_r: int, tasks_w: int, results_r: int, results_w: int):
-    """A forked worker's whole life: answer each task until the task pipe ends, then exit,
-    0 at that end and 1, after printing the traceback to stderr, otherwise.  It never
-    returns."""
-    status = 1
+def _fork(work):
+    """Run work() once in a forked child, which pickles the answer into a pipe and exits,
+    0 once the answer is written and 1, after printing the traceback to stderr, when
+    anything raises: (the child's pid, the pipe's read end), or None, with no process made
+    and no fd left open, when os.pipe or os.fork raises OSError."""
+    fds = []
     try:
-        os.close(tasks_w)
-        os.close(results_r)
-        # left open to os._exit: the caller sees the end only after the traceback
-        tasks, results = open(tasks_r, "rb"), open(results_w, "wb")
-        while True:
-            try:
-                task = pickle.load(tasks)
-            except EOFError:
-                break
-            pickle.dump(answer(task), results)
-            results.flush()
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-    finally:
+        fds += os.pipe()
+        sys.stdout.flush()  # or the child's own flush would write the parent's text too
         sys.stderr.flush()
-        os._exit(status)
-
+        # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
+        # fork-safe); _cpus rules out a second Python thread
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException as exc:
+        for fd in fds:
+            os.close(fd)
+        if isinstance(exc, OSError):  # no process or pipe to spare
+            return None
+        raise
+    reader, writer = fds
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            # left open to os._exit: the caller sees the end only after the traceback
+            answer = open(writer, "wb")
+            pickle.dump(work(), answer)
+            answer.flush()
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+    os.close(writer)
+    return pid, open(reader, "rb")
 
 
 def _run_share(runs: list[dict]) -> list:
@@ -542,22 +475,37 @@ def _run_share(runs: list[dict]) -> list:
     return reports
 
 
-def _run_shares(runs: list[dict], w: int) -> list:
-    """The reports of each of `w` shares (see _run_share), value j in share j mod w, share
-    k the task of the k-th _Worker: the first answers in the caller, the others in
-    forked children, or in the caller, after share 0, when a fork is refused.  A child
-    that ended without a whole report gives None.  Every child is reaped before this
-    returns or raises; if the caller's own work raises, the children are terminated first."""
-    def share(k):
-        return _run_share(runs[k::w])
-
-    with contextlib.ExitStack() as children:
-        workers = []
+def _run_shares(runs: list[dict], values: list[float], w: int) -> list:
+    """The reports of `runs` (see _run_share), in their order, run in `w` shares, value j
+    in share j mod w: shares 1 to w - 1 each in a forked child (see _fork), and in the
+    caller share 0 and, after it, each share whose pipe or fork was refused.  A child
+    that ends without a whole report is a RuntimeError naming its `values`.  Every child
+    is reaped before this returns or raises; if the caller's own work raises, the
+    children are terminated first."""
+    reports, children = [None] * len(runs), {}
+    try:
+        for k in range(1, w):
+            if child := _fork(lambda k=k: _run_share(runs[k::w])):
+                children[k] = child
         for k in range(w):
-            workers.append(children.enter_context(_Worker(share, k > 0)))
-            workers[k].send(k)
-            workers[k].end_tasks()  # so a child's exit overlaps the caller's work
-        return [worker.receive() for worker in workers]
+            if k not in children:
+                reports[k::w] = _run_share(runs[k::w])
+        for k, (_, reader) in children.items():
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                reports[k::w] = pickle.load(reader)
+    except BaseException:
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            os.waitpid(pid, 0)
+    for k in range(w):
+        if reports[k] is None:  # value k, the first of share k, has no report
+            raise RuntimeError(f"the sweep process of values {values[k::w]} "
+                               "ended without a report")
+    return reports
 
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
@@ -584,18 +532,10 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
         _makeable(r["output.directory"])
         runs[name] = (r, v)
     resolved = [r for r, _ in runs.values()]
-    w = min(len(resolved), _cpus())
-    shares = _run_shares(resolved, w)
-    worst = 0
-    for j in range(len(resolved)):
-        share = shares[j % w]
-        if share is None:
-            raise RuntimeError(f"the sweep process of values {values[j % w::w]} "
-                               "ended without a report")
-        code, err = share[j // w]
+    reports = _run_shares(resolved, values, min(len(resolved), _cpus()))
+    for _, err in reports:
         sys.stderr.write(err)
-        worst = max(worst, code)
-    return worst
+    return max(code for code, _ in reports)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Helpers of the fork tests in test_cli.py and test_madelung.py."""
+"""Helpers of the fork tests in test_cli.py."""
 import os
 
 import pytest

@@ -1153,11 +1153,18 @@ class TestSweep:
         assert_no_child_left()
         assert not (out / "tau_1").exists()
 
-    # W = 2 and 3 with every fork refused, and W = 3 with the second refused
-    @pytest.mark.parametrize("w, allowed", [(2, 0), (3, 0), (3, 1)])
+    # W = 2 and 3 with every fork refused, W = 3 with the second refused, and W = 2 and 3
+    # with every pipe refused
+    @pytest.mark.parametrize("w, allowed, refused", [
+        pytest.param(2, 0, "fork", id="2-0"),
+        pytest.param(3, 0, "fork", id="3-0"),
+        pytest.param(3, 1, "fork", id="3-1"),
+        pytest.param(2, 0, "pipe", id="2-pipe"),
+        pytest.param(3, 0, "pipe", id="3-pipe"),
+    ])
     @pytest.mark.parametrize("case", FAILING_SWEEPS)
     def test_a_refused_fork_runs_the_share_here(self, tmp_path, capsys, monkeypatch, case,
-                                                w, allowed):
+                                                w, allowed, refused):
         cfg, param, values, _ = FAILING_SWEEPS[case]
         pids, fork = [], os.fork
 
@@ -1167,7 +1174,12 @@ class TestSweep:
             pids.append(fork())
             return pids[-1]
 
+        def refusing_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
         monkeypatch.setattr(os, "fork", refusing_fork)
+        if refused == "pipe":
+            monkeypatch.setattr(os, "pipe", refusing_pipe)
         seen = {}
         for n in (1, w):
             monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
@@ -1206,42 +1218,3 @@ class TestSweep:
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert sorted(d.name for d in (tmp_path / "out").iterdir()) == ["tau_1", "tau_2"]
-
-
-class TestWorker:
-    """A _Worker that does not fork answers each task in this process, at its receive."""
-
-    @pytest.mark.parametrize("case", ["fork-false", "one-cpu", "fork-refused"])
-    def test_answers_in_this_process(self, monkeypatch, case):
-        def no_fork():
-            raise BlockingIOError("fork refused")
-
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
-        if case == "fork-refused":
-            monkeypatch.setattr(os, "fork", no_fork)
-        pids = count_forks(monkeypatch)
-        fork = case != "fork-false"
-        answered = []
-
-        def answer(task):
-            answered.append(task)
-            return task * task
-
-        fds = len(os.listdir("/proc/self/fd"))
-        with cli._Worker(answer, fork) as worker:
-            for task in (3, 1, 2):
-                worker.send(task)
-            worker.end_tasks()
-            assert answered == []
-            for i, square in enumerate((9, 1, 4)):
-                assert worker.receive() == square
-                assert answered == [3, 1, 2][:i + 1]
-        # a block that raises leaves by that exception alone, its task unanswered
-        with pytest.raises(KeyError, match="caller failed"):
-            with cli._Worker(answer, fork) as worker:
-                worker.send(5)
-                raise KeyError("caller failed")
-        assert answered == [3, 1, 2]
-        assert pids == []
-        assert len(os.listdir("/proc/self/fd")) == fds
-        assert_no_child_left()
