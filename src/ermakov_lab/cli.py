@@ -9,13 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
 failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
 
-`sweep` runs its values on every CPU the process may use, value j in share
-j mod W: share 0 runs in the calling process, and each other share in a child
-forked by _fork, the lab's only process code, which pickles its one report
-back, or in the calling process after share 0 when its pipe or fork is
-refused.  A bad value found while resolving runs nothing; otherwise every value
-runs and ends as `run` ends on its config, its stderr printed in value order
-once all have finished, and the sweep exits with the largest code.
+`sweep` resolves every value before it runs any: a bad value runs nothing.
+Otherwise every value runs, in order and in the calling process, and ends as
+`run` ends on its config; the sweep exits with the largest code.
 """
 from __future__ import annotations
 
@@ -23,16 +19,11 @@ import argparse
 import contextlib
 import copy
 import errno
-import io
 import json
 import math
 import os
-import pickle
-import signal
 import sys
-import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,106 +406,12 @@ def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
     node[parts[-1]] = value
 
 
-def _cpus() -> int:
-    """CPUs this process may use for forked workers: one when os.fork or os.sched_getaffinity
-    is missing, or while a second thread runs, since forking a threaded process can deadlock."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork(work):
-    """Run work() once in a forked child, which pickles the answer into a pipe and exits,
-    0 once the answer is written and 1, after printing the traceback to stderr, when
-    anything raises: (the child's pid, the pipe's read end), or None, with no process made
-    and no fd left open, when os.pipe or os.fork raises OSError."""
-    fds = []
-    try:
-        fds += os.pipe()
-        sys.stdout.flush()  # or the child's own flush would write the parent's text too
-        sys.stderr.flush()
-        # Python >= 3.12 warns while native threads run (numpy's BLAS pool, which is
-        # fork-safe); _cpus rules out a second Python thread
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except BaseException as exc:
-        for fd in fds:
-            os.close(fd)
-        if isinstance(exc, OSError):  # no process or pipe to spare
-            return None
-        raise
-    reader, writer = fds
-    if pid == 0:
-        status = 1
-        try:
-            os.close(reader)
-            # left open to os._exit: the caller sees the end only after the traceback
-            answer = open(writer, "wb")
-            pickle.dump(work(), answer)
-            answer.flush()
-            status = 0
-        except BaseException:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            sys.stderr.flush()
-            os._exit(status)
-    os.close(writer)
-    return pid, open(reader, "rb")
-
-
-def _run_share(runs: list[dict]) -> list:
-    """Run every resolved value in order, each through _run_mode as `run` runs it and
-    with its stderr captured, into one (exit code, stderr text) per value."""
-    reports = []
-    for r in runs:
-        with contextlib.redirect_stderr(err := io.StringIO()):
-            reports.append((_run_mode(_MODES[r["mode"]], r), err.getvalue()))
-    return reports
-
-
-def _run_shares(runs: list[dict], values: list[float], w: int) -> list:
-    """The reports of `runs` (see _run_share), in their order, run in `w` shares, value j
-    in share j mod w: shares 1 to w - 1 each in a forked child (see _fork), and in the
-    caller share 0 and, after it, each share whose pipe or fork was refused.  A child
-    that ends without a whole report is a RuntimeError naming its `values`.  Every child
-    is reaped before this returns or raises; if the caller's own work raises, the
-    children are terminated first."""
-    reports, children = [None] * len(runs), {}
-    try:
-        for k in range(1, w):
-            if child := _fork(lambda k=k: _run_share(runs[k::w])):
-                children[k] = child
-        for k in range(w):
-            if k not in children:
-                reports[k::w] = _run_share(runs[k::w])
-        for k, (_, reader) in children.items():
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                reports[k::w] = pickle.load(reader)
-    except BaseException:
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGTERM)
-        raise
-    finally:
-        for pid, reader in children.values():
-            reader.close()
-            os.waitpid(pid, 0)
-    for k in range(w):
-        if reports[k] is None:  # value k, the first of share k, has no report
-            raise RuntimeError(f"the sweep process of values {values[k::w]} "
-                               "ended without a report")
-    return reports
-
-
 def sweep(config_path, parameter: str, values: list[float]) -> int:
     """Run the config once per value of `parameter` into <output>/<leaf>_<value:g>;
     return the largest exit code.  Every value is resolved before the first run, so no
     value, a bad one, or two that would write one directory, is a config error that runs
-    nothing.  Then every value runs, in W = min(values, usable CPUs) shares (see
-    _run_shares), ending as `run` ends on its config, and its stderr is printed in value
-    order after all have finished: the outputs of one process, whatever W."""
+    nothing.  Then the values run in order in this process, each ending as `run` ends
+    on its config."""
     if not values:
         raise ConfigurationError("--values lists no value")
     base_cfg = load_config(config_path)
@@ -531,11 +428,7 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
         r["output.directory"] = str(Path(r["output.directory"]) / name)
         _makeable(r["output.directory"])
         runs[name] = (r, v)
-    resolved = [r for r, _ in runs.values()]
-    reports = _run_shares(resolved, values, min(len(resolved), _cpus()))
-    for _, err in reports:
-        sys.stderr.write(err)
-    return max(code for code, _ in reports)
+    return max([_run_mode(_MODES[r["mode"]], r) for r, _ in runs.values()])
 
 
 def main(argv=None) -> int:

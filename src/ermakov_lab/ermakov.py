@@ -191,7 +191,7 @@ def integrate(init: ErmakovState,
     alpha < ALPHA_MIN is checked once of the initial alpha, by stages 2 to 4
     before their drive, and of each step's result; each step's result and
     each recorded row are checked for a non-finite value.
-    These are the only failure signals: a width collapse or a non-finite
+    These are the only failure checks: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
     rows recorded before it, the earliest failure winning.
     """

@@ -11,11 +11,6 @@ The tracer also wraps `numpy.fft.fft`/`ifft`, which `evolve` no longer calls:
 it calls numpy's pocketfft gufuncs through its own `_fft`/`_ifft`, so the
 tracer records no `madelung.fft.*` figure.  The FFT counts of these runs are
 pinned in tests/test_madelung.py, which counts evolve's own FFT names.
-
-The tracer patches names inside the calling process, so it counts only the
-share of a sweep that the calling process runs; the values run by forked
-children are not counted.  The sweep below is pinned to one CPU so that it
-counts every value.
 """
 import json
 import os
@@ -50,16 +45,11 @@ ODE = {"mode": "ode", "params": {"tau": 2.0},
        "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
 
 
-def one_cpu(pid):
-    return {0}
-
-
 def two_cpus(pid):
     return {0, 1}
 
 
-def test_tracer_counts_every_mode(tmp_path, tracer, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", one_cpu)
+def test_tracer_counts_every_mode(tmp_path, tracer):
     pde = {"mode": "pde", "params": {"tau": 2.0},
            "numerics": {"dt": 0.01, "t_end": 0.05, "grid": {"n": 64}},
            "output": {"snapshots": True}}
@@ -83,17 +73,15 @@ def test_tracer_counts_every_mode(tmp_path, tracer, monkeypatch):
     assert totals["madelung.observables.calls"] > 0
 
 
-def test_tracer_counts_the_calling_process_share_of_a_sweep(tmp_path, tracer, monkeypatch):
-    """On two CPUs a forked child runs the second value, outside the tracer's reach: the
-    counts are the first value's alone, and the wait for the child lands in cli.main's
-    self time."""
+def test_tracer_counts_every_value_of_a_sweep(tmp_path, tracer, monkeypatch):
+    """A sweep runs in the calling process on any number of CPUs, so the tracer counts
+    every value."""
     monkeypatch.setattr(os, "sched_getaffinity", two_cpus)
     path = write(tmp_path, "sweep", ODE)
     assert cli.main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 0
     totals = tracer.totals()
-    assert totals["ermakov.steps"] == 10
-    assert totals["cli.write_csv.rows"] == 11
+    assert totals["ermakov.steps"] == 20
+    assert totals["cli.write_csv.rows"] == 22
     assert totals["cli.main.calls"] == 1
-    assert totals["ermakov.integrate.calls"] == 1
-    # the child's CSV is written all the same
+    assert totals["ermakov.integrate.calls"] == 2
     assert (tmp_path / "sweep" / "tau_2" / "trajectory.csv").is_file()

@@ -2,17 +2,13 @@ import errno
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
-import threading
-import time
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, count_forks, cpus
 from ermakov_lab import cli
 from ermakov_lab.cli import main
 from ermakov_lab.criteria import CRITERIA
@@ -588,8 +584,6 @@ def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "evolve", no_run)
     monkeypatch.setattr(cli, "integrate", no_run)
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
     out = tmp_path / "out"
     out.write_text("")
     cfg = {"mode": "pde", "params": {"tau": 2.0},
@@ -601,7 +595,6 @@ def test_unwritable_output_is_refused_before_any_run(tmp_path, capsys, monkeypat
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"config error: cannot write {out / sub}: {os.strerror(code)}"]
-    assert_no_child_left()
     assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json", "out"]
     assert out.read_text() == ""
 
@@ -1003,27 +996,14 @@ class TestSweep:
                        "got 'verify'"]
         assert not out.exists()
 
-    # sweep runs its values over min(values, usable CPUs) processes; the tests below
-    # patch os.sched_getaffinity so that they fork on any host.
-    @pytest.mark.parametrize("w", [2, 3])
     @pytest.mark.parametrize("case", FAILING_SWEEPS)
-    def test_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, case, w):
+    def test_a_failing_value_stops_no_other_value(self, tmp_path, capsys, case):
         cfg, param, values, failures = FAILING_SWEEPS[case]
-        forks = count_forks(monkeypatch)
-        seen = {}
-        for n in (1, w):
-            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
-            out = tmp_path / f"w{n}"
-            path = write_config(tmp_path / f"w{n}.json",
-                                dict(cfg, output={"directory": str(out)}))
-            code = main(["sweep", path, "--param", param, "--values", values])
-            seen[n] = (code, capsys.readouterr().err, files(out))
-            assert_no_child_left()
-        assert len(forks) == w - 1
-        assert seen[w] == seen[1]
-        code, err, csvs = seen[1]
-        assert code == 2 and err.count("numerical failure: ") == failures
-        assert len(csvs) == len(values.split(",")) - failures
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", dict(cfg, output={"directory": str(out)}))
+        assert main(["sweep", path, "--param", param, "--values", values]) == 2
+        assert capsys.readouterr().err.count("numerical failure: ") == failures
+        assert len(files(out)) == len(values.split(",")) - failures
 
     # every value runs and ends as `run` would end on it; the sweep exits with the
     # largest code, so a numerical failure (2) outranks a config error (1)
@@ -1047,100 +1027,41 @@ class TestSweep:
 
         monkeypatch.setitem(cli._MODES, "ode", run)
         path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
-        for n in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
-            assert main(["sweep", path, "--param", "params.tau",
-                         "--values", "1,2,3,4"]) == code
-            assert capsys.readouterr().err == err
-            assert_no_child_left()
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1,2,3,4"]) == code
+        assert capsys.readouterr().err == err
 
-    def test_an_unwritable_artifact_stops_no_other_value(self, tmp_path, capsys,
-                                                         monkeypatch):
-        # the second value's CSV path is a directory: only its write fails, after its
-        # run, and the sweep's outputs are the same on any number of CPUs
+    def test_an_unexpected_error_keeps_the_stderr_before_it(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # an error no run reports propagates, after the values before it have printed
+        def run(r):
+            tau = r["params.tau"]
+            if tau == 3:
+                raise RuntimeError(f"refused tau {tau:g}")
+            print(f"ran tau {tau:g}", file=sys.stderr)
+            return 0
+
+        monkeypatch.setitem(cli._MODES, "ode", run)
+        path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
+        with pytest.raises(RuntimeError, match="refused tau 3"):
+            main(["sweep", path, "--param", "params.tau", "--values", "1,2,3,4"])
+        assert capsys.readouterr().err == "ran tau 1\nran tau 2\n"
+
+    def test_an_unwritable_artifact_stops_no_other_value(self, tmp_path, capsys):
+        # the second value's CSV path is a directory: only its write fails, after its run
         out = tmp_path / "out"
+        (out / "tau_2" / "trajectory.csv").mkdir(parents=True)
         cfg = base_ode_config(out)
         cfg["numerics"]["t_end"] = 0.1
         path = write_config(tmp_path / "c.json", cfg)
-        seen = {}
-        for n in (1, 2, 3):
-            shutil.rmtree(out, ignore_errors=True)
-            (out / "tau_2" / "trajectory.csv").mkdir(parents=True)
-            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
-            code = main(["sweep", path, "--param", "params.tau", "--values", "1,2,3,4"])
-            seen[n] = (code, capsys.readouterr().err, files(out))
-            assert_no_child_left()
-        assert seen[2] == seen[1] and seen[3] == seen[1]
-        assert seen[1][:2] == (1, f"config error: cannot write {out}/tau_2/trajectory.csv: "
-                                  f"{os.strerror(errno.EISDIR)}\n")
-        assert sorted(seen[1][2]) == [f"tau_{v}/trajectory.csv" for v in (1, 3, 4)]
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1,2,3,4"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot write "
+                                           f"{out}/tau_2/trajectory.csv: "
+                                           f"{os.strerror(errno.EISDIR)}\n")
+        assert sorted(files(out)) == [f"tau_{v}/trajectory.csv" for v in (1, 3, 4)]
 
-    def test_a_child_that_ends_without_a_report_is_an_error(self, tmp_path, monkeypatch):
-        parent, run_share = os.getpid(), cli._run_share
-
-        def share(runs):
-            if os.getpid() != parent:
-                os._exit(3)
-            return run_share(runs)
-
-        monkeypatch.setattr(cli, "_run_share", share)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
-        cfg = base_ode_config(tmp_path / "out")
-        cfg["numerics"]["t_end"] = 0.1
-        path = write_config(tmp_path / "c.json", cfg)
-        with pytest.raises(RuntimeError, match=r"values \[2\.0\] ended without a report"):
-            main(["sweep", path, "--param", "params.tau", "--values", "1,2,3"])
-        assert_no_child_left()
-        assert [d.name for d in (tmp_path / "out").iterdir()] == ["tau_1"]
-
-    def test_a_share_that_raises_prints_its_traceback(self, tmp_path, monkeypatch, capfd):
-        parent, run_share = os.getpid(), cli._run_share
-
-        def share(runs):
-            if os.getpid() != parent:
-                raise RuntimeError("share failed in the child")
-            return run_share(runs)
-
-        monkeypatch.setattr(cli, "_run_share", share)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        cfg = base_ode_config(tmp_path / "out")
-        cfg["numerics"]["t_end"] = 0.1
-        path = write_config(tmp_path / "c.json", cfg)
-        with pytest.raises(RuntimeError, match=r"values \[2\.0\] ended without a report"):
-            main(["sweep", path, "--param", "params.tau", "--values", "1,2"])
-        assert_no_child_left()
-        err = capfd.readouterr().err
-        assert err.startswith("Traceback (most recent call last):\n")
-        assert err.endswith("RuntimeError: share failed in the child\n")
-
-    def test_a_failing_own_share_terminates_the_children(self, tmp_path, monkeypatch):
-        parent = os.getpid()
-
-        class Boom(Exception):
-            pass
-
-        def share(runs):
-            if os.getpid() != parent:
-                time.sleep(60)
-                return []
-            raise Boom
-
-        monkeypatch.setattr(cli, "_run_share", share)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
-        path = write_config(tmp_path / "c.json", base_ode_config(tmp_path / "out"))
-        start = time.monotonic()
-        with pytest.raises(Boom):
-            main(["sweep", path, "--param", "params.tau", "--values", "1,2,3"])
-        # the sleeping children were terminated, not waited for
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("w", [1, 2])
-    def test_unwritable_output_is_one_config_error(self, tmp_path, capsys, monkeypatch, w):
+    def test_unwritable_output_is_one_config_error(self, tmp_path, capsys):
         # the second value's directory is a file: the sweep refuses it while resolving,
-        # before any run or fork, as the one line in either case
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(w))
+        # before any run, as the one line
         out = tmp_path / "out"
         out.mkdir()
         (out / "tau_2").write_text("")
@@ -1150,71 +1071,14 @@ class TestSweep:
         assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"config error: cannot write {out / 'tau_2'}: {os.strerror(errno.EEXIST)}"]
-        assert_no_child_left()
         assert not (out / "tau_1").exists()
 
-    # W = 2 and 3 with every fork refused, W = 3 with the second refused, and W = 2 and 3
-    # with every pipe refused
-    @pytest.mark.parametrize("w, allowed, refused", [
-        pytest.param(2, 0, "fork", id="2-0"),
-        pytest.param(3, 0, "fork", id="3-0"),
-        pytest.param(3, 1, "fork", id="3-1"),
-        pytest.param(2, 0, "pipe", id="2-pipe"),
-        pytest.param(3, 0, "pipe", id="3-pipe"),
-    ])
-    @pytest.mark.parametrize("case", FAILING_SWEEPS)
-    def test_a_refused_fork_runs_the_share_here(self, tmp_path, capsys, monkeypatch, case,
-                                                w, allowed, refused):
-        cfg, param, values, _ = FAILING_SWEEPS[case]
-        pids, fork = [], os.fork
-
-        def refusing_fork():
-            if len(pids) == allowed:
-                raise BlockingIOError("fork refused")
-            pids.append(fork())
-            return pids[-1]
-
-        def refusing_pipe():
-            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-
-        monkeypatch.setattr(os, "fork", refusing_fork)
-        if refused == "pipe":
-            monkeypatch.setattr(os, "pipe", refusing_pipe)
-        seen = {}
-        for n in (1, w):
-            monkeypatch.setattr(os, "sched_getaffinity", cpus(n))
-            out = tmp_path / f"w{n}"
-            path = write_config(tmp_path / f"w{n}.json",
-                                dict(cfg, output={"directory": str(out)}))
-            fds = len(os.listdir("/proc/self/fd"))
-            code = main(["sweep", path, "--param", param, "--values", values])
-            assert len(os.listdir("/proc/self/fd")) == fds
-            seen[n] = (code, capsys.readouterr().err, files(out))
-            assert_no_child_left()
-        assert len(pids) == allowed
-        assert seen[w] == seen[1]
-
-    def test_one_value_never_forks(self, tmp_path, monkeypatch):
+    def test_a_sweep_starts_no_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        cfg = base_ode_config(tmp_path / "out")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        cfg = base_ode_config(out)
         cfg["numerics"]["t_end"] = 0.1
         path = write_config(tmp_path / "c.json", cfg)
-        assert main(["sweep", path, "--param", "params.tau", "--values", "1"]) == 0
-
-    def test_a_second_thread_keeps_the_sweep_in_one_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        cfg = base_ode_config(tmp_path / "out")
-        cfg["numerics"]["t_end"] = 0.1
-        path = write_config(tmp_path / "c.json", cfg)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 0
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        assert sorted(d.name for d in (tmp_path / "out").iterdir()) == ["tau_1", "tau_2"]
+        assert main(["sweep", path, "--param", "params.tau", "--values", "1,2,3"]) == 0
+        assert sorted(files(out)) == [f"tau_{v}/trajectory.csv" for v in (1, 2, 3)]

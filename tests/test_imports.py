@@ -1,5 +1,5 @@
 """The package's source read with `ast`: its internal import graph, the
-modules written without `**`, and those that import no process code.
+modules written without `**`, and that none starts a process.
 
 No module is imported here: the graph is built from every `import` and
 `from ... import` statement in src/ermakov_lab, including those inside
@@ -68,14 +68,21 @@ def test_solver_modules_have_no_power_operator():
         assert powers == [], f"{mod}.py uses ** on lines {powers}"
 
 
-def test_only_cli_starts_processes():
-    # the solver modules import no process, pipe, shared-memory, signal or thread
-    # code: the sweep's workers in cli are the lab's only processes
-    banned = {"os", "pickle", "mmap", "signal", "threading"}
-    for mod in ("params", "ermakov", "madelung"):
+def test_no_module_starts_processes():
+    # no module imports process, pipe, shared-memory, signal or thread code, or names
+    # os.fork or os.pipe: every run and every sweep is one process.  Only cli imports os
+    # at all, for its paths and ERMAKOV_LAB_OUT.
+    banned = {"pickle", "mmap", "signal", "threading", "multiprocessing", "subprocess",
+              "concurrent"}
+    for mod in MODULES:
         tree = ast.parse((SRC / f"{mod}.py").read_text())
         names = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
                  for a in n.names}
         names |= {n.module.split(".")[0] for n in ast.walk(tree)
                   if isinstance(n, ast.ImportFrom) and n.level == 0}
-        assert not names & banned, f"{mod}.py imports {sorted(names & banned)}"
+        refused = banned if mod == "cli" else banned | {"os"}
+        assert not names & refused, f"{mod}.py imports {sorted(names & refused)}"
+        forks = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in ("fork", "pipe")
+                 or isinstance(n, ast.alias) and n.name in ("fork", "pipe")]
+        assert forks == [], f"{mod}.py names os.fork or os.pipe on lines {forks}"
