@@ -88,8 +88,8 @@ _PDE = {"mode": ("pde", "compare")}
 
 #: dotted key -> (conversion, default, reader).  A callable default is computed
 #: from the fields above it.  The reader maps fields to the resolved values
-#: under which the key is read (an empty reader: read in every mode); a key
-#: read under a field is read only where that field is read itself.
+#: under which the key is read (an empty reader: read in every mode); a field
+#: a reader names has an empty reader itself.
 _FIELDS = {
     "mode": (_one_of("ode", "pde", "compare"), _REQUIRED, {}),
     "system": (_one_of("measurement", "classical"), "measurement", {}),
@@ -157,11 +157,7 @@ def _given(node: dict, prefix: str = ""):
 
 def _unread(r: dict, key: str) -> str | None:
     """The field whose resolved value keeps `key` from being read, or None."""
-    for field, values in _FIELDS[key][2].items():
-        why = field if r[field] not in values else _unread(r, field)
-        if why:
-            return why
-    return None
+    return next((f for f, values in _FIELDS[key][2].items() if r[f] not in values), None)
 
 
 def resolve(cfg: dict) -> dict:

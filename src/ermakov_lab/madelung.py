@@ -8,16 +8,17 @@ Time stepping is Strang splitting: half-step spectral kinetic factor on a
 periodic grid, full-step position-space potential/measurement multiplier,
 half-step kinetic.  The closing half-step of one step and the opening
 half-step of the next share one forward FFT and are applied as one full
-kinetic factor.  A step makes one fft call and one ifft call, each straight
-to the numpy pocketfft gufunc that np.fft.fft or ifft wraps, with np.fft's
-factor 1 or 1/n: the same bytes, less the wrapper's Python work per call
-(norm, dtypes, axis, out's shape), a sizeable part of a call at a few
+kinetic factor.  A step makes one fft call and, but the last, one ifft call,
+each straight to the numpy pocketfft gufunc that np.fft.fft or ifft wraps,
+with np.fft's factor 1 or 1/n: the same bytes, less the wrapper's Python work
+per call (norm, dtypes, axis, out's shape), a sizeable part of a call at a few
 hundred points.  A record point keeps the step's spectrum; the recorded rows
-are checked in batches, in the calling process, each closed with one (k, n)
-inverse FFT and checked in one pass, into a table of columns, so a bad row
-is reported at the check of its own batch, before any later step.  X at each
-step's midpoint is read from DriveSpec.at tables made once per block of
-steps, or for the conserving kind is bind's function of the packet's
+are checked in batches, in the calling process, each closed in place with one
+(k, n) inverse FFT and checked in one pass, into a table of columns, so a bad
+row is reported at the check of its own batch, before any later step.  The
+last step always records, and the final state is its row's closed state.  X
+at each step's midpoint is read from DriveSpec.at tables made once per block
+of steps, or for the conserving kind is bind's function of the packet's
 deltadot/delta and mean.
 """
 from __future__ import annotations
@@ -298,12 +299,13 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     step_blocks; the conserving kind calls bind's function once per step.  The
     step then takes one forward FFT, and the next step opens from its spectrum
     f with the full kinetic factor (the closing and opening halves fused) and
-    one inverse FFT; the last step instead closes with the kinetic half-step.
-    A record point copies f into a (batch, n) buffer, and the rows' closed
-    states are formed at their batch's check (below), by one inverse FFT of
-    the (k, n) batch.  So every step makes one fft call and one ifft call;
-    over S steps with R record points after t = 0, checked in H batches, that
-    is 2S + 2 + H calls and 2S + 2 + R transforms.  Each row of a (k, n)
+    one inverse FFT.  A record point, the last step always among them, copies
+    f into a (batch, n) buffer, and the rows' closed states are formed at
+    their batch's check (below), by one inverse FFT of the (k, n) batch in
+    place; the returned psi is a copy of the last row's.  So every step makes
+    one fft call and every step but the last one ifft call; over S steps with
+    R record points after t = 0, checked in H batches, that is 2S + 1 + H
+    calls and 2S + 1 + R transforms, one close per row.  Each row of a (k, n)
     transform is bit for bit the 1-D transform of that row.  The calls go to
     the module's _fft and _ifft, read once per evolve call: numpy's pocketfft
     gufuncs with the factors 1 and 1/n that np.fft passes them, which skips
@@ -311,7 +313,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     points, and keeps its bytes.  The result differs from unfused stepping by
     rounding only, and does not depend on record_stride.  Every FFT, and the
     drive factor, writes into buffers made once per call: the packet passed
-    in is never written, and the returned psi is this call's own buffer,
+    in is never written, and the returned psi is this call's own array,
     which a later call leaves alone.
 
     Every recorded row, the t = 0 row included, goes through one check: the finiteness
@@ -320,9 +322,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
     has no kinetic limit).  The t = 0 row is checked on its own.  The later rows are
     checked in batches of up to _batch_rows(n), in this process: when the buffer is
-    full, at the end of each block of steps and at the last step.  A check closes the
-    k spectra with kin_half and one (k, n) inverse FFT, checks the rows in one pass of
-    _rows, and writes them into a table made once per call, whose columns are returned.
+    full and at the end of each block of steps, the last step's included.  A check
+    closes the k spectra in place with kin_half and one (k, n) inverse FFT, checks the
+    rows in one pass of _rows, and writes them into a table made once per call, whose
+    columns are returned.
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
@@ -354,7 +357,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     # the spectra of the recorded rows not yet checked, at the times `pending`
     batch = _batch_rows(g.n)
     spectra = np.empty((batch, g.n), complex)
-    closed = np.empty((batch, g.n), complex)
     pending = []
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
@@ -363,21 +365,22 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     done = 0
 
     def check():
-        """Close the pending rows' spectra and check their rows into `rows`; raise the
-        first bad row at its own time."""
+        """Close the pending rows' spectra in place and check their rows into `rows`;
+        raise the first bad row at its own time, else return the last row's state."""
         nonlocal done
         k, first = len(pending), done
         spec = spectra[:k]
         band = spec[:, j0:j1].copy()
-        ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=closed[:k])
+        ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=spec)
         try:
-            for row in _rows(closed[:k], pending, g, p, band):
+            for row in _rows(spec, pending, g, p, band):
                 rows[done] = row
                 done += 1
         except NumericalFailure as exc:
             raise NumericalFailure(f"evolution aborted at t~{pending[done - first]}: {exc}",
                                    partial=Observables(*rows[:done].T)) from None
         pending.clear()
+        return spec[-1]
 
     t = w.t
     # a step run past a bad row may overflow: that row's check reports it
@@ -417,16 +420,13 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                     if last or (i + 1) % record_stride == 0:
                         spectra[len(pending)] = f
                         pending.append(t)
-                    if last:  # kin_half * f, in the operand order of check's
-                        ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
-                        check()
-                    else:
+                    if not last:
                         f *= kin_full
                         ifft(f, inv_n, out=psi)
-                        if len(pending) == batch:
-                            check()
+                    if len(pending) == batch:
+                        final = check()
                 if pending:
-                    check()
+                    final = check()
         except NumericalFailure as exc:
             if exc.partial is not None:  # a bad row, which check reports at its own time
                 raise
@@ -434,7 +434,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
                 check()
             raise NumericalFailure(f"evolution aborted at t~{t}: {exc}",
                                    partial=Observables(*rows[:done].T)) from exc
-    return WavePacket(grid=g, psi=psi, t=t), Observables(*rows[:done].T)
+    return WavePacket(grid=g, psi=final.copy(), t=t), Observables(*rows[:done].T)
 
 
 def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:

@@ -67,6 +67,14 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
+def test_reader_fields_are_read_in_every_mode():
+    # cli._unread looks one level deep: a field that decides whether a key is read
+    # (mode, system, drive.kind) is itself read in every mode
+    readers = {f for _, _, reader in cli._FIELDS.values() for f in reader}
+    assert readers == {"mode", "system", "drive.kind"}
+    assert all(cli._FIELDS[f][2] == {} for f in readers)
+
+
 class TestConfigValidation:
     def test_missing_tau_names_the_field(self, tmp_path, capsys):
         cfg = base_ode_config(tmp_path / "out")

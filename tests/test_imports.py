@@ -69,11 +69,14 @@ def test_solver_modules_have_no_power_operator():
 
 
 def test_no_module_starts_processes():
-    # no module imports process, pipe, shared-memory, signal or thread code, or names
-    # os.fork or os.pipe: every run and every sweep is one process.  Only cli imports os
-    # at all, for its paths and ERMAKOV_LAB_OUT.
+    # no module imports process, pipe, shared-memory, signal or thread code, names
+    # os.fork or os.pipe, or reads or sets the CPUs it may run on: every run and every
+    # sweep is one process, whatever the CPU count.  Only cli imports os at all, for its
+    # paths and ERMAKOV_LAB_OUT.
     banned = {"pickle", "mmap", "signal", "threading", "multiprocessing", "subprocess",
               "concurrent"}
+    os_names = {"fork", "pipe", "cpu_count", "process_cpu_count", "sched_getaffinity",
+                "sched_setaffinity"}
     for mod in MODULES:
         tree = ast.parse((SRC / f"{mod}.py").read_text())
         names = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
@@ -82,7 +85,7 @@ def test_no_module_starts_processes():
                   if isinstance(n, ast.ImportFrom) and n.level == 0}
         refused = banned if mod == "cli" else banned | {"os"}
         assert not names & refused, f"{mod}.py imports {sorted(names & refused)}"
-        forks = [n.lineno for n in ast.walk(tree)
-                 if isinstance(n, ast.Attribute) and n.attr in ("fork", "pipe")
-                 or isinstance(n, ast.alias) and n.name in ("fork", "pipe")]
-        assert forks == [], f"{mod}.py names os.fork or os.pipe on lines {forks}"
+        named = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in os_names
+                 or isinstance(n, ast.alias) and n.name in os_names]
+        assert named == [], f"{mod}.py names one of {sorted(os_names)} on lines {named}"

@@ -534,11 +534,11 @@ class TestEvolveStep:
     @pytest.mark.parametrize("drive", [D, DriveSpec(kind="conserving")],
                              ids=["sinusoid", "conserving"])
     def test_one_forward_fft_per_step_boundary(self, monkeypatch, drive):
-        # one FFT pair opens step 1; each step then takes one forward FFT and one
-        # inverse FFT, which opens the next step or, at the last, closes the state;
-        # each check of recorded rows adds one (k, n) inverse FFT that closes
-        # them: here one check of the 6 rows or the last row, or two of 4 and 2
-        # rows in batches of 4
+        # one FFT pair opens step 1; each step then takes one forward FFT, and each
+        # but the last one inverse FFT, which opens the next step; each check of
+        # recorded rows adds one (k, n) inverse FFT that closes them, the final
+        # state among them: here one check of the 6 rows or the last row, or two
+        # of 4 and 2 rows in batches of 4
         n, steps = 256, 6
         w = gaussian_packet(Grid(1 - 16, 1 + 16, n), 1.0, 1.0, p=self.P)
         calls = []
@@ -549,14 +549,30 @@ class TestEvolveStep:
                 mp.setattr(madelung, "_batch_rows", lambda n: batch)
                 evolve(w, self.P, drive, w.grid.dx ** 2 / np.pi, steps, record_stride=stride)
             names = [(name, shape) for name, shape, _, _ in calls]
-            assert len(calls) == 2 * steps + 2 + len(batches)
+            assert len(calls) == 2 * steps + 1 + len(batches)
             assert names.count(("fft", (n,))) == steps + 1
-            assert names.count(("ifft", (n,))) == steps + 1
+            assert names.count(("ifft", (n,))) == steps
             assert [shape for name, shape in names if len(shape) == 2] == \
                 [(k, n) for k in batches]
-            # np.fft's factors, and the bytes in and out of 2S + 2 + R transforms
+            # np.fft's factors, and the bytes in and out of 2S + 1 + R transforms
             assert {(name, fct) for name, _, fct, _ in calls} == {("fft", 1.0), ("ifft", 1 / n)}
-            assert sum(b for *_, b in calls) == 2 * 16 * n * (2 * steps + 2 + sum(batches))
+            assert sum(b for *_, b in calls) == 2 * 16 * n * (2 * steps + 1 + sum(batches))
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_final_packet_is_the_last_row(self, monkeypatch, batch, stride):
+        # the returned packet is the state its last row describes; over two blocks of
+        # steps at n = 64 that row is closed by a full batch's check (batches of one)
+        # or by the check at a block's end (128 rows a batch, or 3)
+        g = Grid(1 - 16, 1 + 16, 64)
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        if batch is not None:
+            monkeypatch.setattr(madelung, "_batch_rows", lambda n: batch)
+        fin, obs = evolve(w, self.P, self.D, 0.01, BLOCK_STEPS + 44, record_stride=stride)
+        assert fin.t == obs.t[-1]
+        # repr pins a float bit for bit, -0.0 against 0.0 included
+        assert {f: repr(v) for f, v in vars(observables(fin, self.P)).items()} == \
+            {f: repr(float(c[-1])) for f, c in vars(obs).items()}
 
     # at stride 7 the last of the 50 steps falls between two record points
     @pytest.mark.parametrize("stride", [1, 7])
@@ -581,8 +597,8 @@ class TestEvolveStep:
     @pytest.mark.parametrize("n, steps, stride", [(100, 21, 3), (256, 21, 3), (512, 50, 7)],
                              ids=["100", "256", "512"])
     def test_recording_does_not_change_the_evolution(self, n, steps, stride):
-        # a record point's batched inverse FFT keeps the operand order of the
-        # unbatched halves, so the state it opens is the one a longer stride opens
+        # a batch's inverse FFT closes each row as the 1-D transform does, so the
+        # final state, the last row's close, is the one a longer stride closes
         g = Grid(1 - 16, 1 + 16, n)
         w = gaussian_packet(g, 1.0, 1.0, p=self.P)
         dt = g.dx * g.dx / np.pi
@@ -766,7 +782,9 @@ class TestChecker:
         closed = np.empty((batch, n), complex)
         row = np.empty(n, complex)
         for k in range(1, batch + 1):
-            madelung._ifft(kin_half * spectra[:k], 1 / n, out=closed[:k])
+            # as evolve's check closes a batch: in place, out= the batch itself
+            np.multiply(kin_half, spectra[:k], out=closed[:k])
+            madelung._ifft(closed[:k], 1 / n, out=closed[:k])
             for spectrum, state in zip(spectra[:k], closed[:k]):
                 madelung._ifft(kin_half * spectrum, 1 / n, out=row)
                 assert state.tobytes() == row.tobytes()
@@ -823,9 +841,9 @@ def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, r
 
 def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
     # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
-    # opens with one FFT pair, then makes one fft and one ifft per step, 12 calls,
-    # and checks its 5 rows once, with one (5, n) ifft that moves the bytes of five
-    # 1-D calls; the ode runs make none.
+    # opens with one FFT pair, then makes one fft per step and one ifft per step but
+    # the last, 11 calls, and checks its 5 rows once, with one (5, n) ifft that moves
+    # the bytes of five 1-D calls and closes the final state; the ode runs make none.
     from ermakov_lab import cli
 
     ode = {"mode": "ode", "params": {"tau": 2.0},
@@ -847,5 +865,5 @@ def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
         assert cli.main(["run", write(name, cfg)]) == 0
     assert cli.main(["sweep", write("sweep", ode),
                      "--param", "params.tau", "--values", "1,2"]) == 0
-    assert len(calls) == 26
-    assert sum(b for *_, b in calls) == 69632
+    assert len(calls) == 24
+    assert sum(b for *_, b in calls) == 65536
