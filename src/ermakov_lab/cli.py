@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import errno
 import json
 import math
@@ -393,13 +392,18 @@ def _run_mode(run, *args) -> int:
 
 
 def _set_by_path(cfg: dict, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
+    """Set the field `dotted` of cfg to value.  Each section on its path is replaced
+    by a copy (a missing one by a new dict), so a shallow copy of a config takes the
+    value without changing the config it was copied from."""
+    *sections, leaf = dotted.split(".")
     node = cfg
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
+    for part in sections:
+        section = node.get(part, {})
+        if not isinstance(section, dict):
             raise ConfigurationError(f"cannot descend into {dotted!r}")
-    node[parts[-1]] = value
+        node[part] = dict(section)
+        node = node[part]
+    node[leaf] = value
 
 
 def sweep(config_path, parameter: str, values: list[float]) -> int:
@@ -414,7 +418,7 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
     leaf = parameter.split(".")[-1]
     runs = {}
     for v in values:
-        cfg = copy.deepcopy(base_cfg)
+        cfg = dict(base_cfg)  # resolve reads a config and never changes it
         _set_by_path(cfg, parameter, v)
         r = resolve(cfg)
         name = f"{leaf}_{v:g}"

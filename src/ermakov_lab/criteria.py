@@ -162,7 +162,7 @@ def criterion_10():
     init = ErmakovState(0, 5 ** -0.5, 0, 1, 0)
     ends = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        tr = integrate(init, p, t_end=50.0, dt=dt)
+        tr = integrate(init, p, t_end=50.0, dt=dt, stride=round(50.0 / dt))  # the two ends
         ends.append(np.array([tr.x[-1], tr.xdot[-1], tr.alpha[-1], tr.alphadot[-1]]))
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
     return [_row("criterion 10 (RK4 halving ratio)", ratio, 20.0,

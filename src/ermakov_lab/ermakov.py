@@ -16,8 +16,10 @@ of integrate's four RK4 stages repeats it inline, in its operand order, and
 makes no call: a drive that reads t alone is read from tables of X at every
 step's t, t + dt/2 and t + dt, made by step_blocks once per block of
 BLOCK_STEPS steps, and the conserving feedback is written out as bind forms it.
-The loop records the state alone; the invariant, its rate, the width and X
-are formed as numpy columns after it, by the same functions on arrays.
+The loop records the state alone, at record points found by one compare of
+the step index, and forms a step's time only where a row, a failure or a
+modulated omega^2 reads it; the invariant, its rate, the width and X are
+formed as numpy columns after it, by the same functions on arrays.
 """
 from __future__ import annotations
 
@@ -175,6 +177,11 @@ def integrate(init: ErmakovState,
     or (t_end - t0)/dt not within 1e-9 (relative) of a whole number, is a
     ConfigurationError, as the CLI refuses such a numerics.t_end.  Records
     every `stride` steps, always including the initial and final states.
+    Step i runs from t0 + i dt, a time formed only where it is read: in a
+    recorded row, in a failure's message, and at each step's end when omega
+    is modulated, as the next step's t for omega^2.  A record point is found
+    by comparing the step index with that of the next recorded row, the last
+    step always among them.
 
     The drive and the constants are resolved once per call and the step runs
     on four plain floats, each stage writing out measurement_rhs in its
@@ -193,7 +200,9 @@ def integrate(init: ErmakovState,
     each recorded row are checked for a non-finite value.
     These are the only failure checks: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
-    rows recorded before it, the earliest failure winning.
+    rows recorded before it, the earliest failure winning.  Its message
+    names the start of the step whose stage failed, or the end of the step
+    whose result did.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -209,27 +218,32 @@ def integrate(init: ErmakovState,
     x_column = drive.bind(params) if feedback else lambda t, r, xbar: drive.at(t)
     gain = params.m / params.lam if feedback else 0.0
     inv_tau, c_tau, lam_m = params.inv_tau, params.c_tau, params.lam / params.m
-    omega2 = params.omega2 if params.eps != 0.0 else None
+    modulated = params.eps != 0.0
+    omega2 = params.omega2
     # -omega^2 and omega^2 + C_tau at t, t + dt/2 and t + dt: once per call
     # when omega is constant, else once per step at each of the three times
-    w2 = params.omega2(init.t)
+    w2 = omega2(init.t)
     nw2_0 = nw2_h = nw2_1 = -w2
     k_0 = k_h = k_1 = w2 + c_tau
     alpha_min = ALPHA_MIN
 
     isfinite = math.isfinite
-    t = init.t
+    t0 = t = init.t  # t, omega^2's step start, is formed at a step's end only if modulated
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
-    rows = [t, a, ad, x, xd]  # flat, (t, alpha, alphadot, xbar, xbardot) per row
+    rows = [t0, a, ad, x, xd]  # flat, (t, alpha, alphadot, xbar, xbardot) per row
     half, sixth = 0.5 * dt, dt / 6.0
+    # rec: the step whose end is the next recorded row, every stride-th and the last
+    last = n_steps - 1
+    rec = min(stride - 1, last)
+    i = 0  # the step the except clause reports, the first one for the initial alpha
     try:
         if a < alpha_min:  # the initial alpha; every later one is checked at its step's end
             raise _collapse(a)
-        for steps, xs_0, xs_h, xs_1 in step_blocks(init.t, dt, n_steps, drive, 0.0, half, dt):
+        for steps, xs_0, xs_h, xs_1 in step_blocks(t0, dt, n_steps, drive, 0.0, half, dt):
             for i, x_0, x_h, x_1 in zip(steps, xs_0, xs_h, xs_1):
                 # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
                 # each stage is measurement_rhs written out, in its operand order
-                if omega2 is not None:
+                if modulated:
                     w2, w2_h, w2_1 = omega2(t), omega2(t + half), omega2(t + dt)
                     nw2_0, nw2_h, nw2_1 = -w2, -w2_h, -w2_1
                     k_0, k_h, k_1 = w2 + c_tau, w2_h + c_tau, w2_1 + c_tau
@@ -265,14 +279,21 @@ def integrate(init: ErmakovState,
                                 ad + sixth * (add1 + 2.0 * add2 + 2.0 * add3 + add4),
                                 x + sixth * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
                                 xd + sixth * (xdd1 + 2.0 * xdd2 + 2.0 * xdd3 + xdd4))
-                t = init.t + (i + 1) * dt
                 if not (isfinite(a) and isfinite(ad) and isfinite(x) and isfinite(xd)):
-                    raise NumericalFailure(f"non-finite state at t={t}")
+                    i += 1  # a failure at step i's end: except reports the time it ends
+                    raise NumericalFailure(f"non-finite state at t={t0 + i * dt}")
                 if a < alpha_min:  # the stages check only their own alpha
+                    i += 1
                     raise _collapse(a)
-                if (i + 1) % stride == 0 or i == n_steps - 1:
-                    rows += (t, a, ad, x, xd)
+                if i == rec or modulated:
+                    t = t0 + (i + 1) * dt
+                    if i == rec:
+                        rows += (t, a, ad, x, xd)
+                        rec += stride
+                        if rec > last:
+                            rec = last
     except NumericalFailure as exc:
         partial = _trajectory(rows, params, x_column)  # a bad row recorded before raises
+        t = t0 + i * dt if i else t0  # the start of step i, the time a stage fails at
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}", partial=partial) from exc
     return _trajectory(rows, params, x_column)

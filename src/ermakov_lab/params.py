@@ -135,6 +135,11 @@ class DriveSpec:
             raise ConfigurationError("tabulated drive times must be strictly increasing")
         return ts, xs
 
+    @cached_property
+    def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:  # built once per drive
+        """_samples as float arrays, the operands at's np.interp reads."""
+        return tuple(map(np.array, self._samples))
+
     @property
     def x_bound(self) -> float | None:
         """The largest |X| the drive takes: 0 for zero, |x0| for constant and sinusoid,
@@ -161,7 +166,8 @@ class DriveSpec:
     def at(self, times: np.ndarray) -> list:
         """X at each of `times` for the kinds that read t alone; the conserving kind
         is refused.  The sinusoid maps math.cos over the phases (numpy's cos is not
-        bit-equal to it), with NaN where a phase overflows."""
+        bit-equal to it), with NaN where a phase overflows; the tabulated kind
+        interpolates on arrays of its samples, made once per drive."""
         if self.kind == "zero":
             return [0.0] * len(times)
         if self.kind == "constant":
@@ -175,7 +181,7 @@ class DriveSpec:
             except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
                 return [x0 * cos(ph) if math.isfinite(ph) else math.nan for ph in phases]
         if self.kind == "tabulated":
-            return np.interp(times, *self._samples).tolist()
+            return np.interp(times, *self._sample_arrays).tolist()
         raise ConfigurationError("the conserving drive reads the state, not t alone")
 
     def value(self, t: float, params: PhysParams | None = None,

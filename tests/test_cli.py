@@ -994,6 +994,29 @@ class TestSweep:
         for d in dirs:
             assert (out / d / "trajectory.csv").read_bytes() == first[d]
 
+    @pytest.mark.parametrize("param, values", [
+        ("params.tau", "1,2"),
+        ("omega_spec.eps", "0,0.1"),  # a section the config does not have
+    ])
+    def test_values_share_no_section(self, tmp_path, monkeypatch, param, values):
+        # each value's config copies only the sections on the swept path: the config
+        # read from file is unchanged, and every value resolves its own section
+        loaded, resolved = [], []
+        load_config, resolve = cli.load_config, cli.resolve
+        monkeypatch.setattr(cli, "load_config",
+                            lambda path: loaded.append(load_config(path)) or loaded[-1])
+        monkeypatch.setattr(cli, "resolve", lambda cfg: resolved.append(cfg) or resolve(cfg))
+        cfg = base_ode_config(tmp_path / "out")
+        cfg["numerics"]["t_end"] = 0.1
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", path, "--param", param, "--values", values]) == 0
+        assert loaded == [cfg]
+        section, leaf = param.split(".")
+        assert [c[section] for c in resolved] == [{**cfg.get(section, {}), leaf: float(v)}
+                                                  for v in values.split(",")]
+        sections = [c[section] for c in resolved + loaded if section in c]
+        assert len(set(map(id, sections))) == len(sections)
+
     def test_refuses_verify_mode(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = {"mode": "verify", "params": {"tau": 2.0}, "output": {"directory": str(out)}}

@@ -385,6 +385,46 @@ class TestIntegrate:
             integrate(ErmakovState(0.0, 1.0, 0.0, 1e154, 0.0), p, t_end=1.0, dt=0.1)
         assert list(exc.value.partial.t) == [0.0]
 
+    # From t0 = 0.3 at dt = 0.1, at a stride that records none of the failing steps:
+    # each message is pinned whole, so the time it names is formed as t0 + i dt, with
+    # i the failing step's start for a stage, its end for the step's result
+    @pytest.mark.parametrize("init, p, drive, stride, message, clean_steps", [
+        # dt/tau = 3.8 is past RK4's stability limit; a stage of the step from
+        # t = 0.3 + 3 * 0.1 collapses
+        pytest.param(ErmakovState(0.3, 1.0, 0.0, 1.0, 0.0), PhysParams(tau=0.0264), ZERO, 2,
+                     "integration aborted at t~0.6000000000000001: alpha=-34.81876981328189 "
+                     "below collapse floor 1e-08", 2, id="stage-collapse"),
+        # every stage of the step from t = 0.5 keeps alpha, its result does not
+        pytest.param(ErmakovState(0.3, 1.0, 0.0, 1.0, 0.0), PhysParams(tau=0.0271), ZERO, 2,
+                     "integration aborted at t~0.6000000000000001: alpha=-0.04719563077135769 "
+                     "below collapse floor 1e-08", 2, id="step-end-collapse"),
+        # X ramps to 1e308 from t = 0.65: 2 xbar'' of the step from t = 0.6000000000000001
+        # overflows, and its result xbardot is -inf
+        pytest.param(ErmakovState(0.3, 1.0, 0.0, 1.0, 0.0), PhysParams(tau=2.0, lam=1.0),
+                     DriveSpec(kind="tabulated", table=((0.0, 0.0), (0.65, 0.0), (0.7, 1e308))),
+                     3, "integration aborted at t~0.7: non-finite state at t=0.7", 3,
+                     id="step-end-non-finite"),
+        pytest.param(ErmakovState(0.3, 5e-9, 0.0, 1.0, 0.0), PhysParams(tau=2.0), ZERO, 4,
+                     "integration aborted at t~0.3: alpha=5e-09 below collapse floor 1e-08",
+                     None, id="initial-collapse"),
+    ])
+    def test_failure_time_at_a_stride(self, init, p, drive, stride, message, clean_steps):
+        with pytest.raises(NumericalFailure) as exc:
+            integrate(init, p, drive=drive, t_end=1.3, dt=0.1, stride=stride)
+        assert str(exc.value) == message
+        partial = exc.value.partial
+        if clean_steps is None:  # the initial row alone
+            assert {k: v.tolist() for k, v in vars(partial).items()} == {
+                "t": [0.3], "alpha": [5e-09], "alphadot": [0.0], "x": [1.0], "xdot": [0.0],
+                "delta": [3.535533905932738e-09], "invariant": [2e+16],
+                "dIdt_analytic": [0.0], "drive": [0.0]}
+        else:  # the rows a run that stops before the failing step records
+            clean = integrate(init, p, drive=drive, t_end=0.3 + clean_steps * 0.1, dt=0.1,
+                              stride=stride)
+            assert len(partial) == 2
+            assert all(getattr(partial, k).tobytes() == getattr(clean, k).tobytes()
+                       for k in vars(clean))
+
     def test_huge_width_runs(self):
         # alpha^3 = 1e465 is beyond the float range; (1/alpha)^3 underflows to 0
         traj = integrate(ErmakovState(0, 1e155, 1e150, 1, 0), PhysParams(tau=2.0, lam=1.0),
@@ -439,6 +479,28 @@ class TestIntegrate:
         assert len(rows) == n_steps + 1
         for (t, *y), (_, *y_next) in zip(rows, rows[1:]):
             assert rk4_step(t, y) == y_next
+
+    @pytest.mark.parametrize("t0", [0.0, 0.3])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("drive", [
+        ZERO, DriveSpec(kind="constant", x0=0.7), SINUSOID, CONSERVING, TABULATED,
+    ], ids=lambda d: d.kind)
+    def test_every_stride_records_the_stride_1_rows(self, drive, eps, t0):
+        # a stride records the stride-1 rows at every stride-th step and the last, bit
+        # for bit: the steps between record points form no t, yet omega^2 reads each
+        # step's t when eps != 0
+        p = PhysParams(m=1.3, tau=3.0, lam=0.7, eps=eps, omega_m=1.3)
+        dt, n_steps = 0.1, 2 * BLOCK_STEPS + 37
+
+        def run(stride):
+            return integrate(ErmakovState(t0, 1.2, -0.4, 0.9, 0.5), p, drive=drive,
+                             t_end=t0 + n_steps * dt, dt=dt, stride=stride)
+        every = run(1)
+        for stride in (1, 7, BLOCK_STEPS, BLOCK_STEPS + 1, n_steps, n_steps + 5):
+            kept = [*range(0, n_steps, stride), n_steps]
+            tr = run(stride)
+            for k in vars(every):
+                assert getattr(tr, k).tobytes() == getattr(every, k)[kept].tobytes(), (stride, k)
 
     @pytest.mark.parametrize("omega", [0.0, 1.0])
     def test_conserving_step_equals_rk4_of_measurement_rhs_from_random_states(self, omega):
