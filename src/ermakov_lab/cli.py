@@ -6,8 +6,9 @@ Subcommands:
   verify <config.json>                   run the ten acceptance criteria; the config
                                          is one run accepts, echoed into report.json
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
-failure.  The env var ERMAKOV_LAB_OUT overrides the output directory.
+Exit codes: 0 success, 1 config error (a bad command line too), 2 numerical
+failure, 3 verification failure; main reports every error through _run_mode.
+The env var ERMAKOV_LAB_OUT overrides the output directory.
 
 `sweep` resolves every value before it runs any: a bad value runs nothing.
 Otherwise every value runs, in order and in the calling process, and ends as
@@ -32,7 +33,7 @@ from .criteria import CRITERIA
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
 from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _setup, evolve, gaussian_packet
+from .madelung import Grid, _first_row, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -166,7 +167,8 @@ def resolve(cfg: dict) -> dict:
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
     last, a drive term lambda X / m beyond the float range or, in pde and compare
-    mode, any bound of evolve's own set-up, madelung._setup, on the run's grid.
+    mode, any bound of evolve's own set-up, madelung._setup, on the run's grid, and
+    then the check of evolve's t = 0 row, madelung._first_row, on its initial packet.
     ERMAKOV_LAB_OUT replaces output.directory, and right after that an output
     directory that cannot be made (a file where it or an ancestor should be) is
     refused before any work."""
@@ -212,7 +214,7 @@ def resolve(cfg: dict) -> dict:
         r["init.alpha0"] = r["init.delta0"] / scale
         r["init.alphadot0"] = r["init.width_rate0"] / scale
     pde = r["mode"] in _PDE["mode"]
-    grid = _packet(r, p).grid if pde else None
+    packet = _packet(r, p) if pde else None
     for key in given:
         why = _unread(r, key)
         if why == "mode":  # name the outermost section this mode reads nothing of
@@ -229,7 +231,11 @@ def resolve(cfg: dict) -> dict:
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")
     if pde:
-        _setup(grid, p, d, r["numerics.dt"], steps, r["output.stride"])
+        _setup(packet.grid, p, d, r["numerics.dt"], steps, r["output.stride"])
+        try:
+            _first_row(packet, p, np.empty(packet.grid.n, complex))
+        except NumericalFailure as exc:
+            raise ConfigurationError(f"initial packet is not resolved: {exc}") from None
     return r
 
 
@@ -378,9 +384,9 @@ _MODES = {"ode": run_ode, "pde": run_pde, "compare": run_compare}
 
 
 def _run_mode(run, *args) -> int:
-    """run(*args), the one place a failure raised during a run is reported: a config
-    error (an artifact that cannot be written) is one stderr line and exit 1, a
-    numerical failure one stderr line and exit 2."""
+    """run(*args), the one place an error becomes one stderr line and an exit code: a
+    config error (a bad command line, config or value, an unwritable artifact) is exit
+    1, a numerical failure exit 2.  main runs its whole command through it, sweep each run."""
     try:
         return run(*args)
     except ConfigurationError as exc:
@@ -431,10 +437,15 @@ def sweep(config_path, parameter: str, values: list[float]) -> int:
     return max([_run_mode(_MODES[r["mode"]], r) for r, _ in runs.values()])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ermakov-lab",
-                                     description="Config-driven runs of the "
-                                     "measured-oscillator laboratory")
+class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
+    def error(self, message):  # a usage error is a config error, not argparse's exit 2
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _command(argv) -> int:
+    """The command argv, parsed and run to its exit code; an error propagates."""
+    parser = _Parser(prog="ermakov-lab",
+                     description="Config-driven runs of the measured-oscillator laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the mode named in the config")
     p_run.add_argument("config")
@@ -447,22 +458,23 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the ten acceptance criteria")
     p_verify.add_argument("config")
     args = parser.parse_args(argv)
-
-    try:
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError:
-                raise ConfigurationError("--values must be comma-separated numbers") from None
-            return sweep(args.config, args.param, values)
-        cfg = load_config(args.config)
-        r = resolve(cfg)
-    except ConfigurationError as exc:  # before a run: _run_mode reports a run's own
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    if args.command == "sweep":
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigurationError("--values must be comma-separated numbers") from None
+        return sweep(args.config, args.param, values)
+    cfg = load_config(args.config)
+    r = resolve(cfg)
     if args.command == "verify":
-        return _run_mode(run_verify, r, cfg)
-    return _run_mode(_MODES[r["mode"]], r)
+        return run_verify(r, cfg)
+    return _MODES[r["mode"]](r)
+
+
+def main(argv=None) -> int:
+    """The exit code of the command argv, sys.argv[1:] if None, each error, a bad
+    command line included, reported by _run_mode; --help raises SystemExit(0)."""
+    return _run_mode(_command, argv)
 
 
 if __name__ == "__main__":

@@ -78,6 +78,12 @@ class Grid:
     def k(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
+    @cached_property
+    def band(self) -> slice:
+        """The spectrum's indices at |k| >= BAND_EDGE pi/dx: one run around n/2, unshifted."""
+        j = np.flatnonzero(np.abs(self.k) >= BAND_EDGE * np.pi / self.dx)
+        return slice(int(j[0]), int(j[-1]) + 1)
+
 
 @dataclass
 class WavePacket:
@@ -103,12 +109,17 @@ class Observables:
 
 @dataclass
 class MadelungFields:
+    """The fields of madelung_decompose on the grid, and the density's mean xbar and
+    width delta, the moments of _moments that it reads."""
+
     grid: Grid
     rho: np.ndarray
     S: np.ndarray
     v_qu: np.ndarray
     V_qu: np.ndarray
     valid_mask: np.ndarray
+    xbar: float
+    delta: float
 
 
 def _d2_periodic(f: np.ndarray, dx: float) -> np.ndarray:
@@ -233,6 +244,14 @@ def _rows(psi: np.ndarray, ts: list, g: Grid, p: PhysParams, band: np.ndarray | 
         yield (t, *row)
 
 
+def _first_row(w: WavePacket, p: PhysParams, f: np.ndarray) -> tuple:
+    """evolve's t = 0 row of w, checked as _rows checks a recorded row against its band;
+    the spectrum of w.psi, by one _fft call, is left in f.  cli.resolve calls it too."""
+    _fft(w.psi, 1.0, out=f)
+    with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
+        return next(_rows(w.psi[None], [w.t], w.grid, p, f[None, w.grid.band]))
+
+
 def _batch_rows(n: int) -> int:
     """Rows per batch of evolve's recorded rows on an n-point grid: ROW_POINTS
     grid points of them, and at least 2."""
@@ -320,12 +339,12 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     check of `observables`, the norm window [0.5, 2], and at most BAND_SHARE_MAX of
     |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the row's spectrum (a
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
-    has no kinetic limit).  The t = 0 row is checked on its own.  The later rows are
-    checked in batches of up to _batch_rows(n), in this process: when the buffer is
-    full and at the end of each block of steps, the last step's included.  A check
-    closes the k spectra in place with kin_half and one (k, n) inverse FFT, checks the
-    rows in one pass of _rows, and writes them into a table made once per call, whose
-    columns are returned.
+    has no kinetic limit).  The t = 0 row is checked on its own by _first_row, which
+    cli.resolve also runs.  The later rows are checked in batches of up to
+    _batch_rows(n), in this process: when the buffer is full and at the end of each
+    block of steps, the last step's included.  A check closes the k spectra in place
+    with kin_half and one (k, n) inverse FFT, checks the rows in one pass of _rows, and
+    writes them into a table made once per call, whose columns are returned.
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
@@ -352,8 +371,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     psi = np.empty(g.n, complex)
     # the factors np.fft passes: 1 forward, reciprocal(n) inverse, which is 1.0 / n to the bit
     fft, ifft, inv_n = _fft, _ifft, 1.0 / g.n
-    j = np.flatnonzero(np.abs(g.k) >= BAND_EDGE * np.pi / g.dx)  # around n/2, unshifted
-    j0, j1 = j[0], j[-1] + 1
     # the spectra of the recorded rows not yet checked, at the times `pending`
     batch = _batch_rows(g.n)
     spectra = np.empty((batch, g.n), complex)
@@ -370,7 +387,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
         nonlocal done
         k, first = len(pending), done
         spec = spectra[:k]
-        band = spec[:, j0:j1].copy()
+        band = spec[:, g.band].copy()
         ifft(np.multiply(kin_half, spec, out=spec), inv_n, out=spec)
         try:
             for row in _rows(spec, pending, g, p, band):
@@ -392,8 +409,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
             except OverflowError as exc:
                 raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                        f"{dt * p.inv_tau:.3g}") from exc
-            fft(w.psi, 1.0, out=f)
-            rows[0] = next(_rows(w.psi[None], [t], g, p, f[None, j0:j1]))
+            rows[0] = _first_row(w, p, f)
             done = 1
             ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
             for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
@@ -445,7 +461,7 @@ def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:
     Bohm potential, evaluated only where rho >= RHO_FLOOR * max(rho).
     """
     g = w.grid
-    _, xbar, _, _, rho = _moments(w.psi, g.x, g.dx)
+    _, xbar, _, var, rho = _moments(w.psi, g.x, g.dx)
     i0 = int(np.argmin(np.abs(g.x - xbar)))
     theta = np.angle(w.psi)
     S = np.empty_like(theta)
@@ -458,22 +474,19 @@ def madelung_decompose(w: WavePacket, p: PhysParams) -> MadelungFields:
     curv = _d2_periodic(sq, g.dx)
     V_qu[mask] = -(p.hbar * p.hbar_2m) * curv[mask] / sq[mask]
     return MadelungFields(grid=g, rho=rho, S=S, v_qu=v_qu, V_qu=V_qu,
-                          valid_mask=mask)
+                          valid_mask=mask, xbar=xbar, delta=math.sqrt(var))
 
 
 def quantum_force_linearity(f: MadelungFields, p: PhysParams) -> tuple[float, float]:
     """(k_est, max_rel_dev): the least-squares slope of the quantum force
     F = -(1/m) dV_qu/dx against (x - xbar), and the largest deviation from it.
 
-    The fit and the deviation maximum are restricted to |x - xbar| <= 4 delta
+    The fit and the deviation maximum are restricted to |x - f.xbar| <= 4 f.delta
     inside the valid mask; deviations are relative to max|F| on that window.
     """
     g = f.grid
-    norm = float(np.sum(f.rho) * g.dx)
-    xbar = float(np.sum(g.x * f.rho) * g.dx) / norm
-    u = g.x - xbar
-    delta = math.sqrt(float(np.sum(u * u * f.rho) * g.dx) / norm)
-    sel = f.valid_mask & (np.abs(u) <= 4.0 * delta)
+    u = g.x - f.xbar
+    sel = f.valid_mask & (np.abs(u) <= 4.0 * f.delta)
     if np.count_nonzero(sel) < 16:
         raise NumericalFailure("fewer than 16 valid points inside 4 delta")
     # derivative on the contiguous valid block, then restricted to the window

@@ -123,8 +123,10 @@ class DriveSpec:
             self._samples  # built here, so a bad table fails at construction
 
     @cached_property
-    def _samples(self) -> tuple[list, list]:  # built once per drive
-        """Sample times and values, checked as np.interp needs them."""
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:  # built once per drive
+        """Sample times and values as the float arrays at's np.interp reads, checked
+        as it needs them.  The checks run on Python floats: numpy reductions here would
+        load code that an ode run otherwise never touches, and add to its peak RSS."""
         ts = [float(p[0]) for p in self.table]
         xs = [float(p[1]) for p in self.table]
         if len(ts) < 2:
@@ -133,12 +135,7 @@ class DriveSpec:
             raise ConfigurationError("tabulated drive samples must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigurationError("tabulated drive times must be strictly increasing")
-        return ts, xs
-
-    @cached_property
-    def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:  # built once per drive
-        """_samples as float arrays, the operands at's np.interp reads."""
-        return tuple(map(np.array, self._samples))
+        return np.array(ts), np.array(xs)
 
     @property
     def x_bound(self) -> float | None:
@@ -147,7 +144,7 @@ class DriveSpec:
         if self.kind == "zero":
             return 0.0
         if self.kind == "tabulated":
-            return max(map(abs, self._samples[1]))
+            return max(map(abs, self._samples[1].tolist()))
         return None if self.kind == "conserving" else abs(self.x0)
 
     def bind(self, params: PhysParams | None = None):
@@ -167,7 +164,7 @@ class DriveSpec:
         """X at each of `times` for the kinds that read t alone; the conserving kind
         is refused.  The sinusoid maps math.cos over the phases (numpy's cos is not
         bit-equal to it), with NaN where a phase overflows; the tabulated kind
-        interpolates on arrays of its samples, made once per drive."""
+        interpolates on the arrays of _samples, made once per drive."""
         if self.kind == "zero":
             return [0.0] * len(times)
         if self.kind == "constant":
@@ -181,7 +178,7 @@ class DriveSpec:
             except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
                 return [x0 * cos(ph) if math.isfinite(ph) else math.nan for ph in phases]
         if self.kind == "tabulated":
-            return np.interp(times, *self._sample_arrays).tolist()
+            return np.interp(times, *self._samples).tolist()
         raise ConfigurationError("the conserving drive reads the state, not t alone")
 
     def value(self, t: float, params: PhysParams | None = None,

@@ -76,6 +76,46 @@ def test_reader_fields_are_read_in_every_mode():
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("argv, line", [
+        (["run"], "ermakov-lab run: the following arguments are required: config"),
+        (["bogus"], "ermakov-lab: argument command: invalid choice: 'bogus'"),
+        (["sweep", "c.json", "--values", "1"],
+         "ermakov-lab sweep: the following arguments are required: --param"),
+        ([], "ermakov-lab: the following arguments are required: command"),
+    ], ids=["run-without-config", "unknown-command", "sweep-without-param", "empty"])
+    def test_usage_error_is_a_config_error(self, capsys, argv, line):
+        # argparse's own exit code for a usage error, 2, is the numerical-failure code
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error: " + line)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ermakov-lab")
+
+    @pytest.mark.parametrize("mode", ["pde", "compare"])
+    def test_unresolved_initial_packet_runs_nothing(self, tmp_path, capsys, mode):
+        # k_max = 10.4 + 0.25 * 8 = 12.4 passes the Nyquist bound pi/dx = 12.57, but
+        # 5.5 % of |psi|^2 lies in the band that evolve's t = 0 row check refuses
+        out = tmp_path / "out"
+        cfg = {"mode": mode, "params": {"tau": 2.0},
+               "init": {"delta0": 1.0, "xbar0": 1.0, "xbardot0": 10.4},
+               "numerics": {"dt": 1e-3, "t_end": 0.01,
+                            "grid": {"x_min": -15.0, "x_max": 17.0, "n": 128}},
+               "output": {"directory": str(out)}}
+        path = write_config(tmp_path / "c.json", cfg)
+        line = ("config error: initial packet is not resolved: share 0.0547 of |psi|^2 in "
+                "the band |k| >= 0.9 pi/dx exceeds 0.001 at t=0.0")
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        # the sweep resolves both values first: value 0 would run, 10.4 runs nothing
+        assert main(["sweep", path, "--param", "init.xbardot0", "--values", "0,10.4"]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     def test_missing_tau_names_the_field(self, tmp_path, capsys):
         cfg = base_ode_config(tmp_path / "out")
         del cfg["params"]["tau"]

@@ -843,7 +843,8 @@ def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
     # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
     # opens with one FFT pair, then makes one fft per step and one ifft per step but
     # the last, 11 calls, and checks its 5 rows once, with one (5, n) ifft that moves
-    # the bytes of five 1-D calls and closes the final state; the ode runs make none.
+    # the bytes of five 1-D calls and closes the final state; cli.resolve's check of
+    # each one's t = 0 row adds one fft; the ode runs make none.
     from ermakov_lab import cli
 
     ode = {"mode": "ode", "params": {"tau": 2.0},
@@ -865,5 +866,5 @@ def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
         assert cli.main(["run", write(name, cfg)]) == 0
     assert cli.main(["sweep", write("sweep", ode),
                      "--param", "params.tau", "--values", "1,2"]) == 0
-    assert len(calls) == 24
-    assert sum(b for *_, b in calls) == 65536
+    assert len(calls) == 26
+    assert sum(b for *_, b in calls) == 69632
