@@ -27,13 +27,5 @@ from .madelung import (
     observables,
     quantum_force_linearity,
 )
-from .identities import (
-    AnsatzSlice,
-    check_coefficient_expansion,
-    check_decomposition_integrals,
-    check_integrating_factor,
-    check_k0_gaussian,
-    check_velocity_ansatz,
-)
 
 __version__ = "0.1.0"

@@ -260,8 +260,9 @@ def _batch_rows(n: int) -> int:
 
 def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_stride: int):
     """evolve's checks before its first step, each a ConfigurationError, and what it forms
-    there: kin_half, cis_harmonic and the empty table of rows.  The factors are refused by
-    the finiteness of their entries; cli.resolve calls it on every pde and compare config."""
+    there: kin_half, cis_harmonic, the sink gain (exp(dt/tau) - 1)/2 and the empty table
+    of rows.  The factors are refused by the finiteness of their entries, the gain where
+    exp(dt/tau) overflows; cli.resolve calls it on every pde and compare config."""
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
     if steps < 1 or record_stride < 1:
@@ -289,9 +290,15 @@ def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_s
         raise ConfigurationError(f"kinetic phase dt (hbar/2m) k^2 / 2 = {dt:g} * "
                                  f"{p.hbar_2m:g} * k^2 / 2 is beyond the float range")
     try:  # numpy refuses a size beyond its limits, or beyond memory, before allocating
-        return kin_half, cis_harmonic, np.empty((2 + (steps - 1) // record_stride, 6))
+        rows = np.empty((2 + (steps - 1) // record_stride, 6))
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"{steps} steps record too many rows: {exc}") from None
+    try:  # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
+        sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
+    except OverflowError:
+        raise ConfigurationError(f"sink factor exp(dt/tau) overflows at dt/tau = "
+                                 f"{dt * p.inv_tau:.3g}") from None
+    return kin_half, cis_harmonic, sink_gain, rows
 
 
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
@@ -301,7 +308,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
 
     Before the first step, _setup raises ConfigurationError for a bad dt, steps or
     record_stride, a modulated p, a drive phase or coefficient beyond the float range,
-    a non-finite harmonic or kinetic factor and more rows than numpy can allocate.
+    a non-finite harmonic or kinetic factor, more rows than numpy can allocate and a
+    sink factor exp(dt/tau) beyond the float range.
     The mean and variance entering the measurement multiplier are recomputed from the
     current psi, after the step's opening kinetic half-step, before each potential
     application.  The sink factor uses the exactly
@@ -348,15 +356,14 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
 
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
-    or a sink factor exp(dt/tau) that overflows included, raises NumericalFailure
-    naming its time, whose `partial` is the Observables of the rows recorded before
-    it, empty if the t = 0 row fails.  A bad row is reported at its own time, at the
-    check of its batch, before any later step; a step that fails first checks the
-    pending rows, so an earlier bad row still wins.
+    included, raises NumericalFailure naming its time, whose `partial` is the
+    Observables of the rows recorded before it, empty if the t = 0 row fails.  A bad
+    row is reported at its own time, at the check of its batch, before any later step;
+    a step that fails first checks the pending rows, so an earlier bad row still wins.
     """
     g = w.grid
     # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
-    kin_half, cis_harmonic, rows = _setup(g, p, d, dt, steps, record_stride)
+    kin_half, cis_harmonic, sink_gain, rows = _setup(g, p, d, dt, steps, record_stride)
     x = g.x
     kin_full = kin_half * kin_half
     # i x = ix[j] + ix[nb + l] at index 32 j + l (nb block starts, then the 32
@@ -403,12 +410,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     # a step run past a bad row may overflow: that row's check reports it
     with np.errstate(all="ignore"):
         try:
-            # exact pure-sink integral of 1/delta^2(s) over the step, per unit 1/delta^2(0)
-            try:
-                sink_gain = 0.5 * math.expm1(dt * p.inv_tau)
-            except OverflowError as exc:
-                raise NumericalFailure(f"sink factor exp(dt/tau) overflows at dt/tau = "
-                                       f"{dt * p.inv_tau:.3g}") from exc
             rows[0] = _first_row(w, p, f)
             done = 1
             ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)

@@ -27,8 +27,8 @@ class PhysParams:
     coefficients the solvers read: omega2(t), hbar_2m and c_tau.
 
     m, hbar > 0 and omega >= 0, all finite; lam and lam/m finite; tau > 0 (math.inf
-    switches the measurement off); |eps| < 1 and omega_m modulate the
-    frequency, omega2(t) = omega^2 (1 + eps sin(omega_m t)).
+    switches the measurement off) and c_tau finite; |eps| < 1 and omega_m modulate
+    the frequency, omega2(t) = omega^2 (1 + eps sin(omega_m t)).
     """
 
     m: float = 1.0
@@ -55,6 +55,9 @@ class PhysParams:
                                      "is beyond the float range")
         if not (self.tau > 0):
             raise ConfigurationError("tau must be positive (math.inf allowed)")
+        if not math.isfinite(self.c_tau):
+            raise ConfigurationError(f"C_tau = 1/(4 tau^2) at tau = {self.tau:g} "
+                                     "is beyond the float range")
         if not (abs(self.eps) < 1):
             raise ConfigurationError("|eps| must be < 1 so omega^2(t) stays positive")
 
@@ -162,21 +165,19 @@ class DriveSpec:
 
     def at(self, times: np.ndarray) -> list:
         """X at each of `times` for the kinds that read t alone; the conserving kind
-        is refused.  The sinusoid maps math.cos over the phases (numpy's cos is not
-        bit-equal to it), with NaN where a phase overflows; the tabulated kind
+        is refused.  The sinusoid takes math.cos of each phase (numpy's cos is not
+        bit-equal to it), and NaN where a phase overflows; the tabulated kind
         interpolates on the arrays of _samples, made once per drive."""
         if self.kind == "zero":
             return [0.0] * len(times)
         if self.kind == "constant":
             return [self.x0] * len(times)
         if self.kind == "sinusoid":
-            x0, cos = self.x0, math.cos
+            x0, cos, isfinite = self.x0, math.cos, math.isfinite
             with np.errstate(over="ignore", invalid="ignore"):
                 phases = (self.freq * times + self.phase).tolist()
-            try:
-                return [x0 * c for c in map(cos, phases)]
-            except ValueError:  # math.cos(inf): NaN, which the solvers' finiteness checks see
-                return [x0 * cos(ph) if math.isfinite(ph) else math.nan for ph in phases]
+            # math.cos(inf) raises: NaN there, which the solvers' finiteness checks see
+            return [x0 * cos(ph) if isfinite(ph) else math.nan for ph in phases]
         if self.kind == "tabulated":
             return np.interp(times, *self._samples).tolist()
         raise ConfigurationError("the conserving drive reads the state, not t alone")

@@ -59,12 +59,25 @@ def read_csv(path):
     return header, data
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, ermakov_lab.cli; print('scipy' in sys.modules)"
+def test_import_leaves_scipy_out(tmp_path):
+    # importing the CLI, an ode run and a sweep load no scipy and no verification code:
+    # only verify imports the criteria and the identity checks they call
+    cfg = base_ode_config(tmp_path / "out")
+    cfg["numerics"]["t_end"] = 0.1
+    code = "\n".join([
+        "import sys",
+        "from ermakov_lab.cli import main",
+        "names = ('scipy', 'ermakov_lab.identities', 'ermakov_lab.criteria')",
+        "print([m for m in names if m in sys.modules])",
+        "assert main(['run', sys.argv[1]]) == 0",
+        "assert main(['sweep', sys.argv[1], '--param', 'params.tau', '--values', '1,2']) == 0",
+        "print([m for m in names if m in sys.modules])"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, write_config(tmp_path / "c.json", cfg)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
+    assert (tmp_path / "out" / "tau_2" / "trajectory.csv").is_file()
 
 
 def test_reader_fields_are_read_in_every_mode():
@@ -283,8 +296,10 @@ class TestConfigValidation:
                      id="run-compare-aliased-velocity"),
         pytest.param("run", "pde", {**GRID_128, "init.xbardot0": 1e160},
                      "packet wavenumber up to 1e+160", id="run-pde-huge-velocity"),
+        # C_tau = (1/tau)^2 / 4 is inf, refused before the packet it would chirp
         pytest.param("run", "pde", {**GRID_128, "params.tau": 1e-200},
-                     "packet wavenumber up to 4e+200", id="run-pde-tiny-tau"),
+                     "C_tau = 1/(4 tau^2) at tau = 1e-200 is beyond the float range",
+                     id="run-pde-tiny-tau"),
         pytest.param("run", "pde", {**GRID_128, "init.delta0": 1e200},
                      "packet must sit at least 8*delta0", id="run-pde-huge-delta0"),
         # the default grid xbar0 -+ 16 delta0 holds the packet, which tau = inf leaves
@@ -607,7 +622,7 @@ def test_write_csv_bytes(tmp_path):
 def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command, name):
     # output.directory names an existing file: resolve refuses it, one config error and
     # no traceback; with the file gone the same command writes `name` there
-    monkeypatch.setattr(cli, "CRITERIA", (fake_criterion("good", 1.0, 2.0),))
+    monkeypatch.setattr("ermakov_lab.criteria.CRITERIA", (fake_criterion("good", 1.0, 2.0),))
     out = tmp_path / "out"
     out.write_text("")
     cfg = base_ode_config(out)
@@ -730,21 +745,16 @@ class TestOdeMode:
         header, data = read_csv(out / "trajectory.csv")
         assert data.shape == (9, len(header)) and np.all(np.isfinite(data))
 
-    @pytest.mark.parametrize("command, code", [("run", 2), ("verify", 0)])
-    def test_c_tau_beyond_the_float_range_fails_the_run(self, tmp_path, capsys, monkeypatch,
-                                                        command, code):
-        # C_tau = (1/tau)^2 / 4 is inf: the run fails at its first row, verify only
-        # validates the config
-        monkeypatch.setattr(cli, "CRITERIA", ())
-        cfg = base_ode_config(tmp_path / "out")
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_c_tau_beyond_the_float_range_fails_the_run(self, tmp_path, capsys, command):
+        # C_tau = (1/tau)^2 / 4 is inf: a config error, before the run or the criteria
+        out = tmp_path / "out"
+        cfg = base_ode_config(out)
         cfg["params"]["tau"] = 1e-200
-        assert main([command, write_config(tmp_path / "c.json", cfg)]) == code
-        err = capsys.readouterr().err.splitlines()
-        if code == 2:
-            assert err == ["numerical failure: integration aborted at t~0.0: "
-                           "non-finite value in the row recorded at t=0.0"]
-        else:
-            assert err == []
+        assert main([command, write_config(tmp_path / "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: C_tau = 1/(4 tau^2) at tau = 1e-200 is beyond the float range"]
+        assert not out.exists()
 
     def omega_spec_run(self, tmp_path, name, omega_spec=None):
         cfg = base_ode_config(tmp_path / name)
@@ -811,20 +821,20 @@ class TestPdeMode:
         assert (out / "fields_final.csv").exists()
 
     @pytest.mark.parametrize("mode", ["pde", "compare"])
-    def test_sink_overflow_exits_2(self, tmp_path, capsys, mode):
-        # dt/tau = 1.25e198: exp(dt/tau) overflows; width_rate0 = -delta0/(2 tau)
-        # cancels the 1/(2 tau) phase curvature, so the packet itself is resolved
+    def test_sink_overflow_exits_1(self, tmp_path, capsys, mode):
+        # dt/tau = 1.25e8: exp(dt/tau) overflows, though C_tau = 2.5e19 does not;
+        # width_rate0 = -delta0/(2 tau) cancels the 1/(2 tau) phase curvature, so the
+        # packet itself is resolved
         out = tmp_path / "out"
         cfg = self.pde_config(out)
         cfg["mode"] = mode
-        cfg["params"]["tau"] = 1e-200
-        cfg["init"]["width_rate0"] = -0.5 * (1.0 / 1e-200)
+        cfg["params"]["tau"] = 1e-10
+        cfg["init"]["width_rate0"] = -0.5e10
         if mode == "compare":
             del cfg["output"]["snapshots"]
-        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: evolution aborted at t~0.0: sink factor "
-                       "exp(dt/tau) overflows at dt/tau = 1.25e+198"]
+        assert err == ["config error: sink factor exp(dt/tau) overflows at dt/tau = 1.25e+08"]
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["pde", "compare"])
@@ -964,7 +974,7 @@ def fake_criterion(name, value, bound):
 
 class TestVerifyMode:
     def verify(self, tmp_path, monkeypatch, criteria):
-        monkeypatch.setattr(cli, "CRITERIA", criteria)
+        monkeypatch.setattr("ermakov_lab.criteria.CRITERIA", criteria)
         out = tmp_path / "out"
         cfg = {"mode": "ode", "params": {"tau": 2.0},
                "output": {"directory": str(out)}}
@@ -1146,7 +1156,6 @@ class TestSweep:
 
     def test_a_sweep_starts_no_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "out"
         cfg = base_ode_config(out)
         cfg["numerics"]["t_end"] = 0.1

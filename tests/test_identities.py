@@ -4,15 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ermakov_lab import (
+from ermakov_lab import PhysParams
+from ermakov_lab.errors import ConfigurationError
+from ermakov_lab.identities import (
     AnsatzSlice,
-    PhysParams,
+    _cumulative_simpson,
     check_coefficient_expansion,
     check_k0_gaussian,
     check_velocity_ansatz,
 )
-from ermakov_lab.errors import ConfigurationError
-from ermakov_lab.identities import _cumulative_simpson
 
 SLICE = AnsatzSlice(delta=1.0, deltadot=0.3, xbardot=0.2, tau=1.0)
 

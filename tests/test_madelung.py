@@ -379,12 +379,13 @@ class TestEvolve:
         with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
             evolve(w, P_FREE, ZERO, dt, 5)
 
-    def test_sink_overflow_is_a_numerical_failure(self):
+    def test_sink_overflow_is_a_config_error(self):
+        # dt/tau = 2e8: exp(dt/tau) overflows, refused before the first step
         g = Grid(1 - 16, 1 + 16, 128)
         w = gaussian_packet(g, 1.0, 1.0, p=P_FREE)
-        with pytest.raises(NumericalFailure, match="overflows") as exc:
-            evolve(w, PhysParams(tau=1e-200), ZERO, g.dx ** 2 / np.pi, 5)
-        assert len(exc.value.partial) == 0
+        with pytest.raises(ConfigurationError, match=r"sink factor exp\(dt/tau\) overflows "
+                                                     r"at dt/tau = 1\.99e\+08$"):
+            evolve(w, PhysParams(tau=1e-10), ZERO, g.dx ** 2 / np.pi, 5)
 
     @pytest.mark.parametrize("steps, record_stride", [(5, 0), (-3, 1), (0, 1)])
     def test_refuses_bad_step_counts(self, steps, record_stride):
