@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
-from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _first_row, _setup, evolve, gaussian_packet
+from .ermakov import ErmakovState, _check_start, _whole_steps, delta_from_alpha, integrate
+from .madelung import Grid, _setup, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -165,9 +165,9 @@ def resolve(cfg: dict) -> dict:
     A config error for an unknown key, a bad value, a classical system the run
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
-    last, a drive term lambda X / m beyond the float range or, in pde and compare
-    mode, any bound of evolve's own set-up, madelung._setup, on the run's grid, and
-    then the check of evolve's t = 0 row, madelung._first_row, on its initial packet.
+    last, a drive term lambda X / m beyond the float range, in pde and compare mode
+    any bound of evolve's set-up, madelung._setup, its t = 0 row's check included,
+    and in ode and compare mode an initial alpha below integrate's collapse floor.
     ERMAKOV_LAB_OUT replaces output.directory, and right after that an output
     directory that cannot be made (a file where it or an ancestor should be) is
     refused before any work."""
@@ -230,11 +230,9 @@ def resolve(cfg: dict) -> dict:
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")
     if pde:
-        _setup(packet.grid, p, d, r["numerics.dt"], steps, r["output.stride"])
-        try:
-            _first_row(packet, p, np.empty(packet.grid.n, complex))
-        except NumericalFailure as exc:
-            raise ConfigurationError(f"initial packet is not resolved: {exc}") from None
+        _setup(packet, p, d, r["numerics.dt"], steps, r["output.stride"])
+    if r["mode"] != "pde":
+        _check_start(r["init.alpha0"])
     return r
 
 

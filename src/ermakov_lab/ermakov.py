@@ -48,6 +48,11 @@ def _collapse(alpha: float) -> NumericalFailure:
     return NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
 
 
+def _check_start(alpha: float) -> None:  # integrate's, and cli.resolve's, start check
+    if alpha < ALPHA_MIN:
+        raise ConfigurationError(f"initial alpha={alpha} below collapse floor {ALPHA_MIN}")
+
+
 def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float, float]:
     """Accelerations (alpha'', xbar'') with omega^2 = p.omega2(s.t): the one
     written-out formula, whose operand order every stage of `integrate` repeats.
@@ -195,9 +200,9 @@ def integrate(init: ErmakovState,
     r = alphadot/alpha.  The loop records the state alone; after it, delta,
     I, dI/dt and X are formed as columns, X by DriveSpec.at on the recorded
     times, or by one call of bind's conserving function on the columns.
-    alpha < ALPHA_MIN is checked once of the initial alpha, by stages 2 to 4
-    before their drive, and of each step's result; each step's result and
-    each recorded row are checked for a non-finite value.
+    alpha < ALPHA_MIN is a ConfigurationError for the initial alpha, and a
+    failure for stages 2 to 4 before their drive and each step's result;
+    each step's result and each recorded row are checked for a non-finite value.
     These are the only failure checks: a width collapse or a non-finite
     value raises NumericalFailure whose `partial` is the Trajectory of the
     rows recorded before it, the earliest failure winning.  Its message
@@ -211,6 +216,7 @@ def integrate(init: ErmakovState,
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
+    _check_start(init.alpha)
     drive = DriveSpec() if drive is None else drive
     # the conserving feedback, the one kind that reads the state, is written out in
     # each stage as bind forms it (bind refuses it at lambda = 0); the others are tabulated
@@ -235,10 +241,7 @@ def integrate(init: ErmakovState,
     # rec: the step whose end is the next recorded row, every stride-th and the last
     last = n_steps - 1
     rec = min(stride - 1, last)
-    i = 0  # the step the except clause reports, the first one for the initial alpha
     try:
-        if a < alpha_min:  # the initial alpha; every later one is checked at its step's end
-            raise _collapse(a)
         for steps, xs_0, xs_h, xs_1 in step_blocks(t0, dt, n_steps, drive, 0.0, half, dt):
             for i, x_0, x_h, x_1 in zip(steps, xs_0, xs_h, xs_1):
                 # stage i has slope (ad_i, add_i, xd_i, xdd_i), with ad_1, xd_1 = ad, xd;
@@ -294,6 +297,6 @@ def integrate(init: ErmakovState,
                             rec = last
     except NumericalFailure as exc:
         partial = _trajectory(rows, params, x_column)  # a bad row recorded before raises
-        t = t0 + i * dt if i else t0  # the start of step i, the time a stage fails at
+        t = t0 + i * dt  # the start of step i, the time a stage fails at
         raise NumericalFailure(f"integration aborted at t~{t}: {exc}", partial=partial) from exc
     return _trajectory(rows, params, x_column)

@@ -12,14 +12,14 @@ kinetic factor.  A step makes one fft call and, but the last, one ifft call,
 each straight to the numpy pocketfft gufunc that np.fft.fft or ifft wraps,
 with np.fft's factor 1 or 1/n: the same bytes, less the wrapper's Python work
 per call (norm, dtypes, axis, out's shape), a sizeable part of a call at a few
-hundred points.  A record point keeps the step's spectrum; the recorded rows
-are checked in batches, in the calling process, each closed in place with one
-(k, n) inverse FFT and checked in one pass, into a table of columns, so a bad
-row is reported at the check of its own batch, before any later step.  The
-last step always records, and the final state is its row's closed state.  X
-at each step's midpoint is read from DriveSpec.at tables made once per block
-of steps, or for the conserving kind is bind's function of the packet's
-deltadot/delta and mean.
+hundred points.  The t = 0 row is checked with _setup's bounds, a bad one a
+ConfigurationError.  A record point keeps the step's spectrum; the later rows
+are checked in batches, each closed in place with one (k, n) inverse FFT and
+checked in one pass, into a table of columns, so a bad row is reported at the
+check of its own batch, before any later step.  The last step always records,
+and the final state is its row's closed state.  X at each step's midpoint is
+read from DriveSpec.at tables made once per block of steps, or for the
+conserving kind is bind's function of the packet's deltadot/delta and mean.
 """
 from __future__ import annotations
 
@@ -139,9 +139,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     or the phase would alias.  The grid's span (x_max - x_min)^4 must be
     finite, which keeps the fourth moment of `observables` finite, and
     delta0 >= dx, below which the samples miss the packet's width and norm.
-    Last, a packet whose own observables fail the check of every row `evolve`
-    records (a variance whose square underflows, a k_t beyond the float
-    range) is a ConfigurationError here.
+    Last, a packet whose own observables fail the finiteness part of the check
+    of every row `evolve` records (a variance whose square underflows, a k_t
+    beyond the float range) is a ConfigurationError here.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -244,25 +244,19 @@ def _rows(psi: np.ndarray, ts: list, g: Grid, p: PhysParams, band: np.ndarray | 
         yield (t, *row)
 
 
-def _first_row(w: WavePacket, p: PhysParams, f: np.ndarray) -> tuple:
-    """evolve's t = 0 row of w, checked as _rows checks a recorded row against its band;
-    the spectrum of w.psi, by one _fft call, is left in f.  cli.resolve calls it too."""
-    _fft(w.psi, 1.0, out=f)
-    with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
-        return next(_rows(w.psi[None], [w.t], w.grid, p, f[None, w.grid.band]))
-
-
 def _batch_rows(n: int) -> int:
     """Rows per batch of evolve's recorded rows on an n-point grid: ROW_POINTS
     grid points of them, and at least 2."""
     return max(2, ROW_POINTS // n)
 
 
-def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_stride: int):
+def _setup(w: WavePacket, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_stride: int):
     """evolve's checks before its first step, each a ConfigurationError, and what it forms
-    there: kin_half, cis_harmonic, the sink gain (exp(dt/tau) - 1)/2 and the empty table
-    of rows.  The factors are refused by the finiteness of their entries, the gain where
-    exp(dt/tau) overflows; cli.resolve calls it on every pde and compare config."""
+    there: kin_half, cis_harmonic, the sink gain (exp(dt/tau) - 1)/2, the table of rows
+    holding w's t = 0 row, the last check, and w.psi's spectrum f.  The factors are refused
+    by their entries' finiteness, the gain where exp(dt/tau) overflows, the row by _rows
+    against f's band; cli.resolve calls it on every pde and compare config."""
+    g = w.grid
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
     if steps < 1 or record_stride < 1:
@@ -298,7 +292,14 @@ def _setup(g: Grid, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_s
     except OverflowError:
         raise ConfigurationError(f"sink factor exp(dt/tau) overflows at dt/tau = "
                                  f"{dt * p.inv_tau:.3g}") from None
-    return kin_half, cis_harmonic, sink_gain, rows
+    f = np.empty(g.n, complex)
+    with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
+        _fft(w.psi, 1.0, out=f)
+        try:
+            rows[0] = next(_rows(w.psi[None], [w.t], g, p, f[None, g.band]))
+        except NumericalFailure as exc:
+            raise ConfigurationError(f"initial packet is not resolved: {exc}") from None
+    return kin_half, cis_harmonic, sink_gain, rows, f
 
 
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
@@ -308,8 +309,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
 
     Before the first step, _setup raises ConfigurationError for a bad dt, steps or
     record_stride, a modulated p, a drive phase or coefficient beyond the float range,
-    a non-finite harmonic or kinetic factor, more rows than numpy can allocate and a
-    sink factor exp(dt/tau) beyond the float range.
+    a non-finite harmonic or kinetic factor, more rows than numpy can allocate, a sink
+    factor exp(dt/tau) beyond the float range and a t = 0 row failing the check below.
     The mean and variance entering the measurement multiplier are recomputed from the
     current psi, after the step's opening kinetic half-step, before each potential
     application.  The sink factor uses the exactly
@@ -347,8 +348,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     check of `observables`, the norm window [0.5, 2], and at most BAND_SHARE_MAX of
     |psi|^2 in |k| >= BAND_EDGE pi/dx, read with no FFT from the row's spectrum (a
     packet narrower than the grid resolves, or a phase turning faster, leaks there; dt
-    has no kinetic limit).  The t = 0 row is checked on its own by _first_row, which
-    cli.resolve also runs.  The later rows are checked in batches of up to
+    has no kinetic limit).  The t = 0 row is checked by _setup, which cli.resolve also
+    runs: a bad one is bad input.  The later rows are checked in batches of up to
     _batch_rows(n), in this process: when the buffer is full and at the end of each
     block of steps, the last step's included.  A check closes the k spectra in place
     with kin_half and one (k, n) inverse FFT, checks the rows in one pass of _rows, and
@@ -357,13 +358,13 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     Each step also detects non-finite amplitudes through the norm it computes (a sum
     of |psi|^2 >= 0, finite exactly when every entry is).  Any failure, of the moments
     included, raises NumericalFailure naming its time, whose `partial` is the
-    Observables of the rows recorded before it, empty if the t = 0 row fails.  A bad
+    Observables of the rows recorded before it, the t = 0 row at least.  A bad
     row is reported at its own time, at the check of its batch, before any later step;
     a step that fails first checks the pending rows, so an earlier bad row still wins.
     """
     g = w.grid
-    # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` of them checked
-    kin_half, cis_harmonic, sink_gain, rows = _setup(g, p, d, dt, steps, record_stride)
+    # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` checked, and w's spectrum f
+    kin_half, cis_harmonic, sink_gain, rows, f = _setup(w, p, d, dt, steps, record_stride)
     x = g.x
     kin_full = kin_half * kin_half
     # i x = ix[j] + ix[nb + l] at index 32 j + l (nb block starts, then the 32
@@ -374,7 +375,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     cis_blocks, cis_offsets = cis[:nb, None], cis[nb:]
     cis_drive = np.empty((nb, 32), complex)
     drive_flat = cis_drive.ravel()[:g.n]
-    f = np.empty(g.n, complex)
     psi = np.empty(g.n, complex)
     # the factors np.fft passes: 1 forward, reciprocal(n) inverse, which is 1.0 / n to the bit
     fft, ifft, inv_n = _fft, _ifft, 1.0 / g.n
@@ -386,7 +386,7 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     sink_const = 0.25 * dt * p.inv_tau
     # the one kind that reads the packet; bind refuses it at lambda = 0
     feedback = d.bind(p) if d.kind == "conserving" else None
-    done = 0
+    done = 1
 
     def check():
         """Close the pending rows' spectra in place and check their rows into `rows`;
@@ -410,8 +410,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     # a step run past a bad row may overflow: that row's check reports it
     with np.errstate(all="ignore"):
         try:
-            rows[0] = _first_row(w, p, f)
-            done = 1
             ifft(np.multiply(kin_half, f, out=f), inv_n, out=psi)
             for block, xs_h in step_blocks(w.t, dt, steps, d, 0.5 * dt):
                 for i, x_h in zip(block, xs_h):

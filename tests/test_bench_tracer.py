@@ -4,20 +4,18 @@ The tracer binds `write_csv(path, rows)`, `integrate(init, t_end, dt)` and
 `evolve(steps)` by parameter name and wraps `measurement_rhs`, `observables`
 and `DriveSpec.value` by attribute, so a renamed parameter or attribute under
 src/ breaks `bench/run.py --trace 1` without failing anything else.  This runs
-every mode through `cli.main` with the tracer installed and checks the counts
-it derives from those bindings.
+every mode through `cli.main` with the tracer installed, the runs of
+tests/conftest.py's `run_modes`, and checks the counts it derives from those
+bindings.
 
 The tracer also wraps `numpy.fft.fft`/`ifft`, which `evolve` no longer calls:
 it calls numpy's pocketfft gufuncs through its own `_fft`/`_ifft`, so the
 tracer records no `madelung.fft.*` figure.  The FFT counts of these runs are
 pinned in tests/test_madelung.py, which counts evolve's own FFT names.
 """
-import json
 from pathlib import Path
 
 import pytest
-
-from ermakov_lab import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,26 +31,8 @@ def tracer(monkeypatch):
     t.uninstall()
 
 
-def write(tmp_path, name, cfg):
-    cfg = dict(cfg, output=dict(cfg["output"], directory=str(tmp_path / name)))
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
-
-
-ODE = {"mode": "ode", "params": {"tau": 2.0},
-       "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
-
-
-def test_tracer_counts_every_mode(tmp_path, tracer):
-    pde = {"mode": "pde", "params": {"tau": 2.0},
-           "numerics": {"dt": 0.01, "t_end": 0.05, "grid": {"n": 64}},
-           "output": {"snapshots": True}}
-    compare = dict(pde, mode="compare", output={})
-    for name, cfg in (("ode", ODE), ("pde", pde), ("compare", compare)):
-        assert cli.main(["run", write(tmp_path, name, cfg)]) == 0
-    assert cli.main(["sweep", write(tmp_path, "sweep", ODE),
-                     "--param", "params.tau", "--values", "1,2"]) == 0
+def test_tracer_counts_every_mode(tracer, run_modes):
+    run_modes()
     totals = tracer.totals()
     # ode 10 steps, compare 5 and the sweep 2 x 10; pde and compare 5 each
     assert totals["ermakov.steps"] == 35
@@ -68,10 +48,9 @@ def test_tracer_counts_every_mode(tmp_path, tracer):
     assert totals["madelung.observables.calls"] > 0
 
 
-def test_tracer_counts_every_value_of_a_sweep(tmp_path, tracer):
+def test_tracer_counts_every_value_of_a_sweep(tmp_path, tracer, run_modes):
     """A sweep runs in the calling process, so the tracer counts every value."""
-    path = write(tmp_path, "sweep", ODE)
-    assert cli.main(["sweep", path, "--param", "params.tau", "--values", "1,2"]) == 0
+    run_modes("sweep")
     totals = tracer.totals()
     assert totals["ermakov.steps"] == 20
     assert totals["cli.write_csv.rows"] == 22

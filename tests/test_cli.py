@@ -129,6 +129,29 @@ class TestConfigValidation:
         assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, param, value, alpha0", [
+        pytest.param("ode", "init.alpha0", 1e-9, "1e-09", id="ode"),
+        # alpha0 = delta0 / sqrt(hbar/2m) at m = 1e-20: the pde side would run first
+        pytest.param("compare", "params.m", 1e-20, "1.414213562373095e-10", id="compare"),
+    ])
+    def test_start_below_the_collapse_floor_runs_nothing(self, tmp_path, capsys, mode,
+                                                         param, value, alpha0):
+        out = tmp_path / "out"
+        cfg = {"mode": mode, "params": {"tau": 2.0},
+               "numerics": {"dt": 0.01, "t_end": 0.1, "grid": {"n": 128}},
+               "output": {"directory": str(out)}}
+        if mode == "ode":
+            del cfg["numerics"]["grid"]
+        path = write_config(tmp_path / "c.json", cfg)
+        cli._set_by_path(cfg, param, value)
+        line = f"config error: initial alpha={alpha0} below collapse floor 1e-08"
+        assert main(["run", write_config(tmp_path / "bad.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        # the sweep resolves both values first: value 1 would run, the other runs nothing
+        assert main(["sweep", path, "--param", param, "--values", f"1,{value!r}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     def test_missing_tau_names_the_field(self, tmp_path, capsys):
         cfg = base_ode_config(tmp_path / "out")
         del cfg["params"]["tau"]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -266,7 +265,9 @@ class TestQuantumForceLinearity:
 
 class TestEvolve:
     def test_zero_variance_is_degenerate(self):
-        with pytest.raises(NumericalFailure, match="zero variance"):
+        # the t = 0 row is checked by evolve's set-up: a bad start is bad input
+        with pytest.raises(ConfigurationError, match="^initial packet is not resolved: "
+                                                     ".*zero variance"):
             evolve(point_packet(), PhysParams(tau=2.0), ZERO, 1e-4, 5)
 
     def test_coherent_state_tracks_ode(self):
@@ -334,32 +335,32 @@ class TestEvolve:
             _, obs = evolve(w, p, ZERO, 0.01, 1)
             assert len(obs) == 2
             return
-        with pytest.raises(NumericalFailure, match=r"share 0\.009\d* of \|psi\|\^2 in the band "
-                                                   r"\|k\| >= 0\.9 pi/dx exceeds 0\.001 "
-                                                   r"at t=0\.0$") as exc:
+        with pytest.raises(ConfigurationError, match=r"^initial packet is not resolved: "
+                                                     r"share 0\.009\d* of \|psi\|\^2 in the "
+                                                     r"band \|k\| >= 0\.9 pi/dx exceeds "
+                                                     r"0\.001 at t=0\.0$"):
             evolve(w, p, ZERO, 0.01, 1)
-        assert len(exc.value.partial) == 0
 
     def test_divergence_guard(self):
         p = PhysParams(tau=2.0)
         g = Grid(1 - 16, 1 + 16, 512)
         w = gaussian_packet(g, 1.0, 1.0, p=p)
         w.psi *= 2.0  # norm 4, outside the trusted window
-        # the t = 0 row goes through the same check as every later row
-        with pytest.raises(NumericalFailure,
-                           match=r"norm .* outside \[0\.5, 2\] at t=0\.0$") as exc:
+        # the t = 0 row goes through the same check as every later row, before the
+        # first step: a failure there is bad input
+        with pytest.raises(ConfigurationError, match=r"^initial packet is not resolved: "
+                                                     r"norm .* outside \[0\.5, 2\] at t=0\.0$"):
             evolve(w, p, ZERO, g.dx ** 2 / np.pi, 1)
-        assert len(exc.value.partial) == 0
 
     def test_initial_row_is_checked(self):
         # at m = 1e-150, k_t = (hbar/2m)^2 / delta^4 = 2.5e299 / 1e-32 is inf for the
         # packet built at m = 1
         g = Grid(-1.6e-7, 1.6e-7, 128)
         w = gaussian_packet(g, 0.0, 1e-8, p=P_FREE)
-        with pytest.raises(NumericalFailure, match="non-finite value in the observables "
-                                                   r"recorded at t=0\.0$") as exc:
+        with pytest.raises(ConfigurationError, match="^initial packet is not resolved: "
+                                                     "non-finite value in the observables "
+                                                     r"recorded at t=0\.0$"):
             evolve(w, PhysParams(tau=math.inf, m=1e-150), ZERO, 1e-3, 5)
-        assert len(exc.value.partial) == 0
 
     def test_zero_norm_mid_run_keeps_the_recorded_rows(self):
         # the 1/(2 tau) phase curvature cancelled, dt/tau = 50: the sink factor
@@ -776,7 +777,8 @@ class TestChecker:
     @pytest.mark.parametrize("n", [64, 100, 256, 1024, 4096])
     def test_batched_inverse_fft_rows_are_the_1d_rows(self, n):
         g = Grid(-15, 17, n)
-        kin_half = madelung._setup(g, self.P, ZERO, g.dx * g.dx / np.pi, 1, 1)[0]
+        w = gaussian_packet(g, 1.0, 1.0, p=self.P)
+        kin_half = madelung._setup(w, self.P, ZERO, g.dx * g.dx / np.pi, 1, 1)[0]
         batch = madelung._batch_rows(n)
         rng = np.random.default_rng(n)
         spectra = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
@@ -808,11 +810,9 @@ def unresolved(steps):
     return w, p, ZERO, 1e-4, steps
 
 
-def narrowed(steps, scale=1.0):
-    """evolve's record of unresolved(steps).  scale = 2 gives the packet norm 4, which
-    the t = 0 row refuses."""
+def narrowed(steps):
+    """evolve's record of unresolved(steps)."""
     w, *args = unresolved(steps)
-    w.psi *= scale
     return evolve(w, *args)[1]
 
 
@@ -822,12 +822,12 @@ def narrowed(steps, scale=1.0):
     (pushed, 10.0, "5.0", 50, 4.9, Trajectory),
     (narrowed, 1000, "0.054", 540, 539, Observables),
     (lambda t_end: pushed(t_end, xbardot0=1e160), 10.0, "0.0", 0, None, Trajectory),
-    (lambda steps: narrowed(steps, scale=2.0), 1000, "0.0", 0, None, Observables),
-], ids=["integrate", "evolve", "integrate-t0", "evolve-t0"])
+], ids=["integrate", "evolve", "integrate-t0"])
 def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, rows,
                                                          stopped, record):
     # both solvers' partial is the kind of record they return, numpy columns of the
-    # rows before the failing one: an empty record if that is the t = 0 row
+    # rows before the failing one: an empty record if that is integrate's t = 0 row
+    # (evolve's set-up refuses a bad t = 0 row as bad input)
     with pytest.raises(NumericalFailure, match=rf"aborted at t~{t_fail}: ") as exc:
         run(failing)
     partial = exc.value.partial
@@ -840,32 +840,15 @@ def test_partial_is_the_column_record_of_the_rows_before(run, failing, t_fail, r
         assert type(before) is record and columns(partial) == columns(before)
 
 
-def test_fft_counts_of_every_mode(tmp_path, monkeypatch):
-    # the runs of tests/test_bench_tracer.py: each of the two 5-step 64-point runs
+def test_fft_counts_of_every_mode(monkeypatch, run_modes):
+    # the runs of tests/conftest.py's run_modes: each of the two 5-step 64-point runs
     # opens with one FFT pair, then makes one fft per step and one ifft per step but
     # the last, 11 calls, and checks its 5 rows once, with one (5, n) ifft that moves
-    # the bytes of five 1-D calls and closes the final state; cli.resolve's check of
-    # each one's t = 0 row adds one fft; the ode runs make none.
-    from ermakov_lab import cli
-
-    ode = {"mode": "ode", "params": {"tau": 2.0},
-           "numerics": {"dt": 0.01, "t_end": 0.1}, "output": {}}
-    pde = {"mode": "pde", "params": {"tau": 2.0},
-           "numerics": {"dt": 0.01, "t_end": 0.05, "grid": {"n": 64}},
-           "output": {"snapshots": True}}
-    compare = dict(pde, mode="compare", output={})
-
-    def write(name, cfg):
-        cfg = dict(cfg, output=dict(cfg["output"], directory=str(tmp_path / name)))
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        return str(path)
-
+    # the bytes of five 1-D calls and closes the final state; cli.resolve's call of
+    # evolve's set-up, which checks each one's t = 0 row, adds one fft; the ode runs
+    # make none.
     calls = []
     count_ffts(monkeypatch, calls)
-    for name, cfg in (("ode", ode), ("pde", pde), ("compare", compare)):
-        assert cli.main(["run", write(name, cfg)]) == 0
-    assert cli.main(["sweep", write("sweep", ode),
-                     "--param", "params.tau", "--values", "1,2"]) == 0
+    run_modes()
     assert len(calls) == 26
     assert sum(b for *_, b in calls) == 69632
