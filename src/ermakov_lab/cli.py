@@ -28,11 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ermakov, madelung
 from .errors import ConfigurationError, NumericalFailure
 from .params import DriveSpec, PhysParams
-from .ermakov import ErmakovState, _check_start, _whole_steps, delta_from_alpha, integrate
-from .madelung import Grid, _setup, evolve, gaussian_packet
+from .ermakov import ErmakovState, _whole_steps, delta_from_alpha, integrate
+from .madelung import Grid, evolve, gaussian_packet
 
 CSV_HEADER = "# ermakov-lab csv v1; nondimensional units unless configured otherwise"
 
@@ -123,14 +123,25 @@ _FIELDS = {
 }
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object of the config as a dict; a key it repeats is a config error."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigurationError(f"config key {key!r} is given twice in one object")
+        obj[key] = val
+    return obj
+
+
 def load_config(path) -> dict:
-    """The config file as a dict; resolve() validates it."""
+    """The config file as a dict, each of its objects without a repeated key;
+    resolve() validates it."""
     p = Path(path)
     if not p.is_file():  # not opened: reading a FIFO with no writer would block
         raise ConfigurationError(f"{path} is not a regular file" if p.exists()
                                  else f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(), object_pairs_hook=_object)
     except OSError as exc:  # a file that cannot be read: EACCES, or EIO from a special file
         raise ConfigurationError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, a too long int, deep nesting
@@ -141,9 +152,12 @@ def load_config(path) -> dict:
 
 
 def _given(node: dict, prefix: str = ""):
-    """(dotted key, value) of every field the config sets; unknown keys are errors."""
+    """(dotted key, value) of every field the config sets, each in its own section;
+    unknown keys, and keys holding a dot, are errors."""
     for key, val in node.items():
         dotted = prefix + key
+        if "." in key:  # params.tau is {"params": {"tau": ...}}, never a dotted key
+            raise ConfigurationError(f"unknown config key {dotted!r}")
         if dotted in _FIELDS:
             yield dotted, val
         elif not any(f.startswith(dotted + ".") for f in _FIELDS):
@@ -165,9 +179,10 @@ def resolve(cfg: dict) -> dict:
     A config error for an unknown key, a bad value, a classical system the run
     cannot honour, two initial widths, a refused pde/compare grid or packet, a
     given key that the mode, system or drive kind does not read and, checked
-    last, a drive term lambda X / m beyond the float range, in pde and compare mode
-    any bound of evolve's set-up, madelung._setup, its t = 0 row's check included,
-    and in ode and compare mode an initial alpha below integrate's collapse floor.
+    last, a drive term lambda X / m beyond the float range and any bound of the
+    set-up of each solver the mode runs, its t = 0 row's check and a conserving
+    drive at lambda = 0 included: evolve's, madelung._setup, in pde and compare
+    mode, then integrate's, ermakov._setup, in ode and compare mode.
     ERMAKOV_LAB_OUT replaces output.directory, and right after that an output
     directory that cannot be made (a file where it or an ancestor should be) is
     refused before any work."""
@@ -187,7 +202,6 @@ def resolve(cfg: dict) -> dict:
     r["output.directory"] = os.environ.get("ERMAKOV_LAB_OUT") or r["output.directory"]
     _makeable(r["output.directory"])
     p, d = _build(r)
-    d.bind(p)  # a conserving drive refuses lambda = 0
     steps = _steps(r)
     if r["output.stride"] < 1:
         raise ConfigurationError("output.stride must be >= 1")
@@ -230,9 +244,9 @@ def resolve(cfg: dict) -> dict:
             raise ConfigurationError(f"drive term |lambda| max|X| / m = {lam_x:g}/{p.m:g} "
                                      "is beyond the float range")
     if pde:
-        _setup(packet, p, d, r["numerics.dt"], steps, r["output.stride"])
+        madelung._setup(packet, p, d, r["numerics.dt"], steps, r["output.stride"])
     if r["mode"] != "pde":
-        _check_start(r["init.alpha0"])
+        ermakov._setup(*_ode(r, p, d))
     return r
 
 
@@ -292,19 +306,19 @@ def write_csv(path: Path, columns: list[str], rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def _integrate(r: dict, x: str = "xbar"):
-    """The ode side of an ode/compare run, its centroid read from init.<x>0 and <x>dot0."""
-    params, drive = _build(r)
+def _ode(r: dict, params: PhysParams, drive: DriveSpec) -> tuple:
+    """integrate's arguments for the ode side of an ode/compare run, its centroid read
+    from init.q0 and qdot0 for the classical system, else init.xbar0 and xbardot0."""
+    x = "q" if r["system"] == "classical" else "xbar"
     init = ErmakovState(0.0, r["init.alpha0"], r["init.alphadot0"],
                         r[f"init.{x}0"], r[f"init.{x}dot0"])
-    return integrate(init, params, drive=drive, t_end=r["numerics.t_end"],
-                     dt=r["numerics.dt"], stride=r["output.stride"])
+    return init, params, drive, r["numerics.t_end"], r["numerics.dt"], r["output.stride"]
 
 
 def run_ode(r: dict) -> int:
     classical = r["system"] == "classical"
     x = "q" if classical else "xbar"
-    traj = _integrate(r, x)
+    traj = integrate(*_ode(r, *_build(r)))
     width = {"alpha": traj.alpha, "alphadot": traj.alphadot}
     centroid = {x: traj.x, x + "dot": traj.xdot}
     coords = {**centroid, **width} if classical else {**width, **centroid}
@@ -346,7 +360,7 @@ def run_pde(r: dict) -> int:
 
 def run_compare(r: dict) -> int:
     _, obs = _evolve(r)
-    traj = _integrate(r)
+    traj = integrate(*_ode(r, *_build(r)))
     cols = {"t": obs.t, "xbar_pde": obs.xbar, "xbar_ode": traj.x,
             "xbar_diff": obs.xbar - traj.x, "delta_pde": obs.delta,
             "delta_ode": traj.delta, "delta_diff": obs.delta - traj.delta,

@@ -19,7 +19,9 @@ BLOCK_STEPS steps, and the conserving feedback is written out as bind forms it.
 The loop records the state alone, at record points found by one compare of
 the step index, and forms a step's time only where a row, a failure or a
 modulated omega^2 reads it; the invariant, its rate, the width and X are
-formed as numpy columns after it, by the same functions on arrays.
+formed as numpy columns after it, by the same functions on arrays.  Before
+it, _setup refuses a bad start, its t = 0 row included, as ConfigurationError,
+as madelung's _setup does for evolve.
 """
 from __future__ import annotations
 
@@ -46,11 +48,6 @@ class ErmakovState:
 
 def _collapse(alpha: float) -> NumericalFailure:
     return NumericalFailure(f"alpha={alpha} below collapse floor {ALPHA_MIN}")
-
-
-def _check_start(alpha: float) -> None:  # integrate's, and cli.resolve's, start check
-    if alpha < ALPHA_MIN:
-        raise ConfigurationError(f"initial alpha={alpha} below collapse floor {ALPHA_MIN}")
 
 
 def measurement_rhs(s: ErmakovState, p: PhysParams, d: DriveSpec) -> tuple[float, float]:
@@ -167,6 +164,37 @@ def _trajectory(rows: list, params: PhysParams, x_column) -> Trajectory:
     return Trajectory(*cols)
 
 
+def _setup(init: ErmakovState, params: PhysParams, drive: DriveSpec | None,
+           t_end: float, dt: float, stride: int):
+    """integrate's checks before its first step, each a ConfigurationError, and what it
+    forms there: the step count, the drive (zero for None), x_column, X of the recorded
+    rows (bind refuses a conserving drive at lambda = 0), and the rows list holding the
+    t = 0 row, checked last as _trajectory checks every row, on floats.  cli.resolve
+    calls it on every ode and compare config."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError("dt must be positive and finite")
+    if t_end <= init.t:
+        raise ConfigurationError("t_end must exceed the initial time")
+    if stride < 1:
+        raise ConfigurationError("stride must be >= 1")
+    n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
+    if init.alpha < ALPHA_MIN:
+        raise ConfigurationError(f"initial alpha={init.alpha} below collapse floor {ALPHA_MIN}")
+    drive = DriveSpec() if drive is None else drive
+    x_of = drive.bind(params)
+    x_column = x_of if drive.kind == "conserving" else lambda t, r, xbar: drive.at(t)
+    # the t = 0 row on floats, by the functions _trajectory forms the columns by
+    rows = [init.t, init.alpha, init.alphadot, init.xbar, init.xbardot]
+    t, a, ad, x, xd = rows
+    x_t = x_of(t, ad / a, x)
+    row = (*rows, delta_from_alpha(a, params), lewis_invariant(x, xd, a, ad),
+           els_invariant_rate(a, ad, x, xd, params, x_t), x_t)
+    if not all(map(math.isfinite, row)):
+        raise ConfigurationError(f"initial state is not representable: non-finite value "
+                                 f"in the row recorded at t={t}")
+    return n_steps, drive, x_column, rows
+
+
 def integrate(init: ErmakovState,
               params: PhysParams,
               drive: DriveSpec | None = None,
@@ -178,10 +206,10 @@ def integrate(init: ErmakovState,
     drive defaults to zero; omega^2(t) is params.omega2, constant unless
     params.eps != 0.  The classical pair is params.tau = inf, params.lam = 0
     with a zero drive.
-    Runs whole steps of dt only: a dt that is not a positive finite number,
-    or (t_end - t0)/dt not within 1e-9 (relative) of a whole number, is a
-    ConfigurationError, as the CLI refuses such a numerics.t_end.  Records
-    every `stride` steps, always including the initial and final states.
+    Before the first step, _setup raises ConfigurationError for a dt that is not
+    positive and finite, a t_end - t0 that is not within 1e-9 (relative) of whole
+    steps, a stride below 1, an initial alpha below ALPHA_MIN, a conserving drive at
+    lambda = 0 and a non-finite t = 0 row.  Records every `stride` steps, always including the initial and final states.
     Step i runs from t0 + i dt, a time formed only where it is read: in a
     recorded row, in a failure's message, and at each step's end when omega
     is modulated, as the next step's t for omega^2.  A record point is found
@@ -200,28 +228,19 @@ def integrate(init: ErmakovState,
     r = alphadot/alpha.  The loop records the state alone; after it, delta,
     I, dI/dt and X are formed as columns, X by DriveSpec.at on the recorded
     times, or by one call of bind's conserving function on the columns.
-    alpha < ALPHA_MIN is a ConfigurationError for the initial alpha, and a
-    failure for stages 2 to 4 before their drive and each step's result;
-    each step's result and each recorded row are checked for a non-finite value.
-    These are the only failure checks: a width collapse or a non-finite
-    value raises NumericalFailure whose `partial` is the Trajectory of the
-    rows recorded before it, the earliest failure winning.  Its message
+    alpha < ALPHA_MIN is a failure for stages 2 to 4 before their drive and
+    each step's result; each step's result and each recorded row are checked
+    for a non-finite value.  These are the only failure checks: a width
+    collapse or a non-finite value raises NumericalFailure whose `partial` is
+    the Trajectory of the rows recorded before it, the t = 0 row at least, the
+    earliest failure winning.  Its message
     names the start of the step whose stage failed, or the end of the step
     whose result did.
     """
-    if not 0 < dt < math.inf:
-        raise ConfigurationError("dt must be positive and finite")
-    if t_end <= init.t:
-        raise ConfigurationError("t_end must exceed the initial time")
-    if stride < 1:
-        raise ConfigurationError("stride must be >= 1")
-    n_steps = _whole_steps(t_end - init.t, dt, "(t_end - t0) / dt")
-    _check_start(init.alpha)
-    drive = DriveSpec() if drive is None else drive
+    n_steps, drive, x_column, rows = _setup(init, params, drive, t_end, dt, stride)
     # the conserving feedback, the one kind that reads the state, is written out in
-    # each stage as bind forms it (bind refuses it at lambda = 0); the others are tabulated
+    # each stage as bind forms it; the others are tabulated
     feedback = drive.kind == "conserving"
-    x_column = drive.bind(params) if feedback else lambda t, r, xbar: drive.at(t)
     gain = params.m / params.lam if feedback else 0.0
     inv_tau, c_tau, lam_m = params.inv_tau, params.c_tau, params.lam / params.m
     modulated = params.eps != 0.0
@@ -236,7 +255,6 @@ def integrate(init: ErmakovState,
     isfinite = math.isfinite
     t0 = t = init.t  # t, omega^2's step start, is formed at a step's end only if modulated
     a, ad, x, xd = init.alpha, init.alphadot, init.xbar, init.xbardot
-    rows = [t0, a, ad, x, xd]  # flat, (t, alpha, alphadot, xbar, xbardot) per row
     half, sixth = 0.5 * dt, dt / 6.0
     # rec: the step whose end is the next recorded row, every stride-th and the last
     last = n_steps - 1

@@ -13,7 +13,8 @@ each straight to the numpy pocketfft gufunc that np.fft.fft or ifft wraps,
 with np.fft's factor 1 or 1/n: the same bytes, less the wrapper's Python work
 per call (norm, dtypes, axis, out's shape), a sizeable part of a call at a few
 hundred points.  The t = 0 row is checked with _setup's bounds, a bad one a
-ConfigurationError.  A record point keeps the step's spectrum; the later rows
+ConfigurationError: gaussian_packet leaves the packet's own moments to that
+check.  A record point keeps the step's spectrum; the later rows
 are checked in batches, each closed in place with one (k, n) inverse FFT and
 checked in one pass, into a table of columns, so a bad row is reported at the
 check of its own batch, before any later step.  The last step always records,
@@ -139,9 +140,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     or the phase would alias.  The grid's span (x_max - x_min)^4 must be
     finite, which keeps the fourth moment of `observables` finite, and
     delta0 >= dx, below which the samples miss the packet's width and norm.
-    Last, a packet whose own observables fail the finiteness part of the check
-    of every row `evolve` records (a variance whose square underflows, a k_t
-    beyond the float range) is a ConfigurationError here.
+    The packet's own row is checked by evolve's set-up, _setup, with every row
+    evolve records: a variance whose square underflows or a k_t beyond the float
+    range is a ConfigurationError there.
     """
     if delta0 <= 0:
         raise ConfigurationError("delta0 must be positive")
@@ -164,14 +165,9 @@ def gaussian_packet(grid: Grid, xbar0: float, delta0: float,
     u = x - xbar0
     two_var = 2.0 * delta0 * delta0
     rho = np.exp(-u * u / two_var) / math.sqrt(np.pi * two_var)
-    with np.errstate(over="ignore", invalid="ignore"):  # observables refuses a non-finite psi
+    with np.errstate(over="ignore", invalid="ignore"):  # _setup refuses a non-finite psi
         S = (p.m / p.hbar) * (0.5 * slope * u * u + xbardot0 * u)
-        w = WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
-    try:
-        observables(w, p)
-    except NumericalFailure as exc:
-        raise ConfigurationError(f"initial packet is not representable: {exc}") from None
-    return w
+        return WavePacket(grid=grid, psi=np.sqrt(rho) * np.exp(1j * S), t=0.0)
 
 
 def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
@@ -194,7 +190,8 @@ def _moments(psi: np.ndarray, x: np.ndarray, dx: float):
 def observables(w: WavePacket, p: PhysParams = PhysParams()) -> Observables:
     """Quadrature moments of rho plus the quantum-force slope k_t, an Observables of
     floats, by the pass of _rows on the one state w.psi: a zero norm, a variance whose
-    square underflows or a non-finite value among them raises NumericalFailure."""
+    square underflows or a non-finite value among them raises NumericalFailure.  For
+    library callers: evolve and the CLI form their rows by _rows and do not call it."""
     with np.errstate(all="ignore"):  # a failed moment shows in the row's checks
         return Observables(*next(_rows(w.psi[None], [w.t], w.grid, p)))
 
@@ -253,9 +250,11 @@ def _batch_rows(n: int) -> int:
 def _setup(w: WavePacket, p: PhysParams, d: DriveSpec, dt: float, steps: int, record_stride: int):
     """evolve's checks before its first step, each a ConfigurationError, and what it forms
     there: kin_half, cis_harmonic, the sink gain (exp(dt/tau) - 1)/2, the table of rows
-    holding w's t = 0 row, the last check, and w.psi's spectrum f.  The factors are refused
-    by their entries' finiteness, the gain where exp(dt/tau) overflows, the row by _rows
-    against f's band; cli.resolve calls it on every pde and compare config."""
+    holding w's t = 0 row, the last check, w.psi's spectrum f and the conserving drive's
+    function of bind (None for the other kinds; bind refuses it at lambda = 0).  The
+    factors are refused by their entries' finiteness, the gain where exp(dt/tau)
+    overflows, the row by _rows against f's band; cli.resolve calls it on every pde and
+    compare config."""
     g = w.grid
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be positive and finite")
@@ -263,6 +262,7 @@ def _setup(w: WavePacket, p: PhysParams, d: DriveSpec, dt: float, steps: int, re
         raise ConfigurationError("steps and record_stride must be >= 1")
     if p.eps != 0.0:
         raise ConfigurationError("evolve needs a constant omega (eps = 0)")
+    feedback = d.bind(p) if d.kind == "conserving" else None  # the one kind reading psi
     dt_hbar = dt / p.hbar
     x_bound = d.x_bound  # None for the conserving kind
     if x_bound is not None:
@@ -299,7 +299,7 @@ def _setup(w: WavePacket, p: PhysParams, d: DriveSpec, dt: float, steps: int, re
             rows[0] = next(_rows(w.psi[None], [w.t], g, p, f[None, g.band]))
         except NumericalFailure as exc:
             raise ConfigurationError(f"initial packet is not resolved: {exc}") from None
-    return kin_half, cis_harmonic, sink_gain, rows, f
+    return kin_half, cis_harmonic, sink_gain, rows, f, feedback
 
 
 def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
@@ -308,7 +308,8 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     """Strang-split evolution; returns the final packet and the rows as columns.
 
     Before the first step, _setup raises ConfigurationError for a bad dt, steps or
-    record_stride, a modulated p, a drive phase or coefficient beyond the float range,
+    record_stride, a modulated p, a conserving drive at lambda = 0 (it binds that
+    kind), a drive phase or coefficient beyond the float range,
     a non-finite harmonic or kinetic factor, more rows than numpy can allocate, a sink
     factor exp(dt/tau) beyond the float range and a t = 0 row failing the check below.
     The mean and variance entering the measurement multiplier are recomputed from the
@@ -363,8 +364,10 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     a step that fails first checks the pending rows, so an earlier bad row still wins.
     """
     g = w.grid
-    # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` checked, and w's spectrum f
-    kin_half, cis_harmonic, sink_gain, rows, f = _setup(w, p, d, dt, steps, record_stride)
+    # rows of (t, norm, xbar, delta, excess_kurtosis, k_t), `done` checked, w's spectrum f
+    # and the conserving drive's function of the packet
+    kin_half, cis_harmonic, sink_gain, rows, f, feedback = _setup(w, p, d, dt, steps,
+                                                                  record_stride)
     x = g.x
     kin_full = kin_half * kin_half
     # i x = ix[j] + ix[nb + l] at index 32 j + l (nb block starts, then the 32
@@ -384,8 +387,6 @@ def evolve(w: WavePacket, p: PhysParams, d: DriveSpec,
     pending = []
     drive_coef = -(dt / p.hbar) * p.lam
     sink_const = 0.25 * dt * p.inv_tau
-    # the one kind that reads the packet; bind refuses it at lambda = 0
-    feedback = d.bind(p) if d.kind == "conserving" else None
     done = 1
 
     def check():
